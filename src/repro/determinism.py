@@ -29,8 +29,11 @@ def reset_global_counters() -> None:
     from .core.rpc import RpcEngine
     from .net import tcpip as _tcpip
     from .baselines import farm as _farm
+    from .apps.dsm.graphdsm import LiteGraphDsm
     from .apps.graph import powergraph as _powergraph
+    from .apps.graph.litegraph import LiteGraph
     from .apps.mapreduce import hadoopsim as _hadoopsim
+    from .apps.mapreduce.lite_mr import LiteMR
 
     _device._key_counter = itertools.count(start=1000)
     _device._qpn_counter = itertools.count(start=1)
@@ -48,3 +51,7 @@ def reset_global_counters() -> None:
     _farm._ring_counter = itertools.count(start=1)
     _powergraph._port_counter = itertools.count(start=30000)
     _hadoopsim._port_counter = itertools.count(start=20000)
+    # Job names (``mrjob10``) travel in control messages too.
+    LiteMR._job_counter = 0
+    LiteGraph._job_counter = 0
+    LiteGraphDsm._job_counter = 0

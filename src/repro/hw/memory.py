@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 from typing import List, Optional, Tuple
 
+from .params import PAGE_SIZE
+
 __all__ = ["PhysRegion", "HostMemory", "OutOfMemoryError"]
 
 
@@ -27,33 +29,42 @@ _ZERO_BLOCK = memoryview(bytes(1048576))
 class PhysRegion:
     """A physically-contiguous extent of host DRAM with real contents.
 
-    Backing storage is block-sparse (blocks materialized on first touch),
-    so benchmarks can register very many — or multi-GB — regions and only
-    pay host RAM for bytes actually written: untouched blocks read back
-    as zeros, like the kernel's zero page.
+    Backing storage is demand-paged, so benchmarks can register very
+    many — or multi-GB — regions and only pay host RAM (and host memset
+    time) for the pages actually written: untouched ranges read back as
+    zeros, like the kernel's zero page.
 
-    Block granularity scales with the region: small regions keep 64 KiB
-    blocks (sparsity for many tiny allocations), while bulk regions —
-    LMR chunks, RPC rings — use 1 MiB blocks so a multi-hundred-KB
-    transfer is a single slice assignment instead of a Python loop over
-    sixteen 64 KiB pieces.  Host-side only: simulated timings never see
-    the block size.
+    The region is cut into blocks, never larger than the region itself:
+    64 KiB for small regions, 1 MiB for bulk ones (LMR chunks, RPC
+    rings) so a multi-hundred-KB transfer is a single slice assignment
+    instead of a Python loop over sixteen 64 KiB pieces.  Each block is
+    in one of four states:
 
-    Bulk writes from immutable sources avoid the copy entirely: a write
-    that covers a whole block with a read-only buffer (``bytes``, or a
-    read-only ``memoryview`` over one) aliases the source into the block
-    table instead of copying — the store keeps a reference, which is
-    safe precisely because the source can never change underneath it.
-    A later partial overwrite materializes the block back into a
-    ``bytearray`` (copy-on-write).  Exact-extent reads of an aliased
-    ``bytes`` block hand the same object back, so the common
-    write-then-read-back pattern of large-message benchmarks moves zero
-    bytes per op — the simulated DMA timings are unchanged.
+    * *absent* — never written; reads as zeros and costs nothing.
+    * *sparse* — a page table ``{page_index: bytearray(4096)}`` holding
+      only the pages small writes have touched.
+    * *dense* — one ``bytearray`` of the block size.  A sparse block is
+      promoted in place once a quarter of it would be resident, whether
+      page by page or through one large write, so sequential traffic
+      and ring appends run on plain slice assignment.
+    * *aliased* — a write that covers the whole block with an immutable
+      source (``bytes``, or a ``memoryview`` over one) keeps a reference
+      instead of copying, which is safe precisely because the source
+      can never change underneath it.  A later partial overwrite copies
+      the block into a ``bytearray`` (copy-on-write).  Exact-extent
+      reads of an aliased ``bytes`` block hand the same object back, so
+      the write-then-read-back pattern of large-message benchmarks
+      moves zero bytes per op.
+
+    Host-side only: simulated timings never see blocks or pages.
     """
 
     _BLOCK = 65536
     _BLOCK_BULK = 1048576
     _BULK_THRESHOLD = 2097152
+    # A block stays sparse while its resident pages plus the incoming
+    # write (at least one page) amount to less than 1/_DENSE_DIV of it.
+    _DENSE_DIV = 4
 
     __slots__ = ("node_id", "addr", "size", "_blocks", "_block", "freed")
 
@@ -62,8 +73,8 @@ class PhysRegion:
         self.addr = addr
         self.size = size
         self._blocks = {}
-        self._block = (self._BLOCK_BULK if size >= self._BULK_THRESHOLD
-                       else self._BLOCK)
+        self._block = min(size, self._BLOCK_BULK
+                          if size >= self._BULK_THRESHOLD else self._BLOCK)
         self.freed = False
 
     def _check(self, offset: int, nbytes: int, what: str) -> None:
@@ -75,8 +86,14 @@ class PhysRegion:
                 f"of size {self.size}"
             )
 
+    @property
+    def resident_bytes(self) -> int:
+        """Host bytes the backing store holds for this region."""
+        return sum(len(block) * PAGE_SIZE if type(block) is dict else len(block)
+                   for block in self._blocks.values())
+
     def write(self, offset: int, payload) -> None:
-        """Store real bytes (materializing touched blocks).
+        """Store real bytes (materializing touched pages or blocks).
 
         ``payload`` may be any bytes-like object (``bytes``,
         ``bytearray``, ``memoryview``); slicing it goes through a
@@ -96,12 +113,10 @@ class PhysRegion:
                     blocks[block_index] = aliased
                     return
             block = blocks.get(block_index)
-            if block is None:
-                block = blocks[block_index] = bytearray(block_size)
-            elif type(block) is not bytearray:
-                # Copy-on-write: materialize an aliased block before
-                # mutating it.
-                block = blocks[block_index] = bytearray(block)
+            if type(block) is not bytearray:
+                block = self._open(block_index, block, inner, payload)
+                if block is None:
+                    return
             block[inner : inner + length] = payload
             return
         view = memoryview(payload)
@@ -110,19 +125,59 @@ class PhysRegion:
             block_index = (offset + cursor) // block_size
             inner = (offset + cursor) % block_size
             take = min(block_size - inner, length - cursor)
+            piece = view[cursor : cursor + take]
+            cursor += take
             if inner == 0 and take == block_size:
-                aliased = self._alias(view[cursor : cursor + take])
+                aliased = self._alias(piece)
                 if aliased is not None:
                     blocks[block_index] = aliased
-                    cursor += take
                     continue
             block = blocks.get(block_index)
-            if block is None:
-                block = blocks[block_index] = bytearray(block_size)
-            elif type(block) is not bytearray:
-                block = blocks[block_index] = bytearray(block)
-            block[inner : inner + take] = view[cursor : cursor + take]
-            cursor += take
+            if type(block) is not bytearray:
+                block = self._open(block_index, block, inner, piece)
+                if block is None:
+                    continue
+            block[inner : inner + take] = piece
+
+    def _open(self, block_index: int, block, inner: int, piece):
+        """Make a block that is not dense ready for ``piece`` at ``inner``.
+
+        Returns the dense ``bytearray`` the caller writes into, or None
+        when the piece went into the block's sparse page table.
+        """
+        block_size = self._block
+        page_size = PAGE_SIZE
+        if block is None or type(block) is dict:
+            resident = len(block) * page_size if block else 0
+            incoming = max(len(piece), page_size)
+            if (resident + incoming) * self._DENSE_DIV < block_size:
+                if block is None:
+                    block = self._blocks[block_index] = {}
+                index, pin = divmod(inner, page_size)
+                if pin + len(piece) > page_size:
+                    piece = memoryview(piece)
+                while True:
+                    page = block.get(index)
+                    if page is None:
+                        page = block[index] = bytearray(page_size)
+                    room = page_size - pin
+                    if len(piece) <= room:
+                        page[pin : pin + len(piece)] = piece
+                        return None
+                    page[pin:] = piece[:room]
+                    piece = piece[room:]
+                    index += 1
+                    pin = 0
+            dense = bytearray(block_size)
+            for index, page in (block or {}).items():
+                base = index * page_size
+                dense[base : base + page_size] = page[: block_size - base]
+        else:
+            # Copy-on-write: materialize an aliased block before
+            # mutating it.
+            dense = bytearray(block)
+        self._blocks[block_index] = dense
+        return dense
 
     @staticmethod
     def _alias(payload):
@@ -145,42 +200,28 @@ class PhysRegion:
         return None
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        """Load real bytes; untouched blocks read as zeros.
+        """Load real bytes; untouched ranges read as zeros.
 
-        Untouched (never-written) blocks are never materialized: holes
-        contribute slices of a shared zero buffer, and each touched
-        block contributes exactly one copy (``b"".join`` consumes the
-        memoryview slices directly).
+        Untouched (never-written) blocks and pages are never
+        materialized: holes contribute slices of a shared zero buffer,
+        and each touched block or page contributes exactly one copy
+        (``b"".join`` consumes the memoryview slices directly).
         """
         self._check(offset, nbytes, "read")
         block_size = self._block
-        blocks = self._blocks
-        block_index = offset // block_size
         inner = offset % block_size
         if inner + nbytes <= block_size:
             # Fast path: the read comes from a single block.
-            block = blocks.get(block_index)
+            block = self._blocks.get(offset // block_size)
             if block is None:
                 return bytes(nbytes)
-            if type(block) is bytes and inner == 0 and nbytes == len(block):
-                # Exact-extent read of an aliased immutable block: hand
-                # the same object back, no copy.
-                return block
-            return bytes(memoryview(block)[inner : inner + nbytes])
-        zeros = _ZERO_BLOCK
-        parts = []
-        cursor = 0
-        while cursor < nbytes:
-            block_index = (offset + cursor) // block_size
-            inner = (offset + cursor) % block_size
-            take = min(block_size - inner, nbytes - cursor)
-            block = blocks.get(block_index)
-            if block is None:
-                parts.append(zeros[:take])
-            else:
-                parts.append(memoryview(block)[inner : inner + take])
-            cursor += take
-        return b"".join(parts)
+            if type(block) is not dict:
+                if type(block) is bytes and inner == 0 and nbytes == len(block):
+                    # Exact-extent read of an aliased immutable block:
+                    # hand the same object back, no copy.
+                    return block
+                return bytes(memoryview(block)[inner : inner + nbytes])
+        return b"".join(self._parts(offset, nbytes))
 
     def read_into(self, offset: int, buf) -> int:
         """Load bytes directly into a writable buffer; returns len(buf).
@@ -191,22 +232,35 @@ class PhysRegion:
         dest = memoryview(buf)
         nbytes = len(dest)
         self._check(offset, nbytes, "read")
-        block_size = self._block
-        blocks = self._blocks
         cursor = 0
-        while cursor < nbytes:
-            block_index = (offset + cursor) // block_size
-            inner = (offset + cursor) % block_size
-            take = min(block_size - inner, nbytes - cursor)
-            block = blocks.get(block_index)
-            if block is None:
-                dest[cursor : cursor + take] = _ZERO_BLOCK[:take]
-            else:
-                dest[cursor : cursor + take] = memoryview(block)[
-                    inner : inner + take
-                ]
-            cursor += take
+        for part in self._parts(offset, nbytes):
+            dest[cursor : cursor + len(part)] = part
+            cursor += len(part)
         return nbytes
+
+    def _parts(self, offset: int, nbytes: int) -> list:
+        """Memoryview pieces covering an extent, zero slices for holes."""
+        block_size = self._block
+        page_size = PAGE_SIZE
+        blocks = self._blocks
+        zeros = _ZERO_BLOCK
+        parts = []
+        end = offset + nbytes
+        while offset < end:
+            block_index, inner = divmod(offset, block_size)
+            take = min(block_size - inner, end - offset)
+            block = blocks.get(block_index)
+            if type(block) is dict:
+                pin = inner % page_size
+                take = min(page_size - pin, take)
+                block = block.get(inner // page_size)
+                inner = pin
+            if block is None:
+                parts.append(zeros[:take])
+            else:
+                parts.append(memoryview(block)[inner : inner + take])
+            offset += take
+        return parts
 
     def page_ids(self, page_size: int, offset: int = 0, nbytes: Optional[int] = None):
         """Global page identities touched by an access, for PTE caching."""
@@ -329,6 +383,11 @@ class HostMemory:
     def free_bytes(self) -> int:
         """Total unallocated bytes."""
         return sum(size for _addr, size in self._free)
+
+    @property
+    def resident_bytes(self) -> int:
+        """Host bytes backing every live region (cf. ``allocated_bytes``)."""
+        return sum(region.resident_bytes for region in self._live.values())
 
     @property
     def largest_free(self) -> int:

@@ -22,6 +22,11 @@ __all__ = ["MemoryRegion"]
 class MemoryRegion:
     """A registered memory region; addressing is by ``base_addr + offset``."""
 
+    # Fig 4 registers tens of thousands of these: no per-instance dict.
+    __slots__ = ("device", "pd", "lkey", "rkey", "base_addr", "size",
+                 "access", "_access_bits", "region", "physical",
+                 "deregistered")
+
     def __init__(
         self,
         device,

@@ -132,6 +132,32 @@ def test_full_app_run_is_deterministic():
     assert t2 == pytest.approx(t1, rel=5e-3)  # timing drift < 0.5%
 
 
+def test_reset_global_counters_rewinds_job_names():
+    """The job name travels in control messages, so the tenth job of a
+    process (``mrjob10``) would cost a byte more on the wire than the
+    first nine unless the reset rewinds the apps' job counters too."""
+    from repro.apps.dsm.graphdsm import LiteGraphDsm
+    from repro.apps.graph.litegraph import LiteGraph
+    from repro.apps.mapreduce import LiteMR
+    from repro.determinism import reset_global_counters
+
+    corpus = generate_corpus(8, 40, vocab_size=50, seed=3)
+
+    def run_once():
+        reset_global_counters()
+        cluster = Cluster(3)
+        kernels = lite_boot(cluster)
+        engine = LiteMR(kernels, total_threads=4)
+        cluster.run_process(engine.run(corpus))
+        return engine.job, cluster.sim.now
+
+    runs = [run_once() for _ in range(10)]
+    assert set(runs) == {runs[0]}  # same name, same final instant
+    LiteGraph._job_counter = LiteGraphDsm._job_counter = 7
+    reset_global_counters()
+    assert LiteGraph._job_counter == LiteGraphDsm._job_counter == 0
+
+
 # ------------------------------------------------ trace determinism --
 
 

@@ -1,10 +1,13 @@
 """Unit + property tests for the host physical-memory allocator."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import HostMemory, OutOfMemoryError
+from repro.hw import HostMemory, OutOfMemoryError, PhysRegion
 
 
 def make_mem(capacity=1 << 20):
@@ -178,7 +181,7 @@ def test_sparse_read_materializes_no_blocks():
     region = mem.alloc(1 << 20)
     data = region.read(0, 1 << 20)
     assert data == bytes(1 << 20)
-    assert region._blocks == {}
+    assert region.resident_bytes == 0
 
 
 def test_read_crossing_blocks_with_holes():
@@ -210,3 +213,133 @@ def test_write_accepts_memoryview_slices():
     view = memoryview(backing)[17 : 17 + 90000]
     region.write(65000, view)
     assert region.read(65000, 90000) == bytes(view)
+
+
+# ------------------------------------------- demand-paged backing store --
+
+KB, MB = 1 << 10, 1 << 20
+
+
+def _source(rng, data):
+    """``data`` as one of the buffer kinds callers hand to write()."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data                                   # bytes: may alias
+    if kind == 1:
+        return bytearray(data)                        # mutable: must copy
+    if kind == 2:
+        return memoryview(data)                       # whole-bytes view
+    return memoryview(b"<" + data + b">")[1:-1]       # partial bytes view
+
+
+@pytest.mark.parametrize("size", [4 * KB, 1 * MB, 64 * MB])
+def test_reference_model_mixed_ops(size):
+    """PhysRegion behaves exactly like one flat bytearray.
+
+    Offsets cluster around a few hot spots (region start, the first
+    64 KiB and 1 MiB boundaries, the region end) so the ops straddle
+    pages and blocks, re-hit whole-block writes with partial ones
+    (alias then copy-on-write) and pile small writes onto one block
+    until it is promoted from sparse to dense.
+    """
+    spots = sorted({0, min(64 * KB, size) - 1, min(MB, size) - 1,
+                    size // 2, size - 1})
+    lengths = [0, 1, 8, 64, 64, 4095, 4096, 4097, 3 * 4096 + 5,
+               64 * KB, 256 * KB, MB, MB + 17, 2 * MB]
+    for round_ in range(4):
+        # Fresh regions, so every round starts from absent blocks.
+        rng = random.Random(size + round_)
+        region = PhysRegion(0, 0, size)
+        oracle = bytearray(size)
+        for _step in range(400):
+            if rng.random() < 0.2:
+                # Block-aligned: whole-block writes take the alias path.
+                grain = min(rng.choice([64 * KB, 64 * KB, MB]), size)
+                offset = rng.randrange(min(size // grain, 4)) * grain
+                length = min(rng.choice([grain, grain, 2 * grain, 64]),
+                             size - offset)
+            else:
+                offset = rng.choice(spots) + rng.randrange(-9000, 9000)
+                offset = max(0, min(size - 1, offset))
+                length = min(rng.choice(lengths), size - offset)
+            op = rng.random()
+            if op < 0.5:
+                data = rng.randbytes(length)
+                region.write(offset, _source(rng, data))
+                oracle[offset : offset + length] = data
+            elif op < 0.8:
+                assert (region.read(offset, length)
+                        == oracle[offset : offset + length])
+            else:
+                buf = bytearray(length)
+                assert region.read_into(offset, buf) == length
+                assert buf == oracle[offset : offset + length]
+        assert region.read(0, size) == oracle
+        assert region.resident_bytes <= size
+
+
+def test_sparse_block_promotes_to_dense_without_losing_bytes():
+    """Page-sized steps across one 1 MiB block: resident bytes grow a
+    page at a time, then jump to the block size once, well before every
+    page has been written, and contents survive the promotion."""
+    region = PhysRegion(0, 0, 8 * MB)
+    oracle = bytearray(8 * MB)
+    seen = [0]
+    for page in range(256):
+        data = bytes([page % 251 + 1]) * 64
+        offset = MB + page * 4096 + 100
+        region.write(offset, data)
+        oracle[offset : offset + 64] = data
+        resident = region.resident_bytes
+        assert resident - seen[-1] in (0, 4096) or resident == MB
+        seen.append(resident)
+        assert region.read(MB, MB) == oracle[MB : 2 * MB]
+    assert seen[1] == 4096 and seen[-1] == MB
+    assert seen.index(MB) <= 128
+    assert region.read(0, 8 * MB) == oracle
+
+
+def test_first_touch_cost_is_proportional_to_bytes_written():
+    rng = random.Random(14)
+    region = PhysRegion(0, 0, 1 << 30)
+    offsets = [rng.randrange((1 << 30) // 64) * 64 for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        for offset in offsets:
+            region.write(offset, b"y" * 64)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert region.resident_bytes == len({o // 4096 for o in offsets}) * 4096
+    assert region.resident_bytes <= 2000 * 4096
+    assert peak < 16 * MB
+    assert region.read(offsets[0], 64) == b"y" * 64
+
+    small = PhysRegion(0, 0, 4096)
+    small.write(128, b"y" * 64)
+    assert small.resident_bytes <= 4096
+
+
+def test_exact_extent_read_of_aliased_block_is_zero_copy():
+    region = PhysRegion(0, 0, 4 * MB)
+    data = random.Random(3).randbytes(MB)
+    region.write(MB, data)
+    assert region.read(MB, MB) is data
+    region.write(2 * MB, memoryview(data))
+    assert region.read(2 * MB, MB) is data
+    # Copy-on-write: a partial overwrite must not reach the source.
+    region.write(MB + 5, b"patch")
+    assert region.read(MB, 16) == data[:5] + b"patch" + data[10:16]
+    assert region.read(2 * MB, MB) is data
+
+
+def test_host_memory_resident_bytes_follows_live_regions():
+    mem = make_mem(capacity=1 << 30)
+    a = mem.alloc(4096)
+    b = mem.alloc(64 * MB)
+    assert mem.resident_bytes == 0
+    a.write(0, b"x")
+    b.write(5 * MB, b"x")
+    assert mem.resident_bytes == a.resident_bytes + b.resident_bytes == 8192
+    mem.free(b)
+    assert mem.resident_bytes == 4096

@@ -10,10 +10,16 @@ shows it trailing LITE-Graph while still beating PowerGraph.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional
 
-from ..graph.common import GraphCosts, PartitionedGraph, RANK_BYTES
+from ..graph.common import (
+    GraphCosts,
+    PartitionedGraph,
+    RANK_BYTES,
+    decode_ranks,
+    encode_ranks,
+    pagerank_apply,
+)
 from .litedsm import LiteDsm
 
 __all__ = ["LiteGraphDsm"]
@@ -46,15 +52,19 @@ class LiteGraphDsm:
         )
         self.elapsed_us = 0.0
 
-    def _addr_of(self, vertex: int) -> int:
-        part = self.graph.owner_of(vertex)
-        return (self.region_base[part] + self.graph.local_index(vertex)) * RANK_BYTES
+    def _read_region(self, node, part: int):
+        """``graph.owned[part]``'s ranks, loaded via ``node`` (generator)."""
+        blob = yield from node.read(
+            self.region_base[part] * RANK_BYTES,
+            len(self.graph.owned[part]) * RANK_BYTES,
+        )
+        return decode_ranks(blob)
 
     def _write_own(self, part: int, values: List[float]):
         """Acquire + store + release this partition's region (generator)."""
         node = self.dsm.nodes[part]
         addr = self.region_base[part] * RANK_BYTES
-        blob = struct.pack(f"<{len(values)}d", *values)
+        blob = encode_ranks(values)
         yield from node.acquire(addr, len(blob))
         yield from node.write(addr, blob)
         yield from node.release()
@@ -66,36 +76,13 @@ class LiteGraphDsm:
         # Gather: DSM loads; remote values arrive page-by-page through
         # the cache, refreshed by the producers' release invalidations.
         remote: Dict[int, float] = {}
-        for producer, needed in graph.pull_sets[part].items():
-            base = self.region_base[producer] * RANK_BYTES
-            span = len(graph.owned[producer]) * RANK_BYTES
-            blob = yield from node.read(base, span)
-            values = struct.unpack(f"<{span // 8}d", blob)
-            for vertex in needed:
-                remote[vertex] = values[graph.local_index(vertex)]
-        own_values = {}
-        own_addr = self.region_base[part] * RANK_BYTES
-        own_span = len(graph.owned[part]) * RANK_BYTES
-        blob = yield from node.read(own_addr, own_span)
-        unpacked = struct.unpack(f"<{own_span // 8}d", blob)
-        for vertex in graph.owned[part]:
-            own_values[vertex] = unpacked[graph.local_index(vertex)]
-
-        edges = 0
-        new_values: List[float] = []
-        for vertex in graph.owned[part]:
-            acc = 0.0
-            for src in graph.in_neighbors.get(vertex, ()):
-                value = own_values.get(src)
-                if value is None:
-                    value = remote[src]
-                acc += value / max(1, graph.out_degree[src])
-                edges += 1
-            new_values.append(
-                (1.0 - damping) / graph.n_vertices + damping * acc
-            )
-        compute = edges * costs.gather_us_per_edge
-        compute += len(new_values) * costs.apply_us_per_vertex
+        for producer in graph.pull_sets[part]:
+            values = yield from self._read_region(node, producer)
+            remote.update(zip(graph.owned[producer], values))
+        own = yield from self._read_region(node, part)
+        new_values = pagerank_apply(graph, part, own, remote, damping)
+        del own, remote  # every partition's superstep is suspended at once
+        compute = costs.compute_us(graph, part)
         procs = [
             node.sim.process(
                 cpu.execute(compute / self.threads_per_node, tag="gdsm-compute")
@@ -137,12 +124,7 @@ class LiteGraphDsm:
         self.elapsed_us = sim.now - start
         # Collect the final ranks through the DSM itself.
         collector = self.dsm.nodes[0]
-        ranks = [0.0] * graph.n_vertices
+        regions = []
         for part in range(graph.n_partitions):
-            base = self.region_base[part] * RANK_BYTES
-            span = len(graph.owned[part]) * RANK_BYTES
-            blob = yield from collector.read(base, span)
-            values = struct.unpack(f"<{span // 8}d", blob)
-            for vertex in graph.owned[part]:
-                ranks[vertex] = values[graph.local_index(vertex)]
-        return ranks
+            regions.append((yield from self._read_region(collector, part)))
+        return graph.assemble(regions)

@@ -15,9 +15,9 @@ Each also comes with a single-machine reference for correctness checks.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Dict, List, Sequence
 
-from .common import PartitionedGraph
+from .common import PartitionedGraph, pagerank_apply
 
 __all__ = [
     "VertexProgram",
@@ -32,15 +32,20 @@ INFINITY = float("inf")
 
 
 class VertexProgram:
-    """One vertex-centric computation: initial values + pull-update."""
+    """One vertex-centric computation: initial values + a bulk update,
+    called once per partition per superstep (never per vertex or edge)."""
 
     def initial(self, vertex: int, graph: PartitionedGraph) -> float:
         """The vertex's value before the first superstep."""
         raise NotImplementedError
 
-    def compute(self, vertex: int, graph: PartitionedGraph,
-                value_of: Callable[[int], float]) -> float:
-        """Next value of ``vertex`` from its in-neighbors' values."""
+    def apply(self, graph: PartitionedGraph, part: int,
+              own: Sequence[float], remote: Dict[int, float]) -> List[float]:
+        """Next values of ``graph.owned[part]``, in that order, from their
+        current values ``own`` (same order) and ``remote`` (pull-set vertex
+        -> current value); loop over ``graph.in_lists[part]``.  A plain
+        function, not a generator; returns a new list (``own`` is read-only)
+        and must not keep ``remote``."""
         raise NotImplementedError
 
 
@@ -53,15 +58,33 @@ class PageRankProgram(VertexProgram):
     def initial(self, vertex: int, graph: PartitionedGraph) -> float:
         return 1.0 / graph.n_vertices
 
-    def compute(self, vertex, graph, value_of):
-        acc = 0.0
-        for src in graph.in_neighbors.get(vertex, ()):
-            acc += value_of(src) / max(1, graph.out_degree[src])
-        return (1.0 - self.damping) / graph.n_vertices + self.damping * acc
+    def apply(self, graph, part, own, remote):
+        return pagerank_apply(graph, part, own, remote, self.damping)
 
 
-class SsspProgram(VertexProgram):
+class _MinPlusProgram(VertexProgram):
+    """value'(v) = min(initial(v), min over in-neighbours u of value(u) + hop)."""
+
+    hop = 0.0
+
+    def apply(self, graph, part, own, remote):
+        values = dict(zip(graph.owned[part], own))
+        values.update(remote)
+        hop = self.hop
+        new_values = []
+        for vertex, sources in zip(graph.owned[part], graph.in_lists[part]):
+            best = self.initial(vertex, graph)
+            for src in sources:
+                if values[src] + hop < best:
+                    best = values[src] + hop
+            new_values.append(best)
+        return new_values
+
+
+class SsspProgram(_MinPlusProgram):
     """Unit-weight shortest paths from ``source`` (Bellman-Ford style)."""
+
+    hop = 1.0
 
     def __init__(self, source: int):
         self.source = source
@@ -69,28 +92,12 @@ class SsspProgram(VertexProgram):
     def initial(self, vertex: int, graph: PartitionedGraph) -> float:
         return 0.0 if vertex == self.source else INFINITY
 
-    def compute(self, vertex, graph, value_of):
-        best = 0.0 if vertex == self.source else INFINITY
-        for src in graph.in_neighbors.get(vertex, ()):
-            upstream = value_of(src)
-            if upstream + 1.0 < best:
-                best = upstream + 1.0
-        return best
 
-
-class ComponentsProgram(VertexProgram):
+class ComponentsProgram(_MinPlusProgram):
     """Min-label propagation; converges to per-component minima."""
 
     def initial(self, vertex: int, graph: PartitionedGraph) -> float:
         return float(vertex)
-
-    def compute(self, vertex, graph, value_of):
-        best = float(vertex)
-        for src in graph.in_neighbors.get(vertex, ()):
-            label = value_of(src)
-            if label < best:
-                best = label
-        return best
 
 
 # ------------------------------------------------------- references --

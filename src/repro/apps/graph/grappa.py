@@ -15,7 +15,13 @@ from typing import Dict, List, Optional
 
 from ...sim import Store
 from ...verbs import Access, Opcode, RecvWR, SendWR, WcStatus
-from .common import GraphCosts, PartitionedGraph, decode_ranks, encode_ranks
+from .common import (
+    GraphCosts,
+    PartitionedGraph,
+    decode_ranks,
+    encode_ranks,
+    pagerank_apply,
+)
 
 __all__ = ["GrappaSim"]
 
@@ -32,9 +38,8 @@ class GrappaSim:
         self.graph = graph
         self.threads_per_node = threads_per_node
         self.costs = costs if costs is not None else GraphCosts()
-        self.ranks: List[Dict[int, float]] = [
-            {v: 1.0 / graph.n_vertices for v in graph.owned[p]}
-            for p in range(graph.n_partitions)
+        self.ranks: List[List[float]] = [  # ranks[p] aligns with owned[p]
+            [1.0 / graph.n_vertices] * len(owned) for owned in graph.owned
         ]
         self._qps: Dict[tuple, object] = {}
         self._mrs: Dict[int, object] = {}
@@ -128,7 +133,8 @@ class GrappaSim:
 
         def pusher(consumer: int):
             needed = graph.pull_sets[consumer][part]
-            blob = encode_ranks([self.ranks[part][v] for v in needed])
+            own = self.ranks[part]
+            blob = encode_ranks([own[v // graph.n_partitions] for v in needed])
             yield from self._send_aggregated(part, consumer, blob, len(needed))
 
         def receiver():
@@ -154,8 +160,7 @@ class GrappaSim:
                 progress[src] += length
             for producer in producers:
                 blob = b"".join(chunks[producer])
-                for vertex, value in zip(pending[producer], decode_ranks(blob)):
-                    received[vertex] = value
+                received.update(zip(pending[producer], decode_ranks(blob)))
 
         procs = []
         for consumer in range(graph.n_partitions):
@@ -164,19 +169,10 @@ class GrappaSim:
         recv_proc = self.sim.process(receiver())
         yield self.sim.all_of(procs + [recv_proc])
 
-        edges = 0
-        new_ranks: Dict[int, float] = {}
-        for vertex in graph.owned[part]:
-            acc = 0.0
-            for src in graph.in_neighbors.get(vertex, ()):
-                value = self.ranks[part].get(src)
-                if value is None:
-                    value = received[src]
-                acc += value / max(1, graph.out_degree[src])
-                edges += 1
-            new_ranks[vertex] = (1.0 - damping) / graph.n_vertices + damping * acc
-        compute = edges * costs.gather_us_per_edge
-        compute += len(new_ranks) * costs.apply_us_per_vertex
+        self.ranks[part] = pagerank_apply(
+            graph, part, self.ranks[part], received, damping
+        )
+        compute = costs.compute_us(graph, part)
         workers = [
             self.sim.process(
                 node.cpu.execute(compute / self.threads_per_node, tag="grappa-compute")
@@ -184,7 +180,6 @@ class GrappaSim:
             for _ in range(self.threads_per_node)
         ]
         yield self.sim.all_of(workers)
-        self.ranks[part] = new_ranks
 
     def _parse(self, mr, wc):
         """Extract (src, length, payload) from a landed aggregate."""
@@ -208,8 +203,4 @@ class GrappaSim:
             ]
             yield self.sim.all_of(steps)
         self.elapsed_us = self.sim.now - start
-        ranks = [0.0] * self.graph.n_vertices
-        for part in range(self.graph.n_partitions):
-            for vertex, value in self.ranks[part].items():
-                ranks[vertex] = value
-        return ranks
+        return self.graph.assemble(self.ranks)

@@ -11,8 +11,9 @@ Vertex-centric gather-apply-scatter with delta-style packed exchange:
   one-sided LT_read per producer — no producer CPU involved;
 - an LT_barrier separates the steps (§8.3).
 
-The PageRank arithmetic is real; compute time is charged per edge and
-per vertex from the shared :class:`GraphCosts` model.
+The arithmetic is real (one bulk ``program.apply`` per partition per
+superstep); compute time is charged per edge and per vertex from the
+shared :class:`GraphCosts` model.  Engines are single-use.
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ class _Partition:
         self.engine = engine
         self.part = part
         self.ctx = LiteContext(kernel, f"litegraph-p{part}")
-        self.ranks: Dict[int, float] = {}
+        self.ranks: List[float] = []  # aligned with graph.owned[part]
         self.export_handles: Dict[int, object] = {}   # consumer -> lh
         self.import_handles: Dict[int, object] = {}   # producer -> lh
         self.export_locks: Dict[int, object] = {}
-        self.last_delta = 0.0
 
     # -- setup ------------------------------------------------------------
     def build(self):
         graph, job = self.engine.graph, self.engine.job
         program = self.engine.program
-        for vertex in graph.owned[self.part]:
-            self.ranks[vertex] = program.initial(vertex, graph)
+        self.ranks = [
+            program.initial(vertex, graph) for vertex in graph.owned[self.part]
+        ]
         # Export LMRs: one per consumer that pulls from this partition.
         for consumer in range(graph.n_partitions):
             if consumer == self.part:
@@ -85,9 +86,10 @@ class _Partition:
         """Pack and publish this partition's values for each consumer."""
         graph, costs = self.engine.graph, self.engine.costs
         cpu = self.ctx.kernel.node.cpu
+        stride = graph.n_partitions
         for consumer, handle in self.export_handles.items():
             needed = graph.pull_sets[consumer][self.part]
-            blob = encode_ranks([self.ranks[v] for v in needed])
+            blob = encode_ranks([self.ranks[v // stride] for v in needed])
             yield from cpu.execute(
                 len(needed) * costs.scatter_us_per_edge, tag="litegraph-scatter"
             )
@@ -103,8 +105,7 @@ class _Partition:
         for producer, handle in self.import_handles.items():
             needed = graph.pull_sets[self.part][producer]
             blob = yield from self.ctx.lt_read(handle, 0, len(needed) * RANK_BYTES)
-            for vertex, value in zip(needed, decode_ranks(blob)):
-                remote[vertex] = value
+            remote.update(zip(needed, decode_ranks(blob)))
         return remote
 
     def superstep(self):
@@ -112,30 +113,14 @@ class _Partition:
         graph, costs = self.engine.graph, self.engine.costs
         cpu = self.ctx.kernel.node.cpu
         job = self.engine.job
-        program = self.engine.program
         remote = yield from self._gather()
-
-        def value_of(u):
-            value = self.ranks.get(u)
-            return value if value is not None else remote[u]
-
-        # Apply: the real computation, charged per edge/vertex.
-        edges = 0
-        max_delta = 0.0
-        new_ranks: Dict[int, float] = {}
-        for vertex in graph.owned[self.part]:
-            edges += len(graph.in_neighbors.get(vertex, ()))
-            new_value = program.compute(vertex, graph, value_of)
-            old_value = self.ranks[vertex]
-            if new_value != old_value:
-                delta = abs(new_value - old_value)
-                if delta > max_delta:
-                    max_delta = delta
-            new_ranks[vertex] = new_value
-        self.last_delta = max_delta
+        # The real computation: one plain call, so the program's tables die
+        # inside it, and ``remote`` goes before the next yield (every
+        # partition's superstep is suspended at once).
+        self.ranks = self.engine.program.apply(graph, self.part, self.ranks, remote)
+        del remote
+        compute = costs.compute_us(graph, self.part)
         n_threads = self.engine.threads_per_node
-        compute = edges * costs.gather_us_per_edge
-        compute += len(new_ranks) * costs.apply_us_per_vertex
         if n_threads > 1:
             # Owned vertices are split over local worker threads.
             shares = [compute / n_threads] * n_threads
@@ -146,7 +131,6 @@ class _Partition:
             yield self.ctx.sim.all_of(procs)
         else:
             yield from cpu.execute(compute, tag="litegraph-compute")
-        self.ranks = new_ranks
         yield from self._scatter()
         self.engine.step_counter += 1
         yield from self.ctx.lt_barrier(
@@ -178,18 +162,28 @@ class LiteGraph:
         self.iteration = 0
         self.step_counter = 0
         self.elapsed_us = 0.0
+        self._started = False
+
+    def _claim(self) -> None:
+        """Engines are single-use: their LMR names stay registered."""
+        if self._started:
+            raise RuntimeError(
+                f"LiteGraph job {self.job!r} has already run; build a new engine"
+            )
+        self._started = True
 
     def run(self, iterations: int, damping: Optional[float] = None):
         """Run the vertex program for ``iterations`` supersteps.
 
         Generator; returns the global value list.  ``damping`` (legacy
         convenience) re-parameterizes a default PageRank program.
+        Single-use: a second call raises ``RuntimeError``.
         """
+        self._claim()
         if damping is not None and isinstance(self.program, PageRankProgram):
             self.program.damping = damping
         sim = self.partitions[0].ctx.sim
-        builders = [sim.process(p.build()) for p in self.partitions]
-        yield sim.all_of(builders)
+        yield sim.all_of([sim.process(p.build()) for p in self.partitions])
         # Setup (LMR creation, locks, barriers) is excluded from the
         # reported run time, as in the paper's measurements.
         start = sim.now
@@ -198,11 +192,7 @@ class LiteGraph:
             yield sim.all_of(steps)
             self.iterations_run += 1
         self.elapsed_us = sim.now - start
-        ranks = [0.0] * self.graph.n_vertices
-        for partition in self.partitions:
-            for vertex, value in partition.ranks.items():
-                ranks[vertex] = value
-        return ranks
+        return self.graph.assemble([p.ranks for p in self.partitions])
 
     def run_until_converged(self, epsilon: float = 0.0,
                             max_iterations: int = 1000):
@@ -211,47 +201,42 @@ class LiteGraph:
         Convergence is detected distributedly: each partition posts its
         superstep's max delta into a shared LMR slot; everyone reads
         the slots after the barrier and stops identically.  Generator;
-        returns (values, iterations_run).
+        returns (values, iterations_run).  Single-use, like :meth:`run`.
         """
-        import struct as _struct
-
+        self._claim()
         sim = self.partitions[0].ctx.sim
         n_parts = self.graph.n_partitions
-        ctx0 = self.partitions[0].ctx
-        delta_lh = {}
-
-        def setup():
-            from ...core import Permission
-
-            delta_lh[0] = yield from ctx0.lt_malloc(
-                8 * n_parts, name=f"{self.job}:deltas",
-                default_perm=Permission.READ | Permission.WRITE,
-            )
-
-        yield from setup()
-        handles = [delta_lh[0]]
+        owner_handle = yield from self.partitions[0].ctx.lt_malloc(
+            RANK_BYTES * n_parts, name=f"{self.job}:deltas", default_perm=_OPEN
+        )
+        handles = [owner_handle]
         for partition in self.partitions[1:]:
             handle = yield from partition.ctx.lt_map(f"{self.job}:deltas")
             handles.append(handle)
-        builders = [sim.process(p.build()) for p in self.partitions]
-        yield sim.all_of(builders)
+        yield sim.all_of([sim.process(p.build()) for p in self.partitions])
         start = sim.now
         converged = [False]
 
         def step(partition, handle, iteration):
+            before = partition.ranks  # apply() returns a new list
             yield from partition.superstep()
-            delta = partition.last_delta
+            delta = max(
+                [abs(new - old) for new, old in zip(partition.ranks, before)
+                 if new != old],
+                default=0.0,
+            )
             if delta == float("inf"):
                 delta = 1e308
             yield from partition.ctx.lt_write(
-                handle, 8 * partition.part, _struct.pack("<d", delta)
+                handle, RANK_BYTES * partition.part, encode_ranks([delta])
             )
             yield from partition.ctx.lt_barrier(
                 f"{self.job}:conv{iteration}", n_parts
             )
-            blob = yield from partition.ctx.lt_read(handle, 0, 8 * n_parts)
-            deltas = _struct.unpack(f"<{n_parts}d", blob)
-            if partition.part == 0 and max(deltas) <= epsilon:
+            blob = yield from partition.ctx.lt_read(
+                handle, 0, RANK_BYTES * n_parts
+            )
+            if partition.part == 0 and max(decode_ranks(blob)) <= epsilon:
                 converged[0] = True
 
         iteration = 0
@@ -266,8 +251,4 @@ class LiteGraph:
             if converged[0]:
                 break
         self.elapsed_us = sim.now - start
-        values = [0.0] * self.graph.n_vertices
-        for partition in self.partitions:
-            for vertex, value in partition.ranks.items():
-                values[vertex] = value
-        return values, iteration
+        return self.graph.assemble([p.ranks for p in self.partitions]), iteration

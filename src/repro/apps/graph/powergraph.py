@@ -13,7 +13,13 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from .common import GraphCosts, PartitionedGraph, decode_ranks, encode_ranks
+from .common import (
+    GraphCosts,
+    PartitionedGraph,
+    decode_ranks,
+    encode_ranks,
+    pagerank_apply,
+)
 
 __all__ = ["PowerGraphSim"]
 
@@ -32,9 +38,8 @@ class PowerGraphSim:
         self.graph = graph
         self.threads_per_node = threads_per_node
         self.costs = costs if costs is not None else GraphCosts()
-        self.ranks: List[Dict[int, float]] = [
-            {v: 1.0 / graph.n_vertices for v in graph.owned[p]}
-            for p in range(graph.n_partitions)
+        self.ranks: List[List[float]] = [  # ranks[p] aligns with owned[p]
+            [1.0 / graph.n_vertices] * len(owned) for owned in graph.owned
         ]
         self._conns: Dict[tuple, object] = {}
         self.elapsed_us = 0.0
@@ -89,7 +94,8 @@ class PowerGraphSim:
 
         def pusher(consumer: int):
             needed = graph.pull_sets[consumer][part]
-            values = [self.ranks[part][v] for v in needed]
+            own = self.ranks[part]
+            values = [own[v // graph.n_partitions] for v in needed]
             blob = encode_ranks(values)
             # GraphLab per-value software overhead + serialization.
             yield from node.cpu.execute(
@@ -105,8 +111,7 @@ class PowerGraphSim:
             yield from node.cpu.execute(
                 len(needed) * costs.powergraph_us_per_value, tag="pg-comm"
             )
-            for vertex, value in zip(needed, decode_ranks(blob)):
-                received[vertex] = value
+            received.update(zip(needed, decode_ranks(blob)))
 
         consumers = [
             c for c in range(graph.n_partitions)
@@ -118,20 +123,11 @@ class PowerGraphSim:
         if procs:
             yield self.sim.all_of(procs)
 
-        # Apply (same arithmetic and compute model as LITE-Graph).
-        edges = 0
-        new_ranks: Dict[int, float] = {}
-        for vertex in graph.owned[part]:
-            acc = 0.0
-            for src in graph.in_neighbors.get(vertex, ()):
-                value = self.ranks[part].get(src)
-                if value is None:
-                    value = received[src]
-                acc += value / max(1, graph.out_degree[src])
-                edges += 1
-            new_ranks[vertex] = (1.0 - damping) / graph.n_vertices + damping * acc
-        compute = edges * costs.gather_us_per_edge
-        compute += len(new_ranks) * costs.apply_us_per_vertex
+        # Apply (same kernel and compute model as LITE-Graph).
+        self.ranks[part] = pagerank_apply(
+            graph, part, self.ranks[part], received, damping
+        )
+        compute = costs.compute_us(graph, part)
         if self.threads_per_node > 1:
             procs = [
                 self.sim.process(
@@ -142,7 +138,6 @@ class PowerGraphSim:
             yield self.sim.all_of(procs)
         else:
             yield from node.cpu.execute(compute, tag="pg-compute")
-        self.ranks[part] = new_ranks
         barrier_done.append(part)
 
     def run(self, iterations: int, damping: float = 0.85):
@@ -159,8 +154,4 @@ class PowerGraphSim:
             ]
             yield self.sim.all_of(steps)
         self.elapsed_us = self.sim.now - start
-        ranks = [0.0] * self.graph.n_vertices
-        for part in range(self.graph.n_partitions):
-            for vertex, value in self.ranks[part].items():
-                ranks[vertex] = value
-        return ranks
+        return self.graph.assemble(self.ranks)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["MrCosts", "wordcount_map", "partition_counts",
+__all__ = ["MrCosts", "wordcount_map", "map_task", "partition_counts",
            "encode_counts", "decode_counts", "merge_counts",
            "split_tasks"]
 
@@ -38,6 +38,20 @@ class MrCosts:
 def wordcount_map(document: bytes) -> Counter:
     """The real map function: tokenize and count."""
     return Counter(document.split())
+
+
+def map_task(documents: Sequence[bytes]) -> Tuple[Counter, int]:
+    """One map task, as every system runs it: (counts, input bytes).
+
+    Documents fold straight into the task's counter in one C-level pass
+    each; the byte count is what the cost model charges for.
+    """
+    local: Counter = Counter()
+    nbytes = 0
+    for document in documents:
+        local.update(document.split())
+        nbytes += len(document)
+    return local, nbytes
 
 
 def partition_counts(counts: Counter, n_partitions: int) -> List[Counter]:

@@ -19,10 +19,10 @@ from .common import (
     MrCosts,
     decode_counts,
     encode_counts,
+    map_task,
     merge_counts,
     partition_counts,
     split_tasks,
-    wordcount_map,
 )
 
 __all__ = ["HadoopMR"]
@@ -80,11 +80,7 @@ class HadoopMR:
                     yield from node.cpu.execute(
                         costs.hadoop_task_overhead_us, tag="hadoop-framework"
                     )
-                    local = Counter()
-                    nbytes = 0
-                    for doc in docs[lo:hi]:
-                        local.update(wordcount_map(doc))
-                        nbytes += len(doc)
+                    local, nbytes = map_task(docs[lo:hi])
                     yield from node.cpu.execute(
                         nbytes * costs.map_us_per_byte, tag="hadoop-map"
                     )

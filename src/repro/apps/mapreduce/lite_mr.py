@@ -26,10 +26,10 @@ from .common import (
     MrCosts,
     decode_counts,
     encode_counts,
+    map_task,
     merge_counts,
     partition_counts,
     split_tasks,
-    wordcount_map,
 )
 
 __all__ = ["LiteMR"]
@@ -52,13 +52,15 @@ class _Worker:
         self.job = job
         self.documents: List[bytes] = []
         self._out_counter = 0
+        self._server = None
 
     def start(self) -> None:
-        """Spawn this worker's RPC service loop."""
-        self.sim.process(
-            rpc_server_loop(self.ctx, _FUNC_WORKER, self._dispatch),
-            name=f"litemr-worker{self.index}",
-        )
+        """Spawn this worker's RPC service loop, once."""
+        if self._server is None:
+            self._server = self.sim.process(
+                rpc_server_loop(self.ctx, _FUNC_WORKER, self._dispatch),
+                name=f"litemr-worker{self.index}",
+            )
 
     def _dispatch(self, request: bytes):
         command = json.loads(request.decode())
@@ -113,11 +115,7 @@ class _Worker:
         def map_thread():
             while len(tasks) > 0:
                 lo, hi = yield tasks.get()
-                local = Counter()
-                nbytes = 0
-                for doc in self.documents[lo:hi]:
-                    local.update(wordcount_map(doc))
-                    nbytes += len(doc)
+                local, nbytes = map_task(self.documents[lo:hi])
                 yield from cpu.execute(
                     nbytes * costs.map_us_per_byte, tag="litemr-map"
                 )
@@ -207,12 +205,13 @@ class LiteMR:
         return json.loads(reply.decode())
 
     def run(self, documents: Sequence[bytes]):
-        """Execute WordCount end to end (generator; returns Counter)."""
+        """Execute WordCount over ``documents`` (generator; returns Counter).
+        Repeatable: every call counts only its own ``documents``."""
         sim = self.master.sim
         # Input is pre-distributed across workers (HDFS-style locality).
-        for index, document in enumerate(documents):
-            self.workers[index % len(self.workers)].documents.append(document)
-        for worker in self.workers:
+        n_workers = len(self.workers)
+        for index, worker in enumerate(self.workers):
+            worker.documents = documents[index::n_workers]
             worker.start()
         yield sim.timeout(1.0)  # let server loops register
 

@@ -16,10 +16,10 @@ from ...sim import Store
 from .common import (
     MrCosts,
     encode_counts,
+    map_task,
     merge_counts,
     partition_counts,
     split_tasks,
-    wordcount_map,
 )
 
 __all__ = ["PhoenixMR"]
@@ -52,11 +52,7 @@ class PhoenixMR:
         def map_thread():
             while len(tasks) > 0:
                 lo, hi = yield tasks.get()
-                local = Counter()
-                nbytes = 0
-                for doc in documents[lo:hi]:
-                    local.update(wordcount_map(doc))
-                    nbytes += len(doc)
+                local, nbytes = map_task(documents[lo:hi])
                 # Tokenizing + global-tree-index inserts: the shared
                 # index is on the path of every token (§8.2).
                 yield from cpu.execute(

@@ -12,6 +12,7 @@ from repro.apps.graph import (
 )
 from repro.cluster import Cluster
 from repro.core import lite_boot
+from repro.determinism import reset_global_counters
 from repro.workloads import degree_histogram, powerlaw_graph
 
 
@@ -113,6 +114,88 @@ def test_lite_graph_fastest(graph):
     pg_cluster.run_process(pg_engine.run(4))
 
     assert lite_engine.elapsed_us < pg_engine.elapsed_us
+
+
+# ---------------------------------- bit-identity and sim-time invisibility --
+
+
+def _per_edge_pagerank(graph, iterations, damping=0.85):
+    """The loop every engine used to carry: the independent oracle for the
+    shared kernel (same division, same left-to-right addition order)."""
+    n = graph.n_vertices
+    ranks = [1.0 / n] * n
+    for _ in range(iterations):
+        new_ranks = []
+        for vertex in range(n):
+            acc = 0.0
+            for src in graph.in_neighbors.get(vertex, ()):
+                acc += ranks[src] / max(1, graph.out_degree[src])
+            new_ranks.append((1.0 - damping) / n + damping * acc)
+        ranks = new_ranks
+    return ranks
+
+
+def _lite(graph):
+    cluster = Cluster(4)
+    return cluster, LiteGraph(lite_boot(cluster), graph, threads_per_node=2)
+
+
+def _powergraph(graph):
+    cluster = Cluster(4)
+    return cluster, PowerGraphSim(cluster.nodes, graph, threads_per_node=2)
+
+
+def _grappa(graph):
+    cluster = Cluster(4)
+    return cluster, GrappaSim(cluster.nodes, graph, threads_per_node=2)
+
+
+def _dsm(graph):
+    cluster = Cluster(4)
+    return cluster, LiteGraphDsm(lite_boot(cluster), graph, threads_per_node=2)
+
+
+def test_reference_is_bit_identical_to_the_per_edge_loop(graph):
+    assert pagerank_reference(graph, 4) == _per_edge_pagerank(graph, 4)
+    assert pagerank_reference(graph, 2, damping=0.5) == _per_edge_pagerank(
+        graph, 2, damping=0.5
+    )
+
+
+# Simulated run times recorded on the commit *before* the engines moved to
+# the shared bulk kernel (400 vertices, 6 edges/vertex, seed 3, 4 partitions,
+# 2 threads, 3 iterations): the kernel is host-side only and must not move
+# a single simulated instant.
+@pytest.mark.parametrize("build, elapsed_us", [
+    (_lite, 79.31530000000028),
+    (_powergraph, 263.7749384615385),
+    (_grappa, 157.42499999999973),
+    (_dsm, 293.1624000000001),
+])
+def test_engines_bit_identical_and_sim_time_unchanged(build, elapsed_us):
+    graph = PartitionedGraph(400, powerlaw_graph(400, 6, seed=3), 4)
+    reset_global_counters()
+    cluster, engine = build(graph)
+    ranks = cluster.run_process(engine.run(3))
+    assert ranks == pagerank_reference(graph, 3) == _per_edge_pagerank(graph, 3)
+    assert engine.elapsed_us == elapsed_us
+
+
+def test_partition_precompute_matches_the_edge_list(graph):
+    for part in range(graph.n_partitions):
+        lists = graph.in_lists[part]
+        assert len(lists) == len(graph.owned[part])
+        for vertex, sources in zip(graph.owned[part], lists):
+            assert list(sources) == graph.in_neighbors.get(vertex, [])
+            if sources:  # by reference, not a copy
+                assert sources is graph.in_neighbors[vertex]
+        assert graph.edges_in_partition(part) == sum(
+            1 for _src, dst in graph.edges if graph.owner_of(dst) == part
+        )
+    assert graph.out_norm == [max(1, d) for d in graph.out_degree]
+    values = [float(v) for v in range(graph.n_vertices)]
+    stride = graph.n_partitions
+    assert graph.assemble(values[p::stride] for p in range(stride)) == values
 
 
 # --------------------------------------------------------------- DSM --

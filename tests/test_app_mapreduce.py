@@ -8,12 +8,14 @@ from repro.apps.mapreduce import HadoopMR, LiteMR, PhoenixMR
 from repro.apps.mapreduce.common import (
     decode_counts,
     encode_counts,
+    map_task,
     partition_counts,
     split_tasks,
     wordcount_map,
 )
 from repro.cluster import Cluster
 from repro.core import lite_boot
+from repro.determinism import reset_global_counters
 from repro.workloads import generate_corpus
 
 
@@ -122,3 +124,64 @@ def test_lite_mr_rejects_tiny_cluster():
     kernels = lite_boot(cluster)
     with pytest.raises(ValueError):
         LiteMR(kernels)
+
+
+# ------------------------------------------------ the shared map kernel --
+
+
+def test_map_task_equals_the_per_document_path(corpus, truth):
+    for lo, hi in [(0, len(corpus)), (5, 17), (3, 3)]:
+        local = Counter()
+        nbytes = 0
+        for document in corpus[lo:hi]:
+            local.update(wordcount_map(document))
+            nbytes += len(document)
+        counts, counted = map_task(corpus[lo:hi])
+        assert (counts, counted) == (local, nbytes)
+        # Same insertion order too: it decides the partition blobs' order.
+        assert list(counts) == list(local)
+    assert map_task(corpus)[0] == truth
+
+
+def _lite_mr():
+    cluster = Cluster(5)
+    return cluster, LiteMR(lite_boot(cluster), total_threads=8, n_partitions=1)
+
+
+def _phoenix():
+    cluster = Cluster(1)
+    return cluster, PhoenixMR(cluster[0], n_threads=8, n_partitions=1)
+
+
+def _hadoop():
+    cluster = Cluster(5)
+    return cluster, HadoopMR(cluster.nodes, total_threads=8, n_partitions=1)
+
+
+# Simulated phase times recorded on the commit before the three systems
+# moved to map_task().  One reduce partition, because partitioning uses
+# hash(bytes) and would otherwise change from process to process.
+@pytest.mark.parametrize("build, phase_times", [
+    (_lite_mr, {"map": 234.24063311767577, "reduce": 127.91892158813488,
+                "merge": 0.0, "total": 362.15955470581065}),
+    (_phoenix, {"map": 299.8513, "reduce": 39.920000000000016,
+                "merge": 0.0, "total": 339.7713}),
+    (_hadoop, {"map": 7515.46, "reduce": 2092.752426923079,
+               "merge": 47.328669230768355, "total": 9655.541096153847}),
+])
+def test_map_kernel_leaves_sim_time_unchanged(build, phase_times, corpus, truth):
+    reset_global_counters()
+    cluster, engine = build()
+    assert cluster.run_process(engine.run(corpus)) == truth
+    assert engine.phase_times == phase_times
+
+
+def test_lite_mr_second_run_counts_only_its_own_documents(corpus, truth):
+    cluster = Cluster(3)
+    engine = LiteMR(lite_boot(cluster), total_threads=8)
+    assert cluster.run_process(engine.run(corpus)) == truth
+    servers = [worker._server for worker in engine.workers]
+    # Used to return truth + truth and start a second server loop each.
+    assert cluster.run_process(engine.run(corpus)) == truth
+    assert cluster.run_process(engine.run(corpus[:7])) == map_task(corpus[:7])[0]
+    assert [worker._server for worker in engine.workers] == servers

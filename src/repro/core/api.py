@@ -684,7 +684,7 @@ class LiteContext:
         params = self.params
         cpu = kernel.node.cpu
         tag = self._tag
-        # -- enter + reply-stack crossing (pad 0: 2 enqueues both) --
+        # -- enter + reply-stack crossing --
         enter_cost = params.lite_syscall_enter_us
         stack_cost = params.lite_reply_stack_us
         t_u = sim.now + enter_cost + stack_cost

@@ -125,14 +125,15 @@ class MappedLmr:
         # Cleared when the master frees or moves the LMR (FREE_NOTIFY).
         self.valid = True
         # Remap epoch: bumped every time ``chunks`` is retargeted (LMR
-        # move, failover promotion).  The vectorized fast path's plan
-        # memo (verbs/fastpath.py) folds this into its key, so any
-        # remap — including one racing an in-flight multi-chunk op —
-        # orphans every memoised plan for the old layout.
+        # move, failover promotion).  The fast path's plan memo
+        # (verbs/fastpath.py) stamps each entry with it, so any remap —
+        # including one racing an in-flight op — orphans every
+        # memoised plan for the old layout.
         self.plan_version = 0
-        # Plan-memo handles: key -> (CostTable, VecPlan).  Entries are
-        # only ever *used* after revalidating the table stamp and
-        # ``plan_version``; ``retarget()`` clears eagerly anyway.
+        # Plan memo: (offset, nbytes, is_read) -> fastpath._Plan.
+        # Entries are only ever *used* after revalidating
+        # ``plan_version`` and the piece's liveness flags;
+        # ``retarget()`` clears eagerly anyway.
         self._fp_plans: Dict = {}
         # Backup LITE id -> chunk list; writes through this mapping fan
         # out to every live backup (empty for unreplicated LMRs, in
@@ -145,9 +146,9 @@ class MappedLmr:
     def retarget(self, chunks: List[ChunkInfo]) -> None:
         """Point the mapping at a new chunk layout (move / promotion).
 
-        Bumps ``plan_version`` and drops the plan memo, so a vectorized
-        fast-path commit primed against the old layout can never fire
-        again — the next op re-plans against the new chunks.
+        Bumps ``plan_version`` and drops the plan memo, so a fast-path
+        plan primed against the old layout can never commit again — the
+        next op re-plans against the new chunks.
         """
         self.chunks = chunks
         self.plan_version += 1

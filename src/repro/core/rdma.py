@@ -56,27 +56,24 @@ class OneSidedEngine:
         self.async_write_failures = 0
 
     # -- helpers -----------------------------------------------------------
-    def _try_fast(self, peer, wr: SendWR, priority: int,
-                  extra_pad: int, make_handle: bool):
+    def _try_fast(self, peer, wr: SendWR, priority: int):
         """Attempt run-to-completion execution of one WR (see fastpath.py).
 
         Peeks the same (qp, window) pair :meth:`_post` would round-robin
         onto; the RR bump and the doorbell CPU charge are replayed only
         on commit, so a declined attempt leaves LITE state untouched and
         the generator fallback proceeds exactly as if never tried.
-        ``extra_pad`` is this layer's avoided-enqueue count: the process
-        boot + the instant window grant (+ the process-completion event
-        when no handle replaces it).
+        Returns the completion handle, or None.
         """
         pairs = self.kernel.qos.eligible_qps(peer, priority)
         qp, window = pairs[peer._rr % len(pairs)]
-        result = try_fast_post(qp, wr, window, extra_pad, make_handle)
-        if result is not None:
+        handle = try_fast_post(qp, wr, window)
+        if handle is not None:
             peer._rr += 1
             self.kernel.node.cpu.charge(
                 "lite-post", self.params.rnic_doorbell_us
             )
-        return result
+        return handle
 
     def _post(self, peer_id: int, wr: SendWR, priority: int):
         """Issue one WR on a shared QP, respecting per-QP windows.
@@ -244,7 +241,7 @@ class OneSidedEngine:
                     remote_addr=remote_addr,
                     rkey=rkey,
                 )
-                handle = self._try_fast(peer, wr, priority, 2, True)
+                handle = self._try_fast(peer, wr, priority)
                 if handle is not None:
                     procs.append(handle)
                 else:
@@ -273,10 +270,10 @@ class OneSidedEngine:
         self._check_not_failed(mapping)
         yield from kernel.qos.gate(priority)
         start = self.sim.now
-        # Vectorized commit: the whole fan-out (all pieces remote, each
-        # on its own QP, nothing contended) collapses into one
-        # arithmetic pass with a memoised plan; any decline falls
-        # through to the bit-exact per-piece loop below.
+        # Plan entry: an op whose plan is one remote piece commits from
+        # the memoised plan (no WR, no barrier); any decline — several
+        # chunks, a local chunk, contention — falls through to the
+        # bit-exact per-piece loop below.
         handle = try_fast_post_vec(
             self, mapping, offset, len(data), data, Opcode.WRITE, priority
         )
@@ -308,7 +305,7 @@ class OneSidedEngine:
                 remote_addr=remote_addr,
                 rkey=rkey,
             )
-            handle = self._try_fast(peer, wr, priority, 2, True)
+            handle = self._try_fast(peer, wr, priority)
             if handle is not None:
                 procs.append(handle)
             else:
@@ -368,7 +365,7 @@ class OneSidedEngine:
                 rkey=rkey,
                 read_length=piece_len,
             )
-            handle = self._try_fast(peer, wr, priority, 2, True)
+            handle = self._try_fast(peer, wr, priority)
             if handle is not None:
                 procs.append(handle)
             else:
@@ -588,9 +585,8 @@ class OneSidedEngine:
         recovery path), never allowed to crash the simulation.
         """
         peer = self.kernel.peer(peer_id)
-        # Tri-post chain entry: commits the leg with no WR allocated at
-        # all (extra_pad 3: runner boot + window grant + runner
-        # completion; the chain bumps the wr_id counter itself).
+        # Chain entry: commits the leg with no WR allocated at all (the
+        # commit bumps the wr_id counter itself).
         if try_fast_chain(self, peer, phys_addr, data, imm, priority) is not None:
             return
         opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM

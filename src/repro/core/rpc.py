@@ -451,7 +451,7 @@ class RpcEngine:
         params = self.params
         cpu = kernel.node.cpu
         tag = ctx._tag
-        # -- syscall enter + metadata crossing (pad 0: 2 enqueues both) --
+        # -- syscall enter + metadata crossing --
         enter_cost = params.lite_syscall_enter_us
         meta_cost = params.lite_metadata_us
         t_meta = sim.now + enter_cost + meta_cost
@@ -642,11 +642,6 @@ class RpcEngine:
                 rec.fused_at = t_p
                 store._getters.popleft()
                 cpu = self.kernel.node.cpu
-                # Seq-pad ledger: slow enqueues 4 here (store succeed,
-                # adaptive tail timeout, recv-stack timeout, syscall-
-                # return timeout); fused enqueues 3 (two fp entries +
-                # the deferred succeed).  Pad 1.
-                sim._seq += 1
 
                 def at_recv():
                     cpu.charge("lite-rpc-recv", recv_cost)
@@ -731,10 +726,6 @@ class RpcEngine:
                 t_mid = t_x + mid_cost
                 t_z = t_mid + params.lite_sharedpage_return_us
                 if sim.fp_horizon() > t_z:
-                    # Seq-pad ledger: slow enqueues 3 here (reply
-                    # succeed, adaptive tail timeout, syscall-return
-                    # timeout); fused enqueues 3 (two fp entries + the
-                    # deferred succeed).  Pad 0.
                     pending.fused_at = t_x
                     # Reads are pure and nothing may write the region
                     # inside the guarded window, so decoding here yields

@@ -32,9 +32,9 @@ from .determinism import reset_global_counters
 __all__ = ["run_sweep", "resolve_jobs", "SWEEP_JOBS_ENV"]
 
 # Environment knob consulted when ``jobs`` is not given explicitly:
-# tools/bench.py --jobs and CI export it so pytest-collected figure
-# benchmarks pick the parallel path up without plumbing a flag through
-# pytest.
+# tools/collect_results.py --jobs and CI export it so pytest-collected
+# figure benchmarks pick the parallel path up without plumbing a flag
+# through pytest.
 SWEEP_JOBS_ENV = "REPRO_BENCH_JOBS"
 
 # Fixed salt for per-point seeding: the seed depends only on the point

@@ -1,4 +1,4 @@
-"""Run-to-completion fast paths for uncontended one- and two-sided ops.
+"""Run-to-completion fast path for uncontended one- and two-sided ops.
 
 The generator datapath walks ~10 frames per op (`api` → `kernel` → `qp`
 → `rnic` → `fabric`), each suspension costing a scheduler round trip —
@@ -10,6 +10,13 @@ the handful of transitions that land later (resource releases, the
 responder-order event, CQE delivery) are scheduled as *batch dispatches*
 on the engine's fast-path queue (`Simulator.fp_schedule`) — one callable
 per distinct instant instead of one event per transition.
+
+There is exactly one commit (:func:`_commit`): one entry pass, one
+timeline, one state replay, one dispatch set for WRITE / WRITE_IMM /
+READ.  The three public entries differ only in how they find the target
+— :func:`try_fast_post` from a posted ``SendWR``, :func:`try_fast_chain`
+from a raw write's (peer, address), :func:`try_fast_post_vec` from a
+memoised single-piece LMR plan — never in the timeline.
 
 Two-sided traffic fuses one step further: when a write-imm lands on a
 LITE kernel whose batch==1 poller is parked on the destination CQ, the
@@ -49,18 +56,16 @@ instants, and byte counters (fabric/RNIC/port) are applied at commit.
 Residual mismodels (a resource found full at an acquire instant, an SRQ
 drained by a foreign consumer mid-flight) are counted in ``fp_stats``.
 
-Sequence-counter padding: ``Simulator._seq`` doubles as the benchmark
-event counter, and every grant/timeout the slow path would have enqueued
-bumps it.  A fast commit bumps ``_seq`` by the number of enqueues it
-*avoided* so the final count — and the absolute (time, seq) order of all
-surviving events — is identical with the fast path on or off.  The
-per-opcode pad constants below are derived in-line; the equivalence
-tests assert final ``_seq`` equality against ``REPRO_NO_FASTPATH=1``.
+``Simulator._seq`` is the same-instant tie-break and a count of real
+enqueues: a commit numbers its dispatches ``_seq + 1 …`` and nothing
+else, so a fast run's final ``_seq`` is smaller than a slow run's and
+the two are never compared (simulated time, snapshots and op outcomes
+are).
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 
 from .wr import (ACK_BYTES, Access, Opcode, SendWR, WcStatus, WorkCompletion,
                  wire_bytes)
@@ -77,52 +82,13 @@ _WIRE0 = wire_bytes(0)
 # clears and rebuilds rather than growing without bound.
 _MEMO_MAX = 512
 
-# Enqueues the generator path performs per op that the fast path does
-# not, below the LITE layer (callers add their own layer's pad).
-#
-# Slow-path enqueues from post_send() onward, common prefix (11):
-#   exec-process boot, SQ-slot grant, doorbell timeout, local-pipeline
-#   grant, local-RNIC timeout, src-TX grant, dst-RX grant, serialization
-#   timeout, propagation timeout, remote-pipeline grant, remote-RNIC
-#   timeout.
-# Plus per opcode:
-#   WRITE:     order-done, ACK leg (tx, rx, ser, prop, rnic-ack) = 6,
-#              exec-process succeed                     → 18 total
-#   WRITE_IMM: recv-queue grant, recv-completion timeout, order-done,
-#              ACK leg = 5, exec-process succeed        → 20 total
-#   READ:      order-done, response leg (tx, rx, ser, prop) = 4,
-#              2nd local pipeline grant + timeout = 2,
-#              exec-process succeed                     → 20 total
-# (+1 completion timeout when signaled.)
-#
-# Fast-path real enqueues (fp_schedule bumps _seq once per dispatch,
-# order-done succeeds for real; the completion handle is accounted by
-# the caller's pad):
-#   WRITE:     5 dispatches + order-done = 6   → pad 18 - 6  = 12
-#   WRITE_IMM: 6 dispatches + order-done = 7   → pad 20 - 7  = 13
-#   READ:      7 dispatches + order-done = 8   → pad 20 - 8  = 11 (+1 sig)
-_CORE_PAD = {Opcode.WRITE: 12, Opcode.WRITE_IMM: 13, Opcode.READ: 11}
-# Hoisted scalars for the chain entry (skips the dict lookup).
-_CORE_PAD_WRITE = 12
-_CORE_PAD_WRITE_IMM = 13
-
-# A *fused* two-sided WRITE_IMM spends one extra dispatch (the deferred
-# kernel dispatch at t_disp) → 7 dispatches + order-done = 8 real, so
-# its commit-time pad is one less than plain WRITE_IMM's: 12.  The two
-# receiver-side enqueues it avoids — the CQ-getter succeed that wakes
-# the parked poller and the poller's discovery timeout, both at t_rc —
-# are padded *at t_rc by the at_rc dispatch itself*, and only if the
-# receiver is still cleanly parked then (an interloping CQE may have
-# woken the poller mid-chain, in which case at_rc reverts to a real
-# push and the receiver events all happen — and count — for real).
-# Healthy fused total: 12 + 8 + 2 = 22 = plain 20 + wake + discovery.
-# Everything from the dispatch instant onward (handler wakeup, head
-# write, reply) is real code, identical in both modes: no pad.
-_FUSED_IMM_PAD = 12
-
 
 class FastPathStats:
-    """Module-wide fast-path telemetry (host-side only, not sim state)."""
+    """Module-wide fast-path telemetry (host-side only, not sim state).
+
+    ``attempts``/``commits`` count the WR entry, ``chain_*`` the
+    raw-write entry, ``vec_*`` and ``plan_*`` the plan entry.
+    """
 
     __slots__ = ("attempts", "commits", "mismodels", "table_builds",
                  "vec_attempts", "vec_commits", "plan_builds", "plan_hits",
@@ -171,10 +137,10 @@ class CostTable:
         "src_tx", "src_rx", "dst_tx", "dst_rx",
         "src_node", "dst_node", "dst_qpn",
         "doorbell", "wqe_l", "ser0", "prop", "ack_ser", "rnic_ack",
-        "completion_l", "completion_r", "srq_source", "srq_items",
+        "completion_l", "completion_r", "floor", "srq_source", "srq_items",
         "_lparams", "_rparams", "_fparams", "_link_bw", "_sizes",
-        "_spans", "_phys", "_pregions", "_mem", "_plans",
-        "_rel_t2", "_rel_t3", "_rel_back", "_chain_end",
+        "_spans", "_phys", "_pregions", "_mem",
+        "_rel_t2", "_rel_t3", "_rel_back",
     )
 
     def __init__(self, qp):
@@ -228,17 +194,27 @@ class CostTable:
         self.rnic_ack = lparams.rnic_ack_us
         self.completion_l = lparams.rnic_completion_us
         self.completion_r = rparams.rnic_completion_us
+        # Lower bound on any op's completion delay, for the early
+        # horizon reject: doorbell, a bare WQE at each RNIC, an empty
+        # frame out, and the two propagations every op pays.  A strict
+        # subset of every timeline's terms — the payload DMA, the
+        # return-leg serialization and the ACK turnaround / scatter
+        # pass are left out — so float rounding can never lift it to a
+        # real completion time.
+        self.floor = (self.doorbell + self.wqe_l + self.ser0 + self.prop
+                      + rparams.rnic_wqe_process_us + self.prop)
 
         self._lparams = lparams
         self._rparams = rparams
         self._fparams = fparams
         self._sizes = {}
-        # (rkey, addr, nbytes, need) → resolved span.  MR identity,
-        # bounds, access bits, and the page list are immutable for a
-        # live registration (deregistration bumps the remote RNIC's
-        # cost_version, stamped below, invalidating the whole table);
-        # the backing resolution carries the host allocator's free
-        # epoch and is revalidated with one compare per hit.
+        # (rkey, addr, nbytes, need) → (free epoch, resolved target).
+        # MR identity, bounds, access bits, and the page list are
+        # immutable for a live registration (deregistration bumps the
+        # remote RNIC's cost_version, stamped below, invalidating the
+        # whole table); the backing resolution carries the host
+        # allocator's free epoch and is revalidated with one compare
+        # per hit.
         self._spans = {}
         # rkey → (mr, base_addr, end_addr) for *physical* MRs (the LITE
         # global MR): identity and bounds are immutable for a live
@@ -256,20 +232,13 @@ class CostTable:
         # can never serve stale: free() flips the flag on the old object.
         self._pregions = {}
         self._mem = rnode.memory
-        # Vectorized multi-chunk plans registered against this table
-        # (see try_fast_post_vec): key → VecPlan.  Residency only — the
-        # table's stamp dropping (fence, dereg, param change) drops the
-        # registry; each use revalidates through mapping.plan_version
-        # and the per-piece backing epochs.
-        self._plans = {}
         # Receive-queue source for inbound WRITE_IMM, resolved lazily
         # and revalidated by identity per attempt.
         self.srq_source = None
         self.srq_items = None
         # Shared dispatch callables: the t2/t3/ack-release bodies are
         # identical for every commit on this table, so one instance
-        # each replaces a per-commit closure build (a measurable slice
-        # of the RPC tri-post chain's residual).
+        # each replaces a per-commit closure build.
         self._rel_t2 = self.lpipe.release
 
         def _rel_t3(rx=self.dst_rx.release, tx=self.src_tx.release):
@@ -283,7 +252,6 @@ class CostTable:
             tx()
 
         self._rel_back = _rel_back
-        self._chain_end = None
         self.stamp = self._current_stamp()
         fp_stats.table_builds += 1
 
@@ -325,6 +293,63 @@ class CostTable:
             )
         return entry
 
+    def resolve(self, rkey: int, addr: int, nbytes: int, need: int):
+        """Resolve a remote span to ``(pages, backing, reg_off)``, or None.
+
+        Memoised replay of ``rdev._resolve_remote``.  Physical MRs (the
+        LITE global MR — every RPC/ring address) see a fresh address on
+        most posts, so the per-span memo would miss and churn; their
+        immutable identity/bounds are cached per rkey instead and only
+        the backing resolution (allocator-epoch dependent) runs per
+        attempt.
+        """
+        phys = self._phys.get(rkey)
+        if phys is not None:
+            mr, base, end = phys
+            if mr.deregistered:
+                return None
+            if not (base <= addr and addr + nbytes <= end):
+                return None
+            if not (mr._access_bits & need):
+                return None
+            preg = self._pregions.get(rkey)
+            if (preg is not None and not preg[0].freed
+                    and preg[1] <= addr and addr + nbytes <= preg[2]):
+                return (), preg[0], addr - preg[1]
+            try:
+                backing, reg_off = mr._backing(addr - base, nbytes)
+            except ValueError:
+                return None
+            self._pregions[rkey] = (
+                backing, backing.addr, backing.addr + backing.size)
+            return (), backing, reg_off
+        key = (rkey, addr, nbytes, need)
+        span = self._spans.get(key)
+        if span is not None and span[0] == self._mem.version:
+            return span[1]
+        mr = self.rdev.mrs_by_rkey.get(rkey)
+        if mr is None or mr.deregistered:
+            return None
+        base = mr.base_addr
+        if not (base <= addr and addr + nbytes <= base + mr.size):
+            return None
+        if not (mr._access_bits & need):
+            return None
+        offset = addr - base
+        try:
+            backing, reg_off = mr._backing(offset, nbytes)
+        except ValueError:
+            return None
+        if mr.physical:
+            self._phys[rkey] = (mr, base, base + mr.size)
+            return (), backing, reg_off
+        target = (tuple(mr.page_ids(offset, nbytes)), backing, reg_off)
+        spans = self._spans
+        if len(spans) >= _MEMO_MAX:
+            spans.clear()
+        spans[key] = (self._mem.version, target)
+        return target
+
 
 def _table_for(qp):
     table = qp._fp_table
@@ -354,44 +379,35 @@ def prime_qp(qp) -> bool:
     return False
 
 
-def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
-    """Attempt run-to-completion execution of ``wr`` on ``qp``.
+def _armed(sim) -> bool:
+    """The one bail-out: kill switch off and no tracer attached (the
+    trace goldens pin the generator path's span tree)."""
+    return sim.fastpath_enabled and sim.tracer is None
 
-    Returns the completion event (``make_handle=True``; it succeeds with
-    the WcStatus at the op's completion instant), ``True`` on a
-    committed fire-and-forget op, or ``None`` when any entry condition
-    fails — in which case *no state has been touched* and the caller
-    must take the generator path.
 
-    ``window`` is the LITE per-QP window resource to hold for the op's
-    lifetime; ``extra_pad`` is the caller layer's avoided-enqueue count
-    (see the pad ledger above).
+def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
+            wr, plan, want_handle):
+    """Run one WRITE / WRITE_IMM / READ to completion, or touch nothing.
+
+    The single commit behind all three entries.  ``wr`` is the posted
+    ``SendWR`` or None (the id counter is then bumped arithmetically so
+    a fall-back op mints the same id either way); ``plan`` is a
+    memoised, revalidated target (see :class:`_Plan`) or None (the
+    target is resolved through the table's span memo).  Returns the
+    completion handle — it succeeds at the op's completion instant with
+    ``WcStatus.SUCCESS``, or with the READ bytes when there is no ``wr``
+    to carry them — or True when ``want_handle`` is false; None when any
+    entry condition fails, in which case *no state has been touched*
+    and the caller must take the generator path.
+
+    The entry pass runs cheapest-first, then in the measured order of
+    rejection (INTERNALS §13): on contended RPC traffic a busy pipeline,
+    a pending predecessor or a busy port channel rejects; on application
+    traffic the horizon does, so it is read once, right after the
+    structural checks, and tested against a lower bound on the
+    completion time before any resolution or timeline work.
     """
-    sim = qp.sim
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return None
-    fp_stats.attempts += 1
-
-    opcode = wr.opcode
-    if opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
-        payload = wr.inline_data
-        if payload is None or wr.sgl:
-            return None
-        nbytes = len(payload)
-        if nbytes == 0:
-            return None
-    elif opcode is Opcode.READ:
-        if wr.sgl or wr.inline_data is not None:
-            return None
-        payload = None
-        nbytes = wr.read_length
-        if nbytes <= 0:
-            return None
-    else:
-        return None
-
-    if (not qp._is_rc or qp.state != "RTS" or qp.remote is None
-            or wr.delivered is not None):
+    if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
         return None
     pred = qp._last_remote_done
     if pred is not None and pred.callbacks is not None:
@@ -401,35 +417,40 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         return None
     if window is not None and window.in_use >= window.capacity:
         return None
+    sim = qp.sim
     if sim._nowq:
         return None
 
     table = _table_for(qp)
     if table is None:
         return None
-    if table.src_node == table.dst_node:
-        return None  # loopback short-circuits the wire; keep it slow
-    fabric = table.fabric
-    if fabric.fault is not None:
-        return None
-    src_port = table.src_port
-    dst_port = table.dst_port
-    if not src_port.up or not dst_port.up:
-        return None
-    # Belt and suspenders against a dead/remapped peer: a crash downs
-    # the link (caught above) and fences every table (cost_version), but
-    # a *rebuilt* table toward a crashed-flag node must still decline.
-    if table.rdev.node.crashed:
-        return None
-    src_tx = table.src_tx
-    dst_rx = table.dst_rx
-    dst_tx = table.dst_tx
-    src_rx = table.src_rx
-    if src_tx.in_use or dst_rx.in_use or dst_tx.in_use or src_rx.in_use:
-        return None
     lpipe = table.lpipe
     rpipe = table.rpipe
     if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
+        return None
+    fabric = table.fabric
+    src_port = table.src_port
+    dst_port = table.dst_port
+    # No fault hook (fused chains assume lossless delivery), both links
+    # up, all four port channels idle.
+    if not fabric.fp_path_clear(src_port, dst_port):
+        return None
+    if table.src_node == table.dst_node:
+        return None  # loopback short-circuits the wire; keep it slow
+    # Belt and suspenders against a dead/remapped peer: a crash downs
+    # the link (caught above) and fences every table (cost_version), but
+    # a *rebuilt* table toward a crashed-flag node must still decline.
+    rdev = table.rdev
+    if rdev.node.crashed:
+        return None
+
+    # Nothing ordinary may be scheduled at or before completion: any
+    # such event could observe (or perturb) the op mid-flight.  The
+    # horizon is read once; this first test can only reject what the
+    # exact one below would (``floor`` is below every completion delay).
+    t0 = sim.now
+    horizon = sim.fp_horizon()
+    if horizon <= t0 + table.floor:
         return None
 
     # All SRAM lookups must hit, so every lookup cost is exactly 0.0 and
@@ -442,69 +463,20 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         return None
     if not rrnic.qp_cache.contains(dst_qpn):
         return None
-    rkey = wr.rkey
     if not rrnic.key_cache.contains(rkey):
         return None
-
-    rdev = table.rdev
-    need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
-    addr = wr.remote_addr
-    # Inline replay of rdev._resolve_remote.  Physical MRs (the LITE
-    # global MR — every RPC/ring address) see a fresh address on most
-    # posts, so the per-span memo would miss and churn; their immutable
-    # identity/bounds are cached per rkey instead and only the backing
-    # resolution (allocator-epoch dependent) runs per attempt.
-    phys = table._phys.get(rkey)
-    if phys is not None:
-        mr, base, end = phys
-        if mr.deregistered:
-            return None
-        if not (base <= addr and addr + nbytes <= end):
-            return None
-        if not (mr._access_bits & need):
-            return None
-        pages = ()
-        preg = table._pregions.get(rkey)
-        if (preg is not None and not preg[0].freed
-                and preg[1] <= addr and addr + nbytes <= preg[2]):
-            backing = preg[0]
-            reg_off = addr - preg[1]
-        else:
-            try:
-                backing, reg_off = mr._backing(addr - base, nbytes)
-            except ValueError:
-                return None
-            table._pregions[rkey] = (
-                backing, backing.addr, backing.addr + backing.size)
+    read_op = opcode is Opcode.READ
+    if plan is not None:
+        pages = plan.pages
+        backing = plan.backing
+        reg_off = plan.reg_off
     else:
-        span = table._spans.get((rkey, addr, nbytes, need))
-        if span is not None and span[3] == table._mem.version:
-            mr, offset, pages, _epoch, backing, reg_off = span
-        else:
-            mr = rdev.mrs_by_rkey.get(rkey)
-            if mr is None or mr.deregistered:
-                return None
-            base = mr.base_addr
-            if not (base <= addr and addr + nbytes <= base + mr.size):
-                return None
-            if not (mr._access_bits & need):
-                return None
-            offset = addr - base
-            try:
-                backing, reg_off = mr._backing(offset, nbytes)
-            except ValueError:
-                return None
-            if mr.physical:
-                pages = ()
-                table._phys[rkey] = (mr, base, base + mr.size)
-            else:
-                pages = tuple(mr.page_ids(offset, nbytes))
-                spans = table._spans
-                if len(spans) >= _MEMO_MAX:
-                    spans.clear()
-                spans[(rkey, addr, nbytes, need)] = (
-                    mr, offset, pages, table._mem.version, backing, reg_off,
-                )
+        target = table.resolve(
+            rkey, addr, nbytes,
+            _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
+        if target is None:
+            return None
+        pages, backing, reg_off = target
     if pages and not rrnic.pte_cache.contains_all(pages):
         return None
 
@@ -537,7 +509,6 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         # geometry half of the cross-node stamp, checked live).  When
         # ineligible the chain still commits in the one-sided shape:
         # the CQE push wakes the poller for real.
-        imm = wr.imm
         if imm is not None:
             lite = rdev.node.lite
             if (lite is not None and lite._poller is not None
@@ -549,17 +520,15 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
                     cq_store = fcq._store
                     if (not cq_store.items
                             and len(cq_store._getters) == 1
-                            and lite.fp_rpc_gate(
-                                imm, table.src_node, wr.remote_addr)):
+                            and lite.fp_rpc_gate(imm, table.src_node, addr)):
                         fused_kernel = lite
                     else:
                         fcq = None
 
     # ---- timeline (floats accumulated in the slow path's add order) ----
     dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    t0 = sim.now
     t1 = t0 + table.doorbell            # doorbell MMIO
-    if opcode is Opcode.READ:
+    if read_op:
         t2 = t1 + table.wqe_l           # request WQE carries no payload
         t3 = t2 + table.ser0
     else:
@@ -567,44 +536,44 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         t3 = t2 + ser                   # serialization out
     t4 = t3 + table.prop                # propagation + switch
     t5 = t4 + dur_r                     # remote lookups + DMA + memory op
-    signaled = wr.signaled
-    if opcode is Opcode.WRITE:
-        a1 = t5 + table.ack_ser
-        t7 = (a1 + table.prop) + table.rnic_ack
-        t_end = t7 + table.completion_l if signaled else t7
-    elif opcode is Opcode.WRITE_IMM:
-        t_rc = t5 + table.completion_r  # responder CQE write-back
-        a1 = t_rc + table.ack_ser
-        t7 = (a1 + table.prop) + table.rnic_ack
-        t_end = t7 + table.completion_l if signaled else t7
-        if fused_kernel is not None:
-            # Deferred kernel dispatch: the exact instant the poller's
-            # discovery delay would have elapsed after the CQE landed.
-            t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
-    else:  # READ
-        r1 = t5 + ser                   # response serialization
-        t6 = r1 + table.prop
+    if read_op:
+        back = t5 + ser                 # response serialization
+        t6 = back + table.prop
         t7 = t6 + dur_l                 # local scatter pass
-        t_end = t7 + table.completion_l if signaled else t7
-
-    # Nothing ordinary may be scheduled at or before completion: any
-    # such event could observe (or perturb) the op mid-flight.  A fused
-    # chain's horizon spans both hosts — it must also cover the remote
-    # dispatch instant (fp_horizon is already cluster-global: there is
-    # one engine, so "no ordinary event before the chain's tail" is a
-    # statement about every node at once).
+    else:
+        if opcode is Opcode.WRITE_IMM:
+            t_rc = t5 + table.completion_r  # responder CQE write-back
+            back = t_rc + table.ack_ser
+        else:
+            back = t5 + table.ack_ser
+        t7 = (back + table.prop) + table.rnic_ack
+    t_end = t7 + table.completion_l if signaled else t7
+    # A fused chain's horizon spans both hosts — it must also cover the
+    # remote dispatch instant (fp_horizon is already cluster-global:
+    # there is one engine, so "no ordinary event before the chain's
+    # tail" is a statement about every node at once).
     t_guard = t_end
-    if fused_kernel is not None and t_disp > t_guard:
-        t_guard = t_disp
-    if sim.fp_horizon() <= t_guard:
+    if fused_kernel is not None:
+        # Deferred kernel dispatch: the exact instant the poller's
+        # discovery delay would have elapsed after the CQE landed.
+        t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
+        if t_disp > t_guard:
+            t_guard = t_disp
+    if horizon <= t_guard:
         return None
 
     # ---- commit ------------------------------------------------------
-    fp_stats.commits += 1
     qp.posted_sends += 1
     done = sim.event()
     qp._last_remote_done = done
-    wr._order_done = done
+    if wr is not None:
+        wr._order_done = done
+        wr_id = wr.wr_id
+    else:
+        # The slow path allocates a SendWR before posting; keep the
+        # process-global id counter aligned.
+        wr_id = SendWR._next_id + 1
+        SendWR._next_id = wr_id
 
     # Cache-hit replay, in slow-path lookup order (LRU recency + stats).
     lrnic.qp_cache.access(qp.qpn)
@@ -612,24 +581,20 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     rrnic.key_cache.access(rkey)
     if pages:
         rrnic.pte_cache.access_many(pages)
-    if opcode is Opcode.READ:
-        lrnic.qp_cache.access(qp.qpn)   # response scatter pass
 
     # Counter replay (end-state equivalent; see module docstring).
-    if opcode is Opcode.READ:
+    if read_op:
+        lrnic.qp_cache.access(qp.qpn)   # response scatter pass
         lrnic.wqe_count += 2
-        lrnic.bytes_dma += nbytes
-        rrnic.wqe_count += 1
-        rrnic.bytes_dma += nbytes
         out_bytes = _WIRE0
         back_bytes = wire_n
     else:
         lrnic.wqe_count += 1
-        lrnic.bytes_dma += nbytes
-        rrnic.wqe_count += 1
-        rrnic.bytes_dma += nbytes
         out_bytes = wire_n
         back_bytes = ACK_BYTES
+    lrnic.bytes_dma += nbytes
+    rrnic.wqe_count += 1
+    rrnic.bytes_dma += nbytes
     fabric.total_bytes += out_bytes + back_bytes
     fabric.transfer_count += 2
     src_port.tx_bytes += out_bytes
@@ -640,6 +605,10 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     # Real holds for the op's first phase (released at exact times by
     # the dispatches below; the return-leg channels are acquired at the
     # instant the slow path would request them).
+    src_tx = table.src_tx
+    dst_rx = table.dst_rx
+    dst_tx = table.dst_tx
+    src_rx = table.src_rx
     sq.in_use += 1
     if window is not None:
         window.in_use += 1
@@ -654,162 +623,45 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         # dispatch; new fused commits decline while it is set.
         fcq.fp_pending += 1
 
-    handle = sim.event() if make_handle else None
-    # fp_schedule inlined (this is the hottest dispatch source): the pad
-    # is applied first, then each push takes the next seq, exactly as a
-    # sim._seq bump followed by fp_schedule calls in program order.
-    core_pad = _CORE_PAD[opcode] if fused_kernel is None else _FUSED_IMM_PAD
-    seq = sim._seq + core_pad + (1 if signaled else 0) + extra_pad
-    fpq = sim._fpq
+    handle = sim.event() if want_handle else None
+    box = []
 
+    def turn_around():
+        # Responder done: publish RC order, request the return leg.
+        done.succeed()
+        if dst_tx.in_use >= dst_tx.capacity:
+            fp_stats.mismodels += 1
+        if src_rx.in_use >= src_rx.capacity:
+            fp_stats.mismodels += 1
+        dst_tx.in_use += 1
+        src_rx.in_use += 1
+
+    def at_end():
+        if signaled:
+            send_cq = qp.send_cq
+            if send_cq is not None:
+                send_cq.push(WorkCompletion(
+                    wr_id=wr_id, status=WcStatus.SUCCESS, opcode=opcode,
+                    byte_len=nbytes, imm=imm, qp_num=qp.qpn,
+                ))
+        sq.release()
+        if window is not None:
+            window.release()
+        if handle is not None:
+            handle.succeed(
+                box[0] if read_op and wr is None else WcStatus.SUCCESS)
+
+    # fp_schedule inlined (this is the hottest dispatch source): each
+    # push takes the next seq, exactly as fp_schedule calls in program
+    # order would.
+    seq = sim._seq
+    fpq = sim._fpq
     seq += 1
     heappush(fpq, (t2, seq, table._rel_t2))
     seq += 1
     heappush(fpq, (t3, seq, table._rel_t3))
 
-    def at_end():
-        send_cq = qp.send_cq
-        if signaled and send_cq is not None:
-            send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id, status=WcStatus.SUCCESS, opcode=opcode,
-                byte_len=nbytes, imm=wr.imm, qp_num=qp.qpn,
-            ))
-        sq.release()
-        if window is not None:
-            window.release()
-        if handle is not None:
-            handle.succeed(WcStatus.SUCCESS)
-
-    if opcode is Opcode.WRITE:
-
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, payload)
-            except ValueError:
-                fp_stats.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                fp_stats.mismodels += 1
-            if src_rx.in_use >= src_rx.capacity:
-                fp_stats.mismodels += 1
-            dst_tx.in_use += 1
-            src_rx.in_use += 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    elif opcode is Opcode.WRITE_IMM:
-        box = []
-        src_node = table.src_node
-        imm = wr.imm
-
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, payload)
-            except ValueError:
-                fp_stats.mismodels += 1
-            if srq_items:
-                box.append(srq_items.popleft())
-            else:
-                fp_stats.mismodels += 1
-            srq_source._fp_claims -= 1
-
-        if fused_kernel is None:
-
-            def at_rc():
-                if box:
-                    recv_cq = rqp.recv_cq
-                    if recv_cq is not None:
-                        recv_cq.push(WorkCompletion(
-                            wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                            opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                            qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                        ))
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-        else:
-            # Fused delivery: the CQE bypasses the CQ store (the parked
-            # poller must not wake); its delivery counters are replayed
-            # at the push instant and at_disp hands it to the real
-            # kernel dispatch.  The bypass is re-validated at t_rc: an
-            # interloping CQE (e.g. a small op overtaking this one on
-            # the second RNIC pipeline unit) may have woken the poller
-            # mid-chain, in which case the slow path would have
-            # *appended* this CQE behind it — at_rc then reverts to a
-            # real push and every receiver event happens for real.
-            wcbox = []
-
-            def at_rc():
-                if box:
-                    wc = WorkCompletion(
-                        wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                        qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                    )
-                    fstore = fcq._store
-                    if len(fstore._getters) == 1 and not fstore.items:
-                        # Receiver still (or again) cleanly parked: the
-                        # slow path would consume the getter right now.
-                        # Replay the delivery counters, arm the bypass
-                        # window, and pad the two enqueues the slow
-                        # path performs at this instant (getter succeed
-                        # + the poller's discovery timeout).
-                        wc.completed_at = t_rc
-                        fcq.pushed += 1
-                        fcq.polled += 1
-                        fcq.fp_bypass = True
-                        sim._seq += 2
-                        wcbox.append(wc)
-                    else:
-                        # Poller is awake (or has a backlog): land in
-                        # the store exactly as the slow path would.
-                        fcq.push(wc)
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-            def at_disp():
-                if wcbox:
-                    # t_rc is passed through verbatim: the wait charge
-                    # must be computed as (t_rc - park), never via
-                    # sim.now - discover (float addition is not
-                    # associative; the slow path charges at t_rc).
-                    fused_kernel._fp_deliver(wcbox[0], t_rc)
-                else:
-                    # Reverted (or SRQ mismodel): the real machinery
-                    # owns delivery; just retire the commit claim.
-                    fcq.fp_pending -= 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (t_rc, seq, at_rc))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        if fused_kernel is not None:
-            seq += 1
-            heappush(fpq, (t_disp, seq, at_disp))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    else:  # READ
-        box = []
+    if read_op:
 
         def at_mid():
             rpipe.release()
@@ -818,13 +670,7 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
             except ValueError:
                 box.append(b"")
                 fp_stats.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                fp_stats.mismodels += 1
-            if src_rx.in_use >= src_rx.capacity:
-                fp_stats.mismodels += 1
-            dst_tx.in_use += 1
-            src_rx.in_use += 1
+            turn_around()
 
         def at_t6():
             if lpipe.in_use >= lpipe.capacity:
@@ -833,300 +679,40 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
 
         def at_t7():
             lpipe.release()
-            wr.return_data = box[0] if box else b""
+            if wr is not None:
+                wr.return_data = box[0]
 
         seq += 1
         heappush(fpq, (t5, seq, at_mid))
         seq += 1
-        heappush(fpq, (r1, seq, table._rel_back))
+        heappush(fpq, (back, seq, table._rel_back))
         seq += 1
         heappush(fpq, (t6, seq, at_t6))
         seq += 1
         heappush(fpq, (t7, seq, at_t7))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
 
-    sim._seq = seq
-    return handle if make_handle else True
-
-
-def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
-    """Commit one leg of the RPC tri-post chain (raw unsignaled write).
-
-    Every RPC op issues three fire-and-forget posts through
-    ``raw_write_async``: the request append (WRITE_IMM into the server
-    ring), the server's head-pointer update (WRITE), and the reply
-    (WRITE_IMM into the caller's reply buffer).  Each leg used to pay
-    the full generic attempt — a SendWR allocation, the opcode
-    dispatch, and the signaled/CQE branches of :func:`try_fast_post`.
-    This entry checks the chain's conditions once per leg shape: the
-    per-(QP, ring) statics are certified through the CostTable stamp
-    system and the physical-MR memo (``_phys``/``_pregions``), and the
-    leg commits on the lean unsignaled inline timeline with no WR
-    object at all.  Returns True on commit; None leaves no state
-    touched — the caller then builds the WR and takes the generator
-    path, consuming the same wr_id the chain would have.
-    """
-    kernel = engine.kernel
-    sim = engine.sim
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return None
-    if sim._nowq:
-        return None
-    nbytes = len(data)
-    if nbytes == 0:
-        return None
-    fp_stats.chain_attempts += 1
-
-    pairs = kernel.qos.eligible_qps(peer, priority)
-    qp, window = pairs[peer._rr % len(pairs)]
-    if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
-        return None
-    pred = qp._last_remote_done
-    if pred is not None and pred.callbacks is not None:
-        return None
-    sq = qp._sq_slots
-    if sq.in_use >= sq.capacity:
-        return None
-    if window.in_use >= window.capacity:
-        return None
-
-    table = _table_for(qp)
-    if table is None:
-        return None
-    if table.src_node == table.dst_node:
-        return None
-    fabric = table.fabric
-    if fabric.fault is not None:
-        return None
-    src_port = table.src_port
-    dst_port = table.dst_port
-    if not src_port.up or not dst_port.up:
-        return None
-    if table.rdev.node.crashed:
-        return None
-    src_tx = table.src_tx
-    dst_rx = table.dst_rx
-    dst_tx = table.dst_tx
-    src_rx = table.src_rx
-    if src_tx.in_use or dst_rx.in_use or dst_tx.in_use or src_rx.in_use:
-        return None
-    lpipe = table.lpipe
-    rpipe = table.rpipe
-    if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return None
-
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    dst_qpn = table.dst_qpn
-    rkey = peer.global_rkey
-    # contains() inlined (pure membership; the LRU replay happens at
-    # commit via access()).
-    if (qp.qpn not in lrnic.qp_cache._entries
-            or dst_qpn not in rrnic.qp_cache._entries
-            or rkey not in rrnic.key_cache._entries):
-        return None
-
-    rdev = table.rdev
-    # Raw writes always target the peer's physical global MR, so after
-    # the first leg the identity/bounds come from the per-rkey memo and
-    # only the backing containment check runs per attempt.
-    phys = table._phys.get(rkey)
-    if phys is not None:
-        mr, base, end = phys
-        if mr.deregistered:
-            return None
-        if not (base <= addr and addr + nbytes <= end):
-            return None
-        if not (mr._access_bits & _NEED_REMOTE_WRITE):
-            return None
-        pages = ()
-        preg = table._pregions.get(rkey)
-        if (preg is not None and not preg[0].freed
-                and preg[1] <= addr and addr + nbytes <= preg[2]):
-            backing = preg[0]
-            reg_off = addr - preg[1]
-        else:
-            try:
-                backing, reg_off = mr._backing(addr - base, nbytes)
-            except ValueError:
-                return None
-            table._pregions[rkey] = (
-                backing, backing.addr, backing.addr + backing.size)
-    else:
-        mr = rdev.mrs_by_rkey.get(rkey)
-        if mr is None or mr.deregistered:
-            return None
-        base = mr.base_addr
-        if not (base <= addr and addr + nbytes <= base + mr.size):
-            return None
-        if not (mr._access_bits & _NEED_REMOTE_WRITE):
-            return None
-        try:
-            backing, reg_off = mr._backing(addr - base, nbytes)
-        except ValueError:
-            return None
-        if mr.physical:
-            pages = ()
-            table._phys[rkey] = (mr, base, base + mr.size)
-        else:
-            pages = tuple(mr.page_ids(addr - base, nbytes))
-    if pages and not rrnic.pte_cache.contains_all(pages):
-        return None
-
-    rqp = srq_source = srq_items = None
-    fused_kernel = fcq = None
-    if imm is not None:
-        rqp = table.rqp
-        if rqp is None or rqp is not rdev.qps.get(dst_qpn):
-            rqp = rdev.qps.get(dst_qpn)
-            table.rqp = rqp
-            if rqp is None:
-                return None
-        srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
-        if srq_source is not table.srq_source:
-            try:
-                srq_source._fp_claims
-            except AttributeError:
-                srq_source._fp_claims = 0
-            table.srq_source = srq_source
-            store = getattr(srq_source, "_store", srq_source)
-            table.srq_items = store.items
-        srq_items = table.srq_items
-        if len(srq_source) <= srq_source._fp_claims:
-            return None
-        lite = rdev.node.lite
-        if (lite is not None and lite._poller is not None
-                and lite.params.cq_poll_batch <= 1):
-            fcq = rqp.recv_cq
-            if fcq is not lite.recv_cq or fcq.fp_pending:
-                fcq = None
-            else:
-                cq_store = fcq._store
-                if (not cq_store.items
-                        and len(cq_store._getters) == 1
-                        and lite.fp_rpc_gate(imm, table.src_node, addr)):
-                    fused_kernel = lite
-                else:
-                    fcq = None
-
-    # ---- timeline (identical float-add order to try_fast_post) -------
-    dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    t0 = sim.now
-    t1 = t0 + table.doorbell
-    t2 = t1 + dur_l
-    t3 = t2 + ser
-    t4 = t3 + table.prop
-    t5 = t4 + dur_r
-    if imm is None:
-        a1 = t5 + table.ack_ser
-        t_end = (a1 + table.prop) + table.rnic_ack
-    else:
-        t_rc = t5 + table.completion_r
-        a1 = t_rc + table.ack_ser
-        t_end = (a1 + table.prop) + table.rnic_ack
-        if fused_kernel is not None:
-            t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
-    t_guard = t_end
-    if fused_kernel is not None and t_disp > t_guard:
-        t_guard = t_disp
-    if sim.fp_horizon() <= t_guard:
-        return None
-
-    # ---- commit ------------------------------------------------------
-    fp_stats.chain_commits += 1
-    qp.posted_sends += 1
-    done = sim.event()
-    qp._last_remote_done = done
-    # The slow path allocates a SendWR before the attempt; keep the
-    # process-global id counter aligned (its CQE never exists: every
-    # chain leg is unsignaled).
-    SendWR._next_id += 1
-
-    lrnic.qp_cache.access(qp.qpn)
-    rrnic.qp_cache.access(dst_qpn)
-    rrnic.key_cache.access(rkey)
-    if pages:
-        rrnic.pte_cache.access_many(pages)
-
-    lrnic.wqe_count += 1
-    lrnic.bytes_dma += nbytes
-    rrnic.wqe_count += 1
-    rrnic.bytes_dma += nbytes
-    fabric.total_bytes += wire_n + ACK_BYTES
-    fabric.transfer_count += 2
-    src_port.tx_bytes += wire_n
-    dst_port.rx_bytes += wire_n
-    dst_port.tx_bytes += ACK_BYTES
-    src_port.rx_bytes += ACK_BYTES
-
-    sq.in_use += 1
-    window.in_use += 1
-    lpipe.in_use += 1
-    rpipe.in_use += 1
-    src_tx.in_use += 1
-    dst_rx.in_use += 1
-    if srq_source is not None:
-        srq_source._fp_claims += 1
-    if fused_kernel is not None:
-        fcq.fp_pending += 1
-    peer._rr += 1
-    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
-
-    if imm is None:
-        core_pad = _CORE_PAD_WRITE
-    elif fused_kernel is None:
-        core_pad = _CORE_PAD_WRITE_IMM
-    else:
-        core_pad = _FUSED_IMM_PAD
-    seq = sim._seq + core_pad + extra_pad
-    fpq = sim._fpq
-
-    seq += 1
-    heappush(fpq, (t2, seq, table._rel_t2))
-    seq += 1
-    heappush(fpq, (t3, seq, table._rel_t3))
-
-    # The completion release pair is identical for every chain leg on
-    # this (QP, window); build it once.
-    ce = table._chain_end
-    if ce is None or ce[0] is not window:
-        def _end(sqr=sq.release, wrel=window.release):
-            sqr()
-            wrel()
-        table._chain_end = ce = (window, _end)
-    at_end = ce[1]
-
-    if imm is None:
+    elif opcode is Opcode.WRITE:
 
         def at_mid():
             rpipe.release()
             try:
-                backing.write(reg_off, data)
+                backing.write(reg_off, payload)
             except ValueError:
                 fp_stats.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                fp_stats.mismodels += 1
-            if src_rx.in_use >= src_rx.capacity:
-                fp_stats.mismodels += 1
-            dst_tx.in_use += 1
-            src_rx.in_use += 1
+            turn_around()
 
         seq += 1
         heappush(fpq, (t5, seq, at_mid))
         seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-    else:
-        box = []
+        heappush(fpq, (back, seq, table._rel_back))
+
+    else:  # WRITE_IMM
         src_node = table.src_node
 
         def at_mid():
             rpipe.release()
             try:
-                backing.write(reg_off, data)
+                backing.write(reg_off, payload)
             except ValueError:
                 fp_stats.mismodels += 1
             if srq_items:
@@ -1135,507 +721,262 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
                 fp_stats.mismodels += 1
             srq_source._fp_claims -= 1
 
-        if fused_kernel is None:
+        # Fused delivery: the CQE bypasses the CQ store (the parked
+        # poller must not wake); its delivery counters are replayed at
+        # the push instant and at_disp hands it to the real kernel
+        # dispatch.  The bypass is re-validated at t_rc: an interloping
+        # CQE (e.g. a small op overtaking this one on the second RNIC
+        # pipeline unit) may have woken the poller mid-chain, in which
+        # case the slow path would have *appended* this CQE behind it —
+        # at_rc then reverts to a real push and every receiver event
+        # happens for real.
+        wcbox = []
 
-            def at_rc():
-                if box:
+        def at_rc():
+            if box:
+                wc = WorkCompletion(
+                    wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
+                    opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
+                    qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
+                )
+                if fused_kernel is None:
                     recv_cq = rqp.recv_cq
                     if recv_cq is not None:
-                        recv_cq.push(WorkCompletion(
-                            wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                            opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                            qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                        ))
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-        else:
-            wcbox = []
-
-            def at_rc():
-                if box:
-                    wc = WorkCompletion(
-                        wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                        qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                    )
+                        recv_cq.push(wc)
+                else:
                     fstore = fcq._store
                     if len(fstore._getters) == 1 and not fstore.items:
+                        # Receiver still (or again) cleanly parked: the
+                        # slow path would consume the getter right now.
+                        # Replay the delivery counters and arm the
+                        # bypass window.
                         wc.completed_at = t_rc
                         fcq.pushed += 1
                         fcq.polled += 1
                         fcq.fp_bypass = True
-                        sim._seq += 2
                         wcbox.append(wc)
                     else:
+                        # Poller is awake (or has a backlog): land in
+                        # the store exactly as the slow path would.
                         fcq.push(wc)
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
+            turn_around()
 
-            def at_disp():
-                if wcbox:
-                    fused_kernel._fp_deliver(wcbox[0], t_rc)
-                else:
-                    fcq.fp_pending -= 1
+        def at_disp():
+            if wcbox:
+                # t_rc is passed through verbatim: the wait charge must
+                # be computed as (t_rc - park), never via sim.now -
+                # discover (float addition is not associative; the slow
+                # path charges at t_rc).
+                fused_kernel._fp_deliver(wcbox[0], t_rc)
+            else:
+                # Reverted (or SRQ mismodel): the real machinery owns
+                # delivery; just retire the commit claim.
+                fcq.fp_pending -= 1
 
         seq += 1
         heappush(fpq, (t5, seq, at_mid))
         seq += 1
         heappush(fpq, (t_rc, seq, at_rc))
         seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
+        heappush(fpq, (back, seq, table._rel_back))
         if fused_kernel is not None:
             seq += 1
             heappush(fpq, (t_disp, seq, at_disp))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
 
+    seq += 1
+    heappush(fpq, (t_end, seq, at_end))
     sim._seq = seq
+    return handle if want_handle else True
+
+
+def try_fast_post(qp, wr, window=None):
+    """Attempt run-to-completion execution of ``wr`` on ``qp``.
+
+    Returns the completion event (it succeeds with the WcStatus at the
+    op's completion instant; a READ's bytes land in ``wr.return_data``),
+    or ``None`` when any entry condition fails — in which case *no
+    state has been touched* and the caller must take the generator
+    path.  ``window`` is the LITE per-QP window resource to hold for
+    the op's lifetime.
+    """
+    sim = qp.sim
+    if not _armed(sim):
+        return None
+    fp_stats.attempts += 1
+
+    opcode = wr.opcode
+    if opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
+        payload = wr.inline_data
+        if payload is None or wr.sgl:
+            return None
+        nbytes = len(payload)
+    elif opcode is Opcode.READ:
+        if wr.sgl or wr.inline_data is not None:
+            return None
+        payload = None
+        nbytes = wr.read_length
+    else:
+        return None
+    if nbytes <= 0 or wr.delivered is not None:
+        return None
+    handle = _commit(qp, window, opcode, payload, nbytes, wr.rkey,
+                     wr.remote_addr, wr.imm, signaled=wr.signaled, wr=wr,
+                     plan=None, want_handle=True)
+    if handle is not None:
+        fp_stats.commits += 1
+    return handle
+
+
+def try_fast_chain(engine, peer, addr, data, imm, priority):
+    """Commit one leg of the RPC tri-post chain (raw unsignaled write).
+
+    Every RPC op issues three fire-and-forget posts through
+    ``raw_write_async``: the request append (WRITE_IMM into the server
+    ring), the server's head-pointer update (WRITE), and the reply
+    (WRITE_IMM into the caller's reply buffer).  This entry picks the
+    (qp, window) pair the slow path's round-robin would and commits the
+    leg with no WR object at all.  Returns True on commit (the RR bump
+    and the doorbell CPU charge are replayed here); None leaves no
+    state touched — the caller then builds the WR and takes the
+    generator path, consuming the same wr_id the commit would have.
+    """
+    sim = engine.sim
+    if not _armed(sim) or sim._nowq:
+        return None
+    nbytes = len(data)
+    if nbytes == 0:
+        return None
+    fp_stats.chain_attempts += 1
+
+    kernel = engine.kernel
+    pairs = kernel.qos.eligible_qps(peer, priority)
+    qp, window = pairs[peer._rr % len(pairs)]
+    opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM
+    if _commit(qp, window, opcode, data, nbytes, peer.global_rkey, addr,
+               imm, signaled=False, wr=None, plan=None,
+               want_handle=False) is None:
+        return None
+    fp_stats.chain_commits += 1
+    peer._rr += 1
+    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
     return True
 
 
 # ---------------------------------------------------------------------------
-# Vectorized multi-chunk commits (LT_write/LT_read fan-out in one pass)
+# Memoised single-piece plans (LT_write/LT_read through a chunked LMR)
 # ---------------------------------------------------------------------------
 #
-# A multi-chunk LMR op fans out into one RDMA op per touched chunk.  The
-# per-piece fast path above already collapses each piece, but the caller
-# still pays one attempt (entry checks, span resolution, WR allocation)
-# per piece per op plus an all_of barrier.  ``try_fast_post_vec``
-# commits the *entire* ``MappedLmr.plan()`` fan-out as one arithmetic
-# pass: the piece geometry and backing resolution are memoised per
-# (offset, len, kind) on the mapping (``mapping._fp_plans``, registered
-# in the first piece's CostTable for residency), and the k-piece
-# timeline — local-pipeline FIFO, the shared egress-link serialization
-# chain, per-peer ingress/ACK chains, the global return-link chain — is
-# solved closed-form in the slow path's float-add order.
-#
-# Entry is deliberately narrow so the closed form is exact:
-#   * every piece remote (a local memcpy piece interleaves CPU yields);
-#   * no replicas (the backup fan-out is its own barrier);
-#   * per peer, at most as many pieces as eligible QPs — each piece
-#     rides its own QP ((rr+j) mod K, exactly what the slow loop's
-#     round-robin would pick), so no same-QP predecessor chains;
-#   * every touched pipeline/port channel idle, all caches hot, no
-#     fault hook, horizon past the op's tail.
-# Any miss falls back to the per-piece path above, bit-exact by
-# construction.
+# An LMR op that touches one remote chunk — the only plan shape the
+# measured workloads ever commit — needs no WR, no span re-resolution
+# and no all_of barrier: its chunk lookup and backing resolution are memoised per
+# (offset, len, kind) on the mapping (``mapping._fp_plans``) and handed
+# to the one commit above.  Anything else (several chunks, a local
+# chunk) is memoised as a *negative* entry and rides the per-piece loop
+# in core/rdma.py, whose pieces each take the WR entry; see INTERNALS
+# §13 for the measurement behind that choice and what it costs.
 #
 # Invalidation: plans revalidate per attempt through
 # ``mapping.plan_version`` (bumped by ``retarget()`` on failover
-# promotion / chunk migration), each piece's ``mr.deregistered`` +
-# ``backing.freed`` flags, and the per-QP CostTable stamps (params,
-# RNIC cost_version).  ``Node.fastpath_fence`` additionally clears all
-# plan memos cluster-wide.
-
-# Slow-path enqueues per remote piece, counted from the LITE layer's
-# _post() (boot + instant window grant + completion) through the verbs
-# core (see the _CORE_PAD ledger: WRITE 18, READ 19 real slow enqueues)
-# plus the signaled completion timeout:
-#   WRITE: 1 + 1 + 18 + 1 + 1 = 22      READ: 1 + 1 + 19 + 1 + 1 = 23
-# plus one all_of-condition succeed per *op*.  The vec commit's real
-# enqueues are its dispatches + k order-done succeeds + the handle
-# succeed; the pad is the difference, computed per commit.
-_VEC_SLOW_PIECE = {Opcode.WRITE: 22, Opcode.READ: 23}
+# promotion / chunk migration), the piece's ``mr.deregistered`` +
+# ``backing.freed`` flags, and the QP's CostTable stamp (params, RNIC
+# cost_version).  ``Node.fastpath_fence`` additionally clears all plan
+# memos cluster-wide.
 
 
-class _VecPiece:
-    """One remote piece of a memoised multi-chunk plan."""
+class _Plan:
+    """Memoised target of one (offset, len, kind) access.
 
-    __slots__ = ("dst_node", "remote_addr", "rkey", "nbytes", "buf_off",
-                 "mr", "pages", "backing", "reg_off")
-
-
-class VecPlan:
-    """Memoised fan-out geometry for one (offset, len, kind) access.
-
-    ``ok=False`` marks a structurally unvectorizable access (a local
-    piece in the plan): the negative entry makes repeat attempts O(1)
-    instead of re-planning every op.  Structure is keyed to
-    ``plan_version``; dynamic state (QP choice, backing liveness,
+    ``mr is None`` marks an access the plan entry does not serve (more
+    than one piece, or a local piece): the negative entry makes repeat
+    attempts O(1) instead of re-planning every op.  Structure is keyed
+    to ``plan_version``; dynamic state (QP choice, backing liveness,
     caches, contention) is validated per attempt.
     """
 
-    __slots__ = ("plan_version", "ok", "pieces", "per_peer")
+    __slots__ = ("plan_version", "peer_id", "remote_addr", "rkey", "mr",
+                 "pages", "backing", "reg_off")
 
-    def __init__(self, plan_version, ok, pieces=(), per_peer=()):
+    def __init__(self, plan_version):
         self.plan_version = plan_version
-        self.ok = ok
-        self.pieces = pieces
-        # ((peer_lite_id, (piece_index, ...)), ...) in first-touch order.
-        self.per_peer = per_peer
+        self.mr = None
 
 
-def _build_vec_plan(kernel, mapping, offset, nbytes, opcode):
-    """Resolve a plan's geometry, or None when it must stay slow.
+def _build_plan(kernel, mapping, offset, nbytes, opcode):
+    """Resolve an access to its single remote piece.
 
-    Returns a VecPlan (possibly ok=False, which *is* memoised), or
-    None for conditions the slow path must surface itself (unknown or
-    dead peer, failed remote resolution) — those are not memoised.
+    Returns a _Plan (possibly negative, which *is* memoised), or None
+    for conditions the slow path must surface itself (unknown or dead
+    peer, failed remote resolution) — those are not memoised.
     """
-    lite_id = kernel.lite_id
-    need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
-    fabric = kernel.node.fabric
-    pieces = []
-    per_peer = {}
-    for chunk, chunk_off, piece_len, buf_off in mapping.plan(offset, nbytes):
-        if chunk.node_id == lite_id:
-            return VecPlan(mapping.plan_version, False)
-        peer = kernel.peers.get(chunk.node_id)
-        if peer is None or not peer.alive:
-            return None
-        # chunk.node_id is a LITE id; the fabric is keyed by node id.
-        rnode = fabric.nodes.get(peer.node_id)
-        if rnode is None or rnode._verbs_device is None:
-            return None
-        if chunk.rkey is not None:
-            remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-        else:
-            remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-        mr = rnode.device.mrs_by_rkey.get(rkey)
-        if mr is None or mr.deregistered:
-            return None
-        base = mr.base_addr
-        if not (base <= remote_addr
-                and remote_addr + piece_len <= base + mr.size):
-            return None
-        if not (mr._access_bits & need):
-            return None
-        try:
-            backing, reg_off = mr._backing(remote_addr - base, piece_len)
-        except ValueError:
-            return None
-        piece = _VecPiece()
-        piece.dst_node = chunk.node_id
-        piece.remote_addr = remote_addr
-        piece.rkey = rkey
-        piece.nbytes = piece_len
-        piece.buf_off = buf_off
-        piece.mr = mr
-        piece.pages = (() if mr.physical
-                       else tuple(mr.page_ids(remote_addr - base, piece_len)))
-        piece.backing = backing
-        piece.reg_off = reg_off
-        per_peer.setdefault(chunk.node_id, []).append(len(pieces))
-        pieces.append(piece)
-    if not pieces:
-        return VecPlan(mapping.plan_version, False)
-    fp_stats.plan_builds += 1
-    return VecPlan(
-        mapping.plan_version, True, tuple(pieces),
-        tuple((pid, tuple(idxs)) for pid, idxs in per_peer.items()),
-    )
-
-
-def _vec_return_chain(k, groups, t_req, dur):
-    """Solve the return-leg contention chain (ACK or READ response).
-
-    Each piece requests its peer's egress link (``tx_of[i]``) at
-    ``t_req[i]`` (FIFO per peer), then the shared home ingress link
-    (FIFO globally, by grant order), then serializes for ``dur[i]``.
-    Returns per-piece (tx grant, rx grant, serialization end) plus the
-    acquire/release shape: which acquires fold into the t5 dispatch,
-    which need an extra dispatch at the tx-grant instant, and which
-    releases are skipped because the successor was granted by them
-    (a handoff keeps ``in_use`` flat, so a foreign FIFO waiter queued
-    behind our pieces is never woken early).
-    """
-    d = [0.0] * k
-    u = [0.0] * k
-    end = [0.0] * k
-    tx_acq_now = [False] * k    # acquire peer-TX inside the t5 dispatch
-    rx_acq_now = [False] * k    # acquire home-RX inside the t5 dispatch
-    rx_acq_at_d = [False] * k   # extra dispatch at d[i] acquiring home-RX
-    tx_rel = [True] * k         # release peer-TX at end[i]
-    rx_rel = [True] * k         # release home-RX at end[i]
-    heap = []
-    queues = {}
-    for gi, (pid, idxs) in enumerate(groups):
-        q = sorted(idxs, key=lambda i: (t_req[i], i))
-        queues[gi] = (q, 0)
-        i = q[0]
-        heappush(heap, (t_req[i], t_req[i], i, gi))
-    tx_state = {}               # gi -> (free_at, last_piece)
-    rx_free = None
-    rx_last = -1
-    while heap:
-        _cd, _tr, i, gi = heappop(heap)
-        st = tx_state.get(gi)
-        if st is not None and t_req[i] < st[0]:
-            d[i] = st[0]
-            tx_rel[st[1]] = False           # handoff: holder never lets go
-        else:
-            d[i] = t_req[i]
-            tx_acq_now[i] = True
-        if rx_free is not None and d[i] < rx_free:
-            u[i] = rx_free
-            rx_rel[rx_last] = False         # handoff
-        else:
-            u[i] = d[i]
-            if d[i] == t_req[i]:
-                rx_acq_now[i] = True
-            else:
-                rx_acq_at_d[i] = True
-        end[i] = u[i] + dur[i]
-        tx_state[gi] = (end[i], i)
-        rx_free = end[i]
-        rx_last = i
-        q, pos = queues[gi]
-        pos += 1
-        queues[gi] = (q, pos)
-        if pos < len(q):
-            j = q[pos]
-            cand = end[i] if t_req[j] < end[i] else t_req[j]
-            heappush(heap, (cand, t_req[j], j, gi))
-    return d, u, end, tx_acq_now, rx_acq_now, rx_acq_at_d, tx_rel, rx_rel
-
-
-def _vec_pipe_pass(order, t_req, dur, cap):
-    """Solve one FIFO pass of a capacity-``cap`` RNIC pipeline.
-
-    ``order`` is the request order (piece order for the post pass, t6
-    order for the READ scatter pass).  Returns per-index (grant, end,
-    fresh, rel_real): ``fresh`` grants acquire a free slot at the grant
-    instant; non-fresh grants inherit the slot from the release whose
-    instant they got (that release is marked not-real).
-    """
-    grant = {}
-    end = {}
-    fresh = {}
-    rel_real = {}
-    active = []
-    for i in order:
-        r = t_req[i]
-        while active and active[0][0] <= r:
-            heappop(active)
-        if len(active) < cap:
-            g = r
-            fresh[i] = True
-        else:
-            rel_t, rel_i = heappop(active)
-            g = rel_t
-            fresh[i] = False
-            rel_real[rel_i] = False
-        grant[i] = g
-        e = g + dur[i]
-        end[i] = e
-        rel_real.setdefault(i, True)
-        heappush(active, (e, i))
-    return grant, end, fresh, rel_real
-
-
-def _vec_commit_single(engine, sim, kernel, mapping, key, plan, p, qp,
-                       window, table, peer, payload, read_op, opcode,
-                       t0, t1):
-    """Commit a validated single-piece plan (k == 1) straight-line.
-
-    The general chain solvers collapse to a linear float chain at
-    k == 1; this specialization emits exactly the dispatches the
-    general path would after its sort — the same instants, the same
-    same-instant order, the same pad — without building the per-piece
-    arrays, solving the FIFO chains, or sorting an action list.
-    """
-    nbytes = p.nbytes
-    dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    if read_op:
-        t2 = t1 + table.wqe_l
-        t3 = t2 + table.ser0
-    else:
-        t2 = t1 + dur_l
-        t3 = t2 + ser
-    t4 = t3 + table.prop
-    t5 = t4 + dur_r
-    if read_op:
-        r1 = t5 + ser
-        t6 = r1 + table.prop
-        t7 = t6 + dur_l
-        t_end = t7 + table.completion_l
-    else:
-        a1 = t5 + table.ack_ser
-        t_end = ((a1 + table.prop) + table.rnic_ack) + table.completion_l
-    if sim.fp_horizon() <= t_end:
+    plan = _Plan(mapping.plan_version)
+    pieces = mapping.plan(offset, nbytes)
+    if len(pieces) != 1:
+        return plan
+    chunk, chunk_off, piece_len, _buf_off = pieces[0]
+    if chunk.node_id == kernel.lite_id:
+        return plan
+    peer = kernel.peers.get(chunk.node_id)
+    if peer is None or not peer.alive:
         return None
-
-    # ---- commit (state mutations in the general path's order) --------
-    fp_stats.vec_commits += 1
-    treg = table._plans
-    if len(treg) >= _MEMO_MAX:
-        treg.clear()
-    treg[(id(mapping),) + key] = plan
-    qp.posted_sends += 1
-    done = sim.event()
-    qp._last_remote_done = done
-    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
-    peer._rr += 1
-    wr_id = SendWR._next_id + 1
-    SendWR._next_id = wr_id
-
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    lrnic.qp_cache.access(qp.qpn)
-    rrnic.qp_cache.access(table.dst_qpn)
-    rrnic.key_cache.access(p.rkey)
-    if p.pages:
-        rrnic.pte_cache.access_many(p.pages)
-    if read_op:
-        lrnic.qp_cache.access(qp.qpn)
-        lrnic.wqe_count += 2
-        out_b, back_b = _WIRE0, wire_n
+    # chunk.node_id is a LITE id; the fabric is keyed by node id.
+    rnode = kernel.node.fabric.nodes.get(peer.node_id)
+    if rnode is None or rnode._verbs_device is None:
+        return None
+    if chunk.rkey is not None:
+        remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
     else:
-        lrnic.wqe_count += 1
-        out_b, back_b = wire_n, ACK_BYTES
-    lrnic.bytes_dma += nbytes
-    rrnic.wqe_count += 1
-    rrnic.bytes_dma += nbytes
-    fabric = table.fabric
-    fabric.total_bytes += out_b + back_b
-    fabric.transfer_count += 2
-    src_port = table.src_port
-    dst_port = table.dst_port
-    src_port.tx_bytes += out_b
-    src_port.rx_bytes += back_b
-    dst_port.rx_bytes += out_b
-    dst_port.tx_bytes += back_b
-
-    lpipe = table.lpipe
-    rpipe = table.rpipe
-    src_tx = table.src_tx
-    src_rx = table.src_rx
-    dst_tx = table.dst_tx
-    dst_rx = table.dst_rx
-    lpipe.in_use += 1
-    src_tx.in_use += 1
-    dst_rx.in_use += 1
-    rpipe.in_use += 1
-    qp._sq_slots.in_use += 1
-    window.in_use += 1
-
-    handle = sim.event()
-    guard = fp_stats
-    pad = _VEC_SLOW_PIECE[opcode] + 1 - ((7 if read_op else 5) + 2)
-    seq = sim._seq + pad
-    fpq = sim._fpq
-
-    seq += 1
-    heappush(fpq, (t2, seq, table._rel_t2))
-    seq += 1
-    heappush(fpq, (t3, seq, table._rel_t3))
-
-    def at_end():
-        send_cq = qp.send_cq
-        if send_cq is not None:
-            send_cq.push(WorkCompletion(
-                wr_id=wr_id, status=WcStatus.SUCCESS, opcode=opcode,
-                byte_len=nbytes, imm=None, qp_num=qp.qpn,
-            ))
-        qp._sq_slots.release()
-        window.release()
-        if read_op:
-            handle.succeed(box[0] if box else b"")
-        else:
-            handle.succeed(WcStatus.SUCCESS)
-
-    if read_op:
-        box = []
-
-        def at_mid():
-            rpipe.release()
-            try:
-                box.append(p.backing.read(p.reg_off, nbytes))
-            except ValueError:
-                guard.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                guard.mismodels += 1
-            dst_tx.in_use += 1
-            if src_rx.in_use >= src_rx.capacity:
-                guard.mismodels += 1
-            src_rx.in_use += 1
-
-        def at_t6():
-            if lpipe.in_use >= lpipe.capacity:
-                guard.mismodels += 1
-            lpipe.in_use += 1
-
-        def at_t7():
-            lpipe.release()
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (r1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t6, seq, at_t6))
-        seq += 1
-        heappush(fpq, (t7, seq, at_t7))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-    else:
-
-        def at_mid():
-            rpipe.release()
-            try:
-                p.backing.write(p.reg_off, payload)
-            except ValueError:
-                guard.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                guard.mismodels += 1
-            dst_tx.in_use += 1
-            if src_rx.in_use >= src_rx.capacity:
-                guard.mismodels += 1
-            src_rx.in_use += 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    sim._seq = seq
-    return handle
+        remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
+    mr = rnode.device.mrs_by_rkey.get(rkey)
+    if mr is None or mr.deregistered:
+        return None
+    base = mr.base_addr
+    if not (base <= remote_addr and remote_addr + piece_len <= base + mr.size):
+        return None
+    need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
+    if not (mr._access_bits & need):
+        return None
+    try:
+        backing, reg_off = mr._backing(remote_addr - base, piece_len)
+    except ValueError:
+        return None
+    plan.peer_id = chunk.node_id
+    plan.remote_addr = remote_addr
+    plan.rkey = rkey
+    plan.mr = mr
+    plan.pages = (() if mr.physical
+                  else tuple(mr.page_ids(remote_addr - base, piece_len)))
+    plan.backing = backing
+    plan.reg_off = reg_off
+    fp_stats.plan_builds += 1
+    return plan
 
 
 def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
                       priority):
-    """Commit a whole multi-chunk fan-out as one arithmetic pass.
+    """Commit an LMR read/write whose plan is one remote piece.
 
     ``engine`` is the OneSidedEngine; ``payload`` is the caller's
     buffer for WRITE (None for READ).  Returns the completion handle —
-    an event succeeding at the op's last piece's completion instant
-    with WcStatus.SUCCESS (WRITE) or the assembled bytes (READ) — or
-    None, in which case nothing was touched and the caller must walk
-    the per-piece path.
+    an event succeeding at the op's completion instant with
+    WcStatus.SUCCESS (WRITE) or the bytes read (READ) — or None, in
+    which case nothing was touched and the caller must walk the
+    per-piece path.
     """
     sim = engine.sim
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return None
-    if sim._nowq:
+    if not _armed(sim) or sim._nowq:
         return None
     if mapping.replica_chunks or nbytes <= 0:
         return None
     fp_stats.vec_attempts += 1
     kernel = engine.kernel
 
-    # ---- plan memo ---------------------------------------------------
     key = (offset, nbytes, opcode is Opcode.READ)
     plans = mapping._fp_plans
     plan = plans.get(key)
     if plan is not None and plan.plan_version != mapping.plan_version:
         plan = None
     if plan is None:
-        plan = _build_vec_plan(kernel, mapping, offset, nbytes, opcode)
+        plan = _build_plan(kernel, mapping, offset, nbytes, opcode)
         if plan is None:
             return None
         if len(plans) >= _MEMO_MAX:
@@ -1643,390 +984,35 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
         plans[key] = plan
     else:
         fp_stats.plan_hits += 1
-    if not plan.ok:
+    mr = plan.mr
+    if mr is None:
         return None
 
-    # ---- dynamic validation (QPs, endpoints, contention, caches) -----
-    pieces = plan.pieces
-    k = len(pieces)
-    qos = kernel.qos
-    qps = [None] * k
-    windows = [None] * k
-    tables = [None] * k
-    groups = plan.per_peer
-    peer_objs = []
-    lpipe = None
-    for pid, idxs in groups:
-        peer = kernel.peers.get(pid)
-        if peer is None or not peer.alive:
-            return None
-        pairs = qos.eligible_qps(peer, priority)
-        npairs = len(pairs)
-        if len(idxs) > npairs:
-            return None
-        peer_objs.append(peer)
-        rr = peer._rr
-        first_table = None
-        for j, i in enumerate(idxs):
-            qp, window = pairs[(rr + j) % npairs]
-            if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
-                return None
-            pred = qp._last_remote_done
-            if pred is not None and pred.callbacks is not None:
-                return None
-            sq = qp._sq_slots
-            if sq.in_use >= sq.capacity:
-                return None
-            if window.in_use >= window.capacity:
-                return None
-            table = _table_for(qp)
-            if table is None:
-                return None
-            if (table.src_node == table.dst_node
-                    or table.dst_node != peer.node_id):
-                return None
-            if table.rdev.node.crashed:
-                return None
-            qps[i] = qp
-            windows[i] = window
-            tables[i] = table
-            if first_table is None:
-                first_table = table
-        # Per-peer path and responder pipeline, once per peer.
-        if not first_table.fabric.fp_path_clear(
-                first_table.src_port, first_table.dst_port):
-            return None
-        rpipe = first_table.rpipe
-        if rpipe.in_use or len(idxs) > rpipe.capacity:
-            return None
-        if lpipe is None:
-            lpipe = first_table.lpipe
-    if lpipe.in_use:
+    # The memoised piece must still be live and must belong to the
+    # device the chosen QP's table describes.
+    peer = kernel.peers.get(plan.peer_id)
+    if peer is None or not peer.alive:
         return None
-
-    lrnic = tables[0].lrnic
-    need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
-    for i in range(k):
-        p = pieces[i]
-        table = tables[i]
-        if not lrnic.qp_cache.contains(qps[i].qpn):
-            return None
-        rrnic = table.rrnic
-        if not rrnic.qp_cache.contains(table.dst_qpn):
-            return None
-        if not rrnic.key_cache.contains(p.rkey):
-            return None
-        if p.pages and not rrnic.pte_cache.contains_all(p.pages):
-            return None
-        if p.mr.deregistered:
-            return None
-        if p.backing.freed:
-            try:
-                p.backing, p.reg_off = p.mr._backing(
-                    p.remote_addr - p.mr.base_addr, p.nbytes)
-            except ValueError:
-                return None
-
-    # ---- timeline (slow path's float-add order throughout) -----------
-    t0 = sim.now
-    table0 = tables[0]
-    doorbell = table0.doorbell
-    prop = table0.prop
-    t1 = t0 + doorbell
-    read_op = opcode is Opcode.READ
-    if k == 1:
-        # Single-piece plan: the chains are trivial, so skip the
-        # general solvers and run the same straight-line arithmetic as
-        # try_fast_post — the win over the per-piece path is the
-        # memoised plan (no WR allocation, no span re-resolution, no
-        # all_of barrier).
-        return _vec_commit_single(
-            engine, sim, kernel, mapping, key, plan, pieces[0], qps[0],
-            windows[0], table0, peer_objs[0], payload, read_op, opcode,
-            t0, t1)
-    dur_l = [0.0] * k
-    dur_r = [0.0] * k
-    ser = [0.0] * k
-    wire = [0] * k
-    for i in range(k):
-        dur_l[i], dur_r[i], ser[i], wire[i] = tables[i].size_costs(
-            pieces[i].nbytes)
-    # Post pass through the local RNIC pipeline (READ WQEs carry no
-    # payload: occupancy is the bare WQE cost).
-    out_dur = [table0.wqe_l] * k if read_op else dur_l
-    piece_order = list(range(k))
-    t1_req = [t1] * k
-    _g1, t2, _fresh1, lrel1 = _vec_pipe_pass(
-        piece_order, t1_req, out_dur, lpipe.capacity)
-    t2 = [t2[i] for i in range(k)]
-
-    # Shared egress-link chain (FIFO by request = pipeline-exit order).
-    out_ser = [table0.ser0] * k if read_op else ser
-    order_out = sorted(piece_order, key=lambda i: (t2[i], i))
-    s = [0.0] * k
-    ser_end = [0.0] * k
-    stx_acq = [False] * k       # fresh src-TX acquire at s[i]
-    stx_rel = [True] * k        # real src-TX release at ser_end[i]
-    tx_free = None
-    tx_last = -1
-    for i in order_out:
-        if tx_free is not None and t2[i] < tx_free:
-            s[i] = tx_free
-            stx_rel[tx_last] = False        # handoff
-        else:
-            s[i] = t2[i]
-            stx_acq[i] = tx_last >= 0       # first piece: commit acquire
-        ser_end[i] = s[i] + out_ser[i]
-        tx_free = ser_end[i]
-        tx_last = i
-    # Peer ingress windows never overlap (the shared egress serializes
-    # same-peer pieces): granted at s[i], released at ser_end[i]; the
-    # first piece per peer is commit-acquired, later ones acquire at s.
-    drx_acq = [False] * k
-    seen_peer = set()
-    for i in order_out:
-        pid = pieces[i].dst_node
-        if pid in seen_peer:
-            drx_acq[i] = True
-        else:
-            seen_peer.add(pid)
-
-    t4 = [0.0] * k
-    t5 = [0.0] * k
-    for i in range(k):
-        t4[i] = ser_end[i] + prop
-        t5[i] = t4[i] + dur_r[i]
-
-    # Return leg: WRITE acks / READ responses share the same channel
-    # structure (peer egress FIFO per peer, home ingress FIFO global).
-    back_dur = ser if read_op else [table0.ack_ser] * k
-    (d_grant, _u, back_end, btx_acq_now, brx_acq_now, brx_acq_at_d,
-     btx_rel, brx_rel) = _vec_return_chain(k, groups, t5, back_dur)
-
-    parts = [b""] * k if read_op else None
-    if read_op:
-        t6 = [back_end[i] + prop for i in range(k)]
-        order_t6 = sorted(piece_order, key=lambda i: (t6[i], i))
-        g2, t7, fresh2, lrel2 = _vec_pipe_pass(
-            order_t6, t6, dur_l, lpipe.capacity)
-        t_end = [t7[i] + table0.completion_l for i in range(k)]
-    else:
-        rnic_ack = table0.rnic_ack
-        completion_l = table0.completion_l
-        t_end = [(back_end[i] + prop) + rnic_ack + completion_l
-                 for i in range(k)]
-
-    last = max(piece_order, key=lambda i: (t_end[i], i))
-    if sim.fp_horizon() <= t_end[last]:
+    pairs = kernel.qos.eligible_qps(peer, priority)
+    qp, window = pairs[peer._rr % len(pairs)]
+    remote = qp.remote
+    if remote is None or remote[0] != peer.node_id:
         return None
+    if mr.deregistered:
+        return None
+    if plan.backing.freed:
+        try:
+            plan.backing, plan.reg_off = mr._backing(
+                plan.remote_addr - mr.base_addr, nbytes)
+        except ValueError:
+            return None
 
-    # ---- commit ------------------------------------------------------
+    handle = _commit(qp, window, opcode, payload, nbytes, plan.rkey,
+                     plan.remote_addr, None, signaled=True, wr=None,
+                     plan=plan, want_handle=True)
+    if handle is None:
+        return None
     fp_stats.vec_commits += 1
-    # Register the plan against the first piece's CostTable: a fence
-    # that rotates the table garbage-collects this registry, and the
-    # mapping-side reference above revalidates through plan_version and
-    # the per-piece liveness flags either way.
-    treg = tables[0]._plans
-    if len(treg) >= _MEMO_MAX:
-        treg.clear()
-    treg[(id(mapping),) + key] = plan
-    params = engine.params
-    cpu = kernel.node.cpu
-    fabric = table0.fabric
-    src_port = table0.src_port
-    base_id = SendWR._next_id
-    SendWR._next_id = base_id + k
-    dones = [None] * k
-    for i in range(k):
-        qp = qps[i]
-        qp.posted_sends += 1
-        done = sim.event()
-        qp._last_remote_done = done
-        dones[i] = done
-        cpu.charge("lite-post", params.rnic_doorbell_us)
-    for gi, (pid, idxs) in enumerate(groups):
-        peer_objs[gi]._rr += len(idxs)
-
-    # Cache-hit replay in slow-path lookup order: the post pass touches
-    # the local QP cache in piece order; each responder's caches are
-    # touched at its arrival instants (t4 order per RNIC); the READ
-    # scatter pass touches the local QP cache again in grant order.
-    for i in piece_order:
-        lrnic.qp_cache.access(qps[i].qpn)
-    for i in sorted(piece_order, key=lambda i: (t4[i], i)):
-        table = tables[i]
-        rrnic = table.rrnic
-        rrnic.qp_cache.access(table.dst_qpn)
-        rrnic.key_cache.access(pieces[i].rkey)
-        if pieces[i].pages:
-            rrnic.pte_cache.access_many(pieces[i].pages)
-    if read_op:
-        for i in order_t6:
-            lrnic.qp_cache.access(qps[i].qpn)
-
-    # Counter replay (end-state equivalent).
-    for i in range(k):
-        nb = pieces[i].nbytes
-        table = tables[i]
-        rrnic = table.rrnic
-        if read_op:
-            lrnic.wqe_count += 2
-            out_b, back_b = _WIRE0, wire[i]
-        else:
-            lrnic.wqe_count += 1
-            out_b, back_b = wire[i], ACK_BYTES
-        lrnic.bytes_dma += nb
-        rrnic.wqe_count += 1
-        rrnic.bytes_dma += nb
-        fabric.total_bytes += out_b + back_b
-        fabric.transfer_count += 2
-        src_port.tx_bytes += out_b
-        src_port.rx_bytes += back_b
-        dst_port = table.dst_port
-        dst_port.rx_bytes += out_b
-        dst_port.tx_bytes += back_b
-
-    # Real holds (widened to commit time, per the module doctrine).
-    n_fresh1 = min(k, lpipe.capacity)
-    lpipe.in_use += n_fresh1
-    src_tx = table0.src_tx
-    src_rx = table0.src_rx
-    src_tx.in_use += 1
-    for gi, (pid, idxs) in enumerate(groups):
-        table = tables[idxs[0]]
-        table.dst_rx.in_use += 1
-        table.rpipe.in_use += len(idxs)
-    for i in range(k):
-        qps[i]._sq_slots.in_use += 1
-        windows[i].in_use += 1
-
-    if not read_op:
-        view = payload if type(payload) is memoryview else memoryview(payload)
-
-    # ---- dispatches --------------------------------------------------
-    # Generated phase-major (releases before the acquires that can tie
-    # with them), stable-sorted by time; pushed in that order so
-    # same-instant dispatches run in slow-path order.
-    actions = []
-    add = actions.append
-    handle = sim.event()
-    guard = fp_stats
-
-    for i in piece_order:                       # phase 0: post-pass exits
-        if lrel1.get(i, True):
-            add((t2[i], lambda lp=lpipe: lp.release()))
-    for i in piece_order:                       # phase 1: wire-out ends
-        def _serend(rx=tables[i].dst_rx, tx_real=stx_rel[i]):
-            rx.release()
-            if tx_real:
-                src_tx.release()
-        add((ser_end[i], _serend))
-    for i in piece_order:                       # phase 2: egress grants
-        # After the release phase: a fresh grant landing exactly at a
-        # predecessor's release instant must observe the release first
-        # (the slow path's release event carries the earlier seq).
-        acq = []
-        if stx_acq[i]:
-            acq.append(src_tx)
-        if drx_acq[i]:
-            acq.append(tables[i].dst_rx)
-        if acq:
-            def _acq(res_list=tuple(acq)):
-                for res in res_list:
-                    if res.in_use >= res.capacity:
-                        guard.mismodels += 1
-                    res.in_use += 1
-            add((s[i], _acq))
-    for i in piece_order:                       # phase 3: return-ser ends
-        def _backend(i=i, rx_real=brx_rel[i], tx_real=btx_rel[i]):
-            if rx_real:
-                src_rx.release()
-            if tx_real:
-                tables[i].dst_tx.release()
-        add((back_end[i], _backend))
-    for i in piece_order:                       # phase 4: responder done
-        p = pieces[i]
-        if read_op:
-            def _mid(i=i, p=p, rp=tables[i].rpipe,
-                     tx=tables[i].dst_tx, tx_now=btx_acq_now[i],
-                     rx_now=brx_acq_now[i], done=dones[i]):
-                rp.release()
-                try:
-                    parts[i] = p.backing.read(p.reg_off, p.nbytes)
-                except ValueError:
-                    guard.mismodels += 1
-                done.succeed()
-                if tx_now:
-                    if tx.in_use >= tx.capacity:
-                        guard.mismodels += 1
-                    tx.in_use += 1
-                if rx_now:
-                    if src_rx.in_use >= src_rx.capacity:
-                        guard.mismodels += 1
-                    src_rx.in_use += 1
-        else:
-            piece_payload = view[p.buf_off:p.buf_off + p.nbytes]
-
-            def _mid(p=p, data=piece_payload, rp=tables[i].rpipe,
-                     tx=tables[i].dst_tx, tx_now=btx_acq_now[i],
-                     rx_now=brx_acq_now[i], done=dones[i]):
-                rp.release()
-                try:
-                    p.backing.write(p.reg_off, data)
-                except ValueError:
-                    guard.mismodels += 1
-                done.succeed()
-                if tx_now:
-                    if tx.in_use >= tx.capacity:
-                        guard.mismodels += 1
-                    tx.in_use += 1
-                if rx_now:
-                    if src_rx.in_use >= src_rx.capacity:
-                        guard.mismodels += 1
-                    src_rx.in_use += 1
-        add((t5[i], _mid))
-    for i in piece_order:                       # phase 5: deferred RX grab
-        if brx_acq_at_d[i]:
-            def _rxacq():
-                if src_rx.in_use >= src_rx.capacity:
-                    guard.mismodels += 1
-                src_rx.in_use += 1
-            add((d_grant[i], _rxacq))
-    if read_op:
-        for i in order_t6:                      # phase 6: scatter exits
-            if lrel2.get(i, True):
-                add((t7[i], lambda lp=lpipe: lp.release()))
-        for i in order_t6:                      # phase 7: scatter grants
-            if fresh2[i]:
-                def _lacq():
-                    if lpipe.in_use >= lpipe.capacity:
-                        guard.mismodels += 1
-                    lpipe.in_use += 1
-                add((g2[i], _lacq))
-    for i in piece_order:                       # phase 8: completions
-        def _end(i=i, qp=qps[i], window=windows[i],
-                 wr_id=base_id + 1 + i, is_last=(i == last)):
-            send_cq = qp.send_cq
-            if send_cq is not None:
-                send_cq.push(WorkCompletion(
-                    wr_id=wr_id, status=WcStatus.SUCCESS, opcode=opcode,
-                    byte_len=pieces[i].nbytes, imm=None, qp_num=qp.qpn,
-                ))
-            qp._sq_slots.release()
-            window.release()
-            if is_last:
-                if read_op:
-                    handle.succeed(parts[0] if k == 1 else b"".join(parts))
-                else:
-                    handle.succeed(WcStatus.SUCCESS)
-        add((t_end[i], _end))
-
-    actions.sort(key=lambda a: a[0])
-    pad = _VEC_SLOW_PIECE[opcode] * k + 1 - (len(actions) + k + 1)
-    seq = sim._seq + pad
-    fpq = sim._fpq
-    for t, fn in actions:
-        seq += 1
-        heappush(fpq, (t, seq, fn))
-    sim._seq = seq
+    peer._rr += 1
+    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
     return handle

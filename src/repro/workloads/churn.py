@@ -8,15 +8,16 @@ one-sided ops, and detaches, returning its conn to the
 *abandon* instead of detaching, exercising the lease-expiry sweeper.
 
 :func:`run_churn` is the driver used by the churn test battery
-(tests/test_qp_pool.py), the ``churn`` bench mix (tools/bench.py) and
-the sec2.4-adjacent figure (benchmarks/test_sec24_churn.py);
+(tests/test_qp_pool.py) and the sec2.4-adjacent figure
+(benchmarks/test_sec24_churn.py);
 :func:`churn_point` is the module-level (picklable) sweep point for
 serial==parallel byte-identity sweeps.
 
 Everything is seeded: arrival gaps come from one ``random.Random(seed)``
 stream, session ids are sequential, and the stats fingerprint
 ``(sim.now, sim._seq)`` is bit-identical across repeat runs with the
-same seed — with or without the fast path.
+same seed in the same fast-path mode (``sim.now`` also across modes;
+``_seq`` counts real enqueues, and a fast run makes fewer).
 """
 
 from __future__ import annotations

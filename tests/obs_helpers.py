@@ -72,11 +72,8 @@ def scenario_read64_warm():
 def scenario_write_4chunk():
     """One 64KB LT_write fanning out over four 16KB chunks.
 
-    Locks the multi-chunk op decomposition (per-chunk doorbells, fabric
-    hops, and coalesced completion) that the vectorized fast path
-    (``try_fast_post_vec``) must mirror arithmetically: any drift in the
-    striping schedule shows up here before it can silently re-shape the
-    vectorized cost chains.
+    Locks the per-piece path's multi-chunk op decomposition (per-chunk
+    doorbells, fabric hops, and coalesced completion).
     """
     from repro.hw.params import SimParams
 

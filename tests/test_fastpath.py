@@ -1,11 +1,13 @@
 """Run-to-completion fast path: equivalence and cost-table invalidation.
 
 The contract under test (docs/INTERNALS.md §13): with the fast path on,
-every observable — final simulated time, the event sequence counter,
-and the whole-cluster :class:`~repro.stats.Snapshot` — is *bit-identical*
-to a run with ``REPRO_NO_FASTPATH=1``.  The property test drives
-randomized mixed workloads (one-sided ops of many sizes, RPCs, and a
-seeded fault plan) through both modes and compares at quiescence.
+every observable — final simulated time, per-op outcomes, and the
+whole-cluster :class:`~repro.stats.Snapshot` — is *bit-identical* to a
+run with ``REPRO_NO_FASTPATH=1``.  (``Simulator._seq`` is not one of
+them: it counts real enqueues, and a fast run makes fewer.)  The
+property test drives randomized mixed workloads (one-sided ops of many
+sizes, RPCs, and a seeded fault plan) through both modes and compares
+at quiescence.
 
 Comparison happens only after ``sim.run()`` drains every in-flight op:
 the fast path accounts counters at commit time while the generator path
@@ -110,7 +112,7 @@ def _run_workload(seed: int, fastpath: bool, faults: bool):
         cluster.run_process(driver())
         cluster.sim.run()  # drain in-flight tails before comparing
         snap = dataclasses.asdict(snapshot(cluster))
-        return cluster.sim.now, cluster.sim._seq, snap, errors
+        return cluster.sim.now, snap, errors
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
@@ -127,9 +129,8 @@ def test_fastpath_equivalence_randomized(seed, faults):
     fast = _run_workload(seed, fastpath=True, faults=faults)
     slow = _run_workload(seed, fastpath=False, faults=faults)
     assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "event sequence counter diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "op outcomes diverged"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "op outcomes diverged"
 
 
 def _run_crash_burst(fastpath: bool):
@@ -184,7 +185,7 @@ def _run_crash_burst(fastpath: bool):
         # and the driver's settle window already drains in-flight tails.
         cluster.run_process(driver())
         snap = dataclasses.asdict(snapshot(cluster))
-        return (sim.now, sim._seq, snap, outcomes,
+        return (sim.now, snap, outcomes,
                 recovery.promotions, recovery.rejoins)
     finally:
         if saved is None:
@@ -197,21 +198,21 @@ def test_crash_mid_burst_fastpath_ab_identity():
     """Regression for the fast-path/fault interplay (ISSUE 7 satellite):
     a QP entering ERROR or its peer crashing/rejoining must fence every
     primed CostTable, so a mid-burst crash produces bit-identical sim
-    time, event order, snapshots, and op outcomes with the fast path on
-    vs ``REPRO_NO_FASTPATH=1`` — a stale table committing against the
-    dead (or post-restart remapped) peer would diverge all four."""
+    time, snapshots, op outcomes, and recovery lifecycle with the fast
+    path on vs ``REPRO_NO_FASTPATH=1`` — a stale table committing
+    against the dead (or post-restart remapped) peer would diverge all
+    four."""
     commits_before = fp_stats.commits
     fast = _run_crash_burst(fastpath=True)
     assert fp_stats.commits > commits_before, \
         "the burst must actually exercise fast-path commits"
     slow = _run_crash_burst(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "event sequence counter diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "op outcomes diverged"
-    assert fast[4:] == slow[4:], "recovery lifecycle diverged"
-    assert fast[4] >= 1, "the crash must trigger a promotion"
-    assert fast[5] >= 1, "the restart must trigger a rejoin"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "op outcomes diverged"
+    assert fast[3:] == slow[3:], "recovery lifecycle diverged"
+    assert fast[3] >= 1, "the crash must trigger a promotion"
+    assert fast[4] >= 1, "the restart must trigger a rejoin"
 
 
 def _run_retry_storm(fastpath: bool):
@@ -259,7 +260,7 @@ def _run_retry_storm(fastpath: bool):
         sim.run()  # drain straggler retries / late replies
         snap = dataclasses.asdict(snapshot(cluster))
         cache = kernels[2].rpc._reply_cache
-        return (sim.now, sim._seq, snap, outcomes,
+        return (sim.now, snap, outcomes,
                 cache.stats.hits, cache.stats.installs)
     finally:
         if saved is None:
@@ -276,11 +277,10 @@ def test_retry_storm_reply_cache_fastpath_ab_identity():
     fast = _run_retry_storm(fastpath=True)
     slow = _run_retry_storm(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "event sequence counter diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "op outcomes diverged"
-    assert fast[4:] == slow[4:], "reply-cache activity diverged"
-    assert fast[4] > 0, \
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "op outcomes diverged"
+    assert fast[3:] == slow[3:], "reply-cache activity diverged"
+    assert fast[3] > 0, \
         "the storm must actually resend answered tokens (cache hits)"
 
 
@@ -322,7 +322,7 @@ def _run_ring_wrap_burst(fastpath: bool):
         appended = sum(20 + size for size in payload_sizes) * 20
         assert appended > 5 * params.lite_rpc_ring_bytes
         snap = dataclasses.asdict(snapshot(cluster))
-        return sim.now, sim._seq, snap, outcomes
+        return sim.now, snap, outcomes
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
@@ -345,9 +345,8 @@ def test_ring_wrap_mid_burst_fastpath_ab_identity():
         "wrapping appends must decline the fused chain"
     slow = _run_ring_wrap_burst(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "event sequence counter diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "op outcomes diverged"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "op outcomes diverged"
 
 
 def test_kill_switch_disables_commits():
@@ -467,3 +466,125 @@ def test_fast_post_rejects_tracer_and_disabled():
         assert try_fast_post(qp, wr) is None
     finally:
         cluster.sim.tracer = None
+
+
+# ---------------------------------------------------------------------------
+# The one commit: horizon floor, and three entries onto one timeline
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("opcode_name", ["WRITE", "WRITE_IMM", "READ"])
+def test_horizon_floor_strictly_below_completion(opcode_name):
+    """``CostTable.floor`` feeds the early horizon reject, which is only
+    free if it can never reject what the exact check would accept: the
+    floor must sit strictly below every committed completion delay."""
+    from repro.core.protocol import pack_reply_imm
+    from repro.verbs.wr import Opcode, SendWR
+
+    opcode = Opcode[opcode_name]
+    cluster = Cluster(2)
+    kernels = lite_boot(cluster)
+    sim = cluster.sim
+    sim.fastpath_enabled = True  # also under the REPRO_NO_FASTPATH=1 leg
+    peer = kernels[0].peers[kernels[1].lite_id]
+    qp, window = peer.qps[0], peer.windows[0]
+    sink = kernels[1].node.memory.alloc(1 * MB)
+    # One generator-path write warms the QP and key caches on both ends.
+    cluster.run_process(
+        kernels[0].onesided.raw_write(kernels[1].lite_id, sink.addr, b"w")
+    )
+    # An unknown reply token: the receiving kernel dispatches and drops it.
+    imm = pack_reply_imm(12345) if opcode is Opcode.WRITE_IMM else None
+    for nbytes in (1, 64, 4096, 1 * MB):
+        for signaled in (True, False):
+            if opcode is Opcode.READ:
+                wr = SendWR(opcode, remote_addr=sink.addr,
+                            rkey=peer.global_rkey, read_length=nbytes,
+                            signaled=signaled)
+            else:
+                wr = SendWR(opcode, inline_data=b"f" * nbytes,
+                            remote_addr=sink.addr, rkey=peer.global_rkey,
+                            imm=imm, signaled=signaled)
+            posted = sim.now
+            handle = try_fast_post(qp, wr, window)
+            assert handle is not None, (nbytes, signaled)
+            sim.run(stop=handle)
+            floor = qp._fp_table.floor
+            assert floor > 0.0
+            assert posted + floor < sim.now, (nbytes, signaled)
+            sim.run()  # drain the fused delivery tail before the next post
+
+
+def _one_write(entry: str, fastpath: bool):
+    """One 512 B write through the named entry; returns the completion
+    instant, the quiescent instant, the bytes that landed, and which
+    ``fp_stats`` commit counters the op moved."""
+    saved = os.environ.get("REPRO_NO_FASTPATH")
+    _with_fastpath(fastpath)
+    reset_global_counters()
+    try:
+        cluster = Cluster(3)
+        kernels = lite_boot(cluster)
+        sim = cluster.sim
+        ctx = LiteContext(kernels[0], "entry", kernel_level=True)
+        sink = kernels[1].node.memory.alloc(4096)
+        payload = bytes(range(256)) * 2
+        holder = {}
+
+        def driver():
+            # Warm both RNICs' SRAM so the measured op can commit (raw
+            # writes round-robin the shared QPs: one warm-up per QP).
+            if entry == "chain":
+                for _ in kernels[0].peers[kernels[1].lite_id].qps:
+                    kernels[0].onesided.raw_write_async(
+                        kernels[1].lite_id, sink.addr + 1024, b"w" * 512
+                    )
+                    yield sim.timeout(10.0)
+            else:
+                holder["lh"] = yield from ctx.lt_malloc(
+                    64 * 1024, nodes=2, replicas=1 if entry == "wr" else 0
+                )
+                yield from ctx.lt_write(holder["lh"], 0, b"w" * 512)
+            yield sim.timeout(50.0)
+            before = (fp_stats.vec_commits, fp_stats.commits,
+                      fp_stats.chain_commits)
+            if entry == "chain":
+                kernels[0].onesided.raw_write_async(
+                    kernels[1].lite_id, sink.addr, payload
+                )
+            else:
+                yield from ctx.lt_write(holder["lh"], 1024, payload)
+            holder["done_at"] = sim.now
+            holder["moved"] = tuple(
+                now > was for now, was in zip(
+                    (fp_stats.vec_commits, fp_stats.commits,
+                     fp_stats.chain_commits), before)
+            )
+
+        cluster.run_process(driver())
+        sim.run()
+        quiet_at = sim.now
+        if entry == "chain":
+            landed = sink.read(0, 512)
+        else:
+            landed = cluster.run_process(ctx.lt_read(holder["lh"], 1024, 512))
+        return holder["done_at"], quiet_at, landed == payload, holder["moved"]
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = saved
+
+
+@pytest.mark.parametrize("entry,moved", [
+    ("plan", (True, False, False)),    # lt_write, plain LMR
+    ("wr", (False, True, False)),      # lt_write, replicated LMR
+    ("chain", (False, False, True)),   # raw_write_async
+], ids=["plan", "wr", "chain"])
+def test_three_entries_one_timeline(entry, moved):
+    """The same write through each public entry commits on that entry
+    and completes at the instant the generator path completes it."""
+    fast = _one_write(entry, fastpath=True)
+    slow = _one_write(entry, fastpath=False)
+    assert fast[3] == moved, "the op must commit on the named entry only"
+    assert slow[3] == (False, False, False)
+    assert fast[2] and slow[2], "the payload must land"
+    assert fast[:2] == slow[:2], "completion instants diverged"

@@ -1,17 +1,18 @@
-"""Vectorized multi-chunk fast path: A/B equivalence and crash fencing.
+"""Plan entry and multi-chunk fan-out: A/B equivalence and crash fencing.
 
-Satellite coverage for the ISSUE 10 tentpole (docs/INTERNALS.md §13):
-``try_fast_post_vec`` commits an entire ``MappedLmr.plan()`` fan-out as
-one arithmetic pass, so every multi-chunk shape must stay *bit-identical*
-to the generator path — local+remote chunk straddles, replica fan-out
-(``replicas=k``), sparse scattered sub-ranges whose plans land on
-different memo keys, active fault plans, and a primary crash mid-transfer
-(failover promotion retargets the mapping and must orphan every memoised
-plan before a stale layout can commit).
+``try_fast_post_vec`` serves LMR ops whose plan is one remote piece
+from a per-mapping memo (docs/INTERNALS.md §13); every other shape —
+local+remote chunk straddles, multi-chunk ops, replica fan-out
+(``replicas=k``) — falls through to the per-piece loop, whose pieces
+each try the WR entry.  All of it must stay *bit-identical* to the
+generator path: sparse scattered sub-ranges whose plans land on
+different memo keys, active fault plans, and a primary crash
+mid-transfer (failover promotion retargets the mapping and must orphan
+every memoised plan before a stale layout can commit).
 
-As in test_fastpath.py, comparison happens only at quiescence: the
-vectorized commit accounts counters at commit time, so mid-flight
-snapshots may legally differ — end states may not.
+As in test_fastpath.py, comparison happens only at quiescence: a commit
+accounts counters at commit time, so mid-flight snapshots may legally
+differ — end states may not.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import LiteContext, LiteError, lite_boot
+from repro.core import LiteContext, LiteError, Permission, lite_boot
 from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import SimParams
@@ -107,7 +108,7 @@ def _run_vec_workload(seed: int, fastpath: bool, faults: bool):
         cluster.run_process(driver())
         sim.run()  # drain in-flight tails before comparing
         snap = dataclasses.asdict(snapshot(cluster))
-        return sim.now, sim._seq, snap, errors
+        return sim.now, snap, errors
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
@@ -118,23 +119,25 @@ def _run_vec_workload(seed: int, fastpath: bool, faults: bool):
 @pytest.mark.parametrize("seed", [3, 41])
 @pytest.mark.parametrize("faults", [False, True])
 def test_vec_equivalence_randomized(seed, faults):
-    vec_before = fp_stats.vec_commits
+    commits_before = fp_stats.commits + fp_stats.vec_commits
     mismodels_before = fp_stats.mismodels
     fast = _run_vec_workload(seed, fastpath=True, faults=faults)
     if not faults:
-        assert fp_stats.vec_commits > vec_before, \
-            "the workload must actually exercise vectorized commits"
+        assert fp_stats.commits + fp_stats.vec_commits > commits_before, \
+            "the workload must actually exercise fast-path commits"
         assert fp_stats.mismodels == mismodels_before, \
-            "clean vectorized runs must not widen any hold"
+            "clean runs must not widen any hold"
     slow = _run_vec_workload(seed, fastpath=False, faults=faults)
     assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "event sequence counter diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "op outcomes diverged"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "op outcomes diverged"
 
 
-def test_plan_memo_reused_across_repeats():
-    """Repeating one shape must hit the plan memo, not rebuild it."""
+def _repeat_one_shape(offset: int, size: int):
+    """Eight writes of one (offset, size) into a 4-chunk LMR.
+
+    Returns the mapping plus the ``fp_stats`` deltas of the burst.
+    """
     saved = os.environ.get("REPRO_NO_FASTPATH")
     _with_fastpath(True)
     reset_global_counters()
@@ -151,26 +154,52 @@ def test_plan_memo_reused_across_repeats():
             )
 
         cluster.run_process(setup())
-        builds_before = fp_stats.plan_builds
-        hits_before = fp_stats.plan_hits
+        before = {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
 
         def driver():
             for index in range(8):
                 yield from ctx.lt_write(
-                    holder["lh"], CHUNK // 2, bytes([index]) * (2 * CHUNK)
+                    holder["lh"], offset, bytes([index]) * size
                 )
 
         cluster.run_process(driver())
         cluster.sim.run()
-        assert fp_stats.plan_builds - builds_before <= 2, \
-            "one shape repeated must not rebuild its plan every op"
-        assert fp_stats.plan_hits - hits_before >= 6, \
-            "repeats of one shape must hit the plan memo"
+        delta = {name: getattr(fp_stats, name) - before[name]
+                 for name in fp_stats.__slots__}
+        return holder["lh"].require(ctx, Permission.WRITE), delta
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
         else:
             os.environ["REPRO_NO_FASTPATH"] = saved
+
+
+def test_plan_memo_reused_across_repeats():
+    """Repeating one single-chunk shape must hit the plan memo."""
+    _mapping, delta = _repeat_one_shape(CHUNK // 2, 4096)
+    assert delta["plan_builds"] <= 2, \
+        "one shape repeated must not rebuild its plan every op"
+    assert delta["plan_hits"] >= 6, \
+        "repeats of one shape must hit the plan memo"
+    assert delta["vec_commits"] >= 6, \
+        "the memoised plan must commit (the first op may miss a cold cache)"
+    assert delta["mismodels"] == 0
+
+
+def test_multi_chunk_shape_memoised_negatively():
+    """A 3-chunk shape is planned once, memoised as a negative entry and
+    never re-planned; its pieces ride the per-piece path."""
+    mapping, delta = _repeat_one_shape(CHUNK // 2, 2 * CHUNK)
+    assert len(mapping.plan(CHUNK // 2, 2 * CHUNK)) == 3
+    assert list(mapping._fp_plans) == [(CHUNK // 2, 2 * CHUNK, False)]
+    assert mapping._fp_plans[(CHUNK // 2, 2 * CHUNK, False)].mr is None
+    assert delta["vec_attempts"] == 8
+    assert delta["plan_builds"] == 0, "a negative plan is not a build"
+    assert delta["plan_hits"] == 7, "seven repeats, seven O(1) memo hits"
+    assert delta["vec_commits"] == 0
+    assert delta["attempts"] == 24, "three pieces per op try the WR entry"
+    assert delta["commits"] > 0
+    assert delta["mismodels"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +244,7 @@ def _run_vec_crash_burst(fastpath: bool):
         def driver():
             for index in range(40):
                 # Every op straddles at least two chunks, so the burst
-                # rides the vectorized path right up to the crash.
+                # rides the per-piece fall-through right up to the crash.
                 offset = (index * 8192) % CHUNK
                 size = CHUNK + 16384
                 try:
@@ -233,7 +262,7 @@ def _run_vec_crash_burst(fastpath: bool):
 
         cluster.run_process(driver())
         snap = dataclasses.asdict(snapshot(cluster))
-        return (sim.now, sim._seq, snap, outcomes,
+        return (sim.now, snap, outcomes,
                 recovery.promotions, recovery.rejoins)
     finally:
         if saved is None:
@@ -248,17 +277,16 @@ def test_mid_transfer_crash_vec_ab_identity():
     Guards the ISSUE 10 satellite fix: failover promotion remaps
     ``lh -> (node, addr)`` via ``MappedLmr.retarget`` (plan_version bump
     + memo clear) and ``node.fastpath_fence`` drops plan memos cluster-
-    wide — a stale vectorized plan committing against the promoted-away
-    layout would diverge time, seq, snapshot, and outcomes."""
-    vec_before = fp_stats.vec_commits
+    wide — a stale plan committing against the promoted-away layout
+    would diverge time, snapshot, and outcomes."""
+    commits_before = fp_stats.commits + fp_stats.vec_commits
     fast = _run_vec_crash_burst(fastpath=True)
-    assert fp_stats.vec_commits > vec_before, \
-        "the burst must actually exercise vectorized commits"
+    assert fp_stats.commits + fp_stats.vec_commits > commits_before, \
+        "the burst must actually exercise fast-path commits"
     slow = _run_vec_crash_burst(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "event sequence counter diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "op outcomes diverged"
-    assert fast[4:] == slow[4:], "recovery lifecycle diverged"
-    assert fast[4] >= 1, "the crash must trigger a promotion"
-    assert fast[5] >= 1, "the restart must trigger a rejoin"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "op outcomes diverged"
+    assert fast[3:] == slow[3:], "recovery lifecycle diverged"
+    assert fast[3] >= 1, "the crash must trigger a promotion"
+    assert fast[4] >= 1, "the restart must trigger a rejoin"

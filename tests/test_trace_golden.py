@@ -64,8 +64,8 @@ def test_golden_read64_warm():
 
 
 def test_golden_write_4chunk():
-    """A 64KB write over four 16KB chunks: the per-chunk striping
-    schedule the vectorized fast path replays arithmetically."""
+    """A 64KB write over four 16KB chunks: the generator path's
+    per-chunk striping schedule."""
     _check_golden("write_4chunk")
 
 

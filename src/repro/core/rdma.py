@@ -104,7 +104,7 @@ class OneSidedEngine:
             yield window.request()
             try:
                 kernel.node.cpu.charge("lite-post", params.rnic_doorbell_us)
-                status = yield qp.post_send(wr)
+                status = yield qp.post_send_generator(wr)
             finally:
                 window.release()
             if status not in _RETRYABLE:

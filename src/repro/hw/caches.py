@@ -12,7 +12,8 @@ registering a single physical-address MR and sharing K×N QPs.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from itertools import islice
+from typing import Hashable, Iterable, Sequence
 
 __all__ = ["LruCache", "LruDict", "CacheStats"]
 
@@ -137,13 +138,27 @@ class LruCache:
                 return False
         return True
 
-    def _install(self, key: Hashable) -> None:
+    def predict_misses(self, keys: "Sequence[Hashable]") -> "int | None":
+        """How many of ``keys`` :meth:`access_many` would miss; no update.
+
+        ``keys`` must be distinct.  Returns None when the answer depends
+        on the access itself: an early miss's install could evict a page
+        that is resident now before its own turn comes.  The victims of
+        the access's evictions are a prefix of the current LRU order, so
+        the count is exact whenever that prefix holds none of ``keys``.
+        """
         entries = self._entries
-        if len(entries) >= self.capacity:
-            del entries[next(iter(entries))]
-            self.stats.evictions += 1
-        entries[key] = None
-        self.stats.installs += 1
+        misses = 0
+        for key in keys:
+            if key not in entries:
+                misses += 1
+        evictions = len(entries) + misses - self.capacity
+        if misses and evictions > 0 and misses < len(keys):
+            wanted = set(keys)
+            for victim in islice(entries, evictions):
+                if victim in wanted:
+                    return None
+        return misses
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry (e.g., MR deregistration); True if present."""

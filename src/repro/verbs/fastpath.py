@@ -3,7 +3,8 @@
 The generator datapath walks ~10 frames per op (`api` → `kernel` → `qp`
 → `rnic` → `fabric`), each suspension costing a scheduler round trip —
 even when nothing can actually block.  This module detects that
-uncontended case at post time and executes the whole op as arithmetic:
+uncontended case at post time (for a native ``qp.post_send``: at the
+WR's own start hop) and executes the whole op as arithmetic:
 the timeline every layer *would* produce is computed from a per-QP cost
 table, the synchronous state transitions are applied immediately, and
 the handful of transitions that land later (resource releases, the
@@ -13,10 +14,12 @@ per distinct instant instead of one event per transition.
 
 There is exactly one commit (:func:`_commit`): one entry pass, one
 timeline, one state replay, one dispatch set for WRITE / WRITE_IMM /
-READ.  The three public entries differ only in how they find the target
-— :func:`try_fast_post` from a posted ``SendWR``, :func:`try_fast_chain`
-from a raw write's (peer, address), :func:`try_fast_post_vec` from a
-memoised single-piece LMR plan — never in the timeline.
+READ.  The four public entries differ only in how they find the target
+— :func:`try_fast_post` from a ``SendWR`` LITE is about to post,
+:func:`try_fast_start` from one ``qp.post_send`` already prepared,
+:func:`try_fast_chain` from a raw write's (peer, address),
+:func:`try_fast_post_vec` from a memoised single-piece LMR plan — never
+in the timeline.
 
 Two-sided traffic fuses one step further: when a write-imm lands on a
 LITE kernel whose batch==1 poller is parked on the destination CQ, the
@@ -51,8 +54,10 @@ Soundness rests on two pillars:
 
 What still deviates, by design (all counter/LRU-state end-equivalent,
 none timing-visible under the horizon check; see INTERNALS §13):
-cache recency is replayed at commit time rather than at the lookup
-instants, and byte counters (fabric/RNIC/port) are applied at commit.
+cache lookups are replayed at commit time rather than at the lookup
+instants (a *miss*, which installs and may evict, only from the native
+start hop with no committed op in flight), and byte counters
+(fabric/RNIC/port) are applied at commit.
 Residual mismodels (a resource found full at an acquire instant, an SRQ
 drained by a foreign consumer mid-flight) are counted in ``fp_stats``.
 
@@ -70,8 +75,8 @@ from heapq import heappush
 from .wr import (ACK_BYTES, Access, Opcode, SendWR, WcStatus, WorkCompletion,
                  wire_bytes)
 
-__all__ = ["try_fast_post", "try_fast_post_vec", "try_fast_chain",
-           "prime_qp", "fp_stats", "FastPathStats"]
+__all__ = ["try_fast_post", "try_fast_start", "try_fast_post_vec",
+           "try_fast_chain", "prime_qp", "fp_stats", "FastPathStats"]
 
 _NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
 _NEED_REMOTE_READ = Access.REMOTE_READ.value
@@ -86,36 +91,41 @@ _MEMO_MAX = 512
 class FastPathStats:
     """Module-wide fast-path telemetry (host-side only, not sim state).
 
-    ``attempts``/``commits`` count the WR entry, ``chain_*`` the
-    raw-write entry, ``vec_*`` and ``plan_*`` the plan entry.
+    ``attempts``/``commits`` count the WR entries (LITE's post-time one
+    and the native start-hop one), ``chain_*`` the raw-write entry,
+    ``vec_*`` and ``plan_*`` the plan entry.  Every declined attempt is
+    also counted once, under the first entry condition that failed (the
+    ``rej_*`` counters; INTERNALS §13 lists what each check covers), so
+    attempts = commits + rejects.  All plain ints: consumers snapshot
+    ``__slots__`` and subtract.
     """
 
     __slots__ = ("attempts", "commits", "mismodels", "table_builds",
                  "vec_attempts", "vec_commits", "plan_builds", "plan_hits",
-                 "chain_attempts", "chain_commits")
+                 "chain_attempts", "chain_commits",
+                 "rej_shape", "rej_qp_state", "rej_pred", "rej_sq",
+                 "rej_nowq", "rej_table", "rej_pipeline", "rej_port",
+                 "rej_floor", "rej_miss", "rej_target", "rej_recv",
+                 "rej_horizon")
 
     def __init__(self):
         self.reset()
 
     def reset(self) -> None:
-        self.attempts = 0
-        self.commits = 0
-        self.mismodels = 0
-        self.table_builds = 0
-        self.vec_attempts = 0
-        self.vec_commits = 0
-        self.plan_builds = 0
-        self.plan_hits = 0
-        self.chain_attempts = 0
-        self.chain_commits = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def __repr__(self) -> str:
-        return (f"FastPathStats(attempts={self.attempts}, "
-                f"commits={self.commits}, mismodels={self.mismodels}, "
-                f"vec_commits={self.vec_commits})")
+        return "FastPathStats(%s)" % ", ".join(
+            f"{name}={getattr(self, name)}" for name in self.__slots__)
 
 
 fp_stats = FastPathStats()
+
+
+def _no(reason: str) -> None:
+    """Count a declined attempt under its first failing condition."""
+    setattr(fp_stats, reason, getattr(fp_stats, reason) + 1)
 
 
 class CostTable:
@@ -385,15 +395,46 @@ def _armed(sim) -> bool:
     return sim.fastpath_enabled and sim.tracer is None
 
 
+def _lookup_cost(rnic, qpn, key, pages):
+    """Miss penalties one RNIC stage's lookups would add, from probes.
+
+    Non-mutating, summed in the generator's order (QP, then key, then
+    the PTE penalty added once per miss) so the stage duration stays
+    bit-identical; all hits give exactly ``0.0``.  ``key`` is None for
+    a stage that resolves no MR.  Returns None when the PTE probe
+    cannot predict what the replay will do.
+    """
+    params = rnic.params
+    cost = 0.0 if rnic.qp_cache.contains(qpn) else params.qp_miss_penalty_us
+    if key is not None:
+        if not rnic.key_cache.contains(key):
+            cost += params.mr_key_miss_penalty_us
+        misses = rnic.pte_cache.predict_misses(pages) if pages else 0
+        if misses is None:
+            return None
+        if misses:
+            pte = 0.0
+            for _ in range(misses):
+                pte += params.pte_miss_penalty_us
+            cost += pte
+    return cost
+
+
 def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
-            wr, plan, want_handle):
+            wr, plan, want_handle, pred=None, prepared=False):
     """Run one WRITE / WRITE_IMM / READ to completion, or touch nothing.
 
-    The single commit behind all three entries.  ``wr`` is the posted
+    The single commit behind all four entries.  ``wr`` is the posted
     ``SendWR`` or None (the id counter is then bumped arithmetically so
     a fall-back op mints the same id either way); ``plan`` is a
     memoised, revalidated target (see :class:`_Plan`) or None (the
-    target is resolved through the table's span memo).  Returns the
+    target is resolved through the table's span memo).  ``prepared``
+    marks the native entry: ``QueuePair._prepare`` ran at post time
+    (``pred`` and ``wr._order_done`` are its RC order link; nothing is
+    bumped twice) and the attempt comes from the WR's own start hop —
+    the only place a commit may touch state *earlier* than the generator
+    path would (a miss installing, a local SGE gathered, at t0), and
+    then only while no committed op is in flight.  Returns the
     completion handle — it succeeds at the op's completion instant with
     ``WcStatus.SUCCESS``, or with the READ bytes when there is no ``wr``
     to carry them — or True when ``want_handle`` is false; None when any
@@ -408,41 +449,42 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     completion time before any resolution or timeline work.
     """
     if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
-        return None
-    pred = qp._last_remote_done
+        return _no("rej_qp_state")
+    if not prepared:
+        pred = qp._last_remote_done
     if pred is not None and pred.callbacks is not None:
-        return None
+        return _no("rej_pred")
     sq = qp._sq_slots
     if sq.in_use >= sq.capacity:
-        return None
+        return _no("rej_sq")
     if window is not None and window.in_use >= window.capacity:
-        return None
+        return _no("rej_sq")
     sim = qp.sim
     if sim._nowq:
-        return None
+        return _no("rej_nowq")
 
     table = _table_for(qp)
     if table is None:
-        return None
+        return _no("rej_table")
     lpipe = table.lpipe
     rpipe = table.rpipe
     if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return None
+        return _no("rej_pipeline")
     fabric = table.fabric
     src_port = table.src_port
     dst_port = table.dst_port
     # No fault hook (fused chains assume lossless delivery), both links
     # up, all four port channels idle.
     if not fabric.fp_path_clear(src_port, dst_port):
-        return None
+        return _no("rej_port")
     if table.src_node == table.dst_node:
-        return None  # loopback short-circuits the wire; keep it slow
+        return _no("rej_port")  # loopback short-circuits the wire
     # Belt and suspenders against a dead/remapped peer: a crash downs
     # the link (caught above) and fences every table (cost_version), but
     # a *rebuilt* table toward a crashed-flag node must still decline.
     rdev = table.rdev
     if rdev.node.crashed:
-        return None
+        return _no("rej_port")
 
     # Nothing ordinary may be scheduled at or before completion: any
     # such event could observe (or perturb) the op mid-flight.  The
@@ -451,20 +493,8 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     t0 = sim.now
     horizon = sim.fp_horizon()
     if horizon <= t0 + table.floor:
-        return None
+        return _no("rej_floor")
 
-    # All SRAM lookups must hit, so every lookup cost is exactly 0.0 and
-    # the precomputed occupancies apply.  Probes are non-mutating; the
-    # hits are replayed (for LRU recency and stats) at commit below.
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    dst_qpn = table.dst_qpn
-    if not lrnic.qp_cache.contains(qp.qpn):
-        return None
-    if not rrnic.qp_cache.contains(dst_qpn):
-        return None
-    if not rrnic.key_cache.contains(rkey):
-        return None
     read_op = opcode is Opcode.READ
     if plan is not None:
         pages = plan.pages
@@ -475,10 +505,40 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             rkey, addr, nbytes,
             _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
         if target is None:
-            return None
+            return _no("rej_target")
         pages, backing, reg_off = target
-    if pages and not rrnic.pte_cache.contains_all(pages):
-        return None
+
+    # SRAM lookups (QP, key, PTEs on both RNICs).  Probes are
+    # non-mutating; every lookup is replayed with the real access() at
+    # commit below, so installs, evictions, recency and stats end as the
+    # generator path leaves them.
+    lrnic = table.lrnic
+    rrnic = table.rrnic
+    dst_qpn = table.dst_qpn
+    sge = wr.sgl[0] if wr is not None and wr.sgl else None
+    if prepared and not sim._fpq:
+        # Start hop, nothing committed in flight: misses are priced.
+        lkey = lpages = None
+        if sge is not None:
+            lmr = sge.mr
+            if lmr.region is None or lmr.region.freed:
+                return _no("rej_shape")
+            lkey = lmr.lkey
+            lpages = lmr.page_ids(sge.offset, sge.length)
+        cost_l = _lookup_cost(lrnic, qp.qpn, lkey, lpages)
+        cost_r = _lookup_cost(rrnic, dst_qpn, rkey, pages)
+        if cost_l is None or cost_r is None:
+            return _no("rej_miss")
+    elif (sge is not None
+          or not lrnic.qp_cache.contains(qp.qpn)
+          or not rrnic.qp_cache.contains(dst_qpn)
+          or not rrnic.key_cache.contains(rkey)
+          or (pages and not rrnic.pte_cache.contains_all(pages))):
+        # Post time (the posting handler may still post a same-instant
+        # sibling) or committed ops in flight: all-hit, inline only.
+        return _no("rej_miss")
+    else:
+        cost_l = cost_r = 0.0
 
     rqp = srq_source = srq_items = None
     fused_kernel = fcq = None
@@ -488,7 +548,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             rqp = rdev.qps.get(dst_qpn)
             table.rqp = rqp
             if rqp is None:
-                return None
+                return _no("rej_target")
         srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
         if srq_source is not table.srq_source:
             try:
@@ -500,7 +560,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             table.srq_items = store.items
         srq_items = table.srq_items
         if len(srq_source) <= srq_source._fp_claims:
-            return None
+            return _no("rej_recv")
         # Fused two-sided delivery: eligible when the destination is a
         # LITE kernel whose batch==1 poll loop is the sole parked getter
         # on this recv CQ, no earlier fused delivery is outstanding, and
@@ -526,10 +586,17 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
                         fcq = None
 
     # ---- timeline (floats accumulated in the slow path's add order) ----
+    # A stage is ``(wqe + lookup cost) + dma``; the memoised occupancies
+    # are the all-hit case (``x + 0.0 == x``).
     dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
+    if cost_r:
+        dur_r = ((table._rparams.rnic_wqe_process_us + cost_r)
+                 + table._rparams.dma_time(nbytes))
+    if cost_l and not read_op:          # a READ's scatter pass all-hits
+        dur_l = (table.wqe_l + cost_l) + table._lparams.dma_time(nbytes)
     t1 = t0 + table.doorbell            # doorbell MMIO
     if read_op:
-        t2 = t1 + table.wqe_l           # request WQE carries no payload
+        t2 = t1 + (table.wqe_l + cost_l)  # request WQE carries no payload
         t3 = t2 + table.ser0
     else:
         t2 = t1 + dur_l                 # local lookups + payload DMA
@@ -560,23 +627,32 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         if t_disp > t_guard:
             t_guard = t_disp
     if horizon <= t_guard:
-        return None
+        return _no("rej_horizon")
 
     # ---- commit ------------------------------------------------------
-    qp.posted_sends += 1
-    done = sim.event()
-    qp._last_remote_done = done
+    if prepared:
+        done = wr._order_done
+    else:
+        qp.posted_sends += 1
+        done = sim.event()
+        qp._last_remote_done = done
+        if wr is not None:
+            wr._order_done = done
     if wr is not None:
-        wr._order_done = done
         wr_id = wr.wr_id
+        if payload is None and not read_op:
+            payload = qp._gather(wr)
     else:
         # The slow path allocates a SendWR before posting; keep the
         # process-global id counter aligned.
         wr_id = SendWR._next_id + 1
         SendWR._next_id = wr_id
 
-    # Cache-hit replay, in slow-path lookup order (LRU recency + stats).
+    # Lookup replay, in slow-path order (installs, recency, stats).
     lrnic.qp_cache.access(qp.qpn)
+    if sge is not None:
+        lrnic.key_cache.access(lkey)
+        lrnic.pte_cache.access_many(lpages)
     rrnic.qp_cache.access(dst_qpn)
     rrnic.key_cache.access(rkey)
     if pages:
@@ -680,7 +756,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         def at_t7():
             lpipe.release()
             if wr is not None:
-                wr.return_data = box[0]
+                qp._scatter(wr, box[0])
 
         seq += 1
         heappush(fpq, (t5, seq, at_mid))
@@ -789,8 +865,39 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     return handle if want_handle else True
 
 
+def _try_wr(qp, wr, window, pred, prepared):
+    """The WR entries: size up a posted ``SendWR`` and call the commit."""
+    if not _armed(qp.sim):
+        return None
+    fp_stats.attempts += 1
+
+    opcode = wr.opcode
+    sgl = wr.sgl
+    payload = wr.inline_data
+    if opcode is Opcode.READ:
+        if payload is not None:
+            return _no("rej_shape")
+        nbytes = sgl[0].length if sgl else wr.read_length
+    elif opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
+        if payload is not None:
+            nbytes = len(payload)
+        else:
+            nbytes = sgl[0].length if sgl else 0
+    else:
+        return _no("rej_shape")
+    if nbytes <= 0 or len(sgl) > 1 or wr.delivered is not None:
+        return _no("rej_shape")
+    handle = _commit(qp, window, opcode, payload, nbytes, wr.rkey,
+                     wr.remote_addr, wr.imm, wr.signaled, wr, None, True,
+                     pred, prepared)
+    if handle is not None:
+        fp_stats.commits += 1
+    return handle
+
+
 def try_fast_post(qp, wr, window=None):
-    """Attempt run-to-completion execution of ``wr`` on ``qp``.
+    """Attempt run-to-completion execution of ``wr`` on ``qp`` at post
+    time, in place of ``qp.post_send(wr)`` (LITE's per-piece loops).
 
     Returns the completion event (it succeeds with the WcStatus at the
     op's completion instant; a READ's bytes land in ``wr.return_data``),
@@ -799,32 +906,22 @@ def try_fast_post(qp, wr, window=None):
     path.  ``window`` is the LITE per-QP window resource to hold for
     the op's lifetime.
     """
-    sim = qp.sim
-    if not _armed(sim):
-        return None
-    fp_stats.attempts += 1
+    return _try_wr(qp, wr, window, None, False)
 
-    opcode = wr.opcode
-    if opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
-        payload = wr.inline_data
-        if payload is None or wr.sgl:
-            return None
-        nbytes = len(payload)
-    elif opcode is Opcode.READ:
-        if wr.sgl or wr.inline_data is not None:
-            return None
-        payload = None
-        nbytes = wr.read_length
-    else:
-        return None
-    if nbytes <= 0 or wr.delivered is not None:
-        return None
-    handle = _commit(qp, window, opcode, payload, nbytes, wr.rkey,
-                     wr.remote_addr, wr.imm, signaled=wr.signaled, wr=wr,
-                     plan=None, want_handle=True)
-    if handle is not None:
-        fp_stats.commits += 1
-    return handle
+
+def try_fast_start(qp, wr, pred):
+    """The native Verbs entry: attempt the commit from the start hop of
+    a WR that ``qp.post_send`` already prepared (``pred`` is the RC
+    predecessor ``_prepare`` returned).
+
+    Called by the WR's own process on its first resume — the instant
+    and queue position where ``_execute`` would start — never from the
+    posting handler: that handler has parked or ended by now and the
+    commit requires an empty now-queue, so nothing else can be posted
+    at this instant behind a committed op.  Same contract as
+    :func:`try_fast_post`; a READ scatters into its SGE when it has one.
+    """
+    return _try_wr(qp, wr, None, pred, True)
 
 
 def try_fast_chain(engine, peer, addr, data, imm, priority):
@@ -978,7 +1075,7 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     if plan is None:
         plan = _build_plan(kernel, mapping, offset, nbytes, opcode)
         if plan is None:
-            return None
+            return _no("rej_target")
         if len(plans) >= _MEMO_MAX:
             plans.clear()
         plans[key] = plan
@@ -986,26 +1083,26 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
         fp_stats.plan_hits += 1
     mr = plan.mr
     if mr is None:
-        return None
+        return _no("rej_shape")
 
     # The memoised piece must still be live and must belong to the
     # device the chosen QP's table describes.
     peer = kernel.peers.get(plan.peer_id)
     if peer is None or not peer.alive:
-        return None
+        return _no("rej_target")
     pairs = kernel.qos.eligible_qps(peer, priority)
     qp, window = pairs[peer._rr % len(pairs)]
     remote = qp.remote
     if remote is None or remote[0] != peer.node_id:
-        return None
+        return _no("rej_target")
     if mr.deregistered:
-        return None
+        return _no("rej_target")
     if plan.backing.freed:
         try:
             plan.backing, plan.reg_off = mr._backing(
                 plan.remote_addr - mr.base_addr, nbytes)
         except ValueError:
-            return None
+            return _no("rej_target")
 
     handle = _commit(qp, window, opcode, payload, nbytes, plan.rkey,
                      plan.remote_addr, None, signaled=True, wr=None,

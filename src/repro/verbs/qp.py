@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 
 from ..hw.fabric import TransferDropped
 from ..sim import Process, Resource, Simulator, Store
+from .fastpath import try_fast_start
 from .wr import (
     ACK_BYTES,
     Access,
@@ -237,6 +238,31 @@ class QueuePair:
         ignored for connected QPs.
         """
         dst, predecessor = self._prepare(wr, dst)
+        if self._is_rc and wr.opcode in _ONE_SIDED:
+            body = self._start(wr, dst, predecessor)
+        else:
+            body = self._execute(wr, dst, predecessor)
+        return self.sim.process(body, name=f"qp{self.qpn}-send")
+
+    def _start(self, wr: SendWR, dst, predecessor):
+        """Body of a posted one-sided RC WR: commit it whole, or execute.
+
+        First resumed at the process's bootstrap hop — the instant and
+        queue position where :meth:`_execute` starts — which is where
+        the run-to-completion commit is tried (verbs/fastpath.py).  A
+        committed WR is arithmetic plus a few dispatches; this process
+        only waits for its completion handle.
+        """
+        handle = try_fast_start(self, wr, predecessor)
+        if handle is None:
+            return (yield from self._execute(wr, dst, predecessor))
+        return (yield handle)
+
+    def post_send_generator(self, wr: SendWR) -> Process:
+        """:meth:`post_send` straight onto the generator path, for a
+        caller whose own post-time commit attempt was just declined
+        (LITE's ``_post``): the WR must not pay a second reject."""
+        dst, predecessor = self._prepare(wr, None)
         return self.sim.process(
             self._execute(wr, dst, predecessor), name=f"qp{self.qpn}-send"
         )

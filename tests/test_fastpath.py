@@ -133,6 +133,29 @@ def test_fastpath_equivalence_randomized(seed, faults):
     assert fast[2] == slow[2], "op outcomes diverged"
 
 
+def test_every_declined_attempt_counts_one_reason():
+    """Reject reasons are data: over a mixed LITE workload (with and
+    without a fault plan) attempts == commits + the ``rej_*`` counters,
+    all plain ints, and ``repr`` reports every counter family."""
+    before = {slot: getattr(fp_stats, slot) for slot in fp_stats.__slots__}
+    _run_workload(23, fastpath=True, faults=False)
+    _run_workload(23, fastpath=True, faults=True)
+    delta = {slot: getattr(fp_stats, slot) - before[slot]
+             for slot in fp_stats.__slots__}
+    assert all(type(getattr(fp_stats, slot)) is int
+               for slot in fp_stats.__slots__)
+    attempts = (delta["attempts"] + delta["vec_attempts"]
+                + delta["chain_attempts"])
+    commits = delta["commits"] + delta["vec_commits"] + delta["chain_commits"]
+    rejects = {slot: count for slot, count in delta.items()
+               if slot.startswith("rej_") and count}
+    assert commits > 0 and len(rejects) >= 3, rejects
+    assert attempts == commits + sum(rejects.values())
+    text = repr(fp_stats)
+    assert all(f"{slot}={getattr(fp_stats, slot)}" in text
+               for slot in fp_stats.__slots__)
+
+
 def _run_crash_burst(fastpath: bool):
     """A write burst whose target node crashes (and restarts) mid-burst,
     with keep-alive + lease recovery armed; returns end-state observables."""

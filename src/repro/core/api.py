@@ -108,6 +108,21 @@ class LiteContext:
 
         return wait
 
+    def _fusable(self) -> bool:
+        """May a crossing-fused twin stand in for the generator legs?
+
+        The twins (``RpcEngine.call_fast``, ``_lt_reply_recv_fast``)
+        price the stock user-level adaptive wait arithmetically, so a
+        context whose ``_waiter`` was overridden — on the instance or in
+        a subclass, as the adaptive-wait ablation does — must stay on
+        the generator path, the only one that asks ``_waiter()``.
+        """
+        sim = self.sim
+        return (not self.kernel_level and sim.fastpath_enabled
+                and sim.tracer is None
+                and getattr(self._waiter, "__func__", None)
+                is LiteContext._waiter)
+
     def _metadata(self):
         """Kernel-side lh mapping + permission check cost (§5.3)."""
         cost = self.params.lite_metadata_us
@@ -589,8 +604,7 @@ class LiteContext:
         attempted before :class:`RpcTimeoutError`; the server suppresses
         duplicates, so retries are safe for non-idempotent handlers.
         """
-        if (timeout is None and not self.kernel_level
-                and self.sim.fastpath_enabled and self.sim.tracer is None):
+        if timeout is None and self._fusable():
             # Crossing-fused twin: same timeline and CPU ledger, with
             # the deterministic syscall/wait segments committed onto the
             # fp-queue (retries are moot without a timeout).
@@ -651,8 +665,7 @@ class LiteContext:
     @traced_op("op.lt_reply_recv", nbytes=lambda a: len(a[1]))
     def lt_reply_recv(self, call, data: bytes, func_id: int):
         """Optimized reply-then-receive (§5.2): one crossing for both."""
-        if (not self.kernel_level and self.sim.fastpath_enabled
-                and self.sim.tracer is None):
+        if self._fusable():
             next_call = yield from self._lt_reply_recv_fast(call, data, func_id)
             return next_call
         yield from self._enter()

@@ -4,13 +4,12 @@ from .engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
     Timeout,
 )
-from .resources import FairResource, Gauge, PriorityResource, Resource, Signal, Store
+from .resources import FairResource, Resource, Store
 
 __all__ = [
     "Simulator",
@@ -19,12 +18,8 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "Resource",
     "FairResource",
-    "PriorityResource",
     "Store",
-    "Signal",
-    "Gauge",
 ]

@@ -14,22 +14,22 @@ frequently allocated event kind — are recycled through a free-list pool
 once the engine can prove (via the reference count) that no simulation
 code still holds them.
 
-The scheduler itself is a three-tier hybrid (see docs/INTERNALS.md §12):
+The scheduler has two tiers (see docs/INTERNALS.md §12):
 
 - a FIFO *now-queue* for events due at the current instant (process
   resumptions, ``succeed()``/``fail()``, zero timeouts) — the majority
   of all enqueues, served with no comparisons and no tuple allocation;
-- a 256-slot, 1 µs-granularity *timer wheel* for near-future timeouts
-  (wire/processing delays), each slot a tiny heap;
-- the original binary *heap* for far-future or irregular deadlines
-  (RPC timeouts, keep-alive timers).
+- one binary *heap* keyed ``(time, seq)`` for every later deadline.
+  Pending timers peak at 40 on the benchmark workloads and ~100
+  over the figure suite, where a C ``heappush`` is a handful of tuple
+  comparisons; a nearer tier in front of it measured slower.
 
-The total order is identical to a single heap keyed ``(time, seq)``:
-``seq`` increments on every enqueue, heap and wheel entries carry it
-explicitly, and now-queue entries are provably newer (larger ``seq``)
-than any same-timestamp entry elsewhere, so FIFO order *is* seq order.
-Cancelled events are discarded lazily at the queue front and compacted
-wholesale when they exceed half of all pending entries.
+The total order is that of a single heap keyed ``(time, seq)``:
+``seq`` increments on every enqueue, heap entries carry it explicitly,
+and now-queue entries are provably newer (larger ``seq``) than any
+same-timestamp heap entry, so FIFO order *is* seq order.  Cancelled
+events are discarded lazily at the queue front and compacted wholesale
+when they exceed half of all pending entries.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
@@ -57,26 +56,12 @@ class SimulationError(Exception):
     """Raised for illegal uses of the simulation API."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 PENDING = object()
 
 # Cap on the recycled-Timeout free list (objects, not bytes).
 _TIMEOUT_POOL_MAX = 4096
 # Cap on the recycled plain-Event free list.
 _EVENT_POOL_MAX = 4096
-
-# Timer wheel geometry: 256 slots of 1 us each.  Delays that land within
-# the 256 us horizon go to a per-slot mini-heap; everything farther (or
-# irregular) stays in the overflow heap.
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
 
 # Lazy-cancellation compaction: rebuild the queues once cancelled
 # entries outnumber live ones, but never bother below this many.
@@ -156,10 +141,6 @@ class Event:
             sim._enqueue(delay, self)
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     @property
     def cancelled(self) -> bool:
         """True once cancel() was called before the callbacks ran."""
@@ -183,8 +164,7 @@ class Event:
         cancelled = sim._ncancelled + 1
         sim._ncancelled = cancelled
         if (cancelled >= _COMPACT_MIN_CANCELLED
-                and cancelled * 2 > (len(sim._heap) + sim._wheel_count
-                                     + len(sim._nowq))):
+                and cancelled * 2 > len(sim._heap) + len(sim._nowq)):
             sim._compact()
 
     def _run_callbacks(self) -> None:
@@ -218,7 +198,7 @@ class Process(Event):
     the exception is thrown into the generator.
     """
 
-    __slots__ = ("_generator", "name", "_target", "_stale", "_ctx", "_cb")
+    __slots__ = ("_generator", "name", "_ctx", "_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -228,15 +208,10 @@ class Process(Event):
             raise SimulationError(f"process target is not a generator: {generator!r}")
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         # Tracing context: a spawned process inherits the spawner's
         # current span, like task-local state in an async runtime.
         tracer = sim.tracer
         self._ctx = tracer.current if tracer is not None else None
-        # Events this process stopped waiting on (interrupt detach); the
-        # subscribed callback stays in their lists and is ignored when it
-        # eventually fires, avoiding an O(n) list scan per interrupt.
-        self._stale: Optional[set] = None
         # The one bound-method object this process ever subscribes with
         # (a fresh `self._resume` per park would allocate every time).
         self._cb = self._resume
@@ -254,42 +229,11 @@ class Process(Event):
         """True while the process generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self is self.sim.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._cb)
-        # Detach from whatever the process currently waits on: the old
-        # target keeps its callback, but _resume will drop its firing on
-        # the floor (it is marked stale).  This keeps interrupt O(1)
-        # where the seed paid an O(n) callbacks.remove scan.
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            if self._stale is None:
-                self._stale = set()
-            self._stale.add(target)
-            self._target = None
-        self.sim._enqueue(0.0, interrupt_event)
-
     def _resume(self, event: Event) -> None:
-        stale = self._stale
-        if stale and event in stale:
-            # A wakeup from an event this process was detached from by
-            # interrupt(): ignore it.  Failure semantics match the
-            # seed's callback removal — the event stays un-defused.
-            stale.discard(event)
-            return
         sim = self.sim
         generator = self._generator
         send = generator.send
         sim.active_process = self
-        self._target = None
         tracer = sim.tracer
         if tracer is not None:
             tracer.current = self._ctx
@@ -341,7 +285,6 @@ class Process(Event):
                 continue
 
             target.callbacks.append(self._cb)
-            self._target = target
             sim.active_process = None
             if tracer is not None:
                 # Park the span context with the process across the wait.
@@ -424,7 +367,11 @@ class AllOf(_Condition):
 
 
 class AnyOf(_Condition):
-    """Fires when the first constituent event fires."""
+    """Fires when the first constituent event fires.
+
+    The timeout-vs-completion races wait on it (core/kernel.py,
+    core/rpc.py), cancelling the losing timer afterwards.
+    """
 
     __slots__ = ()
 
@@ -452,14 +399,13 @@ class AnyOf(_Condition):
 class Simulator:
     """The event loop: owns simulated time and the pending-event queues.
 
-    Pending events live in one of three structures sharing a single
-    total order keyed ``(time, seq)``:
+    Pending events live in one of two structures sharing a single total
+    order keyed ``(time, seq)``:
 
     - ``_nowq``: deque of events due exactly at ``now`` (FIFO = seq
       order; see module docstring for why that holds);
-    - ``_wheel``: 256 × 1 µs timer-wheel slots, each a small heap of
-      ``(time, seq, event)`` tuples, for deadlines within the horizon;
-    - ``_heap``: overflow heap for everything beyond the wheel horizon.
+    - ``_heap``: binary heap of ``(time, seq, event)`` tuples for every
+      later deadline.
 
     ``_seq`` still increments on *every* enqueue (it doubles as the
     engine's total-event counter for benchmarks), even though now-queue
@@ -467,8 +413,8 @@ class Simulator:
     """
 
     __slots__ = ("now", "_heap", "_seq", "active_process", "_timeout_pool",
-                 "_event_pool", "tracer", "_nowq", "_wheel", "_wheel_count",
-                 "_wheel_min", "_ncancelled", "_fpq", "fastpath_enabled")
+                 "_event_pool", "tracer", "_nowq", "_ncancelled", "_fpq",
+                 "fastpath_enabled")
 
     def __init__(self):
         self.now: float = 0.0
@@ -477,17 +423,13 @@ class Simulator:
         self.active_process: Optional[Process] = None
         # Recycled Timeout / plain-Event instances (see step()).  Bounded
         # deques: append on a full pool silently evicts the oldest, so
-        # the hot recycle path needs no length check.
+        # the hot recycle path needs no length check.  Kept because they
+        # pay: rpc_fanin ran 17% slower without them (INTERNALS §12).
         self._timeout_pool: deque = deque(maxlen=_TIMEOUT_POOL_MAX)
         self._event_pool: deque = deque(maxlen=_EVENT_POOL_MAX)
         # Observability hook (repro.obs.Tracer); None = tracing off.
         self.tracer = None
         self._nowq: deque = deque()
-        self._wheel: list = [[] for _ in range(_WHEEL_SLOTS)]
-        self._wheel_count = 0
-        # Lower bound on the absolute slot index of the earliest wheel
-        # entry; advanced lazily by the slot scan in _earliest().
-        self._wheel_min = 0
         # Cancelled events still sitting in a queue (compaction trigger).
         self._ncancelled = 0
         # Fast-path batch queue: ``(when, seq, fn)`` tuples scheduled by
@@ -496,7 +438,8 @@ class Simulator:
         # transition (resource releases, CQE pushes, completion wake-ups)
         # that lands at that instant, replacing one scheduled event per
         # transition.  Entries are never cancelled, and seqs are unique,
-        # so the callable is never compared.
+        # so the callable is never compared.  A queue of its own, so
+        # that fp_horizon() sees ordinary events only.
         self._fpq: list = []
         # Kill switch for run-to-completion op execution.  Read once at
         # construction; tests may also flip the attribute directly.
@@ -511,62 +454,25 @@ class Simulator:
         if when == now:
             # Due this instant: plain FIFO, no tuple, no comparisons.
             self._nowq.append(event)
-        elif when - now < 255.0:
-            # Within the wheel horizon.  255 (not 256) keeps the slot
-            # offset strictly below _WHEEL_SLOTS without a second int().
-            slot = int(when)
-            count = self._wheel_count
-            if count == 0 or slot < self._wheel_min:
-                self._wheel_min = slot
-            self._wheel_count = count + 1
-            heapq.heappush(self._wheel[slot & _WHEEL_MASK],
-                           (when, seq, event))
         else:
             heapq.heappush(self._heap, (when, seq, event))
 
     def _earliest(self):
-        """The earliest pending wheel/heap entry and its container.
+        """The earliest live heap entry, or ``None``.
 
-        Returns ``(entry, container)`` or ``(None, None)``; cancelled
-        entries at either front are discarded on the way.  The now-queue
-        is *not* considered: its entries sort after any same-timestamp
-        wheel/heap entry (larger seq), so callers handle it separately.
+        Cancelled entries at the front are discarded on the way.  The
+        now-queue is *not* considered: its entries sort after any
+        same-timestamp heap entry (larger seq), so callers handle it
+        separately.
         """
-        best = None
-        container = None
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2]._cancelled:
-                heapq.heappop(heap)
-                self._ncancelled -= 1
-                continue
-            best = entry
-            container = heap
-            break
-        if self._wheel_count:
-            wheel = self._wheel
-            slot_index = self._wheel_min
-            while True:
-                slot = wheel[slot_index & _WHEEL_MASK]
-                while slot:
-                    entry = slot[0]
-                    if entry[2]._cancelled:
-                        heapq.heappop(slot)
-                        self._wheel_count -= 1
-                        self._ncancelled -= 1
-                        continue
-                    if best is None or entry < best:
-                        best = entry
-                        container = slot
-                    break
-                if slot:
-                    break
-                if not self._wheel_count:
-                    break
-                slot_index += 1
-            self._wheel_min = slot_index
-        return best, container
+            if not entry[2]._cancelled:
+                return entry
+            heapq.heappop(heap)
+            self._ncancelled -= 1
+        return None
 
     def fp_schedule(self, when: float, fn: Callable[[], None]) -> None:
         """Schedule a fast-path batch dispatch at absolute time ``when``.
@@ -575,6 +481,9 @@ class Simulator:
         events by ``(when, seq)`` exactly as if it had been enqueued
         here as an event.  It must only *enqueue* further work (succeed
         events, release resources), never run callbacks synchronously.
+        Callers pass ``when > now`` (a commit window has positive cost):
+        a same-instant dispatch has no recorded order against now-queue
+        entries, which carry no seq.
         """
         seq = self._seq + 1
         self._seq = seq
@@ -586,8 +495,8 @@ class Simulator:
         Fast-path commit asks: "can anything already scheduled observe
         intermediate state before this op would finish?"  Pending batch
         dispatches are invisible — they belong to already-committed fast
-        ops whose interleaving is accounted for — so only the now-queue,
-        wheel, and heap are consulted.
+        ops whose interleaving is accounted for — so only the now-queue
+        and the heap are consulted.
 
         The horizon is cluster-global: there is one event loop for every
         simulated host, so a single comparison covers both ends of a
@@ -600,7 +509,7 @@ class Simulator:
         """
         if self._nowq:
             return self.now
-        entry, _container = self._earliest()
+        entry = self._earliest()
         return entry[0] if entry is not None else float("inf")
 
     def _compact(self) -> None:
@@ -615,14 +524,6 @@ class Simulator:
         live = [entry for entry in heap if not entry[2]._cancelled]
         heapq.heapify(live)
         heap[:] = live
-        count = 0
-        for slot in self._wheel:
-            if slot:
-                live = [entry for entry in slot if not entry[2]._cancelled]
-                heapq.heapify(live)
-                slot[:] = live
-                count += len(live)
-        self._wheel_count = count
         nowq = self._nowq
         for _ in range(len(nowq)):
             event = nowq.popleft()
@@ -663,14 +564,6 @@ class Simulator:
             when = now + delay
             if when == now:
                 self._nowq.append(event)
-            elif when - now < 255.0:
-                slot = int(when)
-                count = self._wheel_count
-                if count == 0 or slot < self._wheel_min:
-                    self._wheel_min = slot
-                self._wheel_count = count + 1
-                heapq.heappush(self._wheel[slot & _WHEEL_MASK],
-                               (when, seq, event))
             else:
                 heapq.heappush(self._heap, (when, seq, event))
             return event
@@ -690,66 +583,42 @@ class Simulator:
 
     # -- execution ------------------------------------------------------
     def step(self) -> None:
-        """Pop and execute the next scheduled event."""
+        """Pop and execute the next scheduled event.
+
+        The plain one-event-at-a-time form: ``run(until=...)`` is built
+        on it, and tests/test_scheduler.py checks the inlined ``run()``
+        loop against it.
+        """
         nowq = self._nowq
         while nowq and nowq[0]._cancelled:
             nowq.popleft()
             self._ncancelled -= 1
+        # The heap top and the fast-path batch queue's compete on
+        # (when, seq); seqs are unique, so the third field never compares.
+        entry = self._earliest()
+        source = self._heap
         fpq = self._fpq
-        event = None
-        if nowq:
-            # Fast path: something is due this very instant.  The only
-            # entries that may precede it (same timestamp, smaller seq)
-            # live in the current wheel slot, at the heap top, or in the
-            # fast-path batch queue.
-            now = self.now
-            slot = self._wheel[int(now) & _WHEEL_MASK]
-            while slot and slot[0][0] == now and slot[0][2]._cancelled:
-                heapq.heappop(slot)
-                self._wheel_count -= 1
-                self._ncancelled -= 1
-            heap = self._heap
-            while heap and heap[0][0] == now and heap[0][2]._cancelled:
-                heapq.heappop(heap)
-                self._ncancelled -= 1
-            container = None
-            if slot and slot[0][0] == now:
-                container = slot
-            elif heap and heap[0][0] == now:
-                container = heap
-            if fpq and fpq[0][0] == now and (
-                container is None or fpq[0][1] < container[0][1]
-            ):
-                fn = heapq.heappop(fpq)[2]
-                fn()
-                return
-            if container is not None:
-                event = heapq.heappop(container)[2]
-                if container is not heap:
-                    self._wheel_count -= 1
-            else:
-                event = nowq.popleft()
+        if fpq and (entry is None or fpq[0] < entry):
+            entry = fpq[0]
+            source = fpq
+        if nowq and (entry is None or entry[0] != self.now):
+            # Only a same-instant heap/fp entry (smaller seq) may precede
+            # something due this very instant.
+            event = nowq.popleft()
+        elif entry is None:
+            return
         else:
-            entry, container = self._earliest()
-            if fpq and (entry is None or fpq[0][:2] < entry[:2]):
-                when, _s, fn = heapq.heappop(fpq)
-                if when < self.now:
-                    raise SimulationError("time went backwards")
-                self.now = when
-                fn()
-                return
-            if entry is None:
-                return
             when = entry[0]
             if when < self.now:
                 raise SimulationError("time went backwards")
-            heapq.heappop(container)
-            if container is not self._heap:
-                self._wheel_count -= 1
+            heapq.heappop(source)
             self.now = when
+            if source is fpq:
+                entry[2]()
+                return
             event = entry[2]
-            # Drop the tuple so the refcount-2 recycle proof below holds.
-            entry = None
+        # Drop the tuple so the refcount-2 recycle proof below holds.
+        entry = None
         event._run_callbacks()
         # Recycle Timeouts/Events nobody references anymore: the queue
         # entry is gone and the waiter resumed, so a refcount of 2
@@ -768,14 +637,9 @@ class Simulator:
         while nowq and nowq[0]._cancelled:
             nowq.popleft()
             self._ncancelled -= 1
-        if nowq:
-            return self.now
-        entry, _container = self._earliest()
-        when = entry[0] if entry is not None else float("inf")
+        when = self.fp_horizon()
         fpq = self._fpq
-        if fpq and fpq[0][0] < when:
-            return fpq[0][0]
-        return when
+        return fpq[0][0] if fpq and fpq[0][0] < when else when
 
     def run(self, until: Optional[float] = None, stop: Optional[Event] = None):
         """Run until the queues drain, ``until`` passes, or ``stop`` fires.
@@ -786,22 +650,24 @@ class Simulator:
         loop of every benchmark, so the dispatch is inlined here rather
         than calling :meth:`step` per event.  It cycles three phases:
 
-        1. pop every wheel/heap entry due at the current instant (they
-           carry smaller seqs than anything in the now-queue);
-        2. drain the now-queue with *no* wheel/heap checks — nothing
-           processed in this phase can schedule a new entry elsewhere
-           that is due at the current instant;
-        3. advance ``now`` to the earliest remaining entry and loop
-           (phase 1 pops it).
+        1. pop every heap entry due at the current instant (they carry
+           smaller seqs than anything in the now-queue);
+        2. drain the now-queue with *no* heap checks — nothing processed
+           in this phase can schedule a new heap entry that is due at
+           the current instant;
+        3. advance ``now`` to the heap top and loop (phase 1 pops it).
 
-        Event processing order is identical to repeated :meth:`step`.
+        Phases 1 and 2 repeat one dispatch body on purpose: merging them
+        would put a heap-top test on every now-queue pop, the hottest
+        loop in the repo.  Event processing order is identical to
+        repeated :meth:`step`.
         """
         if stop is not None and not isinstance(stop, Event):
             raise SimulationError("stop must be an Event")
         nowq = self._nowq
         heap = self._heap
         if until is not None:
-            while nowq or heap or self._wheel_count or self._fpq:
+            while nowq or heap or self._fpq:
                 if stop is not None and stop.callbacks is None:
                     break
                 if self.peek() > until:
@@ -809,7 +675,6 @@ class Simulator:
                     break
                 self.step()
         else:
-            wheel = self._wheel
             heappop = heapq.heappop
             popleft = nowq.popleft
             timeout_pool = self._timeout_pool
@@ -819,41 +684,25 @@ class Simulator:
             refcount = getrefcount
             fpq = self._fpq
             running = not (stop is not None and stop.callbacks is None)
-            while running and (nowq or heap or self._wheel_count or fpq):
-                # -- phase 1: externals due at the current instant ----
+            while running and (nowq or heap or fpq):
+                # -- phase 1: heap entries due at the current instant --
                 # (plus fast-path batch dispatches, merged in (when, seq)
                 # order; their callables only enqueue further work, so
                 # they cannot trigger ``stop`` mid-phase.)
+                # No heap tuple is held across a dispatch: the refcount-2
+                # recycle proof needs the popped entry gone.
                 now = self.now
-                slot = wheel[int(now) & _WHEEL_MASK]
                 while True:
-                    if slot and slot[0][0] == now:
-                        if heap and heap[0] < slot[0]:
-                            entry = heap[0]
-                            source = heap
-                        else:
-                            entry = slot[0]
-                            source = slot
-                    elif heap and heap[0][0] == now:
-                        entry = heap[0]
-                        source = heap
-                    else:
-                        entry = None
-                        source = None
+                    due = heap and heap[0][0] == now
                     if fpq and fpq[0][0] == now and (
-                        entry is None or fpq[0][1] < entry[1]
+                        not due or fpq[0][1] < heap[0][1]
                     ):
                         fn = heappop(fpq)[2]
                         fn()
                         continue
-                    if source is None:
+                    if not due:
                         break
-                    event = heappop(source)[2]
-                    # Drop the peeked tuple so the refcount-2 recycle
-                    # proof below still holds.
-                    entry = None
-                    if source is not heap:
-                        self._wheel_count -= 1
+                    event = heappop(heap)[2]
                     if event._cancelled:
                         self._ncancelled -= 1
                         continue
@@ -900,9 +749,9 @@ class Simulator:
                 if not running:
                     break
                 # -- phase 3: advance the clock -----------------------
-                # (_earliest() inlined, minus the container bookkeeping:
-                # only the time is needed — phase 1 pops everything due
-                # at the new instant in (time, seq) order.)
+                # (_earliest() inlined, once per simulated instant.)  Only
+                # the time is needed — phase 1 pops everything due at the
+                # new instant in (time, seq) order.
                 when = None
                 while heap:
                     top = heap[0]
@@ -913,35 +762,16 @@ class Simulator:
                     when = top[0]
                     top = None
                     break
-                if self._wheel_count:
-                    slot_index = self._wheel_min
-                    while True:
-                        slot = wheel[slot_index & _WHEEL_MASK]
-                        while slot:
-                            top = slot[0]
-                            if top[2]._cancelled:
-                                heappop(slot)
-                                self._wheel_count -= 1
-                                self._ncancelled -= 1
-                                continue
-                            if when is None or top[0] < when:
-                                when = top[0]
-                            top = None
-                            break
-                        if slot or not self._wheel_count:
-                            break
-                        slot_index += 1
-                    self._wheel_min = slot_index
                 if fpq:
                     fpq_when = fpq[0][0]
                     if when is None or fpq_when < when:
                         # Pure fast-path stretch: every pending batch
-                        # dispatch up to the external front runs in this
-                        # tight drain.  The callables only enqueue to the
-                        # now-queue (never to the wheel/heap), so ``when``
-                        # — the earliest external time — cannot move
-                        # while draining, and same-instant (when, seq)
-                        # interleaving with externals is phase 1's job
+                        # dispatch up to the heap top runs in this tight
+                        # drain.  The callables only enqueue to the
+                        # now-queue (never to the heap), so ``when`` —
+                        # the earliest ordinary time — cannot move while
+                        # draining, and same-instant (when, seq)
+                        # interleaving with heap entries is phase 1's job
                         # the moment the drain reaches ``when``.
                         self.now = fpq_when
                         while True:

@@ -2,18 +2,18 @@
 
 These mirror the small set of coordination constructs the LITE stack and
 its applications need: counted resources (NIC processing slots, CPU
-cores), FIFO stores (message queues, completion queues), and simple
-broadcast signals.
+cores, round-robin-arbitrated links) and FIFO stores (message queues,
+completion queues).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque, Optional
 
 from .engine import Event, Simulator, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Store", "Signal", "Gauge"]
+__all__ = ["Resource", "FairResource", "Store"]
 
 
 class Resource:
@@ -50,55 +50,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def acquire(self):
-        """Generator helper: ``yield from resource.acquire()``."""
-        yield self.request()
-
-    @property
-    def queue_length(self) -> int:
-        """Waiters currently queued."""
-        return len(self._waiters)
-
-
-class PriorityResource:
-    """A counted resource whose waiters are served lowest-priority-first.
-
-    Priority ties are broken FIFO.  Used by the QoS layer to prefer
-    high-priority (numerically lower) traffic when a shared QP is
-    contended.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: list = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> Event:
-        """Event granting one slot; lower ``priority`` served first."""
-        event = self.sim.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            event.succeed()
-        else:
-            self._seq += 1
-            self._waiters.append((priority, self._seq, event))
-            self._waiters.sort(key=lambda item: (item[0], item[1]))
-        return event
-
-    def release(self) -> None:
-        """Return one slot to the highest-priority waiter."""
-        if self.in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            _prio, _seq, event = self._waiters.pop(0)
-            event.succeed()
-        else:
-            self.in_use -= 1
-
 
 class FairResource:
     """Capacity-1 resource with round-robin arbitration across *flows*.
@@ -108,7 +59,8 @@ class FairResource:
     requests any single flow has queued.  ``request(flow)`` with the
     same flow key lands in that flow's FIFO; grants rotate round-robin
     over flows with waiters.  This is what makes HW-Sep-style QoS
-    (reserving QPs per priority class) actually shape bandwidth.
+    (reserving QPs per priority class) actually shape bandwidth.  Every
+    fabric port's tx and rx side is one of these (hw/fabric.py).
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
@@ -156,10 +108,6 @@ class FairResource:
             return
         self.in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
-
 
 class Store:
     """An unbounded FIFO of items with blocking ``get``.
@@ -191,81 +139,10 @@ class Store:
         return event
 
     def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; returns None when empty."""
+        """Non-blocking pop; returns None when empty (CQ polling)."""
         if self.items:
             return self.items.popleft()
         return None
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-class Signal:
-    """A restartable broadcast event ("condition variable" light).
-
-    ``wait()`` returns an event that fires at the next ``fire()`` call.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._waiters: Deque[Event] = deque()
-
-    def wait(self) -> Event:
-        """Event firing at the next ``fire()``."""
-        event = self.sim.event()
-        self._waiters.append(event)
-        return event
-
-    def fire(self, value: Any = None) -> int:
-        """Wake all current waiters; returns how many were woken."""
-        woken = len(self._waiters)
-        while self._waiters:
-            self._waiters.popleft().succeed(value)
-        return woken
-
-
-class Gauge:
-    """Time-weighted average tracker for utilization-style metrics."""
-
-    def __init__(self, sim: Simulator, value: float = 0.0):
-        self.sim = sim
-        self._value = value
-        self._last_change = sim.now
-        self._area = 0.0
-        self._start = sim.now
-
-    @property
-    def value(self) -> float:
-        """Current gauge value."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Set the gauge, accruing time-weighted area."""
-        now = self.sim.now
-        self._area += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-
-    def add(self, delta: float) -> None:
-        """Adjust the gauge by ``delta``."""
-        self.set(self._value + delta)
-
-    def time_average(self) -> float:
-        """Time-weighted mean since creation."""
-        elapsed = self.sim.now - self._start
-        if elapsed <= 0:
-            return self._value
-        area = self._area + self._value * (self.sim.now - self._last_change)
-        return area / elapsed
-
-
-def rate_limiter(sim: Simulator, rate_per_us: Callable[[], float]):
-    """Generator helper: wait the inter-token gap of a dynamic rate.
-
-    ``rate_per_us`` is sampled at each call so policies can adjust the
-    rate while traffic is in flight (used by the SW-Pri QoS policy).
-    """
-    rate = rate_per_us()
-    if rate <= 0:
-        raise SimulationError("rate limiter needs a positive rate")
-    yield sim.timeout(1.0 / rate)

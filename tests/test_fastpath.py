@@ -372,6 +372,83 @@ def test_ring_wrap_mid_burst_fastpath_ab_identity():
     assert fast[2] == slow[2], "op outcomes diverged"
 
 
+def _run_light_load_rpcs(fastpath: bool, busy: str):
+    """12 light-load RPCs through ``rpc_server_loop``; the context named
+    by ``busy`` ("server", "client" or "") spins instead of waiting
+    adaptively, overridden the way benchmarks/test_ablations.py does it.
+    Returns (final sim time, replies, CPU per role, server parked fused?).
+    """
+    saved = os.environ.get("REPRO_NO_FASTPATH")
+    _with_fastpath(fastpath)
+    reset_global_counters()
+    try:
+        cluster = Cluster(2)
+        kernels = lite_boot(cluster)
+        sim = cluster.sim
+        contexts = {"client": LiteContext(kernels[0], "light-cli"),
+                    "server": LiteContext(kernels[1], "light-srv")}
+        client, server = contexts["client"], contexts["server"]
+        if busy:
+            ctx = contexts[busy]
+            cpu = ctx.kernel.node.cpu
+
+            def busy_waiter(event):
+                value = yield from cpu.busy_wait(event, tag=ctx._tag)
+                return value
+
+            ctx._waiter = lambda: busy_waiter
+
+        def handler(data):
+            # Longer than the adaptive busy window, so that a client's
+            # wait strategy shows in its ledger too.
+            yield sim.timeout(25.0)
+            return data[::-1] * 4
+
+        sim.process(rpc_server_loop(server, 1, handler))
+        replies = []
+
+        def driver():
+            rng = random.Random(4)
+            for index in range(12):
+                yield sim.timeout(250 + rng.random() * 100)
+                reply = yield from client.lt_rpc(
+                    2, 1, bytes([index]) * 8, max_reply=128)
+                replies.append(reply)
+
+        cluster.run_process(driver())
+        sim.run()  # the server's last reply-recv crossing settles
+        ledger = {role: ctx.kernel.node.cpu.busy_time.get(ctx._tag, 0.0)
+                  for role, ctx in contexts.items()}
+        return sim.now, replies, ledger, 1 in kernels[1].rpc._fused_recv
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = saved
+
+
+@pytest.mark.parametrize("busy", ["server", "client", ""])
+def test_overridden_wait_strategy_fastpath_ab_identity(busy):
+    """ISSUE 20 bugfix: the crossing-fused RPC twins price the stock
+    adaptive wait, so a context with another ``_waiter`` must not enter
+    them — before the fix only the first ``lt_recv_rpc`` honoured a busy
+    server's override and the fast run charged ~21 µs per request where
+    the slow run charged the whole ~300 µs gap."""
+    fast = _run_light_load_rpcs(fastpath=True, busy=busy)
+    slow = _run_light_load_rpcs(fastpath=False, busy=busy)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "reply bytes diverged"
+    assert fast[2] == slow[2], "CPU ledger diverged"
+    assert len(fast[1]) == 12
+    if busy == "server":
+        assert fast[2]["server"] / 12 > 250, \
+            "a busy server burns the inter-arrival gap"
+    # The stock adaptive server still parks on the fused branch (and
+    # only with the fast path on); an overridden one never does.
+    assert fast[3] is (busy != "server")
+    assert slow[3] is False
+
+
 def test_kill_switch_disables_commits():
     saved = os.environ.get("REPRO_NO_FASTPATH")
     os.environ["REPRO_NO_FASTPATH"] = "1"

@@ -1,10 +1,11 @@
-"""Scheduler tests for the timer-wheel + heap hybrid (INTERNALS §12).
+"""Scheduler tests for the now-queue + heap engine (INTERNALS §12).
 
-Pins the two ordering invariants the hybrid must preserve over the old
-single-heap scheduler — total order by (time, seq) and same-timestamp
-FIFO — plus the lazy-cancellation compaction bound: a seeded
-cancel-storm chaos run must never grow the pending queues in
-proportion to the number of cancelled timers.
+Pins the two ordering invariants — total order by (time, seq) and
+same-timestamp FIFO — plus the lazy-cancellation compaction bound: a
+seeded cancel-storm chaos run must never grow the pending queues in
+proportion to the number of cancelled timers.  (The file keeps its
+historical name so these four test ids stay stable; the reference-model
+check lives in tests/test_scheduler.py.)
 """
 
 import random
@@ -15,7 +16,7 @@ from repro.sim.engine import _COMPACT_MIN_CANCELLED
 
 def _pending(sim) -> int:
     """Entries currently sitting in any scheduler tier (live or dead)."""
-    return len(sim._heap) + sim._wheel_count + len(sim._nowq)
+    return len(sim._heap) + len(sim._nowq)
 
 
 # ------------------------------------------------------- ordering --
@@ -23,17 +24,16 @@ def _pending(sim) -> int:
 
 def test_same_timestamp_fifo_across_tiers():
     """Events landing on one timestamp fire in creation (seq) order even
-    when they entered via different tiers: overflow heap (armed far in
-    advance), wheel (armed within the horizon), and now-queue (delay 0
-    at the deadline itself)."""
+    when they were armed at different distances: far in advance, from
+    100 µs away, and with delay 0 at the deadline itself (now-queue)."""
     sim = Simulator()
     fired = []
 
     def late_armer():
-        # Arm when=500 from t=400: delta 100 µs lands in the wheel.
+        # Arm when=500 from t=400.
         yield sim.timeout(400.0)
-        wheel_ev = sim.timeout(100.0)
-        wheel_ev.callbacks.append(lambda _e: fired.append("wheel"))
+        near_ev = sim.timeout(100.0)
+        near_ev.callbacks.append(lambda _e: fired.append("near"))
 
     def at_deadline():
         # Wake exactly at 500 and push a delay-0 event: now-queue.
@@ -41,25 +41,23 @@ def test_same_timestamp_fifo_across_tiers():
         zero_ev = sim.timeout(0.0)
         zero_ev.callbacks.append(lambda _e: fired.append("nowq"))
 
-    heap_ev = sim.timeout(500.0)  # armed first, from t=0: overflow heap
-    heap_ev.callbacks.append(lambda _e: fired.append("heap"))
+    far_ev = sim.timeout(500.0)  # armed first, from t=0
+    far_ev.callbacks.append(lambda _e: fired.append("far"))
     sim.process(late_armer())
     sim.process(at_deadline())
     sim.run()
 
-    assert fired == ["heap", "nowq", "wheel"] or fired == [
-        "heap", "wheel", "nowq"]
     # All three fired at the same instant...
     assert sim.now == 500.0
-    # ...and strictly in seq (creation) order: heap (armed at t=0)
-    # before wheel (armed at t=400) before nowq (armed at t=500).  The
-    # at_deadline process itself woke after the heap event (its own
-    # timeout has a later seq), so:
-    assert fired == ["heap", "wheel", "nowq"]
+    # ...and strictly in seq (creation) order: far (armed at t=0) before
+    # near (armed at t=400) before nowq (armed at t=500; the at_deadline
+    # process itself woke after the far event, its own timeout has a
+    # later seq).
+    assert fired == ["far", "near", "nowq"]
 
 
 def test_randomized_total_order_across_tiers():
-    """A seeded mix of delays spanning all three tiers fires in exactly
+    """A seeded mix of delays from zero to milliseconds fires in exactly
     sorted-(when, seq) order."""
     sim = Simulator()
     rng = random.Random(11)
@@ -70,11 +68,11 @@ def test_randomized_total_order_across_tiers():
         if bucket == 0:
             delays.append(0.0)  # now-queue
         elif bucket == 1:
-            delays.append(rng.uniform(0.01, 4.0))  # dense wheel slots
+            delays.append(rng.uniform(0.01, 4.0))  # dense
         elif bucket == 2:
-            delays.append(rng.uniform(4.0, 250.0))  # sparse wheel
+            delays.append(rng.uniform(4.0, 250.0))  # sparse
         else:
-            delays.append(rng.uniform(260.0, 9_000.0))  # overflow heap
+            delays.append(rng.uniform(260.0, 9_000.0))  # far
     for index, delay in enumerate(delays):
         event = sim.timeout(delay)
         event.callbacks.append(

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -178,38 +177,6 @@ def test_all_of_with_pretriggered_events():
     assert sim.run_process(proc()) == "x"
 
 
-def test_interrupt_raises_in_target():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as exc:
-            log.append((sim.now, exc.cause))
-
-    def interrupter(target):
-        yield sim.timeout(7)
-        target.interrupt("wakeup")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [(7.0, "wakeup")]
-
-
-def test_cannot_interrupt_finished_process():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
     ticks = []
@@ -367,62 +334,6 @@ def test_any_of_concurrent_failures_do_not_crash():
             return "caught"
 
     assert sim.run_process(waiter()) == "caught"
-
-
-def test_interrupt_detaches_from_old_target_without_scan():
-    """After an interrupt, the old wait target firing is ignored (the
-    callback is marked stale instead of removed, satellite fix)."""
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100, value="slept")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-        value = yield sim.timeout(50, value="second-nap")
-        log.append(("woke", value))
-        return "done"
-
-    proc = sim.process(sleeper())
-
-    def poker():
-        yield sim.timeout(10)
-        proc.interrupt("poke")
-
-    sim.process(poker())
-    sim.run()  # drains the original timeout(100) too
-    assert log == [("interrupted", "poke"), ("woke", "second-nap")]
-    assert proc.value == "done"
-    assert sim.now == 100.0  # the stale timeout still fired harmlessly
-
-
-def test_interrupt_heavy_run_stays_consistent():
-    """Many interrupts against the same process: every one lands, every
-    detached event drains without resuming the process twice."""
-    sim = Simulator()
-    hits = []
-
-    def stubborn():
-        while len(hits) < 50:
-            try:
-                yield sim.timeout(1000)
-                return "timed-out"
-            except Interrupt:
-                hits.append(sim.now)
-        return "riddled"
-
-    proc = sim.process(stubborn())
-
-    def needler():
-        for _ in range(50):
-            yield sim.timeout(1)
-            proc.interrupt()
-
-    sim.process(needler())
-    sim.run()
-    assert proc.value == "riddled"
-    assert len(hits) == 50
 
 
 def test_timeout_pool_recycles_without_changing_values():

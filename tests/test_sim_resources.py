@@ -1,12 +1,9 @@
-"""Unit tests for simulation resources (Resource, Store, Signal, Gauge)."""
+"""Unit tests for simulation resources (Resource, Store)."""
 
 import pytest
 
 from repro.sim import (
-    Gauge,
-    PriorityResource,
     Resource,
-    Signal,
     SimulationError,
     Simulator,
     Store,
@@ -63,30 +60,6 @@ def test_resource_invalid_capacity():
         Resource(sim, capacity=0)
 
 
-def test_priority_resource_serves_high_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        yield res.request(priority=0)
-        yield sim.timeout(10)
-        res.release()
-
-    def user(label, priority, delay):
-        yield sim.timeout(delay)
-        yield res.request(priority=priority)
-        order.append(label)
-        yield sim.timeout(1)
-        res.release()
-
-    sim.process(holder())
-    sim.process(user("low", 5, 1))
-    sim.process(user("high", 1, 2))
-    sim.run()
-    assert order == ["high", "low"]
-
-
 def test_store_fifo_and_blocking_get():
     sim = Simulator()
     store = Store(sim)
@@ -116,44 +89,3 @@ def test_store_try_get():
     store.put(1)
     assert store.try_get() == 1
     assert store.try_get() is None
-
-
-def test_signal_wakes_all_waiters():
-    sim = Simulator()
-    signal = Signal(sim)
-    woken = []
-
-    def waiter(label):
-        value = yield signal.wait()
-        woken.append((label, value, sim.now))
-
-    def firer():
-        yield sim.timeout(3)
-        assert signal.fire("v") == 2
-
-    sim.process(waiter("a"))
-    sim.process(waiter("b"))
-    sim.process(firer())
-    sim.run()
-    assert sorted(woken) == [("a", "v", 3.0), ("b", "v", 3.0)]
-
-
-def test_gauge_time_average():
-    sim = Simulator()
-    gauge = Gauge(sim)
-
-    def proc():
-        gauge.set(10)
-        yield sim.timeout(5)
-        gauge.set(0)
-        yield sim.timeout(5)
-
-    sim.run_process(proc())
-    assert gauge.time_average() == pytest.approx(5.0)
-
-
-def test_gauge_add():
-    sim = Simulator()
-    gauge = Gauge(sim, value=1.0)
-    gauge.add(2.0)
-    assert gauge.value == 3.0

@@ -18,11 +18,12 @@ plane in :mod:`repro.core.rpc`; both are composed here.
 
 from __future__ import annotations
 
+import base64
 import itertools
 from typing import Dict, List, Optional
 
 from ..hw.caches import LruDict
-from ..sim import Event, Store
+from ..sim import Event, Resource, Store
 from ..verbs import Access, Opcode, RecvWR, SendWR
 from .errors import ENODEV, ETIMEDOUT, LiteError
 from .lmr import ChunkInfo, MasterRecord, MappedLmr, Permission
@@ -117,6 +118,24 @@ class LiteKernel:
         self._ctrl_reply_cache = LruDict(
             _CTRL_REPLY_CACHE_MAX, name="ctrl-reply")
         self._ctrl_inflight: set = set()
+        self._frag_buffers: Dict[str, dict] = {}
+        self._ctrl_handlers = {
+            MsgType.ALLOC: self._serve_alloc,
+            MsgType.FREE_CHUNKS: self._serve_free_chunks,
+            MsgType.MAP: self._serve_map,
+            MsgType.UNMAP_NOTIFY: self._serve_unmap_notify,
+            MsgType.FREE_NOTIFY: self._serve_free_notify,
+            MsgType.CHUNKS_UPDATE: self._serve_chunks_update,
+            MsgType.GRANT: self._serve_grant,
+            MsgType.MEMSET: self._serve_memset,
+            MsgType.MEMCPY: self._serve_memcpy,
+            MsgType.RING_BIND: self._serve_ring_bind,
+            MsgType.LOCK_WAIT: self._serve_lock_wait,
+            MsgType.LOCK_RELEASE: self._serve_lock_release,
+            MsgType.BARRIER: self._serve_barrier,
+            MsgType.USER_MSG: self._serve_user_msg,
+            MsgType.PING: self._serve_ping,
+        }
         self._keepalive = None
         # Control plane: per-peer QP lease pools (cluster/qp_pool.py),
         # created lazily by qp_pool() or eagerly by connect() when
@@ -145,8 +164,6 @@ class LiteKernel:
 
     def _build_loopback(self) -> None:
         """Loopback QPs so self-targeted control/RPC ops work uniformly."""
-        from ..sim import Resource
-
         loop = PeerInfo(self.lite_id, self.node.node_id, self.global_mr.rkey)
         for _ in range(self.params.lite_qp_factor_k):
             qp_a = self.device.create_qp(
@@ -190,8 +207,6 @@ class LiteKernel:
             self.device.connect(qp_a, qp_b)
             mine.qps.append(qp_a)
             theirs.qps.append(qp_b)
-            from ..sim import Resource
-
             mine.windows.append(Resource(self.sim, capacity=params.lite_qp_window))
             theirs.windows.append(
                 Resource(self.sim, capacity=other.params.lite_qp_window)
@@ -283,8 +298,6 @@ class LiteKernel:
             self._ctrl_send_raw(dst_lite_id, payload, ordered=ordered,
                                 check_alive=check_alive)
             return
-        import base64
-
         raw_budget = (budget // 4) * 3 - 64  # room for base64 + envelope
         pieces = [
             payload[index : index + raw_budget]
@@ -568,10 +581,6 @@ class LiteKernel:
 
     def _reassemble(self, envelope: dict):
         """Collect fragments; returns the full message when complete."""
-        if not hasattr(self, "_frag_buffers"):
-            self._frag_buffers = {}
-        import base64
-
         key = envelope["fid"]
         parts = self._frag_buffers.setdefault(key, {})
         parts[envelope["i"]] = base64.b64decode(envelope["data"])
@@ -585,23 +594,7 @@ class LiteKernel:
     # Control-plane services
     # ------------------------------------------------------------------
     def _handle_ctrl(self, msg: dict):
-        handler = {
-            MsgType.ALLOC: self._serve_alloc,
-            MsgType.FREE_CHUNKS: self._serve_free_chunks,
-            MsgType.MAP: self._serve_map,
-            MsgType.UNMAP_NOTIFY: self._serve_unmap_notify,
-            MsgType.FREE_NOTIFY: self._serve_free_notify,
-            MsgType.CHUNKS_UPDATE: self._serve_chunks_update,
-            MsgType.GRANT: self._serve_grant,
-            MsgType.MEMSET: self._serve_memset,
-            MsgType.MEMCPY: self._serve_memcpy,
-            MsgType.RING_BIND: self._serve_ring_bind,
-            MsgType.LOCK_WAIT: self._serve_lock_wait,
-            MsgType.LOCK_RELEASE: self._serve_lock_release,
-            MsgType.BARRIER: self._serve_barrier,
-            MsgType.USER_MSG: self._serve_user_msg,
-            MsgType.PING: self._serve_ping,
-        }.get(msg["type"])
+        handler = self._ctrl_handlers.get(msg["type"])
         if handler is None:
             self._ctrl_reply(msg, {"err": f"unknown control type {msg['type']!r}"})
             return
@@ -832,8 +825,6 @@ class LiteKernel:
 
     # -- user messaging (LT_send) ---------------------------------------------
     def _serve_user_msg(self, msg: dict):
-        import base64
-
         self.user_inbox.put((msg["src"], base64.b64decode(msg["data"])))
         return
         yield  # pragma: no cover - generator marker

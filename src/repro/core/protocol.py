@@ -54,9 +54,14 @@ class MsgType:
     REPLY = "reply"
 
 
+# One encoder for every message: ``json.dumps(..., separators=...)``
+# would construct a JSONEncoder per call.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_ctrl(msg: dict) -> bytes:
     """Serialize a control message for the wire (compact JSON)."""
-    return json.dumps(msg, separators=(",", ":")).encode()
+    return _ENCODE(msg).encode()
 
 
 def decode_ctrl(payload: bytes) -> dict:

@@ -538,7 +538,11 @@ class OneSidedEngine:
             compare_add=compare_add,
             swap=swap,
         )
-        status = yield from self._post(chunk.node_id, wr, priority)
+        handle = self._try_fast(peer, wr, priority)
+        if handle is not None:
+            status = yield handle
+        else:
+            status = yield from self._post(chunk.node_id, wr, priority)
         self._check([status], opcode.value)
         self.atomics += 1
         return struct.unpack("<Q", wr.return_data)[0]

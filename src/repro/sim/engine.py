@@ -489,6 +489,21 @@ class Simulator:
         self._seq = seq
         heapq.heappush(self._fpq, (when, seq, fn))
 
+    def fp_nowq_inert(self) -> bool:
+        """True when popping the whole now-queue would run nothing.
+
+        A triggered entry with no callbacks — typically the completion
+        event of the handler process that just posted — executes no code
+        when popped, and nothing can subscribe to it first: under a
+        commit the only actors left at this instant are the other
+        now-queue entries, which this same test found inert.  (A failed
+        entry is never inert: popping it raises.)
+        """
+        for event in self._nowq:
+            if event.callbacks or event._ok is False:
+                return False
+        return True
+
     def fp_horizon(self) -> float:
         """Earliest pending *ordinary* event time (``inf`` if none).
 
@@ -496,7 +511,8 @@ class Simulator:
         intermediate state before this op would finish?"  Pending batch
         dispatches are invisible — they belong to already-committed fast
         ops whose interleaving is accounted for — so only the now-queue
-        and the heap are consulted.
+        (unless inert, see :meth:`fp_nowq_inert`) and the heap are
+        consulted.
 
         The horizon is cluster-global: there is one event loop for every
         simulated host, so a single comparison covers both ends of a
@@ -507,7 +523,7 @@ class Simulator:
         sweep, an unrelated op) bounds the same horizon and vetoes the
         commit.
         """
-        if self._nowq:
+        if self._nowq and not self.fp_nowq_inert():
             return self.now
         entry = self._earliest()
         return entry[0] if entry is not None else float("inf")
@@ -637,7 +653,7 @@ class Simulator:
         while nowq and nowq[0]._cancelled:
             nowq.popleft()
             self._ncancelled -= 1
-        when = self.fp_horizon()
+        when = self.now if nowq else self.fp_horizon()
         fpq = self._fpq
         return fpq[0][0] if fpq and fpq[0][0] < when else when
 

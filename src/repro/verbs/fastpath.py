@@ -14,12 +14,14 @@ per distinct instant instead of one event per transition.
 
 There is exactly one commit (:func:`_commit`): one entry pass, one
 timeline, one state replay, one dispatch set for WRITE / WRITE_IMM /
-READ.  The four public entries differ only in how they find the target
-— :func:`try_fast_post` from a ``SendWR`` LITE is about to post,
-:func:`try_fast_start` from one ``qp.post_send`` already prepared,
-:func:`try_fast_chain` from a raw write's (peer, address),
-:func:`try_fast_post_vec` from a memoised single-piece LMR plan — never
-in the timeline.
+READ / SEND (the WRITE_IMM timeline with a two-pass responder) / the
+8-byte atomics (the READ timeline with the read-modify-write at the
+responder).  The four entries differ only in how they find the target
+— :func:`try_fast_post` from a ``SendWR`` LITE is about to post, the
+native one (``QueuePair._execute``, through the same :func:`_try_wr`)
+from one ``qp.post_send`` already prepared, :func:`try_fast_chain` from
+a raw write's (peer, address), :func:`try_fast_post_vec` from a memoised
+single-piece LMR plan — never in the timeline.
 
 Two-sided traffic fuses one step further: when a write-imm lands on a
 LITE kernel whose batch==1 poller is parked on the destination CQ, the
@@ -45,9 +47,10 @@ Soundness rests on two pillars:
    A concurrent op that falls back to the generator path therefore
    queues and wakes exactly as it would against a slow holder.
 
-2. **The horizon check.**  An op commits only when the now-queue is
-   empty and no ordinary event is scheduled before the op's completion
-   time (`Simulator.fp_horizon`).  Until the op finishes, the only
+2. **The horizon check.**  An op commits only when the now-queue
+   holds nothing that would run code (`Simulator.fp_nowq_inert`) and no
+   ordinary event is scheduled before the op's completion time
+   (`Simulator.fp_horizon`).  Until the op finishes, the only
    actors in the simulation are this op's own batch dispatches and those
    of previously committed fast ops — so no third party can observe the
    (slightly widened) hold windows or the eagerly-applied counters.
@@ -70,17 +73,28 @@ are).
 
 from __future__ import annotations
 
+import struct
 from heapq import heappush
 
 from .wr import (ACK_BYTES, Access, Opcode, SendWR, WcStatus, WorkCompletion,
                  wire_bytes)
 
-__all__ = ["try_fast_post", "try_fast_start", "try_fast_post_vec",
-           "try_fast_chain", "prime_qp", "fp_stats", "FastPathStats"]
+__all__ = ["try_fast_post", "try_fast_post_vec", "try_fast_chain",
+           "prime_qp", "fp_stats", "FastPathStats"]
 
 _NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
 _NEED_REMOTE_READ = Access.REMOTE_READ.value
+_NEED_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
 _WIRE0 = wire_bytes(0)
+_WIRE_ATOMIC = wire_bytes(16)       # an atomic's operands ride in the header
+_WORD = struct.Struct("<Q")
+# Enum members as module constants: ``Opcode.X`` is a metaclass lookup
+# (~0.1 µs), paid several times per attempt otherwise.
+_WRITE, _WRITE_IMM, _READ, _SEND = (Opcode.WRITE, Opcode.WRITE_IMM,
+                                    Opcode.READ, Opcode.SEND)
+_FETCH_ADD, _CMP_SWAP = Opcode.FETCH_ADD, Opcode.CMP_SWAP
+_RECV, _RECV_IMM = Opcode.RECV, Opcode.RECV_IMM
+_SUCCESS = WcStatus.SUCCESS
 
 # Size-class memo bound per cost table: distinct payload sizes seen on
 # one QP.  Benchmarks use a handful of sizes; a pathological size sweep
@@ -146,7 +160,8 @@ class CostTable:
         "lrnic", "rrnic", "lpipe", "rpipe", "src_port", "dst_port",
         "src_tx", "src_rx", "dst_tx", "dst_rx",
         "src_node", "dst_node", "dst_qpn",
-        "doorbell", "wqe_l", "ser0", "prop", "ack_ser", "rnic_ack",
+        "doorbell", "wqe_l", "ser0", "ser_atomic", "prop", "ack_ser",
+        "rnic_ack",
         "completion_l", "completion_r", "floor", "srq_source", "srq_items",
         "_lparams", "_rparams", "_fparams", "_link_bw", "_sizes",
         "_spans", "_phys", "_pregions", "_mem",
@@ -196,6 +211,7 @@ class CostTable:
         link_bw = fparams.link_bandwidth_bytes_per_us
         self._link_bw = link_bw
         self.ser0 = _WIRE0 / link_bw
+        self.ser_atomic = _WIRE_ATOMIC / link_bw
         # Same expression shape as fabric._transfer_impl's inlined
         # one_way_fabric_us (bit-exact float parity).
         self.prop = (2 * fparams.link_propagation_us
@@ -401,11 +417,13 @@ def _lookup_cost(rnic, qpn, key, pages):
     Non-mutating, summed in the generator's order (QP, then key, then
     the PTE penalty added once per miss) so the stage duration stays
     bit-identical; all hits give exactly ``0.0``.  ``key`` is None for
-    a stage that resolves no MR.  Returns None when the PTE probe
+    a stage that resolves no MR, ``qpn`` for one that resolves no QP
+    (a SEND's second responder pass).  Returns None when the PTE probe
     cannot predict what the replay will do.
     """
     params = rnic.params
-    cost = 0.0 if rnic.qp_cache.contains(qpn) else params.qp_miss_penalty_us
+    cost = (0.0 if qpn is None or rnic.qp_cache.contains(qpn)
+            else params.qp_miss_penalty_us)
     if key is not None:
         if not rnic.key_cache.contains(key):
             cost += params.mr_key_miss_penalty_us
@@ -422,7 +440,8 @@ def _lookup_cost(rnic, qpn, key, pages):
 
 def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             wr, plan, want_handle, pred=None, prepared=False):
-    """Run one WRITE / WRITE_IMM / READ to completion, or touch nothing.
+    """Run one WRITE / WRITE_IMM / READ / SEND / atomic to completion, or
+    touch nothing.
 
     The single commit behind all four entries.  ``wr`` is the posted
     ``SendWR`` or None (the id counter is then bumped arithmetically so
@@ -460,7 +479,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     if window is not None and window.in_use >= window.capacity:
         return _no("rej_sq")
     sim = qp.sim
-    if sim._nowq:
+    if sim._nowq and not sim.fp_nowq_inert():
         return _no("rej_nowq")
 
     table = _table_for(qp)
@@ -485,6 +504,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     rdev = table.rdev
     if rdev.node.crashed:
         return _no("rej_port")
+    dst_qpn = table.dst_qpn
 
     # Nothing ordinary may be scheduled at or before completion: any
     # such event could observe (or perturb) the op mid-flight.  The
@@ -495,54 +515,14 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     if horizon <= t0 + table.floor:
         return _no("rej_floor")
 
-    read_op = opcode is Opcode.READ
-    if plan is not None:
-        pages = plan.pages
-        backing = plan.backing
-        reg_off = plan.reg_off
-    else:
-        target = table.resolve(
-            rkey, addr, nbytes,
-            _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
-        if target is None:
-            return _no("rej_target")
-        pages, backing, reg_off = target
-
-    # SRAM lookups (QP, key, PTEs on both RNICs).  Probes are
-    # non-mutating; every lookup is replayed with the real access() at
-    # commit below, so installs, evictions, recency and stats end as the
-    # generator path leaves them.
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    dst_qpn = table.dst_qpn
-    sge = wr.sgl[0] if wr is not None and wr.sgl else None
-    if prepared and not sim._fpq:
-        # Start hop, nothing committed in flight: misses are priced.
-        lkey = lpages = None
-        if sge is not None:
-            lmr = sge.mr
-            if lmr.region is None or lmr.region.freed:
-                return _no("rej_shape")
-            lkey = lmr.lkey
-            lpages = lmr.page_ids(sge.offset, sge.length)
-        cost_l = _lookup_cost(lrnic, qp.qpn, lkey, lpages)
-        cost_r = _lookup_cost(rrnic, dst_qpn, rkey, pages)
-        if cost_l is None or cost_r is None:
-            return _no("rej_miss")
-    elif (sge is not None
-          or not lrnic.qp_cache.contains(qp.qpn)
-          or not rrnic.qp_cache.contains(dst_qpn)
-          or not rrnic.key_cache.contains(rkey)
-          or (pages and not rrnic.pte_cache.contains_all(pages))):
-        # Post time (the posting handler may still post a same-instant
-        # sibling) or committed ops in flight: all-hit, inline only.
-        return _no("rej_miss")
-    else:
-        cost_l = cost_r = 0.0
-
-    rqp = srq_source = srq_items = None
-    fused_kernel = fcq = None
-    if opcode is Opcode.WRITE_IMM:
+    read_op = opcode is _READ
+    send_op = opcode is _SEND
+    atomic = opcode is _FETCH_ADD or opcode is _CMP_SWAP
+    rqp = srq_source = srq_items = recv = None
+    if send_op or opcode is _WRITE_IMM:
+        # The landing receive: the next posted one no committed op has
+        # claimed, from the responder QP's own RQ or its SRQ.  (A SEND
+        # under a bounded RNR policy is the generator's to play out.)
         rqp = table.rqp
         if rqp is None or rqp is not rdev.qps.get(dst_qpn):
             rqp = rdev.qps.get(dst_qpn)
@@ -559,8 +539,68 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             store = getattr(srq_source, "_store", srq_source)
             table.srq_items = store.items
         srq_items = table.srq_items
-        if len(srq_source) <= srq_source._fp_claims:
+        if (len(srq_source) <= srq_source._fp_claims
+                or (send_op and rqp.rnr_retry < 7)):
             return _no("rej_recv")
+    if plan is not None:
+        pages = plan.pages
+        backing = plan.backing
+        reg_off = plan.reg_off
+    elif send_op:
+        # A SEND's responder resolves the receive buffer's MR the way a
+        # WRITE's resolves the rkey (priced and replayed alike); a short
+        # buffer is the generator's LOC_LEN_ERR.
+        recv = srq_items[srq_source._fp_claims]
+        rmr = recv.mr
+        if rmr is None or recv.length < nbytes:
+            return _no("rej_shape")
+        rkey = rmr.lkey
+        pages = rmr.page_ids(recv.offset, nbytes)
+    else:
+        target = table.resolve(
+            rkey, addr, nbytes,
+            _NEED_REMOTE_ATOMIC if atomic
+            else _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
+        if target is None:
+            return _no("rej_target")
+        pages, backing, reg_off = target
+
+    # SRAM lookups (QP, key, PTEs on both RNICs).  Probes are
+    # non-mutating; every lookup is replayed with the real access() at
+    # commit below, so installs, evictions, recency and stats end as the
+    # generator path leaves them.
+    lrnic = table.lrnic
+    rrnic = table.rrnic
+    cost_q = 0.0
+    sge = wr.sgl[0] if wr is not None and wr.sgl else None
+    if prepared and not sim._fpq:
+        # Start hop, nothing committed in flight: misses are priced.
+        lkey = lpages = None
+        if sge is not None:
+            lmr = sge.mr
+            if lmr.region is None or lmr.region.freed:
+                return _no("rej_shape")
+            lkey = lmr.lkey
+            lpages = lmr.page_ids(sge.offset, sge.length)
+        cost_l = _lookup_cost(lrnic, qp.qpn, lkey, lpages)
+        cost_r = _lookup_cost(rrnic, None if send_op else dst_qpn, rkey, pages)
+        if cost_l is None or cost_r is None:
+            return _no("rej_miss")
+        if send_op and not rrnic.qp_cache.contains(dst_qpn):
+            cost_q = table._rparams.qp_miss_penalty_us
+    elif (sge is not None
+          or not lrnic.qp_cache.contains(qp.qpn)
+          or not rrnic.qp_cache.contains(dst_qpn)
+          or not rrnic.key_cache.contains(rkey)
+          or (pages and not rrnic.pte_cache.contains_all(pages))):
+        # Post time (the posting handler may still post a same-instant
+        # sibling) or committed ops in flight: all-hit, inline only.
+        return _no("rej_miss")
+    else:
+        cost_l = cost_r = 0.0
+
+    fused_kernel = fcq = None
+    if opcode is _WRITE_IMM:
         # Fused two-sided delivery: eligible when the destination is a
         # LITE kernel whose batch==1 poll loop is the sole parked getter
         # on this recv CQ, no earlier fused delivery is outstanding, and
@@ -592,23 +632,29 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     if cost_r:
         dur_r = ((table._rparams.rnic_wqe_process_us + cost_r)
                  + table._rparams.dma_time(nbytes))
-    if cost_l and not read_op:          # a READ's scatter pass all-hits
+    # READ and the atomics send a bare request and scatter a response.
+    resp_op = read_op or atomic
+    if cost_l and not resp_op:          # the scatter pass all-hits
         dur_l = (table.wqe_l + cost_l) + table._lparams.dma_time(nbytes)
     t1 = t0 + table.doorbell            # doorbell MMIO
-    if read_op:
+    if resp_op:
         t2 = t1 + (table.wqe_l + cost_l)  # request WQE carries no payload
-        t3 = t2 + table.ser0
+        t3 = t2 + (table.ser_atomic if atomic else table.ser0)
     else:
         t2 = t1 + dur_l                 # local lookups + payload DMA
         t3 = t2 + ser                   # serialization out
     t4 = t3 + table.prop                # propagation + switch
+    if send_op:
+        # Two-pass responder: the QP context first, then the receive
+        # buffer's key / PTEs and the payload DMA (``dur_r``).
+        t4 = t_take = t4 + (table._rparams.rnic_wqe_process_us + cost_q)
     t5 = t4 + dur_r                     # remote lookups + DMA + memory op
-    if read_op:
+    if resp_op:
         back = t5 + ser                 # response serialization
         t6 = back + table.prop
         t7 = t6 + dur_l                 # local scatter pass
     else:
-        if opcode is Opcode.WRITE_IMM:
+        if rqp is not None:
             t_rc = t5 + table.completion_r  # responder CQE write-back
             back = t_rc + table.ack_ser
         else:
@@ -640,7 +686,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             wr._order_done = done
     if wr is not None:
         wr_id = wr.wr_id
-        if payload is None and not read_op:
+        if payload is None and not resp_op:
             payload = qp._gather(wr)
     else:
         # The slow path allocates a SendWR before posting; keep the
@@ -659,17 +705,18 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         rrnic.pte_cache.access_many(pages)
 
     # Counter replay (end-state equivalent; see module docstring).
-    if read_op:
-        lrnic.qp_cache.access(qp.qpn)   # response scatter pass
+    if resp_op:
+        if read_op:
+            lrnic.qp_cache.access(qp.qpn)   # response scatter pass
         lrnic.wqe_count += 2
-        out_bytes = _WIRE0
+        out_bytes = _WIRE_ATOMIC if atomic else _WIRE0
         back_bytes = wire_n
     else:
         lrnic.wqe_count += 1
         out_bytes = wire_n
         back_bytes = ACK_BYTES
     lrnic.bytes_dma += nbytes
-    rrnic.wqe_count += 1
+    rrnic.wqe_count += 2 if send_op else 1
     rrnic.bytes_dma += nbytes
     fabric.total_bytes += out_bytes + back_bytes
     fabric.transfer_count += 2
@@ -717,7 +764,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             send_cq = qp.send_cq
             if send_cq is not None:
                 send_cq.push(WorkCompletion(
-                    wr_id=wr_id, status=WcStatus.SUCCESS, opcode=opcode,
+                    wr_id=wr_id, status=_SUCCESS, opcode=opcode,
                     byte_len=nbytes, imm=imm, qp_num=qp.qpn,
                 ))
         sq.release()
@@ -725,7 +772,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             window.release()
         if handle is not None:
             handle.succeed(
-                box[0] if read_op and wr is None else WcStatus.SUCCESS)
+                box[0] if read_op and wr is None else _SUCCESS)
 
     # fp_schedule inlined (this is the hottest dispatch source): each
     # push takes the next seq, exactly as fp_schedule calls in program
@@ -737,12 +784,22 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     seq += 1
     heappush(fpq, (t3, seq, table._rel_t3))
 
-    if read_op:
+    if resp_op:
 
         def at_mid():
             rpipe.release()
             try:
-                box.append(backing.read(reg_off, nbytes))
+                old = backing.read(reg_off, nbytes)
+                if atomic:
+                    # Read-modify-write inside one dispatch: atomic in
+                    # the event loop, as in ``Device.inbound``.
+                    word = _WORD.unpack(old)[0]
+                    if opcode is _FETCH_ADD:
+                        word = (word + wr.compare_add) % (1 << 64)
+                    elif word == wr.compare_add:
+                        word = wr.swap
+                    backing.write(reg_off, _WORD.pack(word))
+                box.append(old)
             except ValueError:
                 box.append(b"")
                 fp_stats.mismodels += 1
@@ -767,7 +824,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         seq += 1
         heappush(fpq, (t7, seq, at_t7))
 
-    elif opcode is Opcode.WRITE:
+    elif opcode is _WRITE:
 
         def at_mid():
             rpipe.release()
@@ -782,20 +839,43 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         seq += 1
         heappush(fpq, (back, seq, table._rel_back))
 
-    else:  # WRITE_IMM
+    else:  # WRITE_IMM, SEND
         src_node = table.src_node
 
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, payload)
-            except ValueError:
-                fp_stats.mismodels += 1
+        def take_recv():
+            # Pop the receive at the generator's instant; a SEND priced
+            # its buffer at commit, so it must be that very one.
             if srq_items:
                 box.append(srq_items.popleft())
-            else:
+            if not box or (send_op and box[0] is not recv):
                 fp_stats.mismodels += 1
             srq_source._fp_claims -= 1
+
+        if send_op:
+
+            def at_take():
+                rpipe.release()         # first pass done; second begins
+                if rpipe.in_use >= rpipe.capacity:
+                    fp_stats.mismodels += 1
+                rpipe.in_use += 1
+                take_recv()
+
+            def at_mid():
+                rpipe.release()
+                if box:
+                    box[0].mr.write(box[0].offset, payload)
+
+            seq += 1
+            heappush(fpq, (t_take, seq, at_take))
+        else:
+
+            def at_mid():
+                rpipe.release()
+                try:
+                    backing.write(reg_off, payload)
+                except ValueError:
+                    fp_stats.mismodels += 1
+                take_recv()
 
         # Fused delivery: the CQE bypasses the CQ store (the parked
         # poller must not wake); its delivery counters are replayed at
@@ -811,8 +891,9 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         def at_rc():
             if box:
                 wc = WorkCompletion(
-                    wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                    opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
+                    wr_id=box[0].wr_id, status=_SUCCESS,
+                    opcode=_RECV if send_op else _RECV_IMM,
+                    byte_len=nbytes, imm=imm,
                     qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
                 )
                 if fused_kernel is None:
@@ -866,7 +947,18 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
 
 
 def _try_wr(qp, wr, window, pred, prepared):
-    """The WR entries: size up a posted ``SendWR`` and call the commit."""
+    """The WR entries: size up a posted ``SendWR`` and call the commit.
+
+    ``prepared`` is the native Verbs entry, called by ``QueuePair._execute``
+    at the start hop of a WR that ``qp.post_send`` already prepared
+    (``pred`` is the RC predecessor ``_prepare`` returned): the WR's own
+    process on its first resume, never the posting handler — that
+    handler has parked or ended by now and the commit requires a
+    now-queue that runs nothing, so nothing else can be posted at this
+    instant behind a committed op.  Same contract as
+    :func:`try_fast_post`; a READ or atomic scatters into its SGE when
+    it has one.
+    """
     if not _armed(qp.sim):
         return None
     fp_stats.attempts += 1
@@ -874,15 +966,17 @@ def _try_wr(qp, wr, window, pred, prepared):
     opcode = wr.opcode
     sgl = wr.sgl
     payload = wr.inline_data
-    if opcode is Opcode.READ:
-        if payload is not None:
-            return _no("rej_shape")
-        nbytes = sgl[0].length if sgl else wr.read_length
-    elif opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
+    if opcode is _WRITE or opcode is _WRITE_IMM or opcode is _SEND:
         if payload is not None:
             nbytes = len(payload)
         else:
             nbytes = sgl[0].length if sgl else 0
+    elif payload is not None:
+        return _no("rej_shape")
+    elif opcode is _READ:
+        nbytes = sgl[0].length if sgl else wr.read_length
+    elif opcode is _FETCH_ADD or opcode is _CMP_SWAP:
+        nbytes = 8
     else:
         return _no("rej_shape")
     if nbytes <= 0 or len(sgl) > 1 or wr.delivered is not None:
@@ -909,21 +1003,6 @@ def try_fast_post(qp, wr, window=None):
     return _try_wr(qp, wr, window, None, False)
 
 
-def try_fast_start(qp, wr, pred):
-    """The native Verbs entry: attempt the commit from the start hop of
-    a WR that ``qp.post_send`` already prepared (``pred`` is the RC
-    predecessor ``_prepare`` returned).
-
-    Called by the WR's own process on its first resume — the instant
-    and queue position where ``_execute`` would start — never from the
-    posting handler: that handler has parked or ended by now and the
-    commit requires an empty now-queue, so nothing else can be posted
-    at this instant behind a committed op.  Same contract as
-    :func:`try_fast_post`; a READ scatters into its SGE when it has one.
-    """
-    return _try_wr(qp, wr, None, pred, True)
-
-
 def try_fast_chain(engine, peer, addr, data, imm, priority):
     """Commit one leg of the RPC tri-post chain (raw unsignaled write).
 
@@ -948,7 +1027,7 @@ def try_fast_chain(engine, peer, addr, data, imm, priority):
     kernel = engine.kernel
     pairs = kernel.qos.eligible_qps(peer, priority)
     qp, window = pairs[peer._rr % len(pairs)]
-    opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM
+    opcode = _WRITE if imm is None else _WRITE_IMM
     if _commit(qp, window, opcode, data, nbytes, peer.global_rkey, addr,
                imm, signaled=False, wr=None, plan=None,
                want_handle=False) is None:
@@ -1029,7 +1108,7 @@ def _build_plan(kernel, mapping, offset, nbytes, opcode):
     base = mr.base_addr
     if not (base <= remote_addr and remote_addr + piece_len <= base + mr.size):
         return None
-    need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
+    need = _NEED_REMOTE_READ if opcode is _READ else _NEED_REMOTE_WRITE
     if not (mr._access_bits & need):
         return None
     try:
@@ -1067,7 +1146,7 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     fp_stats.vec_attempts += 1
     kernel = engine.kernel
 
-    key = (offset, nbytes, opcode is Opcode.READ)
+    key = (offset, nbytes, opcode is _READ)
     plans = mapping._fp_plans
     plan = plans.get(key)
     if plan is not None and plan.plan_version != mapping.plan_version:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from ..hw.fabric import TransferDropped
 from ..sim import Process, Resource, Simulator, Store
-from .fastpath import try_fast_start
+from .fastpath import _try_wr
 from .wr import (
     ACK_BYTES,
     Access,
@@ -31,7 +31,6 @@ from .wr import (
 
 __all__ = ["QueuePair", "SharedReceiveQueue"]
 
-_ONE_SIDED = (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.READ)
 _ATOMICS = (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
 # Opcodes that carry an outbound payload (hoisted: the tuple would
 # otherwise be rebuilt from three attribute loads per executed WR).
@@ -238,25 +237,10 @@ class QueuePair:
         ignored for connected QPs.
         """
         dst, predecessor = self._prepare(wr, dst)
-        if self._is_rc and wr.opcode in _ONE_SIDED:
-            body = self._start(wr, dst, predecessor)
-        else:
-            body = self._execute(wr, dst, predecessor)
-        return self.sim.process(body, name=f"qp{self.qpn}-send")
-
-    def _start(self, wr: SendWR, dst, predecessor):
-        """Body of a posted one-sided RC WR: commit it whole, or execute.
-
-        First resumed at the process's bootstrap hop — the instant and
-        queue position where :meth:`_execute` starts — which is where
-        the run-to-completion commit is tried (verbs/fastpath.py).  A
-        committed WR is arithmetic plus a few dispatches; this process
-        only waits for its completion handle.
-        """
-        handle = try_fast_start(self, wr, predecessor)
-        if handle is None:
-            return (yield from self._execute(wr, dst, predecessor))
-        return (yield handle)
+        return self.sim.process(
+            self._execute(wr, dst, predecessor, attempt=self._is_rc),
+            name=f"qp{self.qpn}-send",
+        )
 
     def post_send_generator(self, wr: SendWR) -> Process:
         """:meth:`post_send` straight onto the generator path, for a
@@ -364,7 +348,16 @@ class QueuePair:
                 yield self.sim.timeout(self.timeout_us)
 
     def _execute(self, wr: SendWR, dst: Tuple[int, int], predecessor=None,
-                 doorbell_wait=None, doorbell_fire=None):
+                 doorbell_wait=None, doorbell_fire=None, attempt=False):
+        if attempt:
+            # The start hop of a WR that ``post_send`` posted on an RC QP:
+            # the instant and queue position the run-to-completion commit
+            # is tried from (verbs/fastpath.py).  A committed WR is
+            # arithmetic plus a few dispatches; this process only waits
+            # for its completion handle.
+            handle = _try_wr(self, wr, None, predecessor, True)
+            if handle is not None:
+                return (yield handle)
         sim, params = self.sim, self.device.params
         fabric = self.device.node.fabric
         src_node = self.device.node.node_id

@@ -3,8 +3,7 @@
 Pins the two ordering invariants — total order by (time, seq) and
 same-timestamp FIFO — plus the lazy-cancellation compaction bound: a
 seeded cancel-storm chaos run must never grow the pending queues in
-proportion to the number of cancelled timers.  (The file keeps its
-historical name so these four test ids stay stable; the reference-model
+proportion to the number of cancelled timers.  (The reference-model
 check lives in tests/test_scheduler.py.)
 """
 

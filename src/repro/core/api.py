@@ -20,7 +20,6 @@ from .errors import ECONNRESET
 from .kernel import LiteError, LiteKernel
 from .lmr import ChunkInfo, LmrHandle, MappedLmr, MasterRecord, Permission
 from .protocol import MsgType
-from .rpc import RpcError, _FusedRecv
 
 __all__ = ["ClientSession", "LiteContext", "LiteLock", "lite_boot",
            "rpc_server_loop"]
@@ -107,21 +106,6 @@ class LiteContext:
             return value
 
         return wait
-
-    def _fusable(self) -> bool:
-        """May a crossing-fused twin stand in for the generator legs?
-
-        The twins (``RpcEngine.call_fast``, ``_lt_reply_recv_fast``)
-        price the stock user-level adaptive wait arithmetically, so a
-        context whose ``_waiter`` was overridden — on the instance or in
-        a subclass, as the adaptive-wait ablation does — must stay on
-        the generator path, the only one that asks ``_waiter()``.
-        """
-        sim = self.sim
-        return (not self.kernel_level and sim.fastpath_enabled
-                and sim.tracer is None
-                and getattr(self._waiter, "__func__", None)
-                is LiteContext._waiter)
 
     def _metadata(self):
         """Kernel-side lh mapping + permission check cost (§5.3)."""
@@ -604,14 +588,6 @@ class LiteContext:
         attempted before :class:`RpcTimeoutError`; the server suppresses
         duplicates, so retries are safe for non-idempotent handlers.
         """
-        if timeout is None and self._fusable():
-            # Crossing-fused twin: same timeline and CPU ledger, with
-            # the deterministic syscall/wait segments committed onto the
-            # fp-queue (retries are moot without a timeout).
-            reply = yield from self.kernel.rpc.call_fast(
-                server_id, func_id, data, max_reply, self.priority, self
-            )
-            return reply
         yield from self._enter()
         yield from self._metadata()
         reply = yield from self.kernel.rpc.call(
@@ -665,9 +641,6 @@ class LiteContext:
     @traced_op("op.lt_reply_recv", nbytes=lambda a: len(a[1]))
     def lt_reply_recv(self, call, data: bytes, func_id: int):
         """Optimized reply-then-receive (§5.2): one crossing for both."""
-        if self._fusable():
-            next_call = yield from self._lt_reply_recv_fast(call, data, func_id)
-            return next_call
         yield from self._enter()
         yield from self.kernel.rpc.reply(call, data)
         event = self.kernel.rpc.wait_call(func_id)
@@ -677,83 +650,6 @@ class LiteContext:
         else:
             next_call = yield from waiter(event)
         yield from self.kernel.rpc.finish_recv(next_call)
-        yield from self._exit()
-        return next_call
-
-    def _lt_reply_recv_fast(self, call, data: bytes, func_id: int):
-        """Crossing-fused reply-then-receive (generator).
-
-        Same timeline and CPU ledger as :meth:`lt_reply_recv`, with the
-        deterministic segments committed onto the fp-queue: the enter +
-        reply-stack crossing fuses to a single wake at ``t_u``, and the
-        wait for the next call parks directly on the function store with
-        a ``_FusedRecv`` marker so ``_handle_request`` can commit the
-        whole arrival crossing arithmetically.  Either segment falls
-        back to the exact generator legs when the horizon is blocked.
-        """
-        kernel = self.kernel
-        rpc = kernel.rpc
-        sim = self.sim
-        params = self.params
-        cpu = kernel.node.cpu
-        tag = self._tag
-        # -- enter + reply-stack crossing --
-        enter_cost = params.lite_syscall_enter_us
-        stack_cost = params.lite_reply_stack_us
-        t_u = sim.now + enter_cost + stack_cost
-        if not sim._nowq and not call.replied and sim.fp_horizon() > t_u:
-            gate = sim.event()
-            sim.fp_schedule(t_u, gate.succeed)
-            yield gate
-            cpu.charge(tag, enter_cost)
-            call.replied = True
-            cpu.charge("lite-rpc-reply", stack_cost)
-            rpc._reply_finish(call, data)
-        else:
-            yield from self._enter()
-            yield from rpc.reply(call, data)
-        # -- fusable park for the next call --
-        store = rpc.funcs.get(func_id)
-        if store is None:
-            raise RpcError(f"RPC function {func_id} is not registered here")
-        event = store.get()
-        if event.triggered:
-            # Backlog already waiting: ordinary legs on a hot event.
-            next_call = yield from cpu.adaptive_wait(event, tag=tag)
-            next_call = yield from rpc.finish_recv(next_call)
-            yield from self._exit()
-            return next_call
-        rec = _FusedRecv(event, sim.now, params.lite_sharedpage_return_us)
-        rpc._fused_recv[func_id] = rec
-        try:
-            next_call = yield event
-        finally:
-            if rpc._fused_recv.get(func_id) is rec:
-                del rpc._fused_recv[func_id]
-        if rec.fused_at is not None:
-            # _handle_request committed the arrival crossing; replay the
-            # private-tag charges here (t_s).
-            waited = rec.fused_at - rec.park_at
-            if waited <= params.adaptive_busy_window_us:
-                cpu.charge(tag, waited)
-                cpu.charge(tag, params.poll_loop_us / 2)
-            else:
-                cpu.charge(tag, params.adaptive_busy_window_us)
-                cpu.charge(tag, params.thread_wakeup_us)
-            cpu.charge(tag, rec.exit_cost)
-            return next_call
-        # Ordinary delivery: replicate the generator legs.
-        waited = sim.now - rec.park_at
-        if waited <= params.adaptive_busy_window_us:
-            cpu.charge(tag, waited)
-            discover = params.poll_loop_us / 2
-            yield sim.timeout(discover)
-            cpu.charge(tag, discover)
-        else:
-            cpu.charge(tag, params.adaptive_busy_window_us)
-            yield sim.timeout(params.thread_wakeup_us)
-            cpu.charge(tag, params.thread_wakeup_us)
-        next_call = yield from rpc.finish_recv(next_call)
         yield from self._exit()
         return next_call
 

@@ -27,14 +27,7 @@ from ..sim import Event, Resource, Store
 from ..verbs import Access, Opcode, RecvWR, SendWR
 from .errors import ENODEV, ETIMEDOUT, LiteError
 from .lmr import ChunkInfo, MasterRecord, MappedLmr, Permission
-from .protocol import (
-    IMM_KIND_REPLY,
-    IMM_KIND_REQUEST,
-    MsgType,
-    decode_ctrl,
-    encode_ctrl,
-    unpack_imm,
-)
+from .protocol import MsgType, decode_ctrl, encode_ctrl
 from .qos import QosManager
 from .rdma import OneSidedEngine
 from .rpc import RpcEngine
@@ -105,10 +98,6 @@ class LiteKernel:
         self.rpc = RpcEngine(self)
         self.sync = SyncService(self)
         self._poller = None
-        # Instant the poll thread last parked on the recv CQ; maintained
-        # by cpu.busy_wait_tracked and consumed/re-armed by _fp_deliver
-        # when the fast path replays a poll iteration arithmetically.
-        self._poll_park_at = 0.0
         self.booted = False
         # Fault tolerance (off by default: zero-cost, seed-identical
         # behavior).  enable_fault_tolerance() or a FaultInjector flips
@@ -430,12 +419,10 @@ class LiteKernel:
         batch = max(1, self.params.cq_poll_batch)
         if batch == 1:
             # Seed-identical path: one discovery wait and one dispatch
-            # charge per CQE.  The park instant is tracked on the kernel
-            # (not a frame local) so the two-sided fast path can replay
-            # one iteration of this loop without resuming the generator.
+            # charge per CQE.
             while True:
-                wc = yield from cpu.busy_wait_tracked(
-                    self, self.recv_cq.wait_wc(), tag="lite-poll"
+                wc = yield from cpu.busy_wait(
+                    self.recv_cq.wait_wc(), tag="lite-poll"
                 )
                 cpu.charge("lite-poll", 0.10)  # dispatch bookkeeping
                 self._dispatch_wc(wc)
@@ -485,74 +472,6 @@ class LiteKernel:
         elif wc.opcode is Opcode.RECV_IMM:
             self._post_ctrl_slot(wc.wr_id)
             self.rpc.handle_imm(wc)
-
-    # ------------------------------------------------------------------
-    # Two-sided fast-path hooks (repro.verbs.fastpath, INTERNALS §13)
-    # ------------------------------------------------------------------
-    def fp_rpc_gate(self, imm: int, src_node: int, remote_addr: int) -> bool:
-        """May the fused fast path deliver this write-imm to this kernel?
-
-        Called at commit time with a candidate chain's immediate and
-        destination address.  True only when the synchronous dispatch at
-        the deferred delivery instant cannot suspend or raise: a reply
-        imm always qualifies (it at most succeeds a pending event); a
-        request imm must resolve to a bound, non-wrapping ring position
-        and a live peer — the head-pointer update and any duplicate
-        resend both call ``kernel.peer()``, which raises for dead or
-        unknown peers.
-        """
-        kind, _func, off = unpack_imm(imm)
-        if kind == IMM_KIND_REPLY:
-            return True
-        if kind != IMM_KIND_REQUEST:
-            return False
-        client_id = self.node_to_lite.get(src_node)
-        if client_id is None:
-            return False
-        ring = self.rpc.server_rings.get(client_id)
-        if ring is None:
-            return False
-        region = ring.region
-        if not region.addr <= remote_addr < region.addr + ring.size:
-            return False
-        # A wrapped append lands its imm-carrying remainder at the ring
-        # start while the imm offset still names the pre-wrap tail; the
-        # mismatch is the wrap detector.  Wraps stay on the generator
-        # path (the candidate chain carries only the remainder bytes).
-        if remote_addr - region.addr != off:
-            return False
-        peer = self.peers.get(client_id)
-        return peer is not None and peer.alive
-
-    def _fp_deliver(self, wc, t_rc: float) -> None:
-        """Replay one batch==1 poll iteration without resuming the poller.
-
-        Runs on the fp-queue at the exact instant the generator poller
-        would have finished its discovery delay (``t_rc`` +
-        ``poll_loop_us/2``).  Charges what ``busy_wait_tracked`` plus
-        the loop body would have charged — wait since the last park,
-        the discovery delay, the 0.10 dispatch bookkeeping, in that
-        order — re-arms the park instant, and hands the CQE to the real
-        dispatch code.  The parked poller generator (and its Store
-        getter) stays parked, serving whatever arrives next; its wake
-        charge reads ``_poll_park_at``, so ``busy_time`` stays
-        bit-identical to the generator path.
-        """
-        cpu = self.node.cpu
-        busy = cpu.busy_time
-        busy["lite-poll"] += t_rc - self._poll_park_at
-        discover = self.params.poll_loop_us / 2
-        busy["lite-poll"] += discover
-        cpu.charge("lite-poll", 0.10)  # dispatch bookkeeping
-        self._poll_park_at = self.sim.now
-        fcq = self.recv_cq
-        fcq.fp_pending -= 1
-        fcq.fp_bypass = False
-        self._dispatch_wc(wc)
-        # Any CQE buffered during the bypass window is handed to the
-        # parked getter now — the slow-path poller would see it as an
-        # immediately-triggered wait right after this dispatch.
-        fcq.fp_flush()
 
     def _ctrl_duplicate(self, msg: dict) -> bool:
         """Idempotent-retry guard for tokenized control requests.

@@ -126,46 +126,14 @@ class RpcCall:
 
 
 class _PendingCall:
-    """Client-side wait state for one outstanding token.
+    """Client-side wait state for one outstanding token."""
 
-    ``park_at``/``priority``/``call_start`` are populated by the fused
-    client path (:meth:`RpcEngine.call_fast`): a non-``None`` ``park_at``
-    marks the parked event as fusable, letting ``_handle_reply`` commit
-    the reply crossing (adaptive-wait tail, buffer read/free, syscall
-    return) arithmetically.  ``fused_at``/``result`` carry the committed
-    dispatch instant and the decoded reply back to the parked generator.
-    """
-
-    __slots__ = ("event", "reply_region", "token", "park_at", "priority",
-                 "call_start", "fused_at", "result")
+    __slots__ = ("event", "reply_region", "token")
 
     def __init__(self, event, reply_region, token):
         self.event = event
         self.reply_region = reply_region
         self.token = token
-        self.park_at = None
-        self.priority = 0
-        self.call_start = 0.0
-        self.fused_at = None
-        self.result = None
-
-
-class _FusedRecv:
-    """Server-side marker for a fusable ``wait_call`` park.
-
-    Registered in ``RpcEngine._fused_recv[func_id]`` while a server
-    thread is parked directly on the function store; ``_handle_request``
-    uses it to commit the arrival crossing (store wake-up, discovery,
-    recv-stack copy, syscall return) as one arithmetic pass.
-    """
-
-    __slots__ = ("event", "park_at", "exit_cost", "fused_at")
-
-    def __init__(self, event, park_at, exit_cost):
-        self.event = event
-        self.park_at = park_at
-        self.exit_cost = exit_cost
-        self.fused_at = None
 
 
 class RpcEngine:
@@ -192,8 +160,6 @@ class RpcEngine:
         # still being served.
         self._reply_cache = LruDict(_REPLY_CACHE_MAX, name="rpc-reply")
         self._inflight: set = set()
-        # func_id -> _FusedRecv for server threads parked fusably.
-        self._fused_recv: Dict[int, _FusedRecv] = {}
 
     # ------------------------------------------------------------------
     # Registration / binding
@@ -432,117 +398,6 @@ class RpcEngine:
         kernel.qos.observe(priority, self.sim.now - call_start)
         return data
 
-    def call_fast(self, server_id: int, func_id: int, input_bytes: bytes,
-                  max_reply: int, priority: int, ctx):
-        """Fused LT_RPC client path (generator; returns the reply bytes).
-
-        The crossing-fused twin of :meth:`call` for the case the caller
-        (``LiteContext.lt_rpc``) guarantees: user-level context,
-        ``timeout=None``/``retries=0``, tracer off, fast path enabled.
-        Each syscall-crossing segment commits its deterministic timeline
-        onto the fp-queue when the horizon allows and falls back to the
-        exact generator legs otherwise.  Shared-tag costs ("lite-meta",
-        "lite-rpc-recv"..., QoS observation, buffer frees) are applied
-        on their exact slow-path instants via fp-queue callables; only
-        the context's *private* CPU tag is replayed at segment end.
-        """
-        kernel = self.kernel
-        sim = self.sim
-        params = self.params
-        cpu = kernel.node.cpu
-        tag = ctx._tag
-        # -- syscall enter + metadata crossing --
-        enter_cost = params.lite_syscall_enter_us
-        meta_cost = params.lite_metadata_us
-        t_meta = sim.now + enter_cost + meta_cost
-        if not sim._nowq and sim.fp_horizon() > t_meta:
-            gate = sim.event()
-            sim.fp_schedule(t_meta, gate.succeed)
-            yield gate
-            cpu.charge(tag, enter_cost)
-            cpu.charge("lite-meta", meta_cost)
-        else:
-            yield sim.timeout(enter_cost)
-            cpu.charge(tag, enter_cost)
-            yield sim.timeout(meta_cost)
-            cpu.charge("lite-meta", meta_cost)
-        yield from kernel.qos.gate(priority)
-        call_start = sim.now
-        ring = yield from self._ensure_ring(server_id)
-        msg_len = REQ_HEADER_BYTES + len(input_bytes)
-        if msg_len > ring.size:
-            raise ValueError(f"RPC input of {len(input_bytes)} B exceeds ring size")
-        token = next(self._token_counter) & MAX_TOKEN
-        reply_region = kernel.node.memory.alloc(REPLY_HEADER_BYTES + max_reply)
-        header = struct.pack(
-            "<QIII", reply_region.addr, token, len(input_bytes), max_reply
-        )
-        payload = header + input_bytes
-        pending = _PendingCall(sim.event(), reply_region, token)
-        pending.priority = priority
-        pending.call_start = call_start
-        self.pending[token] = pending
-        cleaned = False
-        try:
-            try:
-                yield from self._append_request(
-                    ring, server_id, func_id, payload, msg_len, priority, None
-                )
-            except LiteError:
-                pass  # same as call(): no deadline, wait for the reply
-            self.calls_sent += 1
-            pending.park_at = sim.now
-            yield pending.event
-            if pending.fused_at is not None:
-                # _handle_reply committed the reply crossing; state
-                # changes already ran on their exact instants via the
-                # fp-queue.  Replay the private-tag charges here (t_z).
-                waited = pending.fused_at - pending.park_at
-                if waited <= params.adaptive_busy_window_us:
-                    cpu.charge(tag, waited)
-                    cpu.charge(tag, params.poll_loop_us / 2)
-                else:
-                    cpu.charge(tag, params.adaptive_busy_window_us)
-                    cpu.charge(tag, params.thread_wakeup_us)
-                cleaned = True
-                _status, data = pending.result
-                cpu.charge(tag, params.lite_sharedpage_return_us)
-                return data
-            # Ordinary delivery: replicate the generator legs (adaptive
-            # tail, buffer read/free, status checks, syscall return)
-            # enqueue-for-enqueue.
-            waited = sim.now - pending.park_at
-            if waited <= params.adaptive_busy_window_us:
-                cpu.charge(tag, waited)
-                discover = params.poll_loop_us / 2
-                yield sim.timeout(discover)
-                cpu.charge(tag, discover)
-            else:
-                cpu.charge(tag, params.adaptive_busy_window_us)
-                yield sim.timeout(params.thread_wakeup_us)
-                cpu.charge(tag, params.thread_wakeup_us)
-            status, length = struct.unpack(
-                "<II", reply_region.read(0, REPLY_HEADER_BYTES)
-            )
-            data = (reply_region.read(REPLY_HEADER_BYTES, length)
-                    if length else b"")
-            self.pending.pop(token, None)
-            kernel.node.memory.free(reply_region)
-            cleaned = True
-            if status == _STATUS_NO_FUNC:
-                raise RpcError(f"no RPC function {func_id} at LITE {server_id}")
-            if status == _STATUS_REPLY_TOO_BIG:
-                raise RpcError("RPC reply exceeded the caller's max_reply")
-            kernel.qos.observe(priority, sim.now - call_start)
-            exit_cost = params.lite_sharedpage_return_us
-            yield sim.timeout(exit_cost)
-            cpu.charge(tag, exit_cost)
-            return data
-        finally:
-            if not cleaned:
-                self.pending.pop(token, None)
-                kernel.node.memory.free(reply_region)
-
     # ------------------------------------------------------------------
     # Poller dispatch (both directions)
     # ------------------------------------------------------------------
@@ -617,39 +472,6 @@ class RpcEngine:
             self._send_reply(client_id, reply_addr, payload, token)
             return
         self._inflight.add(key)
-        rec = self._fused_recv.get(func_id)
-        if (rec is not None and self.sim.fastpath_enabled
-                and not self.sim._nowq and not store.items
-                and len(store._getters) == 1
-                and store._getters[0] is rec.event):
-            # Fused arrival crossing: the parked server thread's wake-up
-            # timeline is deterministic — adaptive-wait tail to t_mid,
-            # recv-stack copy to t_r, syscall return to t_s.  Commit it
-            # when no ordinary event could observe the window.
-            sim = self.sim
-            params = self.params
-            t_p = sim.now
-            waited = t_p - rec.park_at
-            if waited <= params.adaptive_busy_window_us:
-                mid_cost = params.poll_loop_us / 2
-            else:
-                mid_cost = params.thread_wakeup_us
-            recv_cost = params.lite_recv_stack_us
-            recv_cost += input_len / params.memcpy_bytes_per_us
-            t_r = t_p + mid_cost + recv_cost
-            t_s = t_r + rec.exit_cost
-            if sim.fp_horizon() > t_s:
-                rec.fused_at = t_p
-                store._getters.popleft()
-                cpu = self.kernel.node.cpu
-
-                def at_recv():
-                    cpu.charge("lite-rpc-recv", recv_cost)
-                    self.calls_served += 1
-
-                sim.fp_schedule(t_r, at_recv)
-                sim.fp_schedule(t_s, lambda: rec.event.succeed(call))
-                return
         store.put(call)
 
     def _send_reply(self, client_id: int, reply_addr: int, payload: bytes,
@@ -700,53 +522,7 @@ class RpcEngine:
 
     def _handle_reply(self, token: int) -> None:
         pending = self.pending.pop(token, None)
-        if pending is None:
-            return
-        sim = self.sim
-        if (pending.park_at is not None and sim.fastpath_enabled
-                and not sim._nowq):
-            # Fused reply crossing: the client parked via call_fast, so
-            # the rest of its timeline is deterministic — adaptive-wait
-            # tail to t_mid, buffer read + free + QoS observation at
-            # t_mid, syscall return to t_z.  Commit it onto the fp-queue
-            # when no ordinary event could observe the window.  Error
-            # statuses take the generator legs (they raise at t_mid).
-            params = self.params
-            region = pending.reply_region
-            status, length = struct.unpack(
-                "<II", region.read(0, REPLY_HEADER_BYTES)
-            )
-            if status == _STATUS_OK:
-                t_x = sim.now
-                waited = t_x - pending.park_at
-                if waited <= params.adaptive_busy_window_us:
-                    mid_cost = params.poll_loop_us / 2
-                else:
-                    mid_cost = params.thread_wakeup_us
-                t_mid = t_x + mid_cost
-                t_z = t_mid + params.lite_sharedpage_return_us
-                if sim.fp_horizon() > t_z:
-                    pending.fused_at = t_x
-                    # Reads are pure and nothing may write the region
-                    # inside the guarded window, so decoding here yields
-                    # the exact bytes the slow path reads at t_mid.
-                    pending.result = (
-                        status,
-                        region.read(REPLY_HEADER_BYTES, length)
-                        if length else b"",
-                    )
-                    kernel = self.kernel
-
-                    def at_mid():
-                        kernel.node.memory.free(region)
-                        kernel.qos.observe(
-                            pending.priority, t_mid - pending.call_start
-                        )
-
-                    sim.fp_schedule(t_mid, at_mid)
-                    sim.fp_schedule(t_z, pending.event.succeed)
-                    return
-        if not pending.event.triggered:
+        if pending is not None:
             pending.event.succeed()
 
     # ------------------------------------------------------------------
@@ -785,12 +561,6 @@ class RpcEngine:
                 if tracer is not None else None)
         yield self.sim.timeout(self.params.lite_reply_stack_us)
         self.kernel.node.cpu.charge("lite-rpc-reply", self.params.lite_reply_stack_us)
-        self._reply_finish(call, data)
-        if span is not None:
-            tracer.end(span)
-
-    def _reply_finish(self, call: RpcCall, data: bytes) -> None:
-        """Post-stack half of LT_replyRPC: pack, cache, write-imm."""
         key = (call.client_id, call.token)
         if len(data) > call.max_reply:
             payload = struct.pack("<II", _STATUS_REPLY_TOO_BIG, 0)
@@ -798,3 +568,5 @@ class RpcEngine:
             payload = struct.pack("<II", _STATUS_OK, len(data)) + data
         self._cache_reply(key, call.reply_addr, payload)
         self._send_reply(call.client_id, call.reply_addr, payload, call.token)
+        if span is not None:
+            tracer.end(span)

@@ -90,32 +90,6 @@ class CpuSet:
             if span is not None:
                 tracer.end(span)
 
-    def busy_wait_tracked(self, owner, event: Event, tag: str = "poll"):
-        """:meth:`busy_wait`, with the park instant held on ``owner``.
-
-        Identical charging to :meth:`busy_wait`, but the wait's start
-        time lives in ``owner._poll_park_at`` instead of a generator
-        frame local.  That lets the two-sided fast path replay one poll
-        iteration arithmetically (wait charge + discovery + dispatch
-        bookkeeping) without resuming the poller: the fast path reads
-        and re-arms ``_poll_park_at`` itself, keeping ``busy_time``
-        bit-identical to the generator path.
-        """
-        tracer = self.sim.tracer
-        span = (tracer.begin("cpu.wait", node=self.node_id, strategy="busy")
-                if tracer is not None else None)
-        try:
-            owner._poll_park_at = self.sim.now
-            value = yield event
-            self.busy_time[tag] += self.sim.now - owner._poll_park_at
-            discover = self.params.poll_loop_us / 2
-            yield self.sim.timeout(discover)
-            self.busy_time[tag] += discover
-            return value
-        finally:
-            if span is not None:
-                tracer.end(span)
-
     def adaptive_wait(self, event: Event, tag: str = "adaptive"):
         """LITE's busy-check-then-sleep wait (§5.2).
 

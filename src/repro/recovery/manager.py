@@ -188,16 +188,14 @@ class RecoveryManager:
             # Same invalidation the injector applies at crash time —
             # lease expiry can also fire on a live-but-partitioned node
             # the injector never touched.  The fencing matrix for
-            # primed run-to-completion chains (one-sided writes AND the
-            # fused RPC request/reply chain):
+            # primed run-to-completion cost tables:
             #   crash / restart      -> injector._set_link fence
             #   link down / flap     -> injector._set_link fence
             #   lease expiry         -> here
             #   rejoin (QP reset)    -> QueuePair.reset -> rnic.fence
             #   QP ERROR             -> QueuePair._enter_error
             #   MR dereg / resize    -> RNIC.invalidate_mr/resize_caches
-            #   ring wrap / remap    -> fp_rpc_gate geometry check
-            # Each path bumps an RNIC cost_version, so any chain primed
+            # Each path bumps an RNIC cost_version, so any table primed
             # before the event can never commit after it.
             node.fastpath_fence()
         # Pooled control-plane conns (cluster/qp_pool.py): the RNIC

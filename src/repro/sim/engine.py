@@ -516,12 +516,9 @@ class Simulator:
 
         The horizon is cluster-global: there is one event loop for every
         simulated host, so a single comparison covers both ends of a
-        cross-node chain.  The fused two-sided RPC chain leans on this —
-        its window spans client append, fabric transfer, server IMM
-        dispatch, handler wakeup, and the reply tail across *two* hosts,
-        and a pending event on either host (a fault-plan crash, a lease
-        sweep, an unrelated op) bounds the same horizon and vetoes the
-        commit.
+        committed op — a pending event on either host (a fault-plan
+        crash, a lease sweep, an unrelated op) bounds the same horizon
+        and vetoes the commit.
         """
         if self._nowq and not self.fp_nowq_inert():
             return self.now

@@ -31,18 +31,6 @@ class CompletionQueue:
         self.pushed = 0
         self.polled = 0
         self.overflows = 0
-        # Fused fast-path delivery state (repro.verbs.fastpath).
-        # fp_pending counts committed-but-undispatched fused deliveries
-        # (at most one; new fused commits decline while it is set).
-        # fp_bypass marks the bypass window [t_rc, t_disp): the fused
-        # CQE "consumed" the parked poller getter at t_rc exactly as
-        # the slow path's push would have, so a CQE pushed during the
-        # window must land in the backlog *without* waking the poller —
-        # the slow path has no getter to wake at that point.  fp_flush
-        # hands the oldest backlog entry to the re-parked getter once
-        # the fused dispatch has run.
-        self.fp_pending = 0
-        self.fp_bypass = False
 
     def push(self, wc: WorkCompletion) -> None:
         """RNIC side: append a CQE (drops + counts on overflow)."""
@@ -57,23 +45,7 @@ class CompletionQueue:
                            nbytes=wc.byte_len)
         wc.completed_at = self.sim.now
         self.pushed += 1
-        if self.fp_bypass:
-            self._store.items.append(wc)
-            return
         self._store.put(wc)
-
-    def fp_flush(self) -> None:
-        """Wake the parked poller with the oldest backlog CQE, if any.
-
-        Closes a fused-delivery bypass window: a CQE that arrived during
-        the window was appended without firing the parked getter; the
-        poller must now observe it exactly as the slow path would — an
-        immediately-triggered ``wait_wc`` right after dispatching the
-        fused CQE (the getter's polled-count callback fires on succeed).
-        """
-        store = self._store
-        if store.items and store._getters:
-            store._getters.popleft().succeed(store.items.popleft())
 
     def poll(self, max_entries: int = 16) -> List[WorkCompletion]:
         """Drain up to ``max_entries`` CQEs immediately available.

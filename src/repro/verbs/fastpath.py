@@ -23,20 +23,9 @@ from one ``qp.post_send`` already prepared, :func:`try_fast_chain` from
 a raw write's (peer, address), :func:`try_fast_post_vec` from a memoised
 single-piece LMR plan — never in the timeline.
 
-Two-sided traffic fuses one step further: when a write-imm lands on a
-LITE kernel whose batch==1 poller is parked on the destination CQ, the
-receiver's poll iteration itself joins the chain.  The CQE bypasses the
-CQ store (its delivery counters are replayed), the parked poller is
-never resumed, and a final dispatch at the exact instant the poller's
-discovery delay would have elapsed replays the iteration's CPU charges
-and hands the CQE to the *real* ``kernel._dispatch_wc`` — from which
-point request parsing, the ring-head advance, handler wakeup, and the
-reply write all run the ordinary code (and the reply's own write-imm
-can fuse again on the way back).  The cross-node cost chain is stamped
-by both ends: the ``CostTable`` folds in both nodes' SimParams/RNIC
-versions, and ``kernel.fp_rpc_gate`` checks the live server-ring
-geometry (bound ring, in-bounds non-wrapping offset, live peer) per
-commit.
+A committed WRITE_IMM or SEND pushes its real receive CQE at the
+responder's write-back instant, so the receiving poller wakes, charges
+and dispatches exactly as it does on the generator path.
 
 Soundness rests on two pillars:
 
@@ -492,7 +481,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     fabric = table.fabric
     src_port = table.src_port
     dst_port = table.dst_port
-    # No fault hook (fused chains assume lossless delivery), both links
+    # No fault hook (a commit assumes lossless delivery), both links
     # up, all four port channels idle.
     if not fabric.fp_path_clear(src_port, dst_port):
         return _no("rej_port")
@@ -599,32 +588,6 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     else:
         cost_l = cost_r = 0.0
 
-    fused_kernel = fcq = None
-    if opcode is _WRITE_IMM:
-        # Fused two-sided delivery: eligible when the destination is a
-        # LITE kernel whose batch==1 poll loop is the sole parked getter
-        # on this recv CQ, no earlier fused delivery is outstanding, and
-        # the kernel's RPC gate accepts the immediate (bound ring,
-        # in-bounds non-wrapping offset, live peer — the server-ring
-        # geometry half of the cross-node stamp, checked live).  When
-        # ineligible the chain still commits in the one-sided shape:
-        # the CQE push wakes the poller for real.
-        if imm is not None:
-            lite = rdev.node.lite
-            if (lite is not None and lite._poller is not None
-                    and lite.params.cq_poll_batch <= 1):
-                fcq = rqp.recv_cq
-                if fcq is not lite.recv_cq or fcq.fp_pending:
-                    fcq = None
-                else:
-                    cq_store = fcq._store
-                    if (not cq_store.items
-                            and len(cq_store._getters) == 1
-                            and lite.fp_rpc_gate(imm, table.src_node, addr)):
-                        fused_kernel = lite
-                    else:
-                        fcq = None
-
     # ---- timeline (floats accumulated in the slow path's add order) ----
     # A stage is ``(wqe + lookup cost) + dma``; the memoised occupancies
     # are the all-hit case (``x + 0.0 == x``).
@@ -661,18 +624,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             back = t5 + table.ack_ser
         t7 = (back + table.prop) + table.rnic_ack
     t_end = t7 + table.completion_l if signaled else t7
-    # A fused chain's horizon spans both hosts — it must also cover the
-    # remote dispatch instant (fp_horizon is already cluster-global:
-    # there is one engine, so "no ordinary event before the chain's
-    # tail" is a statement about every node at once).
-    t_guard = t_end
-    if fused_kernel is not None:
-        # Deferred kernel dispatch: the exact instant the poller's
-        # discovery delay would have elapsed after the CQE landed.
-        t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
-        if t_disp > t_guard:
-            t_guard = t_disp
-    if horizon <= t_guard:
+    if horizon <= t_end:
         return _no("rej_horizon")
 
     # ---- commit ------------------------------------------------------
@@ -741,10 +693,6 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     dst_rx.in_use += 1
     if srq_source is not None:
         srq_source._fp_claims += 1
-    if fused_kernel is not None:
-        # One outstanding fused delivery per CQ: cleared by the at_disp
-        # dispatch; new fused commits decline while it is set.
-        fcq.fp_pending += 1
 
     handle = sim.event() if want_handle else None
     box = []
@@ -877,58 +825,17 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
                     fp_stats.mismodels += 1
                 take_recv()
 
-        # Fused delivery: the CQE bypasses the CQ store (the parked
-        # poller must not wake); its delivery counters are replayed at
-        # the push instant and at_disp hands it to the real kernel
-        # dispatch.  The bypass is re-validated at t_rc: an interloping
-        # CQE (e.g. a small op overtaking this one on the second RNIC
-        # pipeline unit) may have woken the poller mid-chain, in which
-        # case the slow path would have *appended* this CQE behind it —
-        # at_rc then reverts to a real push and every receiver event
-        # happens for real.
-        wcbox = []
-
         def at_rc():
             if box:
-                wc = WorkCompletion(
-                    wr_id=box[0].wr_id, status=_SUCCESS,
-                    opcode=_RECV if send_op else _RECV_IMM,
-                    byte_len=nbytes, imm=imm,
-                    qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                )
-                if fused_kernel is None:
-                    recv_cq = rqp.recv_cq
-                    if recv_cq is not None:
-                        recv_cq.push(wc)
-                else:
-                    fstore = fcq._store
-                    if len(fstore._getters) == 1 and not fstore.items:
-                        # Receiver still (or again) cleanly parked: the
-                        # slow path would consume the getter right now.
-                        # Replay the delivery counters and arm the
-                        # bypass window.
-                        wc.completed_at = t_rc
-                        fcq.pushed += 1
-                        fcq.polled += 1
-                        fcq.fp_bypass = True
-                        wcbox.append(wc)
-                    else:
-                        # Poller is awake (or has a backlog): land in
-                        # the store exactly as the slow path would.
-                        fcq.push(wc)
+                recv_cq = rqp.recv_cq
+                if recv_cq is not None:
+                    recv_cq.push(WorkCompletion(
+                        wr_id=box[0].wr_id, status=_SUCCESS,
+                        opcode=_RECV if send_op else _RECV_IMM,
+                        byte_len=nbytes, imm=imm,
+                        qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
+                    ))
             turn_around()
-
-        def at_disp():
-            if wcbox:
-                # t_rc is passed through verbatim: the wait charge must
-                # be computed as (t_rc - park), never via sim.now -
-                # discover (float addition is not associative; the slow
-                # path charges at t_rc).
-                fused_kernel._fp_deliver(wcbox[0], t_rc)
-            else:
-                # Reverted (or SRQ mismodel): the real machinery owns
-                # delivery; just retire the commit claim.
-                fcq.fp_pending -= 1
 
         seq += 1
         heappush(fpq, (t5, seq, at_mid))
@@ -936,9 +843,6 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         heappush(fpq, (t_rc, seq, at_rc))
         seq += 1
         heappush(fpq, (back, seq, table._rel_back))
-        if fused_kernel is not None:
-            seq += 1
-            heappush(fpq, (t_disp, seq, at_disp))
 
     seq += 1
     heappush(fpq, (t_end, seq, at_end))

@@ -149,18 +149,6 @@ class QueuePair:
         """
         self.state = "RTS"
         self._invalidate_fastpath()
-        # Defensive: a fused IMM chain counts its in-flight delivery in
-        # recv_cq.fp_pending and may leave a poll-bypass window armed.
-        # If the QP errored mid-chain those deliveries flushed with the
-        # rest of the queue; stale counters would make every later
-        # fused-eligibility check (fp_pending == 0) fail forever and a
-        # stale bypass window could swallow a legitimate poll.  The
-        # flush already drained the CQEs, so zeroing here is a pure
-        # reset of fast-path bookkeeping.
-        recv_cq = self.recv_cq
-        if recv_cq is not None:
-            recv_cq.fp_pending = 0
-            recv_cq.fp_bypass = False
 
     def _enter_error(self) -> None:
         self.state = "ERROR"

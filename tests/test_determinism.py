@@ -5,7 +5,12 @@ same event order, same timestamps, same data.  These tests pin that
 down end-to-end, plus stress the engine with randomized process graphs.
 """
 
+import ast
+import importlib
+import itertools
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +161,74 @@ def test_reset_global_counters_rewinds_job_names():
     LiteGraph._job_counter = LiteGraphDsm._job_counter = 7
     reset_global_counters()
     assert LiteGraph._job_counter == LiteGraphDsm._job_counter == 0
+
+
+def _declared_counters():
+    """Every process-global id counter ``src/repro`` declares, as
+    (module, class or None, attribute, import-time value): module- and
+    class-level ``itertools.count(...)`` assignments, plus class-level
+    int attributes named like one (``_next_id``, ``*_counter``)."""
+    import repro
+
+    def count_start(value):
+        func = getattr(value, "func", None)
+        if getattr(func, "attr", getattr(func, "id", None)) != "count":
+            return None
+        args = value.args + [kw.value for kw in value.keywords]
+        return itertools.count(ast.literal_eval(args[0]) if args else 0)
+
+    root = pathlib.Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(root).with_suffix("").parts
+        module = ".".join(part for part in parts if part != "__init__")
+        tree = ast.parse(path.read_text())
+        scopes = [(None, tree.body)] + [
+            (node.name, node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for cls, body in scopes:
+            for stmt in body:
+                if not (isinstance(stmt, ast.Assign)
+                        and isinstance(stmt.targets[0], ast.Name)):
+                    continue
+                name, value = stmt.targets[0].id, stmt.value
+                initial = count_start(value)
+                if (initial is None and cls is not None
+                        and isinstance(value, ast.Constant)
+                        and type(value.value) is int
+                        and re.search(r"(_next_id|_counter)$", name)):
+                    initial = value.value
+                if initial is not None:
+                    found.append((module, cls, name, initial))
+    return found
+
+
+def test_reset_global_counters_rewinds_every_declared_counter():
+    """ROADMAP 6b: a counter that escapes ``reset_global_counters()``
+    shifts id digit counts — and so wire timing — between two clusters
+    of one process.  Disturb every counter the source declares, reset,
+    and require each back at its import-time value."""
+    from repro.determinism import reset_global_counters
+
+    counters = _declared_counters()
+    assert len(counters) >= 19, "the walk must find the known counters"
+    owners = []
+    for module, cls, name, initial in counters:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        owners.append(owner)
+        if isinstance(initial, int):
+            setattr(owner, name, getattr(owner, name) + 7)
+        else:
+            next(getattr(owner, name))
+    reset_global_counters()
+    escaped = [
+        f"{module}:{cls + '.' if cls else ''}{name}"
+        for owner, (module, cls, name, initial) in zip(owners, counters)
+        if repr(getattr(owner, name)) != repr(initial)]
+    assert not escaped, (
+        f"not rewound by reset_global_counters(): {escaped}")
 
 
 # ------------------------------------------------ trace determinism --

@@ -245,10 +245,9 @@ def _run_retry_storm(fastpath: bool):
     client times out and resends an already-answered token — the server
     must answer from the reply cache (hit → cached resend) or, when the
     handler is still running, drop the duplicate (in-flight
-    suppression).  Timed calls stay on the generator client path by
-    design, but their ring appends still commit fused WRITE_IMM chains
-    and the server's recv/reply sides still fuse, so this drives the
-    duplicate-suppression machinery through the fast path under faults.
+    suppression).  Under a loss rule every fast-path attempt declines
+    (a commit assumes lossless delivery), so the A/B pins that declined
+    attempts leave no trace on the duplicate-suppression machinery.
     Returns end-state observables + cache hit/install counters.
     """
     saved = os.environ.get("REPRO_NO_FASTPATH")
@@ -294,8 +293,8 @@ def _run_retry_storm(fastpath: bool):
 
 def test_retry_storm_reply_cache_fastpath_ab_identity():
     """ISSUE 8 satellite: retried tokens must hit the (now LruDict)
-    reply cache identically with the fast path on and off — a fused
-    request delivery that mis-handled duplicate suppression would skew
+    reply cache identically with the fast path on and off — a request
+    delivery that mis-handled duplicate suppression would skew
     outcomes, sim time, or the cache counters between the modes."""
     fast = _run_retry_storm(fastpath=True)
     slow = _run_retry_storm(fastpath=False)
@@ -310,10 +309,10 @@ def test_retry_storm_reply_cache_fastpath_ab_identity():
 def _run_ring_wrap_burst(fastpath: bool):
     """An RPC burst on a deliberately tiny ring, forcing mid-burst wraps.
 
-    A wrapped append lands its imm-carrying remainder at the ring start
-    while the imm offset names the pre-wrap tail; ``fp_rpc_gate``'s
-    offset-mismatch detector must drop the primed chain and leave the
-    wrap on the generator path.  Returns end-state observables.
+    A wrapped append lands its first piece with an awaited
+    ``raw_write`` and its imm-carrying remainder at the ring start; the
+    remainder is an ordinary WRITE_IMM that may commit.  Returns
+    end-state observables.
     """
     saved = os.environ.get("REPRO_NO_FASTPATH")
     _with_fastpath(fastpath)
@@ -354,29 +353,40 @@ def _run_ring_wrap_burst(fastpath: bool):
 
 
 def test_ring_wrap_mid_burst_fastpath_ab_identity():
-    """ISSUE 8 satellite: ring wrap must invalidate the primed chain.
-    With a 4 KB ring the burst wraps every ~13 calls; the fused path
-    must decline exactly the wrapping appends (generator path handles
-    the two-part write) and stay bit-identical to the slow run."""
+    """ISSUE 8 satellite: with a 4 KB ring the burst wraps every ~13
+    calls; the two-part wrapping appends must stay bit-identical to the
+    slow run while the burst commits."""
     commits_before = fp_stats.commits + fp_stats.chain_commits
-    attempts_before = fp_stats.attempts + fp_stats.chain_attempts
     fast = _run_ring_wrap_burst(fastpath=True)
     commits = fp_stats.commits + fp_stats.chain_commits - commits_before
-    attempts = fp_stats.attempts + fp_stats.chain_attempts - attempts_before
-    assert commits > 0, "the burst must exercise fused commits"
-    assert attempts > commits, \
-        "wrapping appends must decline the fused chain"
+    assert commits > 0, "the burst must exercise fast-path commits"
     slow = _run_ring_wrap_burst(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
     assert fast[1] == slow[1], "cluster snapshot diverged"
     assert fast[2] == slow[2], "op outcomes diverged"
 
 
-def _run_light_load_rpcs(fastpath: bool, busy: str):
+class _SleepyContext(LiteContext):
+    """A user-level context that sleeps for every reply or request: the
+    wait strategy overridden in a subclass rather than on an instance."""
+
+    def _waiter(self):
+        cpu, tag = self.kernel.node.cpu, self._tag
+
+        def sleep_waiter(event):
+            value = yield from cpu.sleep_wait(event, tag=tag)
+            return value
+
+        return sleep_waiter
+
+
+def _run_light_load_rpcs(fastpath: bool, busy: str, sleepy: bool = False):
     """12 light-load RPCs through ``rpc_server_loop``; the context named
     by ``busy`` ("server", "client" or "") spins instead of waiting
     adaptively, overridden the way benchmarks/test_ablations.py does it.
-    Returns (final sim time, replies, CPU per role, server parked fused?).
+    ``sleepy`` makes the server a :class:`_SleepyContext` and gives the
+    client the same sleeping strategy as an instance override.
+    Returns (final sim time, replies, CPU per role).
     """
     saved = os.environ.get("REPRO_NO_FASTPATH")
     _with_fastpath(fastpath)
@@ -385,9 +395,12 @@ def _run_light_load_rpcs(fastpath: bool, busy: str):
         cluster = Cluster(2)
         kernels = lite_boot(cluster)
         sim = cluster.sim
+        server_cls = _SleepyContext if sleepy else LiteContext
         contexts = {"client": LiteContext(kernels[0], "light-cli"),
-                    "server": LiteContext(kernels[1], "light-srv")}
+                    "server": server_cls(kernels[1], "light-srv")}
         client, server = contexts["client"], contexts["server"]
+        if sleepy:
+            client._waiter = _SleepyContext._waiter.__get__(client)
         if busy:
             ctx = contexts[busy]
             cpu = ctx.kernel.node.cpu
@@ -419,7 +432,7 @@ def _run_light_load_rpcs(fastpath: bool, busy: str):
         sim.run()  # the server's last reply-recv crossing settles
         ledger = {role: ctx.kernel.node.cpu.busy_time.get(ctx._tag, 0.0)
                   for role, ctx in contexts.items()}
-        return sim.now, replies, ledger, 1 in kernels[1].rpc._fused_recv
+        return sim.now, replies, ledger
     finally:
         if saved is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
@@ -429,11 +442,9 @@ def _run_light_load_rpcs(fastpath: bool, busy: str):
 
 @pytest.mark.parametrize("busy", ["server", "client", ""])
 def test_overridden_wait_strategy_fastpath_ab_identity(busy):
-    """ISSUE 20 bugfix: the crossing-fused RPC twins price the stock
-    adaptive wait, so a context with another ``_waiter`` must not enter
-    them — before the fix only the first ``lt_recv_rpc`` honoured a busy
-    server's override and the fast run charged ~21 µs per request where
-    the slow run charged the whole ~300 µs gap."""
+    """A context's ``_waiter`` override is honoured on every call in
+    both modes (ISSUE 20 found a fast run charging a busy server ~21 µs
+    per request where the slow run charged the whole ~300 µs gap)."""
     fast = _run_light_load_rpcs(fastpath=True, busy=busy)
     slow = _run_light_load_rpcs(fastpath=False, busy=busy)
     assert fast[0] == slow[0], "final sim time diverged"
@@ -443,10 +454,143 @@ def test_overridden_wait_strategy_fastpath_ab_identity(busy):
     if busy == "server":
         assert fast[2]["server"] / 12 > 250, \
             "a busy server burns the inter-arrival gap"
-    # The stock adaptive server still parks on the fused branch (and
-    # only with the fast path on); an overridden one never does.
-    assert fast[3] is (busy != "server")
-    assert slow[3] is False
+
+
+def test_sleeping_and_subclass_waiter_fastpath_ab_identity():
+    """A sleeping ``_waiter`` — one set on the instance, one defined in
+    a subclass — is what every wait pays in both modes: neither side
+    burns the adaptive busy window the stock strategy would."""
+    fast = _run_light_load_rpcs(fastpath=True, busy="", sleepy=True)
+    slow = _run_light_load_rpcs(fastpath=False, busy="", sleepy=True)
+    assert fast == slow
+    assert len(fast[1]) == 12
+    stock = _run_light_load_rpcs(fastpath=True, busy="")
+    assert fast[2]["client"] < stock[2]["client"]
+    assert fast[2]["server"] < stock[2]["server"]
+
+
+def _run_echo_rpcs(fastpath: bool):
+    """300 sequential 512 B echo RPCs, one client, two nodes — the
+    closed loop in which every request, head-pointer update and reply
+    commits.  Returns (end-state observables, fp_stats movement)."""
+    reset_global_counters()
+    cluster = Cluster(2)
+    sim = cluster.sim
+    sim.fastpath_enabled = fastpath
+    kernels = lite_boot(cluster)
+    client = LiteContext(kernels[0], "echo-cli")
+    server = LiteContext(kernels[1], "echo-srv")
+    sim.process(rpc_server_loop(server, 1, lambda data: data))
+    replies = []
+
+    def driver():
+        for index in range(300):
+            reply = yield from client.lt_rpc(
+                2, 1, bytes([index & 0xFF]) * 512, max_reply=512)
+            replies.append(reply)
+
+    before = {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
+    cluster.run_process(driver())
+    sim.run()
+    moved = {name: getattr(fp_stats, name) - before[name]
+             for name in fp_stats.__slots__}
+    observed = (
+        sim.now, dataclasses.asdict(snapshot(cluster)), replies,
+        [dict(kernel.node.cpu.busy_time) for kernel in kernels],
+        [(kernel.recv_cq.pushed, kernel.recv_cq.polled)
+         for kernel in kernels],
+    )
+    return observed, moved
+
+
+def test_sequential_echo_rpcs_fastpath_ab_identity():
+    """The poll iteration a committed write-imm wakes is the generator
+    path's own: time, snapshot, every CPU tag on both nodes and both
+    kernels' receive-CQ counters agree with the slow run while ≥ 99% of
+    the three chain legs per RPC commit."""
+    fast, moved = _run_echo_rpcs(fastpath=True)
+    slow, slow_moved = _run_echo_rpcs(fastpath=False)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2] and len(fast[2]) == 300
+    assert fast[3] == slow[3], "per-tag CPU ledgers diverged"
+    assert fast[4] == slow[4], "receive-CQ pushed/polled diverged"
+    assert moved["chain_commits"] >= 0.99 * (3 * 300)
+    assert moved["mismodels"] == 0
+    assert not any(slow_moved.values()), "the slow run must not attempt"
+
+
+def _run_near_simultaneous_requests(fastpath: bool):
+    """Two clients on two nodes call one server in rounds; the second
+    starts 0.01 µs later each round, so their request write-imms reach
+    the server's receive CQ from 0.01 to 0.07 µs apart — a second CQE
+    landing while the poller is still inside the first one's discovery
+    delay (``poll_loop_us / 2``), and just after it.
+    Returns (final time, dispatch order, request CQE arrivals, replies
+    with their completion instants, CPU ledgers)."""
+    from repro.verbs.wr import Opcode
+
+    reset_global_counters()
+    cluster = Cluster(3)
+    sim = cluster.sim
+    sim.fastpath_enabled = fastpath
+    kernels = lite_boot(cluster)
+    clients = [LiteContext(kernels[0], "near-a"),
+               LiteContext(kernels[1], "near-b")]
+    server = LiteContext(kernels[2], "near-srv")
+    order = []
+
+    def handler(data):
+        order.append(data[0])
+        return data
+
+    sim.process(rpc_server_loop(server, 1, handler))
+    arrivals = []
+    dispatch = kernels[2]._dispatch_wc
+
+    def spy(wc):
+        if wc.opcode is Opcode.RECV_IMM:
+            arrivals.append((wc.completed_at, wc.src_node))
+        dispatch(wc)
+
+    kernels[2]._dispatch_wc = spy
+    replies = [[], []]
+    start = sim.now
+
+    def client(who):
+        for rnd in range(8):
+            lag = 0.01 * rnd * who
+            yield sim.timeout(start + 300.0 * (rnd + 1) + lag - sim.now)
+            reply = yield from clients[who].lt_rpc(
+                3, 1, bytes([16 * who + rnd]) * 8, max_reply=64)
+            replies[who].append((sim.now, reply))
+
+    for who in (0, 1):
+        sim.process(client(who))
+    sim.run()
+    ledgers = [dict(kernel.node.cpu.busy_time) for kernel in kernels]
+    return sim.now, order, arrivals, replies, ledgers
+
+
+def test_near_simultaneous_requests_fastpath_ab_identity():
+    """A request CQE that lands inside another's poll iteration is
+    queued behind it and dispatched in arrival order in both modes."""
+    commits_before = fp_stats.chain_commits
+    fast = _run_near_simultaneous_requests(fastpath=True)
+    assert fp_stats.chain_commits > commits_before
+    slow = _run_near_simultaneous_requests(fastpath=False)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "dispatch order diverged"
+    assert fast[2] == slow[2], "request CQE arrivals diverged"
+    assert fast[3] == slow[3], "replies diverged"
+    assert fast[4] == slow[4], "CPU ledgers diverged"
+    assert len(fast[1]) == 16
+    half_poll = SimParams().poll_loop_us / 2
+    rounds = list(zip(fast[2][0::2], fast[2][1::2]))
+    assert all(first[1] != later[1] for first, later in rounds)
+    gaps = [later[0] - first[0] for first, later in rounds]
+    assert sum(gap <= half_poll for gap in gaps) >= 3
+    assert sum(gap > half_poll for gap in gaps) >= 3
 
 
 def test_kill_switch_disables_commits():
@@ -610,7 +754,7 @@ def test_horizon_floor_strictly_below_completion(opcode_name):
             floor = qp._fp_table.floor
             assert floor > 0.0
             assert posted + floor < sim.now, (nbytes, signaled)
-            sim.run()  # drain the fused delivery tail before the next post
+            sim.run()  # drain the delivery tail before the next post
 
 
 def _one_write(entry: str, fastpath: bool):

@@ -92,19 +92,6 @@ class Node:
             for qp in other._verbs_device.qps.values():
                 if qp.remote is not None and qp.remote[0] == self.node_id:
                     qp._fp_table = None
-        # Drop every memoised multi-chunk plan cluster-wide: the table
-        # stamps above already make stale plans unusable (each use
-        # revalidates its CostTables), but an explicit clear keeps a
-        # fence from leaving tombstone entries behind and makes the
-        # failover contract direct — after a fence, no plan memo primed
-        # before it can ever commit.
-        for other in self.fabric.nodes.values():
-            lite = other.lite
-            if lite is None:
-                continue
-            for mappings in lite.mappings_by_lmr.values():
-                for mapping in mappings:
-                    mapping._fp_plans.clear()
 
     def __repr__(self) -> str:
         return f"Node({self.node_id})"

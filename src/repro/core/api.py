@@ -167,31 +167,10 @@ class LiteContext:
         shares = self._split_evenly(size, len(node_list))
         chunks: List[ChunkInfo] = []
         for target, share in zip(node_list, shares):
-            if target == kernel.lite_id:
-                yield from kernel.node.cpu.execute(
-                    kernel._alloc_cost(share), tag="lite-mgmt"
-                )
-                local_chunks = yield from kernel.alloc_chunks(share)
-                chunks.extend(local_chunks)
-            else:
-                reply = yield from kernel.ctrl_request(
-                    target, {"type": MsgType.ALLOC, "size": share}
-                )
-                chunks.extend(ChunkInfo.from_wire(w) for w in reply["chunks"])
+            chunks.extend((yield from self._alloc_on(target, share)))
         replica_chunks = {}
         for backup in backup_ids:
-            if backup == kernel.lite_id:
-                yield from kernel.node.cpu.execute(
-                    kernel._alloc_cost(size), tag="lite-mgmt"
-                )
-                replica_chunks[backup] = (yield from kernel.alloc_chunks(size))
-            else:
-                reply = yield from kernel.ctrl_request(
-                    backup, {"type": MsgType.ALLOC, "size": size}
-                )
-                replica_chunks[backup] = [
-                    ChunkInfo.from_wire(w) for w in reply["chunks"]
-                ]
+            replica_chunks[backup] = yield from self._alloc_on(backup, size)
         lmr_name = name if name is not None else f"__anon:{next(_anon_counter)}"
         record = MasterRecord(lmr_name, size, chunks, creator=self.principal,
                               default_perm=default_perm)
@@ -220,6 +199,36 @@ class LiteContext:
         base, extra = divmod(size, parts)
         return [base + (1 if index < extra else 0) for index in range(parts)]
 
+    def _alloc_on(self, target: int, share: int):
+        """``share`` bytes of fresh chunks on LITE ``target`` (generator)."""
+        kernel = self.kernel
+        if target == kernel.lite_id:
+            yield from kernel.node.cpu.execute(
+                kernel._alloc_cost(share), tag="lite-mgmt"
+            )
+            return (yield from kernel.alloc_chunks(share))
+        reply = yield from kernel.ctrl_request(
+            target, {"type": MsgType.ALLOC, "size": share}
+        )
+        return [ChunkInfo.from_wire(w) for w in reply["chunks"]]
+
+    def _free_chunks(self, chunks):
+        """Release physical chunks, grouped per owner node (generator)."""
+        kernel = self.kernel
+        by_node = {}
+        for chunk in chunks:
+            by_node.setdefault(chunk.node_id, []).append(chunk)
+        for node_id, node_chunks in by_node.items():
+            if node_id == kernel.lite_id:
+                for chunk in node_chunks:
+                    yield from kernel.free_chunk(chunk)
+            else:
+                yield from kernel.ctrl_request(
+                    node_id,
+                    {"type": MsgType.FREE_CHUNKS,
+                     "chunks": [c.to_wire() for c in node_chunks]},
+                )
+
     @traced_op("op.lt_free")
     def lt_free(self, lh: LmrHandle):
         """Free an LMR (generator).  Requires MASTER; notifies mappers."""
@@ -247,24 +256,11 @@ class LiteContext:
         for local_map in kernel.mappings_by_lmr.pop(record.lmr_id, []):
             local_map.valid = False
         kernel.manager.drop_replicated(record.lmr_id)
-        # Release the physical chunks, grouped per owner node (backup
-        # copies are freed alongside the primary).
-        by_node = {}
-        for chunk in record.chunks:
-            by_node.setdefault(chunk.node_id, []).append(chunk)
-        for backup_chunks in record.replicas.values():
-            for chunk in backup_chunks:
-                by_node.setdefault(chunk.node_id, []).append(chunk)
-        for node_id, node_chunks in by_node.items():
-            if node_id == kernel.lite_id:
-                for chunk in node_chunks:
-                    yield from kernel.free_chunk(chunk)
-            else:
-                yield from kernel.ctrl_request(
-                    node_id,
-                    {"type": MsgType.FREE_CHUNKS,
-                     "chunks": [c.to_wire() for c in node_chunks]},
-                )
+        # Backup copies are freed alongside the primary.
+        yield from self._free_chunks(
+            record.chunks
+            + [c for bchunks in record.replicas.values() for c in bchunks]
+        )
         lh.valid = False
         yield from self._exit()
 
@@ -362,17 +358,7 @@ class LiteContext:
         new_chunks: List[ChunkInfo] = []
         for target, share in zip(node_list,
                                  self._split_evenly(record.size, len(node_list))):
-            if target == kernel.lite_id:
-                yield from kernel.node.cpu.execute(
-                    kernel._alloc_cost(share), tag="lite-mgmt"
-                )
-                local_chunks = yield from kernel.alloc_chunks(share)
-                new_chunks.extend(local_chunks)
-            else:
-                reply = yield from kernel.ctrl_request(
-                    target, {"type": MsgType.ALLOC, "size": share}
-                )
-                new_chunks.extend(ChunkInfo.from_wire(w) for w in reply["chunks"])
+            new_chunks.extend((yield from self._alloc_on(target, share)))
         # 2. Copy the data (read old, write new), 4 MB at a time.
         old_map = MappedLmr(0, "", record.size, old_chunks, 0)
         new_map = MappedLmr(0, "", record.size, new_chunks, 0)
@@ -386,7 +372,7 @@ class LiteContext:
         # 3. Retarget the record and every mapping, everywhere.
         record.chunks = new_chunks
         for local_map in kernel.mappings_by_lmr.get(record.lmr_id, []):
-            local_map.chunks = new_chunks
+            local_map.retarget(new_chunks)
         wire_chunks = [c.to_wire() for c in new_chunks]
         procs = []
         for peer_id in list(record.mapped_by):
@@ -404,19 +390,7 @@ class LiteContext:
         if procs:
             yield self.sim.all_of(procs)
         # 4. Free the old chunks.
-        by_node = {}
-        for chunk in old_chunks:
-            by_node.setdefault(chunk.node_id, []).append(chunk)
-        for node_id, node_chunks in by_node.items():
-            if node_id == kernel.lite_id:
-                for chunk in node_chunks:
-                    yield from kernel.free_chunk(chunk)
-            else:
-                yield from kernel.ctrl_request(
-                    node_id,
-                    {"type": MsgType.FREE_CHUNKS,
-                     "chunks": [c.to_wire() for c in node_chunks]},
-                )
+        yield from self._free_chunks(old_chunks)
         yield from self._exit()
 
     @traced_op("op.lt_grant")

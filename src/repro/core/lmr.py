@@ -53,6 +53,17 @@ class ChunkInfo:
         self.rkey = rkey
         self.va = va
 
+    def target(self, chunk_off: int, global_rkey: Optional[int] = None):
+        """``(remote address, rkey)`` of the byte ``chunk_off`` into this chunk.
+
+        The one place the addressing rule is written: physical address
+        under the owner's ``global_rkey``, or the chunk's own VA + rkey
+        in the per-MR mode.
+        """
+        if self.rkey is not None:
+            return self.va + chunk_off, self.rkey
+        return self.addr + chunk_off, global_rkey
+
     def to_wire(self) -> list:
         """JSON-serializable form for control messages."""
         return [self.node_id, self.addr, self.size, self.rkey, self.va]
@@ -130,9 +141,9 @@ class MappedLmr:
         # including one racing an in-flight op — orphans every
         # memoised plan for the old layout.
         self.plan_version = 0
-        # Plan memo: (offset, nbytes, is_read) -> fastpath._Plan.
-        # Entries are only ever *used* after revalidating
-        # ``plan_version`` and the piece's liveness flags;
+        # Plan memo: (offset, nbytes, is_read) -> (plan_version, peer
+        # LITE id, remote_addr, rkey) — a pure function of ``chunks``,
+        # so ``plan_version`` is all that revalidates an entry;
         # ``retarget()`` clears eagerly anyway.
         self._fp_plans: Dict = {}
         # Backup LITE id -> chunk list; writes through this mapping fan

@@ -201,6 +201,72 @@ class OneSidedEngine:
                 f"LMR {mapping.lmr_id} lost its last replica", errno=ENODEV
             )
 
+    def _pieces(self, mapping: MappedLmr, offset: int, nbytes: int, data, emit):
+        """The one walk of an access's pieces, in plan order (generator).
+
+        ``data`` is the caller's buffer for a write, None for a read.  A
+        piece local to this node is charged and memcpy'd in place; a
+        remote piece becomes one ``SendWR`` (a write's payload a
+        zero-copy memoryview slice of ``data`` — the single copy happens
+        at the destination region write) handed to ``emit(peer, wr)``,
+        which issues it or gathers it for a batch.  Returns the read's
+        parts in order — bytes for a local piece, the ``SendWR`` whose
+        ``return_data`` the completion fills for a remote one.
+        """
+        kernel = self.kernel
+        view = None if data is None else memoryview(data)
+        parts = []
+        for chunk, chunk_off, piece_len, buf_off in mapping.plan(offset, nbytes):
+            if chunk.node_id == kernel.lite_id:
+                yield from kernel.node.cpu.execute(
+                    piece_len / self.params.memcpy_bytes_per_us, tag="lite-local"
+                )
+                if view is None:
+                    parts.append(
+                        kernel._local_chunk_read(chunk, chunk_off, piece_len)
+                    )
+                else:
+                    kernel._local_chunk_write(
+                        chunk, chunk_off, view[buf_off : buf_off + piece_len]
+                    )
+                continue
+            peer = kernel.peer(chunk.node_id)
+            remote_addr, rkey = chunk.target(chunk_off, peer.global_rkey)
+            if view is None:
+                wr = SendWR(Opcode.READ, remote_addr=remote_addr, rkey=rkey,
+                            read_length=piece_len)
+                parts.append(wr)
+            else:
+                wr = SendWR(Opcode.WRITE, remote_addr=remote_addr, rkey=rkey,
+                            inline_data=view[buf_off : buf_off + piece_len])
+            emit(peer, wr)
+        return parts
+
+    @staticmethod
+    def _join(parts) -> bytes:
+        """A completed read's bytes from :meth:`_pieces`' parts."""
+        parts = [
+            part.return_data or b"" if isinstance(part, SendWR) else part
+            for part in parts
+        ]
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def _issue_pieces(self, mapping: MappedLmr, offset: int, nbytes: int, data,
+                      priority: int):
+        """:meth:`_pieces` with every remote piece issued as it is built
+        (generator): the fast path's handle, else the generator path's
+        process.  Returns ``(what to await, the read's parts)``."""
+        procs = []
+
+        def issue(peer, wr):
+            handle = self._try_fast(peer, wr, priority)
+            if handle is None:
+                handle = self.sim.process(self._post(peer.lite_id, wr, priority))
+            procs.append(handle)
+
+        parts = yield from self._pieces(mapping, offset, nbytes, data, issue)
+        return procs, parts
+
     def _backup_write(self, mapping: MappedLmr, backup_id: int,
                       offset: int, data: bytes, priority: int):
         """Fan one write out to a single backup copy (generator).
@@ -211,49 +277,30 @@ class OneSidedEngine:
         the surviving copies.  Always returns ``WcStatus.SUCCESS`` so
         it can ride in the same ``all_of`` as the primary pieces.
         """
-        kernel = self.kernel
         bchunks = mapping.replica_chunks.get(backup_id)
         if not bchunks:
             return WcStatus.SUCCESS
         bmap = MappedLmr(0, "", mapping.size, bchunks, 0)
         try:
-            view = memoryview(data)
-            procs = []
-            for chunk, chunk_off, piece_len, buf_off in bmap.plan(
-                offset, len(data)
-            ):
-                piece = view[buf_off : buf_off + piece_len]
-                if chunk.node_id == kernel.lite_id:
-                    yield from kernel.node.cpu.execute(
-                        piece_len / self.params.memcpy_bytes_per_us,
-                        tag="lite-local",
-                    )
-                    kernel._local_chunk_write(chunk, chunk_off, piece)
-                    continue
-                peer = kernel.peer(chunk.node_id)
-                if chunk.rkey is not None:
-                    remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-                else:
-                    remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-                wr = SendWR(
-                    Opcode.WRITE,
-                    inline_data=piece,
-                    remote_addr=remote_addr,
-                    rkey=rkey,
-                )
-                handle = self._try_fast(peer, wr, priority)
-                if handle is not None:
-                    procs.append(handle)
-                else:
-                    procs.append(
-                        self.sim.process(self._post(chunk.node_id, wr, priority))
-                    )
+            procs, _ = yield from self._issue_pieces(
+                bmap, offset, len(data), data, priority
+            )
             if procs:
                 results = yield self.sim.all_of(procs)
                 self._check(list(results.values()), "replica write")
         except LiteError:
-            kernel.manager.mark_replica_stale(mapping.lmr_id, backup_id)
+            self.kernel.manager.mark_replica_stale(mapping.lmr_id, backup_id)
         return WcStatus.SUCCESS
+
+    def _backup_procs(self, mapping: MappedLmr, offset: int, data: bytes,
+                      priority: int):
+        """One :meth:`_backup_write` process per backup copy, in id order."""
+        return [
+            self.sim.process(
+                self._backup_write(mapping, backup_id, offset, data, priority)
+            )
+            for backup_id in sorted(mapping.replica_chunks)
+        ]
 
     def _ack_replicated_write(self, mapping: MappedLmr) -> None:
         """Bump the per-LMR write-ordering version after a full ack."""
@@ -271,61 +318,27 @@ class OneSidedEngine:
         yield from kernel.qos.gate(priority)
         start = self.sim.now
         # Plan entry: an op whose plan is one remote piece commits from
-        # the memoised plan (no WR, no barrier); any decline — several
+        # the memoised address (no WR, no barrier); any decline — several
         # chunks, a local chunk, contention — falls through to the
-        # bit-exact per-piece loop below.
+        # bit-exact per-piece walk below.
         handle = try_fast_post_vec(
             self, mapping, offset, len(data), data, Opcode.WRITE, priority
         )
         if handle is not None:
             yield handle
-            self.writes += 1
-            kernel.qos.observe(priority, self.sim.now - start)
-            return
-        procs = []
-        # Zero-copy: pieces are memoryview slices of the caller's buffer;
-        # the single copy happens at the destination region write.
-        view = memoryview(data)
-        for chunk, chunk_off, piece_len, buf_off in mapping.plan(offset, len(data)):
-            piece = view[buf_off : buf_off + piece_len]
-            if chunk.node_id == kernel.lite_id:
-                yield from kernel.node.cpu.execute(
-                    piece_len / self.params.memcpy_bytes_per_us, tag="lite-local"
-                )
-                kernel._local_chunk_write(chunk, chunk_off, piece)
-                continue
-            peer = kernel.peer(chunk.node_id)
-            if chunk.rkey is not None:
-                remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-            else:
-                remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-            wr = SendWR(
-                Opcode.WRITE,
-                inline_data=piece,
-                remote_addr=remote_addr,
-                rkey=rkey,
+        else:
+            procs, _ = yield from self._issue_pieces(
+                mapping, offset, len(data), data, priority
             )
-            handle = self._try_fast(peer, wr, priority)
-            if handle is not None:
-                procs.append(handle)
-            else:
-                procs.append(
-                    self.sim.process(self._post(chunk.node_id, wr, priority))
-                )
-        # Replicated LMR: the same bytes fan out to every backup copy
-        # inside the same completion barrier — an acked write is on all
-        # live replicas before the caller resumes.
-        for backup_id in sorted(mapping.replica_chunks):
-            procs.append(
-                self.sim.process(
-                    self._backup_write(mapping, backup_id, offset, data, priority)
-                )
-            )
-        if procs:
-            results = yield self.sim.all_of(procs)
-            self._check(list(results.values()), "write")
-        if mapping.replica_chunks:
-            self._ack_replicated_write(mapping)
+            # Replicated LMR: the same bytes fan out to every backup copy
+            # inside the same completion barrier — an acked write is on
+            # all live replicas before the caller resumes.
+            procs += self._backup_procs(mapping, offset, data, priority)
+            if procs:
+                results = yield self.sim.all_of(procs)
+                self._check(list(results.values()), "write")
+            if mapping.replica_chunks:
+                self._ack_replicated_write(mapping)
         self.writes += 1
         kernel.qos.observe(priority, self.sim.now - start)
 
@@ -340,51 +353,26 @@ class OneSidedEngine:
         )
         if handle is not None:
             data = yield handle
-            self.reads += 1
-            kernel.qos.observe(priority, self.sim.now - start)
-            return data
-        pieces = mapping.plan(offset, nbytes)
-        parts: List[bytes] = [b""] * len(pieces)
-        procs = []
-        proc_meta = []
-        for index, (chunk, chunk_off, piece_len, _buf_off) in enumerate(pieces):
-            if chunk.node_id == kernel.lite_id:
-                yield from kernel.node.cpu.execute(
-                    piece_len / self.params.memcpy_bytes_per_us, tag="lite-local"
-                )
-                parts[index] = kernel._local_chunk_read(chunk, chunk_off, piece_len)
-                continue
-            peer = kernel.peer(chunk.node_id)
-            if chunk.rkey is not None:
-                remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-            else:
-                remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-            wr = SendWR(
-                Opcode.READ,
-                remote_addr=remote_addr,
-                rkey=rkey,
-                read_length=piece_len,
+        else:
+            procs, parts = yield from self._issue_pieces(
+                mapping, offset, nbytes, None, priority
             )
-            handle = self._try_fast(peer, wr, priority)
-            if handle is not None:
-                procs.append(handle)
-            else:
-                procs.append(
-                    self.sim.process(self._post(chunk.node_id, wr, priority))
-                )
-            proc_meta.append((index, wr))
-        if procs:
-            results = yield self.sim.all_of(procs)
-            self._check(list(results.values()), "read")
-            for index, wr in proc_meta:
-                parts[index] = wr.return_data or b""
+            if procs:
+                results = yield self.sim.all_of(procs)
+                self._check(list(results.values()), "read")
+            data = self._join(parts)
         self.reads += 1
         kernel.qos.observe(priority, self.sim.now - start)
-        if len(parts) == 1:
-            return parts[0]
-        return b"".join(parts)
+        return data
 
     # -- vector ops (batched data plane, §5.2) --------------------------------
+    def _post_batches(self, by_peer: dict, priority: int):
+        """One :meth:`_post_batch` process per peer's gathered WRs."""
+        return [
+            self.sim.process(self._post_batch(peer_id, wrs, priority))
+            for peer_id, wrs in by_peer.items()
+        ]
+
     def write_vec(self, ops, priority: int = 0):
         """Vector LT_write: many writes, one doorbell per WR chunk.
 
@@ -398,45 +386,16 @@ class OneSidedEngine:
         start = self.sim.now
         by_peer: dict = {}
         backup_procs = []
+
+        def gather(peer, wr):
+            by_peer.setdefault(peer.lite_id, []).append(wr)
+
         for mapping, offset, data in ops:
             self._check_not_failed(mapping)
-            for backup_id in sorted(mapping.replica_chunks):
-                backup_procs.append(
-                    self.sim.process(
-                        self._backup_write(
-                            mapping, backup_id, offset, data, priority
-                        )
-                    )
-                )
-            view = memoryview(data)
-            for chunk, chunk_off, piece_len, buf_off in mapping.plan(
-                offset, len(data)
-            ):
-                piece = view[buf_off : buf_off + piece_len]
-                if chunk.node_id == kernel.lite_id:
-                    yield from kernel.node.cpu.execute(
-                        piece_len / self.params.memcpy_bytes_per_us,
-                        tag="lite-local",
-                    )
-                    kernel._local_chunk_write(chunk, chunk_off, piece)
-                    continue
-                peer = kernel.peer(chunk.node_id)
-                if chunk.rkey is not None:
-                    remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-                else:
-                    remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-                wr = SendWR(
-                    Opcode.WRITE,
-                    inline_data=piece,
-                    remote_addr=remote_addr,
-                    rkey=rkey,
-                )
-                by_peer.setdefault(chunk.node_id, []).append(wr)
+            backup_procs += self._backup_procs(mapping, offset, data, priority)
+            yield from self._pieces(mapping, offset, len(data), data, gather)
         if by_peer or backup_procs:
-            batch_procs = [
-                self.sim.process(self._post_batch(peer_id, wrs, priority))
-                for peer_id, wrs in by_peer.items()
-            ]
+            batch_procs = self._post_batches(by_peer, priority)
             results = yield self.sim.all_of(batch_procs + backup_procs)
             for index in range(len(batch_procs)):
                 self._check(results[index], "write_vec")
@@ -456,55 +415,24 @@ class OneSidedEngine:
         kernel = self.kernel
         yield from kernel.qos.gate(priority)
         start = self.sim.now
-        op_parts: List[List[bytes]] = []
+        op_parts = []
         by_peer: dict = {}
-        slots = []  # (op_index, part_index, wr)
-        for op_index, (mapping, offset, nbytes) in enumerate(ops):
+
+        def gather(peer, wr):
+            by_peer.setdefault(peer.lite_id, []).append(wr)
+
+        for mapping, offset, nbytes in ops:
             self._check_not_failed(mapping)
-            pieces = mapping.plan(offset, nbytes)
-            parts: List[bytes] = [b""] * len(pieces)
-            op_parts.append(parts)
-            for part_index, (chunk, chunk_off, piece_len, _buf_off) in enumerate(
-                pieces
-            ):
-                if chunk.node_id == kernel.lite_id:
-                    yield from kernel.node.cpu.execute(
-                        piece_len / self.params.memcpy_bytes_per_us,
-                        tag="lite-local",
-                    )
-                    parts[part_index] = kernel._local_chunk_read(
-                        chunk, chunk_off, piece_len
-                    )
-                    continue
-                peer = kernel.peer(chunk.node_id)
-                if chunk.rkey is not None:
-                    remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-                else:
-                    remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-                wr = SendWR(
-                    Opcode.READ,
-                    remote_addr=remote_addr,
-                    rkey=rkey,
-                    read_length=piece_len,
-                )
-                by_peer.setdefault(chunk.node_id, []).append(wr)
-                slots.append((op_index, part_index, wr))
+            op_parts.append(
+                (yield from self._pieces(mapping, offset, nbytes, None, gather))
+            )
         if by_peer:
-            procs = [
-                self.sim.process(self._post_batch(peer_id, wrs, priority))
-                for peer_id, wrs in by_peer.items()
-            ]
-            results = yield self.sim.all_of(procs)
+            results = yield self.sim.all_of(self._post_batches(by_peer, priority))
             for statuses in results.values():
                 self._check(statuses, "read_vec")
-            for op_index, part_index, wr in slots:
-                op_parts[op_index][part_index] = wr.return_data or b""
         self.reads += len(ops)
         kernel.qos.observe(priority, self.sim.now - start)
-        return [
-            parts[0] if len(parts) == 1 else b"".join(parts)
-            for parts in op_parts
-        ]
+        return [self._join(parts) for parts in op_parts]
 
     # -- atomics ---------------------------------------------------------------
     def _atomic(self, mapping: MappedLmr, offset: int, opcode: Opcode,
@@ -527,10 +455,7 @@ class OneSidedEngine:
             self.atomics += 1
             return old
         peer = kernel.peer(chunk.node_id)
-        if chunk.rkey is not None:
-            remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-        else:
-            remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
+        remote_addr, rkey = chunk.target(chunk_off, peer.global_rkey)
         wr = SendWR(
             opcode,
             remote_addr=remote_addr,
@@ -538,6 +463,8 @@ class OneSidedEngine:
             compare_add=compare_add,
             swap=swap,
         )
+        # Inline fallback, not a spawned ``_post``: the process would add
+        # a bootstrap hop to the contended multi-writer log.
         handle = self._try_fast(peer, wr, priority)
         if handle is not None:
             status = yield handle
@@ -563,19 +490,22 @@ class OneSidedEngine:
         return old
 
     # -- raw physical-address ops (internal plumbing: RPC rings, etc.) -------
-    def raw_write(self, peer_id: int, phys_addr: int, data: bytes,
-                  imm: int = None, signaled: bool = True, priority: int = 0):
-        """Write to a raw physical address at a peer (generator)."""
-        peer = self.kernel.peer(peer_id)
-        opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM
-        wr = SendWR(
-            opcode,
+    @staticmethod
+    def _raw_wr(peer, phys_addr: int, data: bytes, imm, signaled: bool) -> SendWR:
+        """The WR of one raw write: physical address, global rkey."""
+        return SendWR(
+            Opcode.WRITE if imm is None else Opcode.WRITE_IMM,
             inline_data=data,
             remote_addr=phys_addr,
             rkey=peer.global_rkey,
             imm=imm,
             signaled=signaled,
         )
+
+    def raw_write(self, peer_id: int, phys_addr: int, data: bytes,
+                  imm: int = None, signaled: bool = True, priority: int = 0):
+        """Write to a raw physical address at a peer (generator)."""
+        wr = self._raw_wr(self.kernel.peer(peer_id), phys_addr, data, imm, signaled)
         status = yield from self._post(peer_id, wr, priority)
         return status
 
@@ -593,15 +523,7 @@ class OneSidedEngine:
         # commit bumps the wr_id counter itself).
         if try_fast_chain(self, peer, phys_addr, data, imm, priority) is not None:
             return
-        opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM
-        wr = SendWR(
-            opcode,
-            inline_data=data,
-            remote_addr=phys_addr,
-            rkey=peer.global_rkey,
-            imm=imm,
-            signaled=False,
-        )
+        wr = self._raw_wr(peer, phys_addr, data, imm, False)
 
         def runner():
             try:
@@ -624,19 +546,10 @@ class OneSidedEngine:
         def runner():
             try:
                 peer = self.kernel.peer(peer_id)
-                wrs = []
-                for phys_addr, data, imm in writes:
-                    opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM
-                    wrs.append(
-                        SendWR(
-                            opcode,
-                            inline_data=data,
-                            remote_addr=phys_addr,
-                            rkey=peer.global_rkey,
-                            imm=imm,
-                            signaled=False,
-                        )
-                    )
+                wrs = [
+                    self._raw_wr(peer, phys_addr, data, imm, False)
+                    for phys_addr, data, imm in writes
+                ]
                 statuses = yield from self._post_batch(peer_id, wrs, priority)
                 for status in statuses:
                     if status is not WcStatus.SUCCESS:

@@ -62,8 +62,6 @@ class SimParams:
     memset_bytes_per_us: float = 30000.0
 
     # ---- syscall / crossing model (paper §5.2) ----------------------
-    user_kernel_crossing_us: float = 0.15        # one direction, naive
-    shared_page_return_us: float = 0.02          # optimized k->u "return"
     syscall_total_naive_us: float = 0.30         # trap + return
     lite_syscall_enter_us: float = 0.12          # optimized LITE entry
     lite_sharedpage_return_us: float = 0.05      # library sees ready flag
@@ -73,7 +71,6 @@ class SimParams:
     poll_loop_us: float = 0.08                   # one busy-poll iteration
     thread_wakeup_us: float = 1.8                # sleep->run transition
     adaptive_busy_window_us: float = 10.0        # busy-check before sleep
-    context_switch_us: float = 1.2
 
     # ---- LITE internals ----------------------------------------------
     lite_metadata_us: float = 0.25               # map+perm check (§5.3)
@@ -83,7 +80,6 @@ class SimParams:
     lite_rpc_ring_bytes: int = 16 * MB           # per-client RPC ring LMR
     lite_qp_factor_k: int = 2                    # K in K×N shared QPs
     lite_qp_window: int = 16                     # outstanding ops per QP
-    lite_imm_post_batch: int = 64                # background IMM buffer posts
     # Data-plane batching knobs (§5.2 amortization).  Both default to 1,
     # which reproduces the seed's unbatched timing exactly: one doorbell
     # MMIO per work request and one poll/dispatch charge per completion.
@@ -91,8 +87,6 @@ class SimParams:
     cq_poll_batch: int = 1                       # CQEs drained per poll wakeup
     lite_ctrl_slots: int = 256                   # pre-posted control recvs
     lite_ctrl_slot_bytes: int = 4096
-    lite_rpc_timeout_us: float = 1_000_000.0     # RPC failure detection
-    lite_reply_pool_bytes: int = 16 * MB         # client reply-slot pool
 
     # ---- failure handling (transport + LITE fault tolerance) ---------
     # IB qp_attr knobs: local ACK timeout per retransmit attempt, retry
@@ -147,11 +141,6 @@ class SimParams:
                 self, "_version", self.__dict__.get("_version", 0) + 1
             )
 
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (see ``__setattr__``)."""
-        return self.__dict__.get("_version", 0)
-
     def wire_time(self, nbytes: int) -> float:
         """Serialization time of ``nbytes`` on one 40 Gbps link."""
         return nbytes / self.link_bandwidth_bytes_per_us
@@ -163,10 +152,6 @@ class SimParams:
     def dma_time(self, nbytes: int) -> float:
         """PCIe DMA time for ``nbytes`` (setup + transfer)."""
         return self.rnic_dma_setup_us + nbytes / self.rnic_dma_bytes_per_us
-
-    def memcpy_time(self, nbytes: int) -> float:
-        """Single-core DRAM copy time for ``nbytes``."""
-        return nbytes / self.memcpy_bytes_per_us
 
     def pages_touched(self, offset: int, nbytes: int) -> int:
         """Number of 4 KB pages an access of ``nbytes`` at ``offset`` spans."""

@@ -169,11 +169,3 @@ class Rnic:
             tracer.interval("rnic.dma", self.sim.now - dma_time, self.sim.now,
                             node=self.node_id, nbytes=dma_bytes, parent=span)
         tracer.end(span)
-
-    def reset_stats(self) -> None:
-        """Zero cache stats and op counters."""
-        self.key_cache.stats.reset()
-        self.pte_cache.stats.reset()
-        self.qp_cache.stats.reset()
-        self.wqe_count = 0
-        self.bytes_dma = 0

@@ -20,8 +20,9 @@ responder).  The four entries differ only in how they find the target
 — :func:`try_fast_post` from a ``SendWR`` LITE is about to post, the
 native one (``QueuePair._execute``, through the same :func:`_try_wr`)
 from one ``qp.post_send`` already prepared, :func:`try_fast_chain` from
-a raw write's (peer, address), :func:`try_fast_post_vec` from a memoised
-single-piece LMR plan — never in the timeline.
+a raw write's (peer, address), :func:`try_fast_post_vec` from an LMR
+mapping's memoised single-piece address — never in the timeline; all
+four resolve what is *at* the target through ``CostTable.resolve``.
 
 A committed WRITE_IMM or SEND pushes its real receive CQE at the
 responder's write-back instant, so the receiving poller wakes, charges
@@ -428,15 +429,13 @@ def _lookup_cost(rnic, qpn, key, pages):
 
 
 def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
-            wr, plan, want_handle, pred=None, prepared=False):
+            wr, want_handle, pred=None, prepared=False):
     """Run one WRITE / WRITE_IMM / READ / SEND / atomic to completion, or
     touch nothing.
 
     The single commit behind all four entries.  ``wr`` is the posted
     ``SendWR`` or None (the id counter is then bumped arithmetically so
-    a fall-back op mints the same id either way); ``plan`` is a
-    memoised, revalidated target (see :class:`_Plan`) or None (the
-    target is resolved through the table's span memo).  ``prepared``
+    a fall-back op mints the same id either way).  ``prepared``
     marks the native entry: ``QueuePair._prepare`` ran at post time
     (``pred`` and ``wr._order_done`` are its RC order link; nothing is
     bumped twice) and the attempt comes from the WR's own start hop —
@@ -531,11 +530,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         if (len(srq_source) <= srq_source._fp_claims
                 or (send_op and rqp.rnr_retry < 7)):
             return _no("rej_recv")
-    if plan is not None:
-        pages = plan.pages
-        backing = plan.backing
-        reg_off = plan.reg_off
-    elif send_op:
+    if send_op:
         # A SEND's responder resolves the receive buffer's MR the way a
         # WRITE's resolves the rkey (priced and replayed alike); a short
         # buffer is the generator's LOC_LEN_ERR.
@@ -886,7 +881,7 @@ def _try_wr(qp, wr, window, pred, prepared):
     if nbytes <= 0 or len(sgl) > 1 or wr.delivered is not None:
         return _no("rej_shape")
     handle = _commit(qp, window, opcode, payload, nbytes, wr.rkey,
-                     wr.remote_addr, wr.imm, wr.signaled, wr, None, True,
+                     wr.remote_addr, wr.imm, wr.signaled, wr, True,
                      pred, prepared)
     if handle is not None:
         fp_stats.commits += 1
@@ -895,7 +890,7 @@ def _try_wr(qp, wr, window, pred, prepared):
 
 def try_fast_post(qp, wr, window=None):
     """Attempt run-to-completion execution of ``wr`` on ``qp`` at post
-    time, in place of ``qp.post_send(wr)`` (LITE's per-piece loops).
+    time, in place of ``qp.post_send(wr)`` (LITE's piece walker).
 
     Returns the completion event (it succeeds with the WcStatus at the
     op's completion instant; a READ's bytes land in ``wr.return_data``),
@@ -907,17 +902,36 @@ def try_fast_post(qp, wr, window=None):
     return _try_wr(qp, wr, window, None, False)
 
 
+def _post_wrless(engine, peer, priority, opcode, payload, nbytes, rkey, addr,
+                 imm, signaled):
+    """The WR-less entries' common half: commit on the (qp, window) pair
+    the slow path's round-robin would pick.
+
+    The RR bump and the doorbell CPU charge are replayed only on commit,
+    so a declined attempt leaves LITE state untouched (the WR-shaped
+    twin is ``OneSidedEngine._try_fast``).  Returns the commit's result:
+    the completion handle of a signaled op, True for an unsignaled one.
+    """
+    kernel = engine.kernel
+    pairs = kernel.qos.eligible_qps(peer, priority)
+    qp, window = pairs[peer._rr % len(pairs)]
+    handle = _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm,
+                     signaled, None, signaled)
+    if handle is not None:
+        peer._rr += 1
+        kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
+    return handle
+
+
 def try_fast_chain(engine, peer, addr, data, imm, priority):
     """Commit one leg of the RPC tri-post chain (raw unsignaled write).
 
     Every RPC op issues three fire-and-forget posts through
     ``raw_write_async``: the request append (WRITE_IMM into the server
     ring), the server's head-pointer update (WRITE), and the reply
-    (WRITE_IMM into the caller's reply buffer).  This entry picks the
-    (qp, window) pair the slow path's round-robin would and commits the
-    leg with no WR object at all.  Returns True on commit (the RR bump
-    and the doorbell CPU charge are replayed here); None leaves no
-    state touched — the caller then builds the WR and takes the
+    (WRITE_IMM into the caller's reply buffer).  This entry commits the
+    leg with no WR object at all.  Returns True on commit; None leaves
+    no state touched — the caller then builds the WR and takes the
     generator path, consuming the same wr_id the commit would have.
     """
     sim = engine.sim
@@ -927,18 +941,11 @@ def try_fast_chain(engine, peer, addr, data, imm, priority):
     if nbytes == 0:
         return None
     fp_stats.chain_attempts += 1
-
-    kernel = engine.kernel
-    pairs = kernel.qos.eligible_qps(peer, priority)
-    qp, window = pairs[peer._rr % len(pairs)]
-    opcode = _WRITE if imm is None else _WRITE_IMM
-    if _commit(qp, window, opcode, data, nbytes, peer.global_rkey, addr,
-               imm, signaled=False, wr=None, plan=None,
-               want_handle=False) is None:
+    if _post_wrless(engine, peer, priority,
+                    _WRITE if imm is None else _WRITE_IMM, data, nbytes,
+                    peer.global_rkey, addr, imm, False) is None:
         return None
     fp_stats.chain_commits += 1
-    peer._rr += 1
-    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
     return True
 
 
@@ -947,88 +954,36 @@ def try_fast_chain(engine, peer, addr, data, imm, priority):
 # ---------------------------------------------------------------------------
 #
 # An LMR op that touches one remote chunk — the only plan shape the
-# measured workloads ever commit — needs no WR, no span re-resolution
-# and no all_of barrier: its chunk lookup and backing resolution are memoised per
-# (offset, len, kind) on the mapping (``mapping._fp_plans``) and handed
-# to the one commit above.  Anything else (several chunks, a local
-# chunk) is memoised as a *negative* entry and rides the per-piece loop
-# in core/rdma.py, whose pieces each take the WR entry; see INTERNALS
-# §13 for the measurement behind that choice and what it costs.
+# measured workloads ever commit — needs no WR and no all_of barrier.
+# LITE remembers only *where* the access lands: ``mapping._fp_plans``
+# maps (offset, len, kind) to ``(plan_version, peer LITE id,
+# remote_addr, rkey)``, a pure function of the chunk layout.  *What is
+# there* (MR, bounds, access bits, pages, backing) is the cost table's
+# to remember: the entry resolves its target through
+# ``CostTable.resolve`` exactly as the WR, chain and native entries do.
+# Anything else (several chunks, a local chunk) is memoised as a
+# *negative* entry (peer None) and rides the per-piece walk in
+# core/rdma.py, whose pieces each take the WR entry; see INTERNALS §13
+# for the measurement behind that choice and what it costs.
 #
-# Invalidation: plans revalidate per attempt through
-# ``mapping.plan_version`` (bumped by ``retarget()`` on failover
-# promotion / chunk migration), the piece's ``mr.deregistered`` +
-# ``backing.freed`` flags, and the QP's CostTable stamp (params, RNIC
-# cost_version).  ``Node.fastpath_fence`` additionally clears all plan
-# memos cluster-wide.
+# Invalidation: ``mapping.plan_version`` (bumped by ``retarget()`` on
+# failover promotion / chunk migration) is all an entry depends on;
+# peer liveness is read per attempt, everything else by the one commit.
 
 
-class _Plan:
-    """Memoised target of one (offset, len, kind) access.
-
-    ``mr is None`` marks an access the plan entry does not serve (more
-    than one piece, or a local piece): the negative entry makes repeat
-    attempts O(1) instead of re-planning every op.  Structure is keyed
-    to ``plan_version``; dynamic state (QP choice, backing liveness,
-    caches, contention) is validated per attempt.
-    """
-
-    __slots__ = ("plan_version", "peer_id", "remote_addr", "rkey", "mr",
-                 "pages", "backing", "reg_off")
-
-    def __init__(self, plan_version):
-        self.plan_version = plan_version
-        self.mr = None
-
-
-def _build_plan(kernel, mapping, offset, nbytes, opcode):
-    """Resolve an access to its single remote piece.
-
-    Returns a _Plan (possibly negative, which *is* memoised), or None
-    for conditions the slow path must surface itself (unknown or dead
-    peer, failed remote resolution) — those are not memoised.
-    """
-    plan = _Plan(mapping.plan_version)
+def _build_plan(kernel, mapping, offset, nbytes):
+    """The memo entry of one access: where its single remote piece
+    lands, or the negative entry.  ``rkey`` None stands for the peer's
+    global rkey, read per attempt (a rejoin re-registers the global MR
+    without remapping anything)."""
     pieces = mapping.plan(offset, nbytes)
-    if len(pieces) != 1:
-        return plan
-    chunk, chunk_off, piece_len, _buf_off = pieces[0]
-    if chunk.node_id == kernel.lite_id:
-        return plan
-    peer = kernel.peers.get(chunk.node_id)
-    if peer is None or not peer.alive:
-        return None
-    # chunk.node_id is a LITE id; the fabric is keyed by node id.
-    rnode = kernel.node.fabric.nodes.get(peer.node_id)
-    if rnode is None or rnode._verbs_device is None:
-        return None
-    if chunk.rkey is not None:
-        remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
-    else:
-        remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-    mr = rnode.device.mrs_by_rkey.get(rkey)
-    if mr is None or mr.deregistered:
-        return None
-    base = mr.base_addr
-    if not (base <= remote_addr and remote_addr + piece_len <= base + mr.size):
-        return None
-    need = _NEED_REMOTE_READ if opcode is _READ else _NEED_REMOTE_WRITE
-    if not (mr._access_bits & need):
-        return None
-    try:
-        backing, reg_off = mr._backing(remote_addr - base, piece_len)
-    except ValueError:
-        return None
-    plan.peer_id = chunk.node_id
-    plan.remote_addr = remote_addr
-    plan.rkey = rkey
-    plan.mr = mr
-    plan.pages = (() if mr.physical
-                  else tuple(mr.page_ids(remote_addr - base, piece_len)))
-    plan.backing = backing
-    plan.reg_off = reg_off
-    fp_stats.plan_builds += 1
-    return plan
+    if len(pieces) == 1:
+        chunk, chunk_off, _piece_len, _buf_off = pieces[0]
+        if chunk.node_id != kernel.lite_id:
+            fp_stats.plan_builds += 1
+            return (mapping.plan_version, chunk.node_id,
+                    *chunk.target(chunk_off))
+    return (mapping.plan_version, None, 0, None)
 
 
 def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
@@ -1052,47 +1007,24 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
 
     key = (offset, nbytes, opcode is _READ)
     plans = mapping._fp_plans
-    plan = plans.get(key)
-    if plan is not None and plan.plan_version != mapping.plan_version:
-        plan = None
-    if plan is None:
-        plan = _build_plan(kernel, mapping, offset, nbytes, opcode)
-        if plan is None:
-            return _no("rej_target")
+    entry = plans.get(key)
+    if entry is None or entry[0] != mapping.plan_version:
+        entry = _build_plan(kernel, mapping, offset, nbytes)
         if len(plans) >= _MEMO_MAX:
             plans.clear()
-        plans[key] = plan
+        plans[key] = entry
     else:
         fp_stats.plan_hits += 1
-    mr = plan.mr
-    if mr is None:
+    _version, peer_id, addr, rkey = entry
+    if peer_id is None:
         return _no("rej_shape")
-
-    # The memoised piece must still be live and must belong to the
-    # device the chosen QP's table describes.
-    peer = kernel.peers.get(plan.peer_id)
+    peer = kernel.peers.get(peer_id)
     if peer is None or not peer.alive:
         return _no("rej_target")
-    pairs = kernel.qos.eligible_qps(peer, priority)
-    qp, window = pairs[peer._rr % len(pairs)]
-    remote = qp.remote
-    if remote is None or remote[0] != peer.node_id:
-        return _no("rej_target")
-    if mr.deregistered:
-        return _no("rej_target")
-    if plan.backing.freed:
-        try:
-            plan.backing, plan.reg_off = mr._backing(
-                plan.remote_addr - mr.base_addr, nbytes)
-        except ValueError:
-            return _no("rej_target")
-
-    handle = _commit(qp, window, opcode, payload, nbytes, plan.rkey,
-                     plan.remote_addr, None, signaled=True, wr=None,
-                     plan=plan, want_handle=True)
-    if handle is None:
-        return None
-    fp_stats.vec_commits += 1
-    peer._rr += 1
-    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
+    if rkey is None:
+        rkey = peer.global_rkey
+    handle = _post_wrless(engine, peer, priority, opcode, payload, nbytes,
+                          rkey, addr, None, True)
+    if handle is not None:
+        fp_stats.vec_commits += 1
     return handle

@@ -54,10 +54,6 @@ class MemoryRegion:
         self.deregistered = False
 
     # -- addressing ------------------------------------------------------
-    def contains(self, addr: int, nbytes: int) -> bool:
-        """True when [addr, addr+nbytes) lies inside this MR."""
-        return self.base_addr <= addr and addr + nbytes <= self.base_addr + self.size
-
     def _backing(self, offset: int, nbytes: int) -> Tuple[PhysRegion, int]:
         """The physical region and intra-region offset for an access."""
         if self.deregistered:
@@ -74,11 +70,6 @@ class MemoryRegion:
         if tracer is not None:
             tracer.metrics.count("mr.bytes_read", nbytes)
         return region.read(reg_off, nbytes)
-
-    def read_into(self, offset: int, buf) -> int:
-        """Read MR bytes straight into a caller buffer (zero-copy DMA)."""
-        region, reg_off = self._backing(offset, len(buf))
-        return region.read_into(reg_off, buf)
 
     def write(self, offset: int, payload) -> None:
         """Write real bytes (any bytes-like) into the MR's backing memory."""

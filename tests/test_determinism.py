@@ -231,6 +231,31 @@ def test_reset_global_counters_rewinds_every_declared_counter():
         f"not rewound by reset_global_counters(): {escaped}")
 
 
+def test_every_simparams_field_has_a_reader():
+    """ROADMAP 9: a knob that loses its last reader must not linger as
+    a cost input nothing prices.  Every ``SimParams`` dataclass field
+    is read as an attribute somewhere under ``src/repro`` — the field
+    declarations in ``hw/params.py`` are names, not attribute loads, so
+    only its helpers (``dma_time`` is ``rnic_dma_bytes_per_us``' one
+    reader) count there; ``derived`` is bookkeeping, not a knob."""
+    import dataclasses
+
+    import repro
+    from repro.hw.params import SimParams
+
+    root = pathlib.Path(repro.__file__).parent
+    read = set()
+    for path in sorted(root.rglob("*.py")):
+        read.update(
+            node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load))
+    fields = {f.name for f in dataclasses.fields(SimParams)} - {"derived"}
+    assert len(fields) >= 60, "the walk must find the known knobs"
+    assert not sorted(fields - read), (
+        f"SimParams fields nothing reads: {sorted(fields - read)}")
+
+
 # ------------------------------------------------ trace determinism --
 
 

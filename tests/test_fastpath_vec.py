@@ -28,6 +28,7 @@ from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import SimParams
 from repro.recovery import RecoveryManager
 from repro.stats import snapshot
+from repro.verbs import SendWR
 from repro.verbs.fastpath import fp_stats
 
 
@@ -133,6 +134,15 @@ def test_vec_equivalence_randomized(seed, faults):
     assert fast[2] == slow[2], "op outcomes diverged"
 
 
+def _stats():
+    return {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
+
+
+def _delta(before):
+    return {name: getattr(fp_stats, name) - value
+            for name, value in before.items()}
+
+
 def _repeat_one_shape(offset: int, size: int):
     """Eight writes of one (offset, size) into a 4-chunk LMR.
 
@@ -154,7 +164,7 @@ def _repeat_one_shape(offset: int, size: int):
             )
 
         cluster.run_process(setup())
-        before = {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
+        before = _stats()
 
         def driver():
             for index in range(8):
@@ -164,8 +174,7 @@ def _repeat_one_shape(offset: int, size: int):
 
         cluster.run_process(driver())
         cluster.sim.run()
-        delta = {name: getattr(fp_stats, name) - before[name]
-                 for name in fp_stats.__slots__}
+        delta = _delta(before)
         return holder["lh"].require(ctx, Permission.WRITE), delta
     finally:
         if saved is None:
@@ -192,7 +201,7 @@ def test_multi_chunk_shape_memoised_negatively():
     mapping, delta = _repeat_one_shape(CHUNK // 2, 2 * CHUNK)
     assert len(mapping.plan(CHUNK // 2, 2 * CHUNK)) == 3
     assert list(mapping._fp_plans) == [(CHUNK // 2, 2 * CHUNK, False)]
-    assert mapping._fp_plans[(CHUNK // 2, 2 * CHUNK, False)].mr is None
+    assert mapping._fp_plans[(CHUNK // 2, 2 * CHUNK, False)][1] is None
     assert delta["vec_attempts"] == 8
     assert delta["plan_builds"] == 0, "a negative plan is not a build"
     assert delta["plan_hits"] == 7, "seven repeats, seven O(1) memo hits"
@@ -276,9 +285,8 @@ def test_mid_transfer_crash_vec_ab_identity():
 
     Guards the ISSUE 10 satellite fix: failover promotion remaps
     ``lh -> (node, addr)`` via ``MappedLmr.retarget`` (plan_version bump
-    + memo clear) and ``node.fastpath_fence`` drops plan memos cluster-
-    wide — a stale plan committing against the promoted-away layout
-    would diverge time, snapshot, and outcomes."""
+    + memo clear) — a stale plan committing against the promoted-away
+    layout would diverge time, snapshot, and outcomes."""
     commits_before = fp_stats.commits + fp_stats.vec_commits
     fast = _run_vec_crash_burst(fastpath=True)
     assert fp_stats.commits + fp_stats.vec_commits > commits_before, \
@@ -290,3 +298,240 @@ def test_mid_transfer_crash_vec_ab_identity():
     assert fast[3:] == slow[3:], "recovery lifecycle diverged"
     assert fast[3] >= 1, "the crash must trigger a promotion"
     assert fast[4] >= 1, "the restart must trigger a rejoin"
+
+
+# ---------------------------------------------------------------------------
+# The one piece walker (core/rdma.py::_pieces): every caller, both
+# addressing modes, every placement — against a bytearray oracle, A/B
+# ---------------------------------------------------------------------------
+_PLACEMENTS = {"local": 1, "remote": [2, 3], "straddle": [1, 2, 3]}
+# Inside a 6-chunk LMR: four chunks touched, none from its first byte.
+_OFF, _LEN = CHUNK + 100, 3 * CHUNK + 777
+
+
+def _chunk_bytes(kernels, chunks) -> bytes:
+    """Raw host memory behind a chunk list — read around LITE, so the
+    oracle check does not ride the walker it checks."""
+    parts = []
+    for chunk in chunks:
+        memory = kernels[chunk.node_id - 1].node.memory
+        region, base = memory.resolve(chunk.addr, chunk.size)
+        parts.append(region.read(base, chunk.size))
+    return b"".join(parts)
+
+
+def _run_walker_case(per_mr: bool, placement: str, op: str, fastpath: bool):
+    reset_global_counters()
+    cluster = Cluster(4, params=SimParams(lite_chunk_bytes=CHUNK))
+    sim = cluster.sim
+    sim.fastpath_enabled = fastpath
+    kernels = lite_boot(cluster, use_global_mr=not per_mr)
+    ctx = LiteContext(kernels[0], "walk", kernel_level=True)
+    size = 6 * CHUNK
+    oracle = bytearray(size)
+    seed = bytes(range(251)) * (size // 251 + 1)
+    data = bytes([7, 11, 13]) * (_LEN // 3 + 1)
+    holder = {}
+
+    def put(offset, payload):
+        oracle[offset : offset + len(payload)] = payload
+        return (holder["lh"], offset, payload)
+
+    def driver():
+        lh = holder["lh"] = yield from ctx.lt_malloc(
+            size, name="walk", nodes=_PLACEMENTS[placement],
+            replicas=1 if op == "replicated_write" else 0,
+        )
+        yield from ctx.lt_write(*put(0, seed[:size]))
+        if op in ("write", "replicated_write"):
+            yield from ctx.lt_write(*put(_OFF, data[:_LEN]))
+        elif op == "write_vec":
+            yield from ctx.lt_write_vec(
+                [put(_OFF, data[:_LEN]), put(64, data[:4096])]
+            )
+        elif op == "read":
+            got = yield from ctx.lt_read(lh, _OFF, _LEN)
+            assert got == oracle[_OFF : _OFF + _LEN]
+        else:
+            got = yield from ctx.lt_read_vec([(lh, _OFF, _LEN), (lh, 64, 4096)])
+            assert got == [oracle[_OFF : _OFF + _LEN], oracle[64 : 64 + 4096]]
+
+    cluster.run_process(driver())
+    sim.run()
+    mapping = holder["lh"].mapping
+    assert len(mapping.plan(_OFF, _LEN)) == 4
+    assert (mapping.chunks[0].rkey is not None) == per_mr
+    assert _chunk_bytes(kernels, mapping.chunks) == oracle
+    assert len(mapping.replica_chunks) == (op == "replicated_write")
+    for bchunks in mapping.replica_chunks.values():
+        assert _chunk_bytes(kernels, bchunks) == oracle
+    return sim.now, dataclasses.asdict(snapshot(cluster)), SendWR._next_id
+
+
+@pytest.mark.parametrize("op", ["write", "read", "write_vec", "read_vec",
+                                "replicated_write"])
+@pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
+@pytest.mark.parametrize("per_mr", [False, True], ids=["global", "per_mr"])
+def test_walker_matrix(per_mr, placement, op):
+    fast = _run_walker_case(per_mr, placement, op, fastpath=True)
+    slow = _run_walker_case(per_mr, placement, op, fastpath=False)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "cluster snapshot diverged"
+    assert fast[2] == slow[2], "SendWR id allocation diverged"
+
+
+def _run_per_mr_atomics(node: int, fastpath: bool):
+    reset_global_counters()
+    cluster = Cluster(2)
+    cluster.sim.fastpath_enabled = fastpath
+    kernels = lite_boot(cluster, use_global_mr=False)
+    ctx = LiteContext(kernels[0], "atom", kernel_level=True)
+    out = []
+
+    def driver():
+        lh = yield from ctx.lt_malloc(64, name="atom", nodes=node)
+        assert lh.mapping.chunks[0].rkey is not None
+        out.append((yield from ctx.lt_fetch_add(lh, 8, 5)))
+        out.append((yield from ctx.lt_fetch_add(lh, 8, 2**64 - 1)))
+        out.append((yield from ctx.lt_test_set(lh, 8, 4, 99)))
+        out.append((yield from ctx.lt_test_set(lh, 8, 4, 7)))
+        out.append((yield from ctx.lt_read(lh, 8, 8)))
+
+    cluster.run_process(driver())
+    cluster.sim.run()
+    assert out == [0, 5, 4, 99, (99).to_bytes(8, "little")]
+    return (cluster.sim.now, dataclasses.asdict(snapshot(cluster)),
+            SendWR._next_id)
+
+
+@pytest.mark.parametrize("node", [1, 2], ids=["local", "remote"])
+def test_atomics_on_per_mr_chunk(node):
+    """``_atomic`` shares the walker's address rule: a per-MR chunk is
+    addressed by its own VA + rkey."""
+    assert (_run_per_mr_atomics(node, fastpath=True)
+            == _run_per_mr_atomics(node, fastpath=False))
+
+
+# ---------------------------------------------------------------------------
+# The slim plan memo: an entry holds an address; plan_version and peer
+# liveness revalidate it, CostTable.resolve answers for everything else
+# ---------------------------------------------------------------------------
+def _memo_cluster(per_mr: bool = False):
+    """A 3-node cluster, fast path on, and a context on LITE 1."""
+    reset_global_counters()
+    cluster = Cluster(3)
+    cluster.sim.fastpath_enabled = True
+    kernels = lite_boot(cluster, use_global_mr=not per_mr)
+    return cluster, kernels, LiteContext(kernels[0], "memo", kernel_level=True)
+
+
+def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
+    """``lt_free`` then an ``lt_malloc`` landing on the same physical
+    range: the memoised address now names the new allocation, and a hit
+    must read *its* bytes — the memo holds no backing to go stale."""
+    cluster, kernels, ctx = _memo_cluster()
+    out = {}
+
+    def driver():
+        old = yield from ctx.lt_malloc(4096, name="old", nodes=2)
+        yield from ctx.lt_write(old, 0, b"o" * 4096)
+        assert (yield from ctx.lt_read(old, 0, 4096)) == b"o" * 4096
+        out["mapping"] = old.mapping
+        yield from ctx.lt_free(old)
+        new = yield from ctx.lt_malloc(4096, name="new", nodes=2)
+        assert new.mapping.chunks[0].addr == old.mapping.chunks[0].addr
+        yield from ctx.lt_write(new, 0, b"n" * 4096)
+        out["before"] = _stats()
+        # Below the lh check, through the freed LMR's mapping.
+        out["data"] = yield from kernels[0].onesided.read(out["mapping"], 0, 4096)
+
+    cluster.run_process(driver())
+    delta = _delta(out["before"])
+    assert delta["plan_hits"] == 1 and delta["plan_builds"] == 0
+    assert delta["vec_commits"] == 1 and delta["mismodels"] == 0
+    assert out["data"] == b"n" * 4096
+
+
+@pytest.mark.parametrize("per_mr", [False, True], ids=["global", "per_mr"])
+def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
+    """No live allocation (global MR) or a deregistered MR (per-MR mode,
+    whose ``lt_free`` is a ``dereg_mr``) behind a memoised address: the
+    hit declines under ``rej_target`` and the generator path surfaces
+    the error."""
+    cluster, kernels, ctx = _memo_cluster(per_mr)
+    out = {}
+
+    def driver():
+        lh = yield from ctx.lt_malloc(4096, name="gone", nodes=2)
+        yield from ctx.lt_write(lh, 0, b"x" * 4096)
+        yield from ctx.lt_write(lh, 0, b"y" * 4096)
+        mapping = lh.mapping
+        yield from ctx.lt_free(lh)
+        out["before"] = _stats()
+        try:
+            yield from kernels[0].onesided.write(mapping, 0, b"z" * 4096)
+        except LiteError as exc:
+            out["error"] = exc
+
+    cluster.run_process(driver())
+    delta = _delta(out["before"])
+    assert delta["plan_hits"] == 1 and delta["vec_commits"] == 0
+    assert delta["rej_target"] >= 1 and delta["mismodels"] == 0
+    assert "error" in out
+
+
+def test_memoised_plan_survives_a_fence():
+    """``Node.fastpath_fence()`` drops cost tables, not plan memos: the
+    next op is a memo hit that rebuilds its table and commits."""
+    cluster, kernels, ctx = _memo_cluster()
+    out = {}
+
+    def driver():
+        lh = yield from ctx.lt_malloc(4096, name="fence", nodes=2)
+        yield from ctx.lt_write(lh, 0, b"a" * 4096)
+        yield from ctx.lt_write(lh, 0, b"b" * 4096)
+        out["mid"] = _stats()
+        cluster.nodes[1].fastpath_fence()
+        yield from ctx.lt_write(lh, 0, b"c" * 4096)
+        out["hit"] = _delta(out["mid"])
+        out["data"] = yield from ctx.lt_read(lh, 0, 4096)
+
+    before = _stats()
+    cluster.run_process(driver())
+    assert _delta(before)["plan_hits"] >= 1, "the pre-fence repeat must hit"
+    hit = out["hit"]
+    assert hit["plan_hits"] == 1 and hit["plan_builds"] == 0
+    assert hit["table_builds"] == 1 and hit["vec_commits"] == 1
+    assert _delta(out["mid"])["mismodels"] == 0
+    assert out["data"] == b"c" * 4096
+
+
+def test_move_then_realloc_never_commits_a_stale_address():
+    """``lt_move`` retargets the master's own mappings through
+    ``retarget()``: the memoised address of the old layout is orphaned
+    (``plan_version``), so a later allocation that reuses the vacated
+    range is never written through the moved LMR's handle."""
+    cluster, kernels, ctx = _memo_cluster()
+    out = {}
+
+    def driver():
+        moved = yield from ctx.lt_malloc(4096, name="moved", nodes=2)
+        yield from ctx.lt_write(moved, 0, b"1" * 4096)
+        yield from ctx.lt_write(moved, 0, b"2" * 4096)
+        vacated = moved.mapping.chunks[0].addr
+        version = moved.mapping.plan_version
+        yield from ctx.lt_move(moved, 3)
+        assert moved.mapping.plan_version == version + 1
+        squatter = yield from ctx.lt_malloc(4096, name="squatter", nodes=2)
+        assert squatter.mapping.chunks[0].addr == vacated
+        yield from ctx.lt_write(squatter, 0, b"s" * 4096)
+        out["before"] = _stats()
+        yield from ctx.lt_write(moved, 0, b"3" * 4096)
+        out["squatter"] = yield from ctx.lt_read(squatter, 0, 4096)
+        out["moved"] = yield from ctx.lt_read(moved, 0, 4096)
+
+    cluster.run_process(driver())
+    delta = _delta(out["before"])
+    assert delta["plan_builds"] >= 1 and delta["mismodels"] == 0
+    assert out["squatter"] == b"s" * 4096
+    assert out["moved"] == b"3" * 4096

@@ -97,6 +97,31 @@ def test_map_requires_grant(env):
     assert lh.perm == Permission.READ
 
 
+def test_grant_from_a_non_master_node(env):
+    """``lt_grant`` issued away from the master's node travels as a
+    GRANT control message; the master checks the caller's principal."""
+    cluster, kernels = env
+    alice = LiteContext(kernels[0], "alice")
+    alice_elsewhere = LiteContext(kernels[1], "alice")
+    mallory = LiteContext(kernels[1], "mallory")
+    bob = LiteContext(kernels[2], "bob")
+
+    def proc():
+        yield from alice.lt_malloc(1024, name="private", nodes=1)
+        with pytest.raises(LiteError, match="only a master"):
+            yield from mallory.lt_grant("private", "bob", Permission.READ)
+        with pytest.raises(LiteError, match="permission denied"):
+            yield from bob.lt_map("private", Permission.READ)
+        yield from alice_elsewhere.lt_grant("private", "bob", Permission.READ)
+        with pytest.raises(LiteError, match="permission denied"):
+            yield from bob.lt_map("private", Permission.READ | Permission.WRITE)
+        lh = yield from bob.lt_map("private", Permission.READ)
+        return lh
+
+    lh = run(cluster, proc())
+    assert lh.perm == Permission.READ
+
+
 def test_read_only_handle_rejects_write(env):
     cluster, kernels = env
     alice = LiteContext(kernels[0], "alice")
@@ -191,6 +216,25 @@ def test_free_releases_physical_memory(env):
 
     run(cluster, proc())
     assert target.node.memory.allocated_bytes == before
+
+
+def test_free_releases_backup_copies(env):
+    """``lt_free`` of a ``replicas=k`` LMR returns the backup chunks to
+    their nodes along with the primary's."""
+    cluster, kernels = env
+    ctx = LiteContext(kernels[0], "u")
+    before = [k.node.memory.allocated_bytes for k in kernels]
+
+    def proc():
+        lh = yield from ctx.lt_malloc(1 << 20, name="mem", nodes=2, replicas=2)
+        assert sorted(lh.mapping.replica_chunks) == [1, 3]  # local + remote
+        mid = [k.node.memory.allocated_bytes for k in kernels]
+        assert all(m >= b + (1 << 20) for m, b in zip(mid, before))
+        yield from ctx.lt_free(lh)
+        yield cluster.sim.timeout(100)
+
+    run(cluster, proc())
+    assert [k.node.memory.allocated_bytes for k in kernels] == before
 
 
 def test_unmap_invalidates_handle(env):

@@ -6,8 +6,6 @@ Mirrors the paper's testbed machine: two Xeon E5-2620 (12 cores),
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..hw import CpuSet, Fabric, HostMemory, Rnic, SimParams
 from ..sim import Simulator
 
@@ -70,28 +68,6 @@ class Node:
         if self._lite is not None:
             raise RuntimeError(f"node {self.node_id} already runs LITE")
         self._lite = lite
-
-    def fastpath_fence(self) -> None:
-        """Kill primed run-to-completion state touching this node.
-
-        Called when the node crashes, rejoins, or loses its lease: the
-        RNIC's ``cost_version`` bump invalidates every cost table whose
-        stamp folds this RNIC in, and the eager ``_fp_table`` drops
-        cover tables primed on this node's QPs and on any peer QP
-        pointed at it — ``try_fast_post`` can then never commit an op
-        against a dead or remapped peer.  Skips nodes whose verbs
-        device was never created (nothing was ever primed).
-        """
-        self.rnic.fence()
-        if self._verbs_device is not None:
-            for qp in self._verbs_device.qps.values():
-                qp._fp_table = None
-        for other in self.fabric.nodes.values():
-            if other is self or other._verbs_device is None:
-                continue
-            for qp in other._verbs_device.qps.values():
-                if qp.remote is not None and qp.remote[0] == self.node_id:
-                    qp._fp_table = None
 
     def __repr__(self) -> str:
         return f"Node({self.node_id})"

@@ -19,9 +19,6 @@ returned to the pool on detach:
   a metadata-only grant; a *miss* pays the full cold bring-up (QP
   create + state ladder on both ends + CM handshake via
   ``net/rdma_cm.cm_handshake``) in the acquiring client's timeline.
-  Either way the conn's fast-path cost table is (re)primed so the
-  session's first op finds it hot — the leased-then-reassigned case
-  ``verbs.fastpath.prime_qp`` documents.
 * **Leases** — grant/renew/expire reuse the ``repro.recovery``
   cadence.  The authoritative lease table is the cluster manager's
   ``qp_leases`` dict (JSON-clean, snapshot/restore-able like every
@@ -31,18 +28,15 @@ returned to the pool on detach:
   exactly one conn — a client detaching *after* the sweeper got there
   is a remembered no-op (``LruDict`` expiry memo), never a double
   park.
-* **Fencing** — a crashed or lease-expired peer fences every pooled
-  conn: ``RecoveryManager._failover`` already bumps the RNIC
-  ``cost_version`` and drops primed tables via ``Node.fastpath_fence``
-  (the ``RNIC.fence()`` row of the fencing matrix); it additionally
-  calls :meth:`fence_peer` here so acquire discards the conns and
-  release destroys them instead of ever handing them out again.
+* **Fencing** — pool policy, not a cache: when a peer crashes or its
+  lease expires, ``RecoveryManager._failover`` calls :meth:`fence_peer`
+  so acquire discards the conns and release destroys them instead of
+  ever handing them out again.
 
 Determinism: the free list is FIFO, conn ids come from a per-pool
 counter, the sweeper reaps in sorted session order, and nothing here
 consults wall clock or global RNG — two runs with the same seed are
-bit-identical, with or without the fast path (priming is host-side
-only and happens identically in both modes).
+bit-identical, with or without the fast path.
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ from typing import Dict, List
 
 from ..hw.caches import LruDict
 from ..net.rdma_cm import cm_handshake
-from ..verbs.fastpath import prime_qp
 
 __all__ = ["PooledConn", "QPPool"]
 
@@ -248,7 +241,7 @@ class QPPool:
         ``source`` is ``"hit"`` (reserved conn, metadata-only grant) or
         ``"cold"`` (full bring-up paid here).  Fenced or errored conns
         found at the head of the free list are discarded, never handed
-        out.  The conn's cost table is (re)primed on every grant.
+        out.
         """
         if session_id in self._leased:
             raise ValueError(
@@ -274,7 +267,6 @@ class QPPool:
             self.misses += 1
             conn = yield from self._build_conn()
         self._grant(session_id, conn, ttl_us)
-        prime_qp(conn.qp)
         return conn, source
 
     def _grant(self, session_id: int, conn: PooledConn, ttl_us=None) -> None:
@@ -329,15 +321,13 @@ class QPPool:
         self.peer_kernel.device.destroy_qp(conn.peer_qp)
 
     # ------------------------------------------------------------------
-    # Fencing (the pooled-QP row of the fencing matrix)
+    # Fencing (pool policy)
     # ------------------------------------------------------------------
     def fence_peer(self) -> int:
         """Fence every conn: the peer crashed or its lease expired.
 
-        RNIC-level fencing (``cost_version`` bump + primed-table drop)
-        is the caller's job via ``Node.fastpath_fence``; the pool marks
-        its conns so acquire discards them and release destroys them.
-        Returns how many conns were newly fenced.
+        Marks the conns so acquire discards them and release destroys
+        them.  Returns how many conns were newly fenced.
         """
         count = 0
         for conn in self._free:

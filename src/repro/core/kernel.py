@@ -332,67 +332,58 @@ class LiteKernel:
         cache.  Raises ``LiteError(errno=ETIMEDOUT)`` on exhaustion.
         """
         tracer = self.sim.tracer
-        if tracer is None:
-            return (yield from self._ctrl_request_impl(
-                dst_lite_id, msg, timeout, retries, check_alive
-            ))
-        span = tracer.begin("ctrl.request", node=self.lite_id,
-                            dst=dst_lite_id, msg=str(msg.get("type", "?")))
+        span = (tracer.begin("ctrl.request", node=self.lite_id,
+                             dst=dst_lite_id, msg=str(msg.get("type", "?")))
+                if tracer is not None else None)
         try:
-            reply = yield from self._ctrl_request_impl(
-                dst_lite_id, msg, timeout, retries, check_alive
-            )
-        except BaseException as exc:
-            tracer.end(span, outcome="err:" + type(exc).__name__)
-            raise
-        tracer.end(span)
-        return reply
-
-    def _ctrl_request_impl(self, dst_lite_id: int, msg: dict,
-                           timeout: Optional[float],
-                           retries: Optional[int],
-                           check_alive: bool):
-        if timeout is None and self.ctrl_timeout_us > 0:
-            timeout = self.ctrl_timeout_us
-        if retries is None:
-            retries = self.ctrl_retries
-        token = next(self._token_counter)
-        msg = dict(msg)
-        msg["tok"] = token
-        msg["src"] = self.lite_id
-        event = self.sim.event()
-        self._ctrl_pending[token] = event
-        if timeout is None:
-            try:
-                self.ctrl_send(dst_lite_id, msg, check_alive=check_alive)
-            except LiteError:
-                self._ctrl_pending.pop(token, None)
-                raise
-            reply = yield event
-        else:
-            window = timeout
-            for _attempt in range(max(retries, 0) + 1):
+            if timeout is None and self.ctrl_timeout_us > 0:
+                timeout = self.ctrl_timeout_us
+            if retries is None:
+                retries = self.ctrl_retries
+            token = next(self._token_counter)
+            msg = dict(msg)
+            msg["tok"] = token
+            msg["src"] = self.lite_id
+            event = self.sim.event()
+            self._ctrl_pending[token] = event
+            if timeout is None:
                 try:
                     self.ctrl_send(dst_lite_id, msg, check_alive=check_alive)
                 except LiteError:
                     self._ctrl_pending.pop(token, None)
                     raise
-                timer = self.sim.timeout(window)
-                yield self.sim.any_of([event, timer])
-                if event.triggered:
-                    timer.cancel()
-                    break
-                window = min(window * 2, timeout * 8)
-            if not event.triggered:
-                self._ctrl_pending.pop(token, None)
-                raise LiteError(
-                    f"control request {msg.get('type')!r} to LITE "
-                    f"{dst_lite_id} timed out",
-                    errno=ETIMEDOUT,
-                )
-            reply = event.value
-        if reply.get("err"):
-            raise LiteError(reply["err"])
+                reply = yield event
+            else:
+                window = timeout
+                for _attempt in range(max(retries, 0) + 1):
+                    try:
+                        self.ctrl_send(dst_lite_id, msg,
+                                       check_alive=check_alive)
+                    except LiteError:
+                        self._ctrl_pending.pop(token, None)
+                        raise
+                    timer = self.sim.timeout(window)
+                    yield self.sim.any_of([event, timer])
+                    if event.triggered:
+                        timer.cancel()
+                        break
+                    window = min(window * 2, timeout * 8)
+                if not event.triggered:
+                    self._ctrl_pending.pop(token, None)
+                    raise LiteError(
+                        f"control request {msg.get('type')!r} to LITE "
+                        f"{dst_lite_id} timed out",
+                        errno=ETIMEDOUT,
+                    )
+                reply = event.value
+            if reply.get("err"):
+                raise LiteError(reply["err"])
+        except BaseException as exc:
+            if span is not None:
+                tracer.end(span, outcome="err:" + type(exc).__name__)
+            raise
+        if span is not None:
+            tracer.end(span)
         return reply
 
     def _ctrl_reply(self, request: dict, reply: dict) -> None:

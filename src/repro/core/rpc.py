@@ -235,53 +235,44 @@ class RpcEngine:
         its head, and waiting forever would turn a crash into a hang).
         """
         tracer = self.sim.tracer
-        if tracer is None:
-            yield from self._append_request_impl(
-                ring, server_id, func_id, payload, msg_len, priority, deadline
-            )
-            return
-        span = tracer.begin("rpc.append", node=self.kernel.lite_id,
-                            nbytes=msg_len, dst=server_id)
+        span = (tracer.begin("rpc.append", node=self.kernel.lite_id,
+                             nbytes=msg_len, dst=server_id)
+                if tracer is not None else None)
         try:
-            yield from self._append_request_impl(
-                ring, server_id, func_id, payload, msg_len, priority, deadline
-            )
-        except BaseException as exc:
-            tracer.end(span, outcome="err:" + type(exc).__name__)
-            raise
-        tracer.end(span)
-
-    def _append_request_impl(self, ring, server_id: int, func_id: int,
-                             payload: bytes, msg_len: int, priority: int,
-                             deadline: Optional[float]):
-        while ring.free_space() < msg_len:
-            if deadline is not None and self.sim.now >= deadline:
-                raise RpcTimeoutError(
-                    f"RPC to LITE {server_id}: ring full and server "
-                    f"head pointer stalled"
+            while ring.free_space() < msg_len:
+                if deadline is not None and self.sim.now >= deadline:
+                    raise RpcTimeoutError(
+                        f"RPC to LITE {server_id}: ring full and server "
+                        f"head pointer stalled"
+                    )
+                yield self.sim.timeout(1.0)
+            pos = ring.tail_virtual % ring.size
+            ring.tail_virtual += msg_len
+            imm = pack_request_imm(func_id, pos)
+            kernel = self.kernel
+            first_len = min(ring.size - pos, msg_len)
+            if first_len < msg_len:
+                # Wraps the physical end: land the first piece before the
+                # imm-carrying remainder (ordering, rare).
+                yield from kernel.onesided.raw_write(
+                    server_id, ring.ring_addr + pos, payload[:first_len],
+                    signaled=False, priority=priority,
                 )
-            yield self.sim.timeout(1.0)
-        pos = ring.tail_virtual % ring.size
-        ring.tail_virtual += msg_len
-        imm = pack_request_imm(func_id, pos)
-        kernel = self.kernel
-        first_len = min(ring.size - pos, msg_len)
-        if first_len < msg_len:
-            # Wraps the physical end: land the first piece before the
-            # imm-carrying remainder (ordering, rare).
-            yield from kernel.onesided.raw_write(
-                server_id, ring.ring_addr + pos, payload[:first_len],
-                signaled=False, priority=priority,
-            )
-            kernel.onesided.raw_write_async(
-                server_id, ring.ring_addr, payload[first_len:], imm=imm,
-                priority=priority,
-            )
-        else:
-            kernel.onesided.raw_write_async(
-                server_id, ring.ring_addr + pos, payload, imm=imm,
-                priority=priority,
-            )
+                kernel.onesided.raw_write_async(
+                    server_id, ring.ring_addr, payload[first_len:], imm=imm,
+                    priority=priority,
+                )
+            else:
+                kernel.onesided.raw_write_async(
+                    server_id, ring.ring_addr + pos, payload, imm=imm,
+                    priority=priority,
+                )
+        except BaseException as exc:
+            if span is not None:
+                tracer.end(span, outcome="err:" + type(exc).__name__)
+            raise
+        if span is not None:
+            tracer.end(span)
 
     def call(
         self,

@@ -119,14 +119,6 @@ class FaultInjector:
     def _set_link(self, node_id: int, up: bool) -> None:
         self.cluster.fabric.set_link_state(node_id, up)
         self.link_transitions += 1
-        # Every link transition fences the node: a chain primed across
-        # an up link must not commit over a down one (and vice versa
-        # after the link returns).  Crash/restart also pass through
-        # here, so the fence covers link-down outages and flap storms
-        # with the same mechanism — the fence only touches fast-path
-        # bookkeeping (cost_version, primed tables), so slow-path runs
-        # are byte-for-byte unaffected and fast runs stay bit-identical.
-        self._node(node_id).fastpath_fence()
 
     def _node(self, node_id: int):
         for node in self.cluster.nodes:
@@ -138,8 +130,6 @@ class FaultInjector:
         yield self.cluster.sim.timeout(crash.at_us)
         node = self._node(crash.node_id)
         node.crashed = True
-        # _set_link fences: a primed cost table must never commit an op
-        # against the dead (and after restart: possibly remapped) node.
         self._set_link(crash.node_id, False)
         self.crashes += 1
         if crash.restart_at_us is None:

@@ -98,32 +98,29 @@ class CpuSet:
         wakeup latency when the event finally fires.
         """
         tracer = self.sim.tracer
-        if tracer is None:
-            return (yield from self._adaptive_wait_impl(event, tag))
-        span = tracer.begin("cpu.wait", node=self.node_id, strategy="adaptive")
+        span = (tracer.begin("cpu.wait", node=self.node_id, strategy="adaptive")
+                if tracer is not None else None)
         try:
-            return (yield from self._adaptive_wait_impl(event, tag))
+            params = self.params
+            start = self.sim.now
+            value = yield event
+            waited = self.sim.now - start
+            if waited <= params.adaptive_busy_window_us:
+                # Result arrived within the busy window: charged in full,
+                # found within one poll iteration.
+                self.busy_time[tag] += waited
+                discover = params.poll_loop_us / 2
+                yield self.sim.timeout(discover)
+                self.busy_time[tag] += discover
+            else:
+                # Burned the busy window, slept, then paid a wakeup.
+                self.busy_time[tag] += params.adaptive_busy_window_us
+                yield self.sim.timeout(params.thread_wakeup_us)
+                self.busy_time[tag] += params.thread_wakeup_us
+            return value
         finally:
-            tracer.end(span)
-
-    def _adaptive_wait_impl(self, event, tag):
-        params = self.params
-        start = self.sim.now
-        value = yield event
-        waited = self.sim.now - start
-        if waited <= params.adaptive_busy_window_us:
-            # Result arrived within the busy window: charged in full,
-            # found within one poll iteration.
-            self.busy_time[tag] += waited
-            discover = params.poll_loop_us / 2
-            yield self.sim.timeout(discover)
-            self.busy_time[tag] += discover
-        else:
-            # Burned the busy window, slept, then paid a wakeup.
-            self.busy_time[tag] += params.adaptive_busy_window_us
-            yield self.sim.timeout(params.thread_wakeup_us)
-            self.busy_time[tag] += params.thread_wakeup_us
-        return value
+            if span is not None:
+                tracer.end(span)
 
     def adaptive_poll(self, cq, tag: str = "poll", max_entries: int = 16):
         """Busy-wait the next CQE, then drain the backlog in one charge.

@@ -90,9 +90,10 @@ class Fabric:
         Later transfers touching the node raise :class:`FabricError`.
         For a *recoverable* outage use :meth:`set_link_state` instead —
         QPs keep their peer references and can retry once the link
-        returns.
+        returns.  The port is marked down first: a fast-path cost table
+        that still holds it then declines, as the generator path fails.
         """
-        self._require_port(node_id)
+        self._require_port(node_id).up = False
         del self.ports[node_id]
         self.nodes.pop(node_id, None)
 

@@ -8,7 +8,7 @@ value.  Times are microseconds, sizes are bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["SimParams", "DEFAULT_PARAMS"]
 
@@ -128,15 +128,13 @@ class SimParams:
     lite_qp_pool_cap: int = 8                    # max parked conns per pool
     lite_qp_lease_ttl_us: float = 2000.0         # QP-lease TTL (recovery cadence)
 
-    derived: dict = field(default_factory=dict, repr=False)
-
     def __setattr__(self, name, value):
         # Every field assignment (including the ones dataclass __init__
         # makes) bumps a monotonic version; fast-path cost tables key on
         # it so any post-construction param mutation invalidates them.
-        # ``derived`` and private names are bookkeeping, not cost inputs.
+        # Private names are bookkeeping, not cost inputs.
         object.__setattr__(self, name, value)
-        if name != "derived" and not name.startswith("_"):
+        if not name.startswith("_"):
             object.__setattr__(
                 self, "_version", self.__dict__.get("_version", 0) + 1
             )

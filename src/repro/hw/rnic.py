@@ -40,25 +40,6 @@ class Rnic:
         self._pipeline = Resource(sim, capacity=params.rnic_processing_units)
         self.wqe_count = 0
         self.bytes_dma = 0
-        # Bumped whenever cached per-op cost inputs tied to this RNIC
-        # change (MR invalidation, cache resize); fast-path cost tables
-        # key on it (see verbs/fastpath.py).
-        self.cost_version = 0
-
-    def fence(self) -> None:
-        """Invalidate every primed fast-path cost table stamped against
-        this RNIC.
-
-        All fencing events route here: node crash/restart and lease
-        expiry (``Node.fastpath_fence``), QP ERROR/reset
-        (``QueuePair._invalidate_fastpath``), link transitions
-        (``FaultInjector._set_link``), MR deregistration and SRAM
-        resize (below).  A stale table stamped before the fence can
-        then never commit — its ``cost_version`` stamp no longer
-        matches — so no run-to-completion chain (one- or two-sided)
-        crosses a fault it did not model.
-        """
-        self.cost_version += 1
 
     # -- SRAM lookup costs (computed eagerly, spent inside process()) ---
     def key_lookup_cost(self, key: int) -> float:
@@ -108,15 +89,14 @@ class Rnic:
         self.key_cache.invalidate(key)
         if page_ids:
             self.pte_cache.invalidate_many(page_ids)
-        self.fence()
 
     def resize_caches(self, key_entries: int = None, pte_entries: int = None,
                       qp_entries: int = None) -> None:
         """Replace one or more SRAM caches with fresh, resized ones.
 
         Contents and stats start empty (an SRAM reconfiguration flushes
-        it); ``cost_version`` is bumped so fast-path cost tables that
-        captured references to the old cache objects rebuild.
+        it).  Every reader, the fast path's probes included, reaches the
+        caches through this RNIC, so the new objects are seen at once.
         """
         if key_entries is not None:
             self.key_cache = LruCache(key_entries, name="mr-keys")
@@ -124,7 +104,6 @@ class Rnic:
             self.pte_cache = LruCache(pte_entries, name="ptes")
         if qp_entries is not None:
             self.qp_cache = LruCache(qp_entries, name="qp-state")
-        self.fence()
 
     # -- pipeline --------------------------------------------------------
     def process(self, extra_cost: float = 0.0, dma_bytes: int = 0):

@@ -10,7 +10,7 @@ top of the existing keep-alive / replica machinery:
   keep-alive heartbeat conceptually, so it costs no extra wire
   traffic).  A crashed or partitioned node simply stops renewing.
 * **Failover** — a sweeper declares a node dead when its lease
-  expires, fences the fast path against it, and walks the replica
+  expires, fences the QP pools toward it, and walks the replica
   directory: every LMR whose primary lived there gets the smallest
   live, lease-holding backup *promoted* in place — the global
   ``lh -> (node, addr)`` binding is remapped atomically through a
@@ -183,27 +183,11 @@ class RecoveryManager:
             info = kernel.peers.get(dead_id)
             if info is not None:
                 info.alive = False
-        node = self.manager.members.get(dead_id)
-        if node is not None:
-            # Same invalidation the injector applies at crash time —
-            # lease expiry can also fire on a live-but-partitioned node
-            # the injector never touched.  The fencing matrix for
-            # primed run-to-completion cost tables:
-            #   crash / restart      -> injector._set_link fence
-            #   link down / flap     -> injector._set_link fence
-            #   lease expiry         -> here
-            #   rejoin (QP reset)    -> QueuePair.reset -> rnic.fence
-            #   QP ERROR             -> QueuePair._enter_error
-            #   MR dereg / resize    -> RNIC.invalidate_mr/resize_caches
-            # Each path bumps an RNIC cost_version, so any table primed
-            # before the event can never commit after it.
-            node.fastpath_fence()
-        # Pooled control-plane conns (cluster/qp_pool.py): the RNIC
-        # fence above killed their primed tables; mark the pool entries
-        # too, so no lease can ever hand one out again — the pooled-QP
-        # row of the matrix.  The dead node's own pools fence as well:
-        # every conn they park points at a peer that just fenced *it*,
-        # and its sessions' leases die with the node.
+        # Pooled control-plane conns (cluster/qp_pool.py): pool policy
+        # is that no lease ever hands out a conn toward a dead peer.
+        # The dead node's own pools fence as well: every conn they park
+        # points at a peer that just declared *it* dead, and its
+        # sessions' leases die with the node.
         for kernel in self.kernels:
             pool = kernel.qp_pools.get(dead_id)
             if pool is not None:

@@ -110,10 +110,9 @@ class Device:
 
     def destroy_qp(self, qp: QueuePair) -> None:
         """Tear down a QP (ibv_destroy_qp): drop the device registration
-        and any primed fast-path table.  Disconnecting the *peer* end is
-        the caller's responsibility — the QP pool always destroys conns
-        as pairs."""
-        qp._fp_table = None
+        and the peer address.  Disconnecting the *peer* end is the
+        caller's responsibility — the QP pool always destroys conns as
+        pairs."""
         qp.remote = None
         self.qps.pop(qp.qpn, None)
 

@@ -136,13 +136,12 @@ class CostTable:
     """Per-(QP, op-kind, size-class) precomputed cost constants.
 
     Built lazily at first fast post (or eagerly via :func:`prime_qp`),
-    keyed by the versions of every input it folds in: the local, remote,
-    and fabric ``SimParams`` mutation counters plus both RNICs'
-    ``cost_version`` (bumped on MR invalidation and cache resize, which
-    also rotate the cache objects referenced here).  Per-size costs are
-    memoised in ``_sizes``: size → (local RNIC occupancy, remote RNIC
-    occupancy, wire serialization), each the bit-exact float expression
-    the generator path computes per WQE.
+    stamped with the local, remote and fabric ``SimParams`` mutation
+    counters.  All else it holds is fixed for the node's lifetime or
+    checked where the commit uses it (INTERNALS §13), so no other
+    module invalidates it.  ``_sizes`` memoises size → (local RNIC
+    occupancy, remote RNIC occupancy, wire serialization), each the
+    bit-exact float expression the generator path computes per WQE.
     """
 
     __slots__ = (
@@ -224,20 +223,16 @@ class CostTable:
         self._rparams = rparams
         self._fparams = fparams
         self._sizes = {}
-        # (rkey, addr, nbytes, need) → (free epoch, resolved target).
+        # (rkey, addr, nbytes, need) → (free epoch, resolved target, mr).
         # MR identity, bounds, access bits, and the page list are
-        # immutable for a live registration (deregistration bumps the
-        # remote RNIC's cost_version, stamped below, invalidating the
-        # whole table); the backing resolution carries the host
-        # allocator's free epoch and is revalidated with one compare
-        # per hit.
+        # immutable for a live registration, so a hit checks
+        # ``mr.deregistered`` plus the host allocator's free epoch.
         self._spans = {}
         # rkey → (mr, base_addr, end_addr) for *physical* MRs (the LITE
         # global MR): identity and bounds are immutable for a live
-        # registration and every address is in-reach, so only the
-        # backing resolution (allocator-epoch dependent) runs per
-        # attempt.  Deregistration bumps cost_version → whole table
-        # (and this cache) is dropped.
+        # registration and every address is in-reach, so a hit checks
+        # ``mr.deregistered`` and runs only the backing resolution
+        # (allocator-epoch dependent).
         self._phys = {}
         # rkey → (region, lo, hi): last backing region hit for a
         # *physical* MR.  The global MR spans the whole remote heap, so
@@ -272,16 +267,12 @@ class CostTable:
         fp_stats.table_builds += 1
 
     def _current_stamp(self):
-        return (
-            self._lparams._version,
-            self._rparams._version,
-            self._fparams._version,
-            self.lrnic.cost_version,
-            self.rrnic.cost_version,
-        )
+        return (self._lparams._version, self._rparams._version,
+                self._fparams._version)
 
     def valid(self) -> bool:
-        """True while every folded-in input is unchanged."""
+        """True while the QP's peer and every folded-in float input
+        are unchanged."""
         return (self.remote == self.qp.remote
                 and self.stamp == self._current_stamp())
 
@@ -341,7 +332,8 @@ class CostTable:
             return (), backing, reg_off
         key = (rkey, addr, nbytes, need)
         span = self._spans.get(key)
-        if span is not None and span[0] == self._mem.version:
+        if (span is not None and span[0] == self._mem.version
+                and not span[2].deregistered):
             return span[1]
         mr = self.rdev.mrs_by_rkey.get(rkey)
         if mr is None or mr.deregistered:
@@ -363,7 +355,7 @@ class CostTable:
         spans = self._spans
         if len(spans) >= _MEMO_MAX:
             spans.clear()
-        spans[key] = (self._mem.version, target)
+        spans[key] = (self._mem.version, target, mr)
         return target
 
 
@@ -382,13 +374,11 @@ def _table_for(qp):
 def prime_qp(qp) -> bool:
     """Build (or revalidate) a QP's cost table eagerly.
 
-    Called at connection setup, and again each time a pooled QP is
-    leased to a session (cluster/qp_pool.py): a conn that sat parked
-    across a fence — peer crash, MR dereg, cache resize — re-primes
-    here instead of paying the table-build stall on the new holder's
-    first op.  A still-valid table is kept as-is.  Returns True when a
-    valid table is in place afterwards.  Host-side only: priming never
-    advances simulated time, so fast and slow runs stay bit-identical.
+    Called at connection setup (``LiteKernel.connect``), so the first
+    op on a shared QP pays no table-build stall in its timed region.  A
+    still-valid table is kept as-is.  Returns True when a valid table
+    is in place afterwards.  Host-side only: priming never advances
+    simulated time, so fast and slow runs stay bit-identical.
     """
     if qp._is_rc and qp.remote is not None:
         return _table_for(qp) is not None
@@ -486,9 +476,8 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         return _no("rej_port")
     if table.src_node == table.dst_node:
         return _no("rej_port")  # loopback short-circuits the wire
-    # Belt and suspenders against a dead/remapped peer: a crash downs
-    # the link (caught above) and fences every table (cost_version), but
-    # a *rebuilt* table toward a crashed-flag node must still decline.
+    # A crashed peer: a crash downs its link (caught above), but a link
+    # plan may bring the link back up while the node is still failed.
     rdev = table.rdev
     if rdev.node.crashed:
         return _no("rej_port")
@@ -966,7 +955,7 @@ def try_fast_chain(engine, peer, addr, data, imm, priority):
 # core/rdma.py, whose pieces each take the WR entry; see INTERNALS §13
 # for the measurement behind that choice and what it costs.
 #
-# Invalidation: ``mapping.plan_version`` (bumped by ``retarget()`` on
+# Checked at use: ``mapping.plan_version`` (bumped by ``retarget()`` on
 # failover promotion / chunk migration) is all an entry depends on;
 # peer liveness is read per attempt, everything else by the one commit.
 

@@ -148,28 +148,9 @@ class QueuePair:
         its shared QPs after recovery rather than re-handshaking.
         """
         self.state = "RTS"
-        self._invalidate_fastpath()
 
     def _enter_error(self) -> None:
         self.state = "ERROR"
-        self._invalidate_fastpath()
-
-    def _invalidate_fastpath(self) -> None:
-        """Drop primed cost tables on a state transition.
-
-        Bumps *both* RNICs' ``cost_version`` so any table stamped
-        against either end (including the peer's reverse-direction
-        tables) dies, and drops this QP's own table eagerly.  State
-        transitions only happen under injected faults, so the fast and
-        slow runs see identical invalidations — no-fault runs never
-        reach here and stay bit-identical.
-        """
-        self._fp_table = None
-        self.device.rnic.fence()
-        if self.remote is not None:
-            remote_node = self.device.node.fabric.nodes.get(self.remote[0])
-            if remote_node is not None:
-                remote_node.rnic.fence()
 
     # -- receive side ----------------------------------------------------
     def post_recv(self, wr: RecvWR) -> None:

@@ -237,7 +237,7 @@ def test_every_simparams_field_has_a_reader():
     is read as an attribute somewhere under ``src/repro`` — the field
     declarations in ``hw/params.py`` are names, not attribute loads, so
     only its helpers (``dma_time`` is ``rnic_dma_bytes_per_us``' one
-    reader) count there; ``derived`` is bookkeeping, not a knob."""
+    reader) count there."""
     import dataclasses
 
     import repro
@@ -250,7 +250,7 @@ def test_every_simparams_field_has_a_reader():
             node.attr for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load))
-    fields = {f.name for f in dataclasses.fields(SimParams)} - {"derived"}
+    fields = {f.name for f in dataclasses.fields(SimParams)}
     assert len(fields) >= 60, "the walk must find the known knobs"
     assert not sorted(fields - read), (
         f"SimParams fields nothing reads: {sorted(fields - read)}")

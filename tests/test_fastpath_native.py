@@ -888,3 +888,98 @@ def test_inert_now_queue_entry_does_not_veto():
             world["cluster"].run_process(body(world["qps"][0], world["big"]))
             world["cluster"].sim.run()
         assert mode.delta["attempts"] == mode.delta[slot] == 1
+
+
+# ---------------------------------------------------------------------------
+# Nothing fences the cost table: every cached fact is checked at use
+# ---------------------------------------------------------------------------
+def _run_former_fences(fastpath: bool):
+    """One RC QP pair; a WRITE and a READ after a warm-up and after each
+    event that used to fence the cost table.  Returns the run and the
+    ``fp_stats`` delta of each step."""
+    with _Mode(fastpath) as mode:
+        world = _build(2, 64 * KB, False)
+        cluster = world["cluster"]
+        sim = cluster.sim
+        a, b = cluster[0], cluster[1]
+        qp = world["qps"][0]
+        target, other = world["small"]
+        live = world["big"]
+        log, steps = [], {}
+
+        def ops(step, mr):
+            before = {n: getattr(fp_stats, n) for n in fp_stats.__slots__}
+            for opcode in (Opcode.WRITE, Opcode.READ):
+                if opcode is Opcode.WRITE:
+                    wr = SendWR(opcode, inline_data=step.encode() * 16,
+                                remote_addr=mr.base_addr + 64, rkey=mr.rkey)
+                else:
+                    wr = SendWR(opcode, read_length=256,
+                                remote_addr=mr.base_addr + 64, rkey=mr.rkey)
+                start = sim.now
+                status = yield qp.post_send(wr)
+                log.append((step, opcode, status, sim.now - start,
+                            wr.return_data))
+            steps[step] = {n: getattr(fp_stats, n) - before[n]
+                           for n in fp_stats.__slots__}
+
+        def driver():
+            yield from ops("warm", target)
+            yield from ops("warm-live", live)
+            yield from b.device.dereg_mr(target, free_backing=False)
+            yield from ops("dereg-keep", target)
+            yield from b.device.dereg_mr(other, free_backing=True)
+            yield from ops("dereg-free", live)
+            for node in (a, b):
+                node.rnic.resize_caches(key_entries=64, pte_entries=64,
+                                        qp_entries=16)
+            yield from ops("resize", live)
+            qp._enter_error()
+            qp.reset()
+            yield from ops("reset", live)
+            t0 = sim.now
+            FaultInjector(cluster, FaultPlan()
+                          .link_flap(b.node_id, 5.0, t0 + 15.0, 10.0, 10.0)
+                          .crash(b.node_id, 100.0, restart_at_us=120.0),
+                          ).install()
+            yield sim.timeout(20.0)
+            yield from ops("flap", live)
+            yield sim.timeout(t0 + 130.0 - sim.now)
+            yield from ops("restart", live)
+
+        cluster.run_process(driver())
+        sim.run()
+        result = (sim.now, log, dataclasses.asdict(snapshot(cluster)),
+                  _sram_state(cluster))
+    return result, steps, mode.delta
+
+
+def test_one_table_across_every_former_fence():
+    """MR deregistration (backing kept or freed), an SRAM resize, a QP
+    error + reset, a link flap and a crash + restart: the fast run
+    matches the slow one, builds its cost table once, and declines only
+    the ops aimed at the deregistered MR — its span memo entry checks
+    ``mr.deregistered`` at use."""
+    fast, steps, delta = _run_former_fences(True)
+    slow, _, _ = _run_former_fences(False)
+    assert fast[0] == slow[0], "final time diverged"
+    assert fast[1] == slow[1], "statuses / latencies / bytes diverged"
+    assert fast[2] == slow[2], "cluster snapshot diverged"
+    assert fast[3] == slow[3], "SRAM contents diverged"
+    assert delta["mismodels"] == 0
+    assert delta["table_builds"] == 1
+    statuses = {(step, opcode): status
+                for step, opcode, status, _, _ in fast[1]}
+    nak = WcStatus.REM_INV_REQ_ERR
+    assert statuses[("dereg-keep", Opcode.WRITE)] is nak
+    assert statuses[("dereg-keep", Opcode.READ)] is nak
+    assert steps["dereg-keep"]["rej_target"] == 2
+    assert steps["dereg-keep"]["commits"] == 0
+    for step in ("warm", "warm-live", "dereg-free", "resize", "reset",
+                 "flap", "restart"):
+        assert statuses[(step, Opcode.WRITE)] is WcStatus.SUCCESS, step
+        assert statuses[(step, Opcode.READ)] is WcStatus.SUCCESS, step
+        assert steps[step]["commits"] == steps[step]["attempts"] == 2, step
+    latency = {(step, opcode): took for step, opcode, _, took, _ in fast[1]}
+    assert (latency[("resize", Opcode.WRITE)]
+            > latency[("dereg-free", Opcode.WRITE)]), "a flushed SRAM misses"

@@ -480,32 +480,6 @@ def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
     assert "error" in out
 
 
-def test_memoised_plan_survives_a_fence():
-    """``Node.fastpath_fence()`` drops cost tables, not plan memos: the
-    next op is a memo hit that rebuilds its table and commits."""
-    cluster, kernels, ctx = _memo_cluster()
-    out = {}
-
-    def driver():
-        lh = yield from ctx.lt_malloc(4096, name="fence", nodes=2)
-        yield from ctx.lt_write(lh, 0, b"a" * 4096)
-        yield from ctx.lt_write(lh, 0, b"b" * 4096)
-        out["mid"] = _stats()
-        cluster.nodes[1].fastpath_fence()
-        yield from ctx.lt_write(lh, 0, b"c" * 4096)
-        out["hit"] = _delta(out["mid"])
-        out["data"] = yield from ctx.lt_read(lh, 0, 4096)
-
-    before = _stats()
-    cluster.run_process(driver())
-    assert _delta(before)["plan_hits"] >= 1, "the pre-fence repeat must hit"
-    hit = out["hit"]
-    assert hit["plan_hits"] == 1 and hit["plan_builds"] == 0
-    assert hit["table_builds"] == 1 and hit["vec_commits"] == 1
-    assert _delta(out["mid"])["mismodels"] == 0
-    assert out["data"] == b"c" * 4096
-
-
 def test_move_then_realloc_never_commits_a_stale_address():
     """``lt_move`` retargets the master's own mappings through
     ``retarget()``: the memoised address of the old layout is orphaned

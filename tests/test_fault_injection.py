@@ -111,6 +111,40 @@ def test_fabric_link_state_and_detach_validation():
         cluster.sim.run_process(fabric.transfer(0, 1, 64))
 
 
+def _rc_write_after_detach(fastpath: bool):
+    """A warm RC WRITE, then ``detach(1)``, then one more WRITE: returns
+    the error the second one raised and the instant it raised it."""
+    cluster = Cluster(2)
+    cluster.sim.fastpath_enabled = fastpath
+    a, b = cluster[0], cluster[1]
+    state = {}
+
+    def driver():
+        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
+        state["mr_a"] = yield from a.device.reg_mr(pd_a, 4096)
+        state["mr_b"] = yield from b.device.reg_mr(pd_b, 4096)
+        qa = a.device.create_qp(pd_a, "RC")
+        a.device.connect(qa, b.device.create_qp(pd_b, "RC"))
+        assert (yield qa.post_send(_write_wr(state))) is WcStatus.SUCCESS
+        cluster.fabric.detach(1)
+        try:
+            yield qa.post_send(_write_wr(state))
+        except FabricError as exc:
+            state["raised"] = (type(exc), cluster.sim.now)
+
+    cluster.run_process(driver())
+    return state.get("raised")
+
+
+def test_detached_port_fails_the_same_in_both_modes():
+    """A cost table still holds the detached ``Port``: it must decline
+    (the port is marked down before it is dropped) so the WR fails on
+    the generator path exactly as it does with the fast path off."""
+    slow = _rc_write_after_detach(False)
+    assert slow is not None and slow[0] is FabricError
+    assert _rc_write_after_detach(True) == slow
+
+
 def test_loopback_transfer_updates_port_counters():
     cluster = Cluster(1)
     port = cluster.nodes[0].port

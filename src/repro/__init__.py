@@ -16,6 +16,7 @@ from .core import (
     rpc_server_loop,
 )
 from .hw import DEFAULT_PARAMS, SimParams
+from .verbs.explain import explain
 from .obs import (
     MetricsRegistry,
     Tracer,
@@ -38,6 +39,7 @@ __all__ = [
     "rpc_server_loop",
     "SimParams",
     "DEFAULT_PARAMS",
+    "explain",
     "FaultPlan",
     "FaultInjector",
     "Tracer",

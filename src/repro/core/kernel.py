@@ -316,7 +316,7 @@ class LiteKernel:
             # A past outage flushed this shared QP; LITE recycles it
             # transparently instead of flushing new traffic forever.
             qp.reset()
-        self.node.cpu.charge("lite-ctrl", self.params.rnic_doorbell_us)
+        self.node.cpu.charge("lite-ctrl", self.params.prices.doorbell)
         qp.post_send(SendWR(Opcode.SEND, inline_data=payload, signaled=False))
 
     def ctrl_request(self, dst_lite_id: int, msg: dict,

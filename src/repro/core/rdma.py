@@ -70,9 +70,8 @@ class OneSidedEngine:
         handle = try_fast_post(qp, wr, window)
         if handle is not None:
             peer._rr += 1
-            self.kernel.node.cpu.charge(
-                "lite-post", self.params.rnic_doorbell_us
-            )
+            self.kernel.node.cpu.charge("lite-post",
+                                        self.params.prices.doorbell)
         return handle
 
     def _post(self, peer_id: int, wr: SendWR, priority: int):
@@ -103,7 +102,7 @@ class OneSidedEngine:
             qp, window = kernel.qos.pick_qp(peer, priority)
             yield window.request()
             try:
-                kernel.node.cpu.charge("lite-post", params.rnic_doorbell_us)
+                kernel.node.cpu.charge("lite-post", params.prices.doorbell)
                 status = yield qp.post_send_generator(wr)
             finally:
                 window.release()
@@ -168,7 +167,7 @@ class OneSidedEngine:
             qp, window = kernel.qos.pick_qp(peer, priority)
             yield window.request()
             try:
-                kernel.node.cpu.charge("lite-post", params.rnic_doorbell_us)
+                kernel.node.cpu.charge("lite-post", params.prices.doorbell)
                 results = yield self.sim.all_of(qp.post_send_batch(chunk))
                 statuses = [results[index] for index in range(len(chunk))]
             finally:
@@ -444,7 +443,7 @@ class OneSidedEngine:
         chunk, chunk_off, _len, _ = pieces[0]
         if chunk.node_id == kernel.lite_id:
             # Local word: the RNIC still arbitrates atomics, loop back.
-            yield self.sim.timeout(self.params.rnic_dma_setup_us)
+            yield self.sim.timeout(self.params.prices.dma_setup)
             region, base = kernel.node.memory.resolve(chunk.addr + chunk_off, 8)
             old = struct.unpack("<Q", region.read(base, 8))[0]
             if opcode is Opcode.FETCH_ADD:

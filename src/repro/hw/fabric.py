@@ -169,9 +169,7 @@ class Fabric:
             self._require_port(dst)
         if nbytes < 0:
             raise FabricError(f"negative transfer size: {nbytes}")
-        params = self.params
-        # params.wire_time(nbytes), inlined (hot path).
-        serialization = nbytes / params.link_bandwidth_bytes_per_us
+        prices = self.params.prices
         self.total_bytes += nbytes
         self.transfer_count += 1
         sim = self.sim
@@ -179,7 +177,7 @@ class Fabric:
             if not src_port.up:
                 self.dropped_transfers += 1
                 raise LinkDownError(f"node {src} link is down")
-            yield sim.timeout(serialization + params.link_propagation_us)
+            yield sim.timeout(prices.loopback(nbytes))
             src_port.tx_bytes += nbytes
             src_port.rx_bytes += nbytes
             return
@@ -192,6 +190,7 @@ class Fabric:
         if not dropped and self.fault is not None:
             dropped = self.fault.should_drop(src, dst, nbytes, flow)
         src_port.tx_bytes += nbytes
+        serialization = prices.ser(nbytes)
         # Acquire egress then ingress (fixed order; a transfer waits on at
         # most one resource while holding the other, so no cycles).
         yield src_port.tx.request(flow)
@@ -216,9 +215,7 @@ class Fabric:
             if ser is not None:
                 tracer.end(ser)
             src_port.tx.release()
-        # params.one_way_fabric_us(), inlined (hot path).
-        yield sim.timeout(2 * params.link_propagation_us
-                          + params.switch_latency_us)
+        yield sim.timeout(prices.prop)
         if dropped:
             self.dropped_transfers += 1
             if not dst_port.up:

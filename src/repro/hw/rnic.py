@@ -112,39 +112,33 @@ class Rnic:
         ``extra_cost`` carries the SRAM miss penalties; ``dma_bytes``
         adds the PCIe DMA transfer for the payload.
         """
-        params = self.params
-        duration = params.rnic_wqe_process_us + extra_cost
-        dma_time = 0.0
-        if dma_bytes:
-            dma_time = params.dma_time(dma_bytes)
-            duration += dma_time
-            self.bytes_dma += dma_bytes
+        duration = self.params.prices.occupancy(extra_cost, dma_bytes)
+        self.bytes_dma += dma_bytes
         tracer = self.sim.tracer
-        if tracer is None:
-            yield self._pipeline.request()
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self._pipeline.release()
-            self.wqe_count += 1
-            return
         # rnic.proc covers pipeline-queue wait + occupancy; q_us records
         # the queue-wait share so consumers can isolate pure occupancy.
-        span = tracer.begin("rnic.proc", node=self.node_id, nbytes=dma_bytes,
-                            lookup_us=extra_cost)
+        span = (tracer.begin("rnic.proc", node=self.node_id, nbytes=dma_bytes,
+                             lookup_us=extra_cost)
+                if tracer is not None else None)
         try:
             yield self._pipeline.request()
-            span.attrs["q_us"] = self.sim.now - span.start
+            if span is not None:
+                span.attrs["q_us"] = self.sim.now - span.start
             try:
                 yield self.sim.timeout(duration)
             finally:
                 self._pipeline.release()
         except BaseException as exc:
-            tracer.end(span, outcome="err:" + type(exc).__name__)
+            if span is not None:
+                tracer.end(span, outcome="err:" + type(exc).__name__)
             raise
         self.wqe_count += 1
-        if dma_time:
+        if span is None:
+            return
+        if dma_bytes:
             # The DMA burns the tail of the occupancy window.
-            tracer.interval("rnic.dma", self.sim.now - dma_time, self.sim.now,
-                            node=self.node_id, nbytes=dma_bytes, parent=span)
+            now = self.sim.now
+            tracer.interval("rnic.dma", now - self.params.prices.dma(dma_bytes),
+                            now, node=self.node_id, nbytes=dma_bytes,
+                            parent=span)
         tracer.end(span)

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 from ..hw.memory import PhysRegion
 from .cq import CompletionQueue
 from .mr import MemoryRegion
-from .qp import QueuePair, SharedReceiveQueue
+from .qp import _ATOMICS, QueuePair, SharedReceiveQueue
 from .wr import Access, Opcode, RecvWR, WcStatus, WorkCompletion
 
 __all__ = ["Device", "ProtectionDomain"]
@@ -36,6 +36,7 @@ _VA_BASE = 1 << 44
 _NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
 _NEED_REMOTE_READ = Access.REMOTE_READ.value
 _NEED_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
+_WRITES = (Opcode.WRITE, Opcode.WRITE_IMM)
 
 
 class ProtectionDomain:
@@ -243,81 +244,58 @@ class Device:
         """
         rnic = self.rnic
         cost = rnic.qp_lookup_cost(dst_qpn)
-
-        if opcode in (Opcode.WRITE, Opcode.WRITE_IMM):
-            mr, status = self._resolve_remote(
-                rkey, remote_addr, len(payload), _NEED_REMOTE_WRITE
-            )
-            if status is not WcStatus.SUCCESS:
-                yield from rnic.process(cost)
-                return status, 0, b""
-            offset = remote_addr - mr.base_addr
-            cost += rnic.key_lookup_cost(rkey)
-            cost += rnic.pte_lookup_cost(mr.page_ids(offset, len(payload)))
-            yield from rnic.process(cost, dma_bytes=len(payload))
-            try:
-                mr.write(offset, payload)
-            except ValueError:
-                # Physical-MR access to memory that is no longer a live
-                # allocation (e.g. a reply landing after the client freed
-                # its slot): NAK like real hardware, don't crash.
-                return WcStatus.REM_ACCESS_ERR, 0, b""
-            if opcode is Opcode.WRITE_IMM:
-                status = yield from self._deliver_recv(
-                    dst_qpn, src_node, src_qpn, b"", imm, Opcode.RECV_IMM,
-                    byte_len=len(payload),
-                )
-                if status is WcStatus.RNR_RETRY_EXC_ERR:
-                    return status, 0, b""
-            return WcStatus.SUCCESS, len(payload), b""
-
-        if opcode is Opcode.READ:
-            mr, status = self._resolve_remote(
-                rkey, remote_addr, length, _NEED_REMOTE_READ
-            )
-            if status is not WcStatus.SUCCESS:
-                yield from rnic.process(cost)
-                return status, 0, b""
-            offset = remote_addr - mr.base_addr
-            cost += rnic.key_lookup_cost(rkey)
-            cost += rnic.pte_lookup_cost(mr.page_ids(offset, length))
-            yield from rnic.process(cost, dma_bytes=length)
-            try:
-                return WcStatus.SUCCESS, length, mr.read(offset, length)
-            except ValueError:
-                return WcStatus.REM_ACCESS_ERR, 0, b""
-
-        if opcode in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
-            mr, status = self._resolve_remote(rkey, remote_addr, 8, _NEED_REMOTE_ATOMIC)
-            if status is not WcStatus.SUCCESS:
-                yield from rnic.process(cost)
-                return status, 0, b""
-            offset = remote_addr - mr.base_addr
-            cost += rnic.key_lookup_cost(rkey)
-            cost += rnic.pte_lookup_cost(mr.page_ids(offset, 8))
-            yield from rnic.process(cost, dma_bytes=8)
-            # Read-modify-write with no intervening yield: atomic in the
-            # event loop, like the RNIC's atomic execution unit.
-            try:
-                old = struct.unpack("<Q", mr.read(offset, 8))[0]
-            except ValueError:
-                return WcStatus.REM_ACCESS_ERR, 0, b""
-            if opcode is Opcode.FETCH_ADD:
-                new = (old + compare_add) % (1 << 64)
-            else:
-                new = swap if old == compare_add else old
-            mr.write(offset, struct.pack("<Q", new))
-            return WcStatus.SUCCESS, 8, struct.pack("<Q", old)
-
-        if opcode is Opcode.SEND:
+        if opcode in _WRITES:
+            nbytes, need = len(payload), _NEED_REMOTE_WRITE
+        elif opcode is Opcode.READ:
+            nbytes, need = length, _NEED_REMOTE_READ
+        elif opcode in _ATOMICS:
+            nbytes, need = 8, _NEED_REMOTE_ATOMIC
+        elif opcode is Opcode.SEND:
             yield from rnic.process(cost)
             status = yield from self._deliver_recv(
                 dst_qpn, src_node, src_qpn, payload, imm, Opcode.RECV,
                 byte_len=len(payload),
             )
             return status, len(payload), b""
+        else:
+            raise ValueError(f"unhandled inbound opcode {opcode}")
 
-        raise ValueError(f"unhandled inbound opcode {opcode}")
+        # One responder pass: QP, MR record and PTEs, then the DMA.
+        mr, status = self._resolve_remote(rkey, remote_addr, nbytes, need)
+        if status is not WcStatus.SUCCESS:
+            yield from rnic.process(cost)
+            return status, 0, b""
+        offset = remote_addr - mr.base_addr
+        cost += rnic.key_lookup_cost(rkey)
+        cost += rnic.pte_lookup_cost(mr.page_ids(offset, nbytes))
+        yield from rnic.process(cost, dma_bytes=nbytes)
+        try:
+            if opcode is Opcode.READ:
+                return WcStatus.SUCCESS, nbytes, mr.read(offset, nbytes)
+            if opcode in _ATOMICS:
+                # Read-modify-write with no intervening yield: atomic in
+                # the event loop, like the RNIC's atomic execution unit.
+                old = struct.unpack("<Q", mr.read(offset, 8))[0]
+                if opcode is Opcode.FETCH_ADD:
+                    new = (old + compare_add) % (1 << 64)
+                else:
+                    new = swap if old == compare_add else old
+                mr.write(offset, struct.pack("<Q", new))
+                return WcStatus.SUCCESS, 8, struct.pack("<Q", old)
+            mr.write(offset, payload)
+        except ValueError:
+            # Physical-MR access to memory that is no longer a live
+            # allocation (e.g. a reply landing after the client freed
+            # its slot): NAK like real hardware, don't crash.
+            return WcStatus.REM_ACCESS_ERR, 0, b""
+        if opcode is Opcode.WRITE_IMM:
+            status = yield from self._deliver_recv(
+                dst_qpn, src_node, src_qpn, b"", imm, Opcode.RECV_IMM,
+                byte_len=nbytes,
+            )
+            if status is WcStatus.RNR_RETRY_EXC_ERR:
+                return status, 0, b""
+        return WcStatus.SUCCESS, nbytes, b""
 
     def _deliver_recv(
         self,
@@ -360,13 +338,9 @@ class Device:
         tracer = self.sim.tracer
         cspan = (tracer.begin("cq.completion", node=self.node.node_id)
                  if tracer is not None else None)
-        yield self.sim.timeout(self.params.rnic_completion_us)
-        if qp.recv_cq is None:
-            if cspan is not None:
-                tracer.end(cspan)
-            return status
-        qp.recv_cq.push(
-            WorkCompletion(
+        yield self.sim.timeout(self.params.prices.completion)
+        if qp.recv_cq is not None:
+            qp.recv_cq.push(WorkCompletion(
                 wr_id=recv_wr.wr_id,
                 status=status,
                 opcode=opcode,
@@ -375,8 +349,7 @@ class Device:
                 qp_num=dst_qpn,
                 src_node=src_node,
                 src_qpn=src_qpn,
-            )
-        )
+            ))
         if cspan is not None:
             tracer.end(cspan)
         return status

@@ -86,8 +86,7 @@ _FETCH_ADD, _CMP_SWAP = Opcode.FETCH_ADD, Opcode.CMP_SWAP
 _RECV, _RECV_IMM = Opcode.RECV, Opcode.RECV_IMM
 _SUCCESS = WcStatus.SUCCESS
 
-# Size-class memo bound per cost table: distinct payload sizes seen on
-# one QP.  Benchmarks use a handful of sizes; a pathological size sweep
+# Entries per target / plan memo: a pathological address or size sweep
 # clears and rebuilds rather than growing without bound.
 _MEMO_MAX = 512
 
@@ -133,27 +132,23 @@ def _no(reason: str) -> None:
 
 
 class CostTable:
-    """Per-(QP, op-kind, size-class) precomputed cost constants.
+    """Per-QP state of the commit: resources, ports, target memos.
 
     Built lazily at first fast post (or eagerly via :func:`prime_qp`),
     stamped with the local, remote and fabric ``SimParams`` mutation
     counters.  All else it holds is fixed for the node's lifetime or
     checked where the commit uses it (INTERNALS §13), so no other
-    module invalidates it.  ``_sizes`` memoises size → (local RNIC
-    occupancy, remote RNIC occupancy, wire serialization), each the
-    bit-exact float expression the generator path computes per WQE.
+    module invalidates it.  It holds no prices: the commit reads every
+    stage duration from the same ``params.prices`` lists the generator
+    path reads.
     """
 
     __slots__ = (
         "qp", "remote", "stamp", "fabric", "rdev", "rqp",
         "lrnic", "rrnic", "lpipe", "rpipe", "src_port", "dst_port",
         "src_tx", "src_rx", "dst_tx", "dst_rx",
-        "src_node", "dst_node", "dst_qpn",
-        "doorbell", "wqe_l", "ser0", "ser_atomic", "prop", "ack_ser",
-        "rnic_ack",
-        "completion_l", "completion_r", "floor", "srq_source", "srq_items",
-        "_lparams", "_rparams", "_fparams", "_link_bw", "_sizes",
-        "_spans", "_phys", "_pregions", "_mem",
+        "src_node", "dst_node", "dst_qpn", "srq_source", "srq_items",
+        "_lparams", "_rparams", "_fparams", "_spans", "_phys", "_pregions", "_mem",
         "_rel_t2", "_rel_t3", "_rel_back",
     )
 
@@ -166,19 +161,14 @@ class CostTable:
         if rnode is None:
             raise KeyError(dst_node)
         rdev = rnode.device
-        lparams = device.params
-        rparams = rdev.params
-        fparams = fabric.params
-        lrnic = device.rnic
-        rrnic = rdev.rnic
 
         self.qp = qp
         self.remote = qp.remote
         self.fabric = fabric
         self.rdev = rdev
         self.rqp = rdev.qps.get(dst_qpn)
-        self.lrnic = lrnic
-        self.rrnic = rrnic
+        self.lrnic = lrnic = device.rnic
+        self.rrnic = rrnic = rdev.rnic
         self.lpipe = lrnic._pipeline
         self.rpipe = rrnic._pipeline
         self.src_node = node.node_id
@@ -195,34 +185,9 @@ class CostTable:
         self.dst_tx = dst_port.tx
         self.dst_rx = dst_port.rx
 
-        self.doorbell = lparams.rnic_doorbell_us
-        self.wqe_l = lparams.rnic_wqe_process_us
-        link_bw = fparams.link_bandwidth_bytes_per_us
-        self._link_bw = link_bw
-        self.ser0 = _WIRE0 / link_bw
-        self.ser_atomic = _WIRE_ATOMIC / link_bw
-        # Same expression shape as fabric._transfer_impl's inlined
-        # one_way_fabric_us (bit-exact float parity).
-        self.prop = (2 * fparams.link_propagation_us
-                     + fparams.switch_latency_us)
-        self.ack_ser = ACK_BYTES / link_bw
-        self.rnic_ack = lparams.rnic_ack_us
-        self.completion_l = lparams.rnic_completion_us
-        self.completion_r = rparams.rnic_completion_us
-        # Lower bound on any op's completion delay, for the early
-        # horizon reject: doorbell, a bare WQE at each RNIC, an empty
-        # frame out, and the two propagations every op pays.  A strict
-        # subset of every timeline's terms — the payload DMA, the
-        # return-leg serialization and the ACK turnaround / scatter
-        # pass are left out — so float rounding can never lift it to a
-        # real completion time.
-        self.floor = (self.doorbell + self.wqe_l + self.ser0 + self.prop
-                      + rparams.rnic_wqe_process_us + self.prop)
-
-        self._lparams = lparams
-        self._rparams = rparams
-        self._fparams = fparams
-        self._sizes = {}
+        self._lparams = device.params
+        self._rparams = rdev.params
+        self._fparams = fabric.params
         # (rkey, addr, nbytes, need) → (free epoch, resolved target, mr).
         # MR identity, bounds, access bits, and the page list are
         # immutable for a live registration, so a hit checks
@@ -276,29 +241,15 @@ class CostTable:
         return (self.remote == self.qp.remote
                 and self.stamp == self._current_stamp())
 
-    def size_costs(self, nbytes: int):
-        """(local occupancy, remote occupancy, serialization, wire bytes).
-
-        Bit-exact to the slow path: occupancy is
-        ``rnic_wqe_process_us + dma_time(nbytes)`` (the all-hit lookup
-        cost is exactly ``0.0``, and ``x + 0.0 == x``), serialization is
-        ``wire_bytes(nbytes) / link_bandwidth`` in one division, as in
-        ``fabric._transfer_impl``.
-        """
-        entry = self._sizes.get(nbytes)
-        if entry is None:
-            if len(self._sizes) >= _MEMO_MAX:
-                self._sizes.clear()
-            lp = self._lparams
-            rp = self._rparams
-            wire = wire_bytes(nbytes)
-            entry = self._sizes[nbytes] = (
-                lp.rnic_wqe_process_us + lp.dma_time(nbytes),
-                rp.rnic_wqe_process_us + rp.dma_time(nbytes),
-                wire / self._link_bw,
-                wire,
-            )
-        return entry
+    def floor(self) -> float:
+        """Lower bound on any op's completion delay, for the early
+        horizon reject: doorbell, a bare WQE at each RNIC, an empty
+        frame out and both propagations — a strict subset of every
+        timeline's terms, so rounding never lifts it past one."""
+        lp = self._lparams.prices
+        fp = self._fparams.prices
+        return (lp.doorbell + lp.wqe + fp.ser(_WIRE0) + fp.prop
+                + self._rparams.prices.wqe + fp.prop)
 
     def resolve(self, rkey: int, addr: int, nbytes: int, need: int):
         """Resolve a remote span to ``(pages, backing, reg_off)``, or None.
@@ -489,7 +440,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     # exact one below would (``floor`` is below every completion delay).
     t0 = sim.now
     horizon = sim.fp_horizon()
-    if horizon <= t0 + table.floor:
+    if horizon <= t0 + table.floor():
         return _no("rej_floor")
 
     read_op = opcode is _READ
@@ -572,42 +523,37 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     else:
         cost_l = cost_r = 0.0
 
-    # ---- timeline (floats accumulated in the slow path's add order) ----
-    # A stage is ``(wqe + lookup cost) + dma``; the memoised occupancies
-    # are the all-hit case (``x + 0.0 == x``).
-    dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    if cost_r:
-        dur_r = ((table._rparams.rnic_wqe_process_us + cost_r)
-                 + table._rparams.dma_time(nbytes))
+    # ---- timeline (the generator path's stages, in its add order) ----
+    lp = table._lparams.prices
+    rp = table._rparams.prices
+    fp = table._fparams.prices
+    wire_n = wire_bytes(nbytes)
+    ser = fp.ser(wire_n)
     # READ and the atomics send a bare request and scatter a response.
     resp_op = read_op or atomic
-    if cost_l and not resp_op:          # the scatter pass all-hits
-        dur_l = (table.wqe_l + cost_l) + table._lparams.dma_time(nbytes)
-    t1 = t0 + table.doorbell            # doorbell MMIO
+    t1 = t0 + lp.doorbell               # doorbell MMIO
     if resp_op:
-        t2 = t1 + (table.wqe_l + cost_l)  # request WQE carries no payload
-        t3 = t2 + (table.ser_atomic if atomic else table.ser0)
+        t2 = t1 + lp.occupancy(cost_l, 0)   # request WQE carries no payload
+        t3 = t2 + fp.ser(_WIRE_ATOMIC if atomic else _WIRE0)
     else:
-        t2 = t1 + dur_l                 # local lookups + payload DMA
+        t2 = t1 + lp.occupancy(cost_l, nbytes)  # lookups + payload DMA
         t3 = t2 + ser                   # serialization out
-    t4 = t3 + table.prop                # propagation + switch
+    t4 = t3 + fp.prop                   # propagation + switch
     if send_op:
         # Two-pass responder: the QP context first, then the receive
-        # buffer's key / PTEs and the payload DMA (``dur_r``).
-        t4 = t_take = t4 + (table._rparams.rnic_wqe_process_us + cost_q)
-    t5 = t4 + dur_r                     # remote lookups + DMA + memory op
+        # buffer's key / PTEs and the payload DMA.
+        t4 = t_take = t4 + rp.occupancy(cost_q, 0)
+    t5 = t4 + rp.occupancy(cost_r, nbytes)  # remote lookups + DMA + memory op
     if resp_op:
         back = t5 + ser                 # response serialization
-        t6 = back + table.prop
-        t7 = t6 + dur_l                 # local scatter pass
+        t6 = back + fp.prop
+        t7 = t6 + lp.occupancy(0.0, nbytes)  # local scatter pass, all-hit
     else:
-        if rqp is not None:
-            t_rc = t5 + table.completion_r  # responder CQE write-back
-            back = t_rc + table.ack_ser
-        else:
-            back = t5 + table.ack_ser
-        t7 = (back + table.prop) + table.rnic_ack
-    t_end = t7 + table.completion_l if signaled else t7
+        # Responder CQE write-back, when a receive completes there.
+        t_rc = t5 + rp.completion if rqp is not None else t5
+        back = t_rc + fp.ser(ACK_BYTES)
+        t7 = (back + fp.prop) + lp.ack
+    t_end = t7 + lp.completion if signaled else t7
     if horizon <= t_end:
         return _no("rej_horizon")
 
@@ -908,7 +854,7 @@ def _post_wrless(engine, peer, priority, opcode, payload, nbytes, rkey, addr,
                      signaled, None, signaled)
     if handle is not None:
         peer._rr += 1
-        kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
+        kernel.node.cpu.charge("lite-post", engine.params.prices.doorbell)
     return handle
 
 

@@ -32,6 +32,7 @@ from .wr import (
 __all__ = ["QueuePair", "SharedReceiveQueue"]
 
 _ATOMICS = (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+_RESPONSE_OPS = (Opcode.READ,) + _ATOMICS      # return data, not an ACK
 # Opcodes that carry an outbound payload (hoisted: the tuple would
 # otherwise be rebuilt from three attribute loads per executed WR).
 _PAYLOAD_OPS = (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND)
@@ -184,7 +185,7 @@ class QueuePair:
             if self.remote is None:
                 raise ValueError("QP is not connected")
             dst = self.remote
-        if self.qp_type == "UC" and wr.opcode in (Opcode.READ,) + _ATOMICS:
+        if self.qp_type == "UC" and wr.opcode in _RESPONSE_OPS:
             raise ValueError(f"UC does not support {wr.opcode.value}")
         for sge in wr.sgl:
             if sge.mr.pd is not self.pd:
@@ -327,7 +328,7 @@ class QueuePair:
             handle = _try_wr(self, wr, None, predecessor, True)
             if handle is not None:
                 return (yield handle)
-        sim, params = self.sim, self.device.params
+        sim, prices = self.sim, self.device.params.prices
         fabric = self.device.node.fabric
         src_node = self.device.node.node_id
         dst_node, dst_qpn = dst
@@ -357,7 +358,7 @@ class QueuePair:
             if wr.signaled or status is not WcStatus.SUCCESS:
                 cspan = (tracer.begin("cq.completion", node=src_node)
                          if tracer is not None else None)
-                yield sim.timeout(params.rnic_completion_us)
+                yield sim.timeout(prices.completion)
                 wc = WorkCompletion(
                     wr_id=wr.wr_id,
                     status=status,
@@ -390,7 +391,7 @@ class QueuePair:
     def _execute_rts(self, wr: SendWR, fabric, src_node: int, dst_node: int,
                      dst_qpn: int, predecessor, doorbell_wait=None,
                      doorbell_fire=None):
-        sim, params = self.sim, self.device.params
+        sim, prices = self.sim, self.device.params.prices
         tracer = sim.tracer
 
         # 1. Doorbell: MMIO post over PCIe.  In a batched post the chunk
@@ -399,7 +400,7 @@ class QueuePair:
         if doorbell_wait is None:
             dspan = (tracer.begin("qp.doorbell", node=src_node, qpn=self.qpn)
                      if tracer is not None else None)
-            yield sim.timeout(params.rnic_doorbell_us)
+            yield sim.timeout(prices.doorbell)
             if doorbell_fire is not None:
                 doorbell_fire.succeed()
             if dspan is not None:
@@ -434,7 +435,7 @@ class QueuePair:
         else:
             out_bytes = wire_bytes(len(payload))
         if self.qp_type == "UD":
-            out_bytes += params.rnic_ud_header_bytes
+            out_bytes += prices.ud_header
         sent = yield from self._transfer_retry(
             fabric, src_node, dst_node, out_bytes
         )
@@ -471,23 +472,16 @@ class QueuePair:
             return status, 0
 
         # 5. Response path: RC acks everything; READ/atomics return data.
-        if opcode is Opcode.READ and status is WcStatus.SUCCESS:
+        if opcode in _RESPONSE_OPS and status is WcStatus.SUCCESS:
             back = yield from self._transfer_retry(
                 fabric, dst_node, src_node, wire_bytes(len(return_payload))
             )
             if back == "error":
                 return WcStatus.RETRY_EXC_ERR, 0
-            # Local RNIC scatters the response into the SGL.
-            cost = rnic.qp_lookup_cost(self.qpn)
+            # Local RNIC scatters the response into the SGL (a READ's
+            # pass re-reads the QP context; an atomic's 8 bytes do not).
+            cost = rnic.qp_lookup_cost(self.qpn) if opcode is Opcode.READ else 0.0
             yield from rnic.process(cost, dma_bytes=len(return_payload))
-            self._scatter(wr, return_payload)
-        elif opcode in _ATOMICS and status is WcStatus.SUCCESS:
-            back = yield from self._transfer_retry(
-                fabric, dst_node, src_node, wire_bytes(8)
-            )
-            if back == "error":
-                return WcStatus.RETRY_EXC_ERR, 0
-            yield from rnic.process(0.0, dma_bytes=8)
             self._scatter(wr, return_payload)
         elif self._is_rc:
             back = yield from self._transfer_retry(
@@ -495,7 +489,7 @@ class QueuePair:
             )
             if back == "error":
                 return WcStatus.RETRY_EXC_ERR, 0
-            yield sim.timeout(params.rnic_ack_us)
+            yield sim.timeout(prices.ack)
         # UC/UD: fire and forget; completion means "sent".
 
         return status, byte_len

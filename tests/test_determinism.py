@@ -236,8 +236,8 @@ def test_every_simparams_field_has_a_reader():
     a cost input nothing prices.  Every ``SimParams`` dataclass field
     is read as an attribute somewhere under ``src/repro`` — the field
     declarations in ``hw/params.py`` are names, not attribute loads, so
-    only its helpers (``dma_time`` is ``rnic_dma_bytes_per_us``' one
-    reader) count there."""
+    only its price list (``Prices`` reads every stage knob) counts
+    there."""
     import dataclasses
 
     import repro
@@ -254,6 +254,38 @@ def test_every_simparams_field_has_a_reader():
     assert len(fields) >= 60, "the walk must find the known knobs"
     assert not sorted(fields - read), (
         f"SimParams fields nothing reads: {sorted(fields - read)}")
+
+
+# The knobs a §5.3 stage price is computed from.
+STAGE_KNOBS = frozenset({
+    "rnic_wqe_process_us", "rnic_doorbell_us", "rnic_completion_us",
+    "rnic_ack_us", "rnic_dma_setup_us", "rnic_dma_bytes_per_us",
+    "rnic_ud_header_bytes", "link_bandwidth_bytes_per_us",
+    "link_propagation_us", "switch_latency_us",
+})
+
+
+def test_stage_knobs_are_read_only_by_the_price_list():
+    """One price list: every stage duration is computed in
+    ``hw/params.py`` (``SimParams.prices``), and both executors and
+    ``explain()`` read the result.  A stage knob read anywhere else
+    under ``src/repro`` is a second copy of the cost model."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    readers = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "hw/params.py":
+            continue
+        readers.extend(
+            f"{rel}:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and node.attr in STAGE_KNOBS)
+    assert not readers, (
+        "stage knobs read outside hw/params.py (read params.prices "
+        f"instead): {readers}")
 
 
 # ------------------------------------------------ trace determinism --

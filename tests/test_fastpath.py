@@ -676,7 +676,7 @@ def test_fast_post_rejects_tracer_and_disabled():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("opcode_name", ["WRITE", "WRITE_IMM", "READ"])
 def test_horizon_floor_strictly_below_completion(opcode_name):
-    """``CostTable.floor`` feeds the early horizon reject, which is only
+    """``CostTable.floor()`` feeds the early horizon reject, which is only
     free if it can never reject what the exact check would accept: the
     floor must sit strictly below every committed completion delay."""
     from repro.core.protocol import pack_reply_imm
@@ -710,7 +710,7 @@ def test_horizon_floor_strictly_below_completion(opcode_name):
             handle = try_fast_post(qp, wr, window)
             assert handle is not None, (nbytes, signaled)
             sim.run(stop=handle)
-            floor = qp._fp_table.floor
+            floor = qp._fp_table.floor()
             assert floor > 0.0
             assert posted + floor < sim.now, (nbytes, signaled)
             sim.run()  # drain the delivery tail before the next post

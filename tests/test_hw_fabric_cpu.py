@@ -22,7 +22,7 @@ def test_transfer_latency_small_message():
         yield from fabric.transfer(0, 1, 64)
 
     sim.run_process(proc())
-    expected = params.wire_time(64) + params.one_way_fabric_us()
+    expected = params.prices.ser(64) + params.prices.prop
     assert sim.now == pytest.approx(expected)
 
 
@@ -38,7 +38,7 @@ def test_transfer_latency_scales_with_size():
     sim.run_process(proc(1024))
     sim.run_process(proc(65536))
     assert times[1] > times[0]
-    assert times[1] - times[0] == pytest.approx(params.wire_time(65536 - 1024))
+    assert times[1] - times[0] == pytest.approx(params.prices.ser(65536 - 1024))
 
 
 def test_link_bandwidth_is_a_ceiling():
@@ -53,7 +53,7 @@ def test_link_bandwidth_is_a_ceiling():
     sim.process(sender(0))
     sim.process(sender(1))
     sim.run()
-    serialization = params.wire_time(1_000_000)
+    serialization = params.prices.ser(1_000_000)
     # Second transfer must wait for the first to clear the ingress link.
     assert done[1] >= 2 * serialization
 
@@ -69,7 +69,7 @@ def test_parallel_disjoint_transfers_do_not_interfere():
     sim.process(sender(0, 1))
     sim.process(sender(2, 3))
     sim.run()
-    expected = params.wire_time(1_000_000) + params.one_way_fabric_us()
+    expected = params.prices.ser(1_000_000) + params.prices.prop
     assert done[0] == pytest.approx(expected)
     assert done[1] == pytest.approx(expected)
 
@@ -81,7 +81,7 @@ def test_loopback_transfer_short_circuits_switch():
         yield from fabric.transfer(0, 0, 4096)
 
     sim.run_process(proc())
-    assert sim.now < params.wire_time(4096) + params.one_way_fabric_us()
+    assert sim.now < params.prices.ser(4096) + params.prices.prop
 
 
 def test_transfer_to_unattached_node_raises():

@@ -481,3 +481,63 @@ def test_mr_count_tracking(pair):
         assert node.device.mr_count == 4
 
     cluster.run_process(proc())
+
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "generator"])
+@pytest.mark.parametrize("nbytes", [64, 4096, 1 << 20])
+@pytest.mark.parametrize("opcode", [Opcode.WRITE, Opcode.WRITE_IMM,
+                                    Opcode.READ, Opcode.SEND,
+                                    Opcode.FETCH_ADD, Opcode.CMP_SWAP],
+                         ids=lambda op: op.name)
+def test_explain_sums_to_the_completion_instant(opcode, nbytes, fastpath):
+    """``repro.explain`` reads the price list both executors read: its
+    running sum from the post instant is, bit for bit, the instant a
+    warm uncontended op of that shape completes — committed by the fast
+    path or walked by the generator path."""
+    from repro import explain
+    from repro.verbs.fastpath import fp_stats
+
+    cluster = Cluster(2)
+    cluster.sim.fastpath_enabled = fastpath
+    a, b = cluster[0], cluster[1]
+    world = {}
+
+    def setup():
+        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
+        world["mr"] = yield from b.device.reg_mr(pd_b, 2 << 20)
+        world["qa"] = a.device.create_qp(pd_a, "RC")
+        world["qb"] = b.device.create_qp(pd_b, "RC")
+        a.device.connect(world["qa"], world["qb"])
+
+    cluster.run_process(setup())
+    mr, qa, qb = world["mr"], world["qa"], world["qb"]
+
+    def post():
+        """Post one op at a quiescent instant; its completion instant."""
+        if opcode in (Opcode.SEND, Opcode.WRITE_IMM):
+            qb.post_recv(RecvWR(mr, 0, nbytes))
+        if opcode is Opcode.READ:
+            wr = SendWR(opcode, remote_addr=mr.base_addr, rkey=mr.rkey,
+                        read_length=nbytes)
+        elif opcode in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
+            wr = SendWR(opcode, remote_addr=mr.base_addr, rkey=mr.rkey,
+                        compare_add=1)
+        else:
+            wr = SendWR(opcode, inline_data=b"x" * nbytes, imm=7,
+                        remote_addr=mr.base_addr, rkey=mr.rkey)
+        proc = qa.post_send(wr)
+        cluster.run(stop=proc)
+        assert proc.value is WcStatus.SUCCESS
+        done = cluster.sim.now
+        cluster.run()
+        return done
+
+    post()  # warms the QP, key and PTE caches on both RNICs
+    stages = explain(opcode, nbytes)
+    expect = cluster.sim.now
+    for _label, us in stages:
+        expect += us
+    commits = fp_stats.commits
+    assert post() == expect, stages
+    assert fp_stats.commits - commits == (1 if fastpath else 0)

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 from ..hw.caches import LruDict
 from ..sim import Event, Resource, Store
 from ..verbs import Access, Opcode, RecvWR, SendWR
+from ..verbs.fastpath import try_fast_post
 from .errors import ENODEV, ETIMEDOUT, LiteError
 from .lmr import ChunkInfo, MasterRecord, MappedLmr, Permission
 from .protocol import MsgType, decode_ctrl, encode_ctrl
@@ -37,6 +38,8 @@ __all__ = ["LiteKernel", "LiteError"]
 
 # Bound on the duplicate-suppression reply cache (entries, not bytes).
 _CTRL_REPLY_CACHE_MAX = 512
+# Hoisted: ``Opcode.SEND`` is an enum class-attribute lookup per message.
+_SEND = Opcode.SEND
 
 
 class PeerInfo:
@@ -317,7 +320,11 @@ class LiteKernel:
             # transparently instead of flushing new traffic forever.
             qp.reset()
         self.node.cpu.charge("lite-ctrl", self.params.prices.doorbell)
-        qp.post_send(SendWR(Opcode.SEND, inline_data=payload, signaled=False))
+        # Posted like OneSidedEngine._post: one post-time commit attempt,
+        # then the generator path with no second attempt at the start hop.
+        wr = SendWR(_SEND, inline_data=payload, signaled=False)
+        if try_fast_post(qp, wr) is None:
+            qp.post_send_generator(wr)
 
     def ctrl_request(self, dst_lite_id: int, msg: dict,
                      timeout: Optional[float] = None,

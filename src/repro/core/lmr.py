@@ -30,7 +30,13 @@ class Permission(enum.Flag):
     @classmethod
     def full(cls) -> "Permission":
         """READ | WRITE | MASTER."""
-        return cls.READ | cls.WRITE | cls.MASTER
+        return _FULL
+
+
+# Built once: ``Flag.__or__`` runs Python-level enum code per call, and
+# ``Permission.NONE`` is an enum class-attribute lookup.
+_FULL = Permission.READ | Permission.WRITE | Permission.MASTER
+_NONE = Permission.NONE
 
 
 class ChunkInfo:
@@ -108,8 +114,9 @@ class MasterRecord:
 
     def check(self, principal: str, wanted: Permission) -> bool:
         """True when ``principal`` holds every bit of ``wanted``."""
-        held = self.acl.get(principal, Permission.NONE) | self.default_perm
-        return (held & wanted) == wanted
+        held = self.acl.get(principal, _NONE)._value_ | self.default_perm._value_
+        bits = wanted._value_
+        return held & bits == bits
 
     def grant(self, principal: str, perm: Permission) -> None:
         """Add ``perm`` to a principal's held rights."""
@@ -236,7 +243,10 @@ class LmrHandle:
             raise PermissionError(
                 "lh used by a different process than it was minted for"
             )
-        if (self.perm & wanted) != wanted:
+        # On the raw bits: ``Flag.__and__`` and ``.value`` run Python-level
+        # enum code, ``_value_`` is a plain attribute.
+        bits = wanted._value_
+        if self.perm._value_ & bits != bits:
             raise PermissionError(
                 f"lh {self.lh_id} lacks {wanted} (has {self.perm})"
             )

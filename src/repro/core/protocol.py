@@ -14,6 +14,8 @@ uses write-imm; the 32-bit immediate is packed as::
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import Tuple
 
 __all__ = [
@@ -54,19 +56,25 @@ class MsgType:
     REPLY = "reply"
 
 
-# One encoder for every message: ``json.dumps(..., separators=...)``
-# would construct a JSONEncoder per call.
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# Built once, not per message: ``json.dumps(msg, separators=(",", ":"))``
+# builds a JSONEncoder and this C encoder per call (here without the
+# circular-reference markers: a control message is a tree), and
+# ``json.loads`` wraps the same C scanner in two whitespace matches that
+# compact JSON does not need.
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default,
+                         encode_basestring_ascii, None, ":", ",",
+                         False, False, True)
+_SCAN = make_scanner(json.JSONDecoder())
 
 
 def encode_ctrl(msg: dict) -> bytes:
     """Serialize a control message for the wire (compact JSON)."""
-    return _ENCODE(msg).encode()
+    return "".join(_ENCODE(msg, 0)).encode()
 
 
 def decode_ctrl(payload: bytes) -> dict:
     """Inverse of :func:`encode_ctrl`."""
-    return json.loads(payload.decode())
+    return _SCAN(payload.decode(), 0)[0]
 
 
 IMM_KIND_REQUEST = 0

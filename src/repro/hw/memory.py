@@ -73,8 +73,10 @@ class PhysRegion:
         self.addr = addr
         self.size = size
         self._blocks = {}
-        self._block = min(size, self._BLOCK_BULK
-                          if size >= self._BULK_THRESHOLD else self._BLOCK)
+        block = (self._BLOCK_BULK if size >= self._BULK_THRESHOLD
+                 else self._BLOCK)
+        # min() without the builtin call: one region per allocation.
+        self._block = size if size < block else block
         self.freed = False
 
     def _check(self, offset: int, nbytes: int, what: str) -> None:
@@ -302,12 +304,14 @@ class HostMemory:
         """First-fit allocate a physically-contiguous extent."""
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
-        for index, (addr, extent) in enumerate(self._free):
+        free = self._free
+        index = 0
+        for addr, extent in free:
             if extent >= size:
                 if extent == size:
-                    del self._free[index]
+                    del free[index]
                 else:
-                    self._free[index] = (addr + size, extent - size)
+                    free[index] = (addr + size, extent - size)
                 self.allocated_bytes += size
                 region = PhysRegion(self.node_id, addr, size)
                 self._live[addr] = region
@@ -316,6 +320,7 @@ class HostMemory:
                     self.tracer.instant("mem.alloc", node=self.node_id,
                                         nbytes=size, addr=addr)
                 return region
+            index += 1
         raise OutOfMemoryError(
             f"node {self.node_id}: no contiguous {size} B extent "
             f"({self.free_bytes} B free, largest {self.largest_free} B)"

@@ -178,7 +178,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` microseconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -186,7 +186,6 @@ class Timeout(Event):
         super().__init__(sim)
         self._ok = True
         self._value = value
-        self.delay = delay
         sim._enqueue(delay, self)
 
 
@@ -233,7 +232,6 @@ class Process(Event):
         sim = self.sim
         generator = self._generator
         send = generator.send
-        sim.active_process = self
         tracer = sim.tracer
         if tracer is not None:
             tracer.current = self._ctx
@@ -245,13 +243,11 @@ class Process(Event):
                     event._defused = True
                     target = generator.throw(event._value)
             except StopIteration as exc:
-                sim.active_process = None
                 if tracer is not None:
                     tracer.current = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                sim.active_process = None
                 if tracer is not None:
                     tracer.current = None
                 self.fail(exc)
@@ -266,13 +262,11 @@ class Process(Event):
                 try:
                     generator.throw(exc)
                 except StopIteration as stop:
-                    sim.active_process = None
                     if tracer is not None:
                         tracer.current = None
                     self.succeed(stop.value)
                     return
                 except BaseException as err:
-                    sim.active_process = None
                     if tracer is not None:
                         tracer.current = None
                     self.fail(err)
@@ -285,7 +279,6 @@ class Process(Event):
                 continue
 
             target.callbacks.append(self._cb)
-            sim.active_process = None
             if tracer is not None:
                 # Park the span context with the process across the wait.
                 self._ctx = tracer.current
@@ -412,15 +405,13 @@ class Simulator:
     entries never materialize their tuple.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "active_process", "_timeout_pool",
-                 "_event_pool", "tracer", "_nowq", "_ncancelled", "_fpq",
-                 "fastpath_enabled")
+    __slots__ = ("now", "_heap", "_seq", "_timeout_pool", "_event_pool",
+                 "tracer", "_nowq", "_ncancelled", "_fpq", "fastpath_enabled")
 
     def __init__(self):
         self.now: float = 0.0
         self._heap: list = []
         self._seq = 0
-        self.active_process: Optional[Process] = None
         # Recycled Timeout / plain-Event instances (see step()).  Bounded
         # deques: append on a full pool silently evicts the oldest, so
         # the hot recycle path needs no length check.  Kept because they
@@ -569,7 +560,6 @@ class Simulator:
             event._ok = True
             event._defused = False
             event._cancelled = False
-            event.delay = delay
             # _enqueue inlined: timeouts are the hottest enqueue source.
             seq = self._seq + 1
             self._seq = seq

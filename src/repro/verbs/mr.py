@@ -47,8 +47,9 @@ class MemoryRegion:
         self.size = size
         self.access = access
         # Raw flag bits for the responder's permission check: plain int
-        # ``&`` skips enum.Flag's __and__ machinery on every inbound op.
-        self._access_bits = access.value
+        # ``&`` skips enum.Flag's __and__ machinery on every inbound op
+        # (``_value_`` is a plain attribute, ``.value`` an enum property).
+        self._access_bits = access._value_
         self.region = region
         self.physical = physical
         self.deregistered = False

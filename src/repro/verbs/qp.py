@@ -18,6 +18,7 @@ from ..hw.fabric import TransferDropped
 from ..sim import Process, Resource, Simulator, Store
 from .fastpath import _try_wr
 from .wr import (
+    _ATOMICS,
     ACK_BYTES,
     Access,
     Opcode,
@@ -31,7 +32,6 @@ from .wr import (
 
 __all__ = ["QueuePair", "SharedReceiveQueue"]
 
-_ATOMICS = (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
 _RESPONSE_OPS = (Opcode.READ,) + _ATOMICS      # return data, not an ACK
 # Opcodes that carry an outbound payload (hoisted: the tuple would
 # otherwise be rebuilt from three attribute loads per executed WR).

@@ -39,6 +39,11 @@ class Opcode(enum.Enum):
     CMP_SWAP = "cmp_swap"
 
 
+# Hoisted: ``Opcode.X`` is an enum class-attribute lookup, paid per WR.
+_WRITE_IMM = Opcode.WRITE_IMM
+_ATOMICS = (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+
+
 class WcStatus(enum.Enum):
     """Work-completion status codes."""
 
@@ -115,11 +120,12 @@ class SendWR:
         inline_data: Optional[bytes] = None,
         read_length: int = 0,
     ):
-        if opcode is Opcode.WRITE_IMM and imm is None:
-            raise ValueError("WRITE_IMM requires an immediate value")
-        if imm is not None and not 0 <= imm < 2**32:
+        if imm is None:
+            if opcode is _WRITE_IMM:
+                raise ValueError("WRITE_IMM requires an immediate value")
+        elif not 0 <= imm < 2**32:
             raise ValueError(f"immediate must fit in 32 bits, got {imm}")
-        if opcode in (Opcode.FETCH_ADD, Opcode.CMP_SWAP) and sgl:
+        if sgl and opcode in _ATOMICS:
             total = sum(sge.length for sge in sgl)
             if total != 8:
                 raise ValueError("atomics operate on exactly 8 bytes")

@@ -3,20 +3,23 @@
 LITE's management calls travel as RC ``SEND``s between kernels and a
 LITE-Log commit is ``LT_fetch-add`` + ``LT_write`` (paper §4.1, §8.1):
 the two shapes ``verbs/fastpath.py`` learned last (docs/INTERNALS.md
-§13).  Each scenario runs with the fast path on and with
+§13).  A control SEND tries the commit once, at post time, like the
+data plane's WRs.  Each scenario runs with the fast path on and with
 ``sim.fastpath_enabled = False`` and must agree on every simulated
 instant, the cluster snapshot, the CPU ledger and the bytes in the log.
 """
 
 import base64
 import dataclasses
+import gc
 import json
+import sys
 
 import pytest
 
 from repro.apps.litelog import LiteLog, LogWriter
 from repro.cluster import Cluster
-from repro.core import LiteContext, lite_boot
+from repro.core import LiteContext, Permission, lite_boot
 from repro.core.protocol import MsgType, decode_ctrl, encode_ctrl
 from repro.determinism import reset_global_counters
 from repro.stats import snapshot
@@ -32,6 +35,70 @@ def _malloc_free(cluster, kernels, out):
         out.append(sim.now)
         yield from ctx.lt_free(lh)
         out.append(sim.now)
+
+
+def _map_grant(cluster, kernels, out):
+    """MAP, GRANT, UNMAP_NOTIFY and FREE_NOTIFY requests and replies."""
+    sim = cluster.sim
+    owner = LiteContext(kernels[0], "owner")
+    owner_elsewhere = LiteContext(kernels[1], "owner")
+    reader = LiteContext(kernels[2], "reader")
+    for index in range(40):
+        name = f"m{index}"
+        lh = yield from owner.lt_malloc(4096, name=name,
+                                        nodes=kernels[1].lite_id)
+        yield from owner_elsewhere.lt_grant(name, "reader", Permission.READ)
+        mapped = yield from reader.lt_map(name, Permission.READ)
+        out.append((sim.now, mapped.size))
+        yield from reader.lt_unmap(mapped)
+        mapped = yield from reader.lt_map(name, Permission.READ)
+        yield from owner.lt_free(lh)
+        out.append((sim.now, mapped.mapping.valid))
+
+
+def _locks_barriers(cluster, kernels, out):
+    """LOCK_WAIT / LOCK_RELEASE and BARRIER requests from six workers."""
+    sim = cluster.sim
+    home = kernels[0].lite_id
+    creator = LiteContext(kernels[0], "creator")
+    yield from creator.lt_create_lock("L", owner_id=home)
+
+    def worker(index):
+        ctx = LiteContext(kernels[index % len(kernels)], f"w{index}")
+        lock = yield from ctx.lt_open_lock("L")
+        for step in range(8):
+            yield from ctx.lt_lock(lock)
+            yield sim.timeout(1.0)
+            yield from ctx.lt_unlock(lock)
+            yield from ctx.lt_barrier(f"b{step}", 6, owner_id=home)
+            out.append((index, step, sim.now))
+
+    yield sim.all_of([sim.process(worker(index)) for index in range(6)])
+
+
+def _fragments(cluster, kernels, out):
+    """LT_send messages larger than a receive slot: each is fragmented
+    into ``ordered=True`` SENDs posted back to back at one instant."""
+    sim = cluster.sim
+    # Kernel level: no syscall timer is pending at the post, and one
+    # message is in flight at a time, so the first fragment finds the
+    # horizon and the QP clear and commits; its siblings queue behind it.
+    sender = LiteContext(kernels[0], "sender", kernel_level=True)
+    receiver = LiteContext(kernels[1], "receiver", kernel_level=True)
+    for index in range(6):
+        yield from sender.lt_send(kernels[1].lite_id,
+                                  bytes([index]) * (3000 * (index + 1)))
+        out.append(sim.now)
+        out.append((yield from receiver.lt_recv_msg()))
+        out.append(sim.now)
+        yield sim.timeout(50.0)  # the last fragments' ACKs drain
+
+
+def _cold_first_message(cluster, kernels, out):
+    """The first control SENDs on cold QPs: the RNIC SRAM misses."""
+    ctx = LiteContext(kernels[0], "cold")
+    lh = yield from ctx.lt_malloc(4096, nodes=kernels[1].lite_id)
+    out.append((cluster.sim.now, lh.size))
 
 
 def _log_writers(n_writers, commits):
@@ -75,12 +142,17 @@ def _run(scenario, fastpath: bool):
             ledger), delta
 
 
-@pytest.mark.parametrize("scenario,wrs", [
-    (_malloc_free, 800),                # request + reply, malloc and free
-    (_log_writers(1, 200), 400),        # tail reserve + commit point
-    (_log_writers(6, 40), 0)],          # contended: mostly declined
-    ids=["malloc_free", "log_1_writer", "log_6_writers"])
-def test_control_plane_and_litelog_equivalence(scenario, wrs):
+@pytest.mark.parametrize("scenario,wrs,counted", [
+    (_malloc_free, 800, ()),            # request + reply, malloc and free
+    (_map_grant, 0, ()),                # map, grant, unmap and free notices
+    (_locks_barriers, 0, ()),           # contended: waits and releases
+    (_fragments, 0, ("commits", "rej_pred")),  # fragment behind sibling
+    (_cold_first_message, 0, ("rej_miss",)),  # SRAM misses: generator
+    (_log_writers(1, 200), 400, ()),    # tail reserve + commit point
+    (_log_writers(6, 40), 0, ())],      # contended: mostly declined
+    ids=["malloc_free", "map_grant", "locks_barriers", "fragments",
+         "cold_qp", "log_1_writer", "log_6_writers"])
+def test_control_plane_and_litelog_equivalence(scenario, wrs, counted):
     fast, delta = _run(scenario, True)
     slow, off = _run(scenario, False)
     assert fast[0] == slow[0], "final simulated time diverged"
@@ -98,6 +170,53 @@ def test_control_plane_and_litelog_equivalence(scenario, wrs):
         # entries (the log's LT_writes ride the plan entry).
         assert delta["attempts"] >= wrs
         assert delta["commits"] >= 0.95 * delta["attempts"]
+    for counter in counted:
+        assert delta[counter] > 0, f"{counter} never moved"
+
+
+# Python-level calls (``sys.setprofile`` "call" events: function calls
+# and generator resumptions) over 50 kernel-level remote lt_malloc round
+# trips with the fast path on, as measured per interpreter version (on
+# 3.11: 14,009 when control SENDs committed from a start hop and the
+# codec was built per message).  The count is deterministic, so a rise
+# of more than 10% in the control plane's host work fails here rather
+# than in a timing.
+_MALLOC_CALLS = {(3, 10): 12_450, (3, 11): 11_709, (3, 12): 11_559,
+                 (3, 13): 11_559}
+
+
+def test_remote_lt_malloc_python_call_budget():
+    reset_global_counters()
+    cluster = Cluster(2)
+    cluster.sim.fastpath_enabled = True
+    kernels = lite_boot(cluster)
+    ctx = LiteContext(kernels[0], "budget", kernel_level=True)
+    target = kernels[1].lite_id
+
+    def mallocs(count):
+        for _ in range(count):
+            yield from ctx.lt_malloc(4096, nodes=target)
+
+    cluster.run_process(mallocs(5))  # the cold-QP misses, first-use paths
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.disable()  # no collector-run finalizer lands inside the window
+    sys.setprofile(profile)
+    try:
+        cluster.run_process(mallocs(50))
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    ceiling = 1.1 * _MALLOC_CALLS.get(sys.version_info[:2],
+                                      max(_MALLOC_CALLS.values()))
+    assert calls <= ceiling, (
+        f"{calls:,} Python-level calls per 50 remote lt_malloc, ceiling "
+        f"{ceiling:,.0f}")
 
 
 def test_encode_ctrl_is_byte_identical_to_json_dumps():

@@ -27,14 +27,17 @@ def install_probe(unattempted: Counter) -> None:
     """Count, by opcode, the WRs whose ``QueuePair._execute`` runs with
     no commit attempt behind them: not posted through ``post_send`` on
     an RC QP (the start-hop attempt) and not declined beforehand by one
-    of LITE's post-time entries."""
-    from repro.core import rdma
+    of LITE's post-time entries (``try_fast_post``, called by the data
+    plane in ``core/rdma.py`` and by the control SENDs in
+    ``core/kernel.py``; ``try_fast_chain``)."""
+    from repro.core import kernel, rdma
     from repro.verbs.qp import QueuePair
     from repro.verbs.wr import SendWR
 
     tried = set()  # wr_ids a LITE entry declined (LITE never sets wr_id)
     post, chain, execute = (rdma.try_fast_post, rdma.try_fast_chain,
                             QueuePair._execute)
+    assert kernel.try_fast_post is post
 
     def try_fast_post(qp, wr, window=None):
         tried.add(wr.wr_id)
@@ -53,7 +56,7 @@ def install_probe(unattempted: Counter) -> None:
         return execute(self, wr, dst, predecessor, doorbell_wait,
                        doorbell_fire, attempt)
 
-    rdma.try_fast_post = try_fast_post
+    rdma.try_fast_post = kernel.try_fast_post = try_fast_post
     rdma.try_fast_chain = try_fast_chain
     QueuePair._execute = _execute
 

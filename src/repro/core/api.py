@@ -280,7 +280,7 @@ class LiteContext:
                 raise LiteError(f"no LMR named {name!r}")
             if not record.check(self.principal, perm):
                 raise LiteError(f"permission denied for {self.principal!r}")
-            record.mapped_by.add(kernel.lite_id)
+            record.add_mapper(kernel.lite_id)
             mapping = MappedLmr(
                 record.lmr_id, name, record.size, record.chunks, master_id,
                 replica_chunks={b: list(bchunks)
@@ -328,7 +328,7 @@ class LiteContext:
         else:
             record = kernel._records_by_id.get(mapping.lmr_id)
             if record is not None and not local_maps:
-                record.mapped_by.discard(kernel.lite_id)
+                record.drop_mapper(kernel.lite_id)
         yield from self._exit()
 
     @traced_op("op.lt_move")

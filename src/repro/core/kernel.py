@@ -600,7 +600,7 @@ class LiteKernel:
                 msg, {"err": f"permission denied for {msg['principal']!r}"}
             )
             return
-        record.mapped_by.add(msg["src"])
+        record.add_mapper(msg["src"])
         reply = {
             "lmr_id": record.lmr_id,
             "size": record.size,
@@ -619,7 +619,7 @@ class LiteKernel:
     def _serve_unmap_notify(self, msg: dict):
         record = self._records_by_id.get(msg["lmr_id"])
         if record is not None:
-            record.mapped_by.discard(msg["src"])
+            record.drop_mapper(msg["src"])
         return
         yield  # pragma: no cover - generator marker
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 __all__ = ["Permission", "ChunkInfo", "MasterRecord", "MappedLmr", "LmrHandle"]
 
 _lmr_counter = itertools.count(start=1)
 _lh_counter = itertools.count(start=1)
+# ``MasterRecord.mapped_by`` of every LMR nobody has mapped yet.
+_NO_MAPPERS = frozenset()
 
 
 class Permission(enum.Flag):
@@ -90,6 +92,9 @@ class MasterRecord:
     that has mapped it (so moves/frees can be broadcast).
     """
 
+    __slots__ = ("lmr_id", "name", "size", "chunks", "acl", "default_perm",
+                 "mapped_by", "freed", "replicas", "version")
+
     def __init__(self, name: str, size: int, chunks: List[ChunkInfo], creator: str,
                  default_perm: Permission = Permission.NONE):
         self.lmr_id = next(_lmr_counter)
@@ -100,7 +105,8 @@ class MasterRecord:
         # Baseline permission any principal holds without an explicit
         # grant (used for world-accessible LMRs like lock words).
         self.default_perm = default_perm
-        self.mapped_by: Set[int] = set()
+        # Shared and empty until the first map (add_mapper).
+        self.mapped_by: AbstractSet[int] = _NO_MAPPERS
         self.freed = False
         # Replica set for ``lt_malloc(..., replicas=k)``: backup LITE id
         # -> full-size chunk list mirroring ``chunks``.  Writes fan out
@@ -122,9 +128,24 @@ class MasterRecord:
         """Add ``perm`` to a principal's held rights."""
         self.acl[principal] = self.acl.get(principal, Permission.NONE) | perm
 
+    def add_mapper(self, lite_id: int) -> None:
+        """Record that LITE ``lite_id`` has the LMR mapped."""
+        if self.mapped_by is _NO_MAPPERS:
+            self.mapped_by = {lite_id}
+        else:
+            self.mapped_by.add(lite_id)
+
+    def drop_mapper(self, lite_id: int) -> None:
+        """Forget a mapper (no-op if it never mapped)."""
+        if self.mapped_by is not _NO_MAPPERS:
+            self.mapped_by.discard(lite_id)
+
 
 class MappedLmr:
     """Requesting-node-side mapping of an LMR (all metadata local, §4.1)."""
+
+    __slots__ = ("lmr_id", "name", "size", "chunks", "master_id", "valid",
+                 "replica_chunks", "failed")
 
     def __init__(
         self,
@@ -142,17 +163,6 @@ class MappedLmr:
         self.master_id = master_id
         # Cleared when the master frees or moves the LMR (FREE_NOTIFY).
         self.valid = True
-        # Remap epoch: bumped every time ``chunks`` is retargeted (LMR
-        # move, failover promotion).  The fast path's plan memo
-        # (verbs/fastpath.py) stamps each entry with it, so any remap —
-        # including one racing an in-flight op — orphans every
-        # memoised plan for the old layout.
-        self.plan_version = 0
-        # Plan memo: (offset, nbytes, is_read) -> (plan_version, peer
-        # LITE id, remote_addr, rkey) — a pure function of ``chunks``,
-        # so ``plan_version`` is all that revalidates an entry;
-        # ``retarget()`` clears eagerly anyway.
-        self._fp_plans: Dict = {}
         # Backup LITE id -> chunk list; writes through this mapping fan
         # out to every live backup (empty for unreplicated LMRs, in
         # which case the write path is byte-for-byte unchanged).
@@ -164,13 +174,11 @@ class MappedLmr:
     def retarget(self, chunks: List[ChunkInfo]) -> None:
         """Point the mapping at a new chunk layout (move / promotion).
 
-        Bumps ``plan_version`` and drops the plan memo, so a fast-path
-        plan primed against the old layout can never commit again — the
-        next op re-plans against the new chunks.
+        Nothing caches a target of the old layout: every op, fast path
+        included, resolves its pieces from ``chunks``, so the next op
+        lands on the new layout.
         """
         self.chunks = chunks
-        self.plan_version += 1
-        self._fp_plans.clear()
 
     def plan(self, offset: int, nbytes: int) -> List[Tuple[ChunkInfo, int, int, int]]:
         """Split [offset, offset+nbytes) into per-chunk pieces.
@@ -213,6 +221,8 @@ class LmrHandle:
     makes lh-passing between processes useless (paper §4.1: "an lh of an
     LMR is local to a process on a node").
     """
+
+    __slots__ = ("lh_id", "context", "mapping", "perm", "valid")
 
     def __init__(self, context, mapping: MappedLmr, perm: Permission):
         self.lh_id = next(_lh_counter)

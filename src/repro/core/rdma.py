@@ -317,7 +317,7 @@ class OneSidedEngine:
         yield from kernel.qos.gate(priority)
         start = self.sim.now
         # Plan entry: an op whose plan is one remote piece commits from
-        # the memoised address (no WR, no barrier); any decline — several
+        # that chunk's address (no WR, no barrier); any decline — several
         # chunks, a local chunk, contention — falls through to the
         # bit-exact per-piece walk below.
         handle = try_fast_post_vec(

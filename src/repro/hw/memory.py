@@ -10,6 +10,7 @@ allocator under stress (§4.1's motivation for chunked LMRs).
 from __future__ import annotations
 
 import bisect
+from types import MappingProxyType
 from typing import List, Optional, Tuple
 
 from .params import PAGE_SIZE
@@ -25,14 +26,20 @@ class OutOfMemoryError(Exception):
 # until the final join).  Sized to the largest block granularity below.
 _ZERO_BLOCK = memoryview(bytes(1048576))
 
+# The block table of every region nothing has written yet: one shared,
+# read-only empty mapping instead of a dict per registration.
+_NO_BLOCKS = MappingProxyType({})
+
 
 class PhysRegion:
     """A physically-contiguous extent of host DRAM with real contents.
 
     Backing storage is demand-paged, so benchmarks can register very
     many — or multi-GB — regions and only pay host RAM (and host memset
-    time) for the pages actually written: untouched ranges read back as
-    zeros, like the kernel's zero page.
+    time) for the bytes actually written: untouched ranges read back as
+    zeros, like the kernel's zero page.  A region nothing has written
+    shares one read-only empty block table; its first write gives it
+    its own.
 
     The region is cut into blocks, never larger than the region itself:
     64 KiB for small regions, 1 MiB for bulk ones (LMR chunks, RPC
@@ -41,12 +48,17 @@ class PhysRegion:
     in one of four states:
 
     * *absent* — never written; reads as zeros and costs nothing.
-    * *sparse* — a page table ``{page_index: bytearray(4096)}`` holding
-      only the pages small writes have touched.
+    * *sparse* — a page table ``{page_index: bytearray}`` holding only
+      the pages small writes have touched.  A page is allocated *short*,
+      to the end of its first write (bytes past its end read as zeros),
+      and grows to a full page on its second write, so it reallocates
+      at most once.
     * *dense* — one ``bytearray`` of the block size.  A sparse block is
       promoted in place once a quarter of it would be resident, whether
       page by page or through one large write, so sequential traffic
-      and ring appends run on plain slice assignment.
+      and ring appends run on plain slice assignment.  A block of one
+      page or less stays sparse for a first write that ends short of
+      the block end, and turns dense on its second write.
     * *aliased* — a write that covers the whole block with an immutable
       source (``bytes``, or a ``memoryview`` over one) keeps a reference
       instead of copying, which is safe precisely because the source
@@ -62,8 +74,9 @@ class PhysRegion:
     _BLOCK = 65536
     _BLOCK_BULK = 1048576
     _BULK_THRESHOLD = 2097152
-    # A block stays sparse while its resident pages plus the incoming
-    # write (at least one page) amount to less than 1/_DENSE_DIV of it.
+    # A block stays sparse while its resident pages (short ones count
+    # as full) plus the incoming write (at least one page) amount to
+    # less than 1/_DENSE_DIV of it.
     _DENSE_DIV = 4
 
     __slots__ = ("node_id", "addr", "size", "_blocks", "_block", "freed")
@@ -72,7 +85,7 @@ class PhysRegion:
         self.node_id = node_id
         self.addr = addr
         self.size = size
-        self._blocks = {}
+        self._blocks = _NO_BLOCKS
         block = (self._BLOCK_BULK if size >= self._BULK_THRESHOLD
                  else self._BLOCK)
         # min() without the builtin call: one region per allocation.
@@ -90,9 +103,10 @@ class PhysRegion:
 
     @property
     def resident_bytes(self) -> int:
-        """Host bytes the backing store holds for this region."""
-        return sum(len(block) * PAGE_SIZE if type(block) is dict else len(block)
-                   for block in self._blocks.values())
+        """Data bytes the backing store holds for this region: the
+        length of every page, dense block and aliased source it keeps."""
+        return sum(sum(map(len, block.values())) if type(block) is dict
+                   else len(block) for block in self._blocks.values())
 
     def write(self, offset: int, payload) -> None:
         """Store real bytes (materializing touched pages or blocks).
@@ -103,8 +117,12 @@ class PhysRegion:
         """
         length = len(payload)
         self._check(offset, length, "write")
+        if not length:
+            return
         block_size = self._block
         blocks = self._blocks
+        if blocks is _NO_BLOCKS:
+            blocks = self._blocks = {}
         block_index = offset // block_size
         inner = offset % block_size
         if inner + length <= block_size:
@@ -152,28 +170,42 @@ class PhysRegion:
         if block is None or type(block) is dict:
             resident = len(block) * page_size if block else 0
             incoming = max(len(piece), page_size)
-            if (resident + incoming) * self._DENSE_DIV < block_size:
+            # Sparse under the quarter rule, or for a first write that
+            # ends short of a block of one page or less.
+            if ((resident + incoming) * self._DENSE_DIV < block_size
+                    or block is None and block_size <= page_size
+                    and inner + len(piece) < block_size):
                 if block is None:
                     block = self._blocks[block_index] = {}
                 index, pin = divmod(inner, page_size)
                 if pin + len(piece) > page_size:
                     piece = memoryview(piece)
                 while True:
+                    take = page_size - pin
+                    if len(piece) < take:
+                        take = len(piece)
                     page = block.get(index)
                     if page is None:
-                        page = block[index] = bytearray(page_size)
-                    room = page_size - pin
-                    if len(piece) <= room:
-                        page[pin : pin + len(piece)] = piece
+                        # First touch: hold only up to the write's end.
+                        page = block[index] = bytearray(pin + take)
+                    else:
+                        full = block_size - index * page_size
+                        if full > page_size:
+                            full = page_size
+                        if len(page) < full:
+                            # Second touch: grow to the full page, once.
+                            page += _ZERO_BLOCK[: full - len(page)]
+                    if take == len(piece):
+                        page[pin : pin + take] = piece
                         return None
-                    page[pin:] = piece[:room]
-                    piece = piece[room:]
+                    page[pin:] = piece[:take]
+                    piece = piece[take:]
                     index += 1
                     pin = 0
             dense = bytearray(block_size)
             for index, page in (block or {}).items():
                 base = index * page_size
-                dense[base : base + page_size] = page[: block_size - base]
+                dense[base : base + len(page)] = page
         else:
             # Copy-on-write: materialize an aliased block before
             # mutating it.
@@ -223,6 +255,11 @@ class PhysRegion:
                     # hand the same object back, no copy.
                     return block
                 return bytes(memoryview(block)[inner : inner + nbytes])
+            # A sparse block: fast too when one page holds every byte.
+            page = block.get(inner // PAGE_SIZE)
+            inner %= PAGE_SIZE
+            if page is not None and inner + nbytes <= len(page):
+                return bytes(memoryview(page)[inner : inner + nbytes])
         return b"".join(self._parts(offset, nbytes))
 
     def read_into(self, offset: int, buf) -> int:
@@ -257,6 +294,13 @@ class PhysRegion:
                 take = min(page_size - pin, take)
                 block = block.get(inner // page_size)
                 inner = pin
+                if block is not None and pin + take > len(block):
+                    # A short page: its held bytes, then zeros.
+                    held = max(len(block) - pin, 0)
+                    parts.append(memoryview(block)[pin : pin + held])
+                    parts.append(zeros[: take - held])
+                    offset += take
+                    continue
             if block is None:
                 parts.append(zeros[:take])
             else:

@@ -297,10 +297,6 @@ class RecoveryManager:
             for backup, wires in entry["backups"].items()
         }
         for mapping in src.mappings_by_lmr.get(lmr_id, []):
-            # retarget() (not bare assignment) so the remap also bumps
-            # plan_version and drops the plan memo: an in-flight
-            # multi-chunk op's memoised plan must not survive failover
-            # promotion (the old chunks point at the dead node).
             mapping.retarget(chunks)
             mapping.master_id = entry["master"]
             mapping.replica_chunks = {b: list(c)

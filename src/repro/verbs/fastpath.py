@@ -20,8 +20,8 @@ responder).  The four entries differ only in how they find the target
 — :func:`try_fast_post` from a ``SendWR`` LITE is about to post, the
 native one (``QueuePair._execute``, through the same :func:`_try_wr`)
 from one ``qp.post_send`` already prepared, :func:`try_fast_chain` from
-a raw write's (peer, address), :func:`try_fast_post_vec` from an LMR
-mapping's memoised single-piece address — never in the timeline; all
+a raw write's (peer, address), :func:`try_fast_post_vec` from the one
+remote chunk an LMR access lands in — never in the timeline; all
 four resolve what is *at* the target through ``CostTable.resolve``.
 
 A committed WRITE_IMM or SEND pushes its real receive CQE at the
@@ -86,7 +86,7 @@ _FETCH_ADD, _CMP_SWAP = Opcode.FETCH_ADD, Opcode.CMP_SWAP
 _RECV, _RECV_IMM = Opcode.RECV, Opcode.RECV_IMM
 _SUCCESS = WcStatus.SUCCESS
 
-# Entries per target / plan memo: a pathological address or size sweep
+# Entries per target memo: a pathological address or size sweep
 # clears and rebuilds rather than growing without bound.
 _MEMO_MAX = 512
 
@@ -885,40 +885,24 @@ def try_fast_chain(engine, peer, addr, data, imm, priority):
 
 
 # ---------------------------------------------------------------------------
-# Memoised single-piece plans (LT_write/LT_read through a chunked LMR)
+# Single-piece targets (LT_write/LT_read through a chunked LMR)
 # ---------------------------------------------------------------------------
 #
 # An LMR op that touches one remote chunk — the only plan shape the
 # measured workloads ever commit — needs no WR and no all_of barrier.
-# LITE remembers only *where* the access lands: ``mapping._fp_plans``
-# maps (offset, len, kind) to ``(plan_version, peer LITE id,
-# remote_addr, rkey)``, a pure function of the chunk layout.  *What is
-# there* (MR, bounds, access bits, pages, backing) is the cost table's
-# to remember: the entry resolves its target through
-# ``CostTable.resolve`` exactly as the WR, chain and native entries do.
-# Anything else (several chunks, a local chunk) is memoised as a
-# *negative* entry (peer None) and rides the per-piece walk in
-# core/rdma.py, whose pieces each take the WR entry; see INTERNALS §13
-# for the measurement behind that choice and what it costs.
-#
-# Checked at use: ``mapping.plan_version`` (bumped by ``retarget()`` on
-# failover promotion / chunk migration) is all an entry depends on;
-# peer liveness is read per attempt, everything else by the one commit.
-
-
-def _build_plan(kernel, mapping, offset, nbytes):
-    """The memo entry of one access: where its single remote piece
-    lands, or the negative entry.  ``rkey`` None stands for the peer's
-    global rkey, read per attempt (a rejoin re-registers the global MR
-    without remapping anything)."""
-    pieces = mapping.plan(offset, nbytes)
-    if len(pieces) == 1:
-        chunk, chunk_off, _piece_len, _buf_off = pieces[0]
-        if chunk.node_id != kernel.lite_id:
-            fp_stats.plan_builds += 1
-            return (mapping.plan_version, chunk.node_id,
-                    *chunk.target(chunk_off))
-    return (mapping.plan_version, None, 0, None)
+# The entry finds that chunk by walking ``mapping.chunks`` to the one
+# holding ``offset`` (an LMR has a handful of chunks; the measured ones
+# one or two) and takes the address from ``chunk.target()``, so it
+# reads the live layout on every attempt and nothing it keeps can go
+# stale when ``retarget()`` remaps the LMR.  *What is there* (MR,
+# bounds, access bits, pages, backing) is the cost table's to
+# remember: the entry resolves its target through ``CostTable.resolve``
+# exactly as the WR, chain and native entries do.  Anything else
+# (several chunks, a local chunk) declines and rides the per-piece walk
+# in core/rdma.py, whose pieces each take the WR entry; see INTERNALS
+# §13 for what that costs.  ``plan_hits`` counts the lookups that found
+# one remote piece, ``plan_builds`` those handed to the walk, which
+# builds the full ``mapping.plan()``.
 
 
 def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
@@ -940,24 +924,25 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     fp_stats.vec_attempts += 1
     kernel = engine.kernel
 
-    key = (offset, nbytes, opcode is _READ)
-    plans = mapping._fp_plans
-    entry = plans.get(key)
-    if entry is None or entry[0] != mapping.plan_version:
-        entry = _build_plan(kernel, mapping, offset, nbytes)
-        if len(plans) >= _MEMO_MAX:
-            plans.clear()
-        plans[key] = entry
+    base = 0
+    for chunk in mapping.chunks:
+        end = base + chunk.size
+        if offset < end:
+            break
+        base = end
     else:
-        fp_stats.plan_hits += 1
-    _version, peer_id, addr, rkey = entry
-    if peer_id is None:
+        chunk = None
+    if (chunk is None or offset < 0 or offset + nbytes > end
+            or chunk.node_id == kernel.lite_id):
+        fp_stats.plan_builds += 1
         return _no("rej_shape")
-    peer = kernel.peers.get(peer_id)
+    fp_stats.plan_hits += 1
+    peer = kernel.peers.get(chunk.node_id)
     if peer is None or not peer.alive:
         return _no("rej_target")
-    if rkey is None:
-        rkey = peer.global_rkey
+    # The peer's global rkey is read per attempt: a rejoin re-registers
+    # the global MR without remapping anything.
+    addr, rkey = chunk.target(offset - base, peer.global_rkey)
     handle = _post_wrless(engine, peer, priority, opcode, payload, nbytes,
                           rkey, addr, None, True)
     if handle is not None:

@@ -1,14 +1,14 @@
 """Plan entry and multi-chunk fan-out: A/B equivalence and crash fencing.
 
 ``try_fast_post_vec`` serves LMR ops whose plan is one remote piece
-from a per-mapping memo (docs/INTERNALS.md §13); every other shape —
-local+remote chunk straddles, multi-chunk ops, replica fan-out
-(``replicas=k``) — falls through to the per-piece loop, whose pieces
-each try the WR entry.  All of it must stay *bit-identical* to the
-generator path: sparse scattered sub-ranges whose plans land on
-different memo keys, active fault plans, and a primary crash
-mid-transfer (failover promotion retargets the mapping and must orphan
-every memoised plan before a stale layout can commit).
+from that chunk's address, read off the mapping's chunk list on every
+attempt (docs/INTERNALS.md §13); every other shape — local+remote chunk
+straddles, multi-chunk ops, replica fan-out (``replicas=k``) — falls
+through to the per-piece loop, whose pieces each try the WR entry.  All
+of it must stay *bit-identical* to the generator path: sparse scattered
+sub-ranges, active fault plans, and a primary crash mid-transfer
+(failover promotion retargets the mapping, and no op may commit against
+the stale layout).
 
 As in test_fastpath.py, comparison happens only at quiescence: a commit
 accounts counters at commit time, so mid-flight snapshots may legally
@@ -82,8 +82,7 @@ def _run_vec_workload(seed: int, fastpath: bool, faults: bool):
         rng = random.Random(seed)
         errors = []
         # Sparse scattered sub-ranges: ops hop between disjoint windows
-        # (holes between them), so plans land on distinct memo keys and
-        # the memo grows past a single hot entry.
+        # (holes between them) in different chunks of each LMR.
         windows = [0, CHUNK // 2, CHUNK, 2 * CHUNK - 4096, 3 * CHUNK // 2]
 
         def driver():
@@ -183,28 +182,26 @@ def _repeat_one_shape(offset: int, size: int):
             os.environ["REPRO_NO_FASTPATH"] = saved
 
 
-def test_plan_memo_reused_across_repeats():
-    """Repeating one single-chunk shape must hit the plan memo."""
-    _mapping, delta = _repeat_one_shape(CHUNK // 2, 4096)
-    assert delta["plan_builds"] <= 2, \
-        "one shape repeated must not rebuild its plan every op"
-    assert delta["plan_hits"] >= 6, \
-        "repeats of one shape must hit the plan memo"
+@pytest.mark.parametrize("offset", [CHUNK // 2, 3 * CHUNK + 100],
+                         ids=["first", "fourth"])
+def test_single_piece_target_resolves_from_its_chunk(offset):
+    """A one-chunk shape, in the first chunk or past a walk of three,
+    resolves its target from the chunk every op and commits."""
+    mapping, delta = _repeat_one_shape(offset, 4096)
+    assert len(mapping.plan(offset, 4096)) == 1
+    assert delta["plan_hits"] == 8 and delta["plan_builds"] == 0
     assert delta["vec_commits"] >= 6, \
-        "the memoised plan must commit (the first op may miss a cold cache)"
+        "the resolved target must commit (the first op may miss a cold cache)"
     assert delta["mismodels"] == 0
 
 
-def test_multi_chunk_shape_memoised_negatively():
-    """A 3-chunk shape is planned once, memoised as a negative entry and
-    never re-planned; its pieces ride the per-piece path."""
+def test_multi_chunk_shape_declines_to_the_piece_walk():
+    """A 3-chunk shape declines every attempt; its pieces ride the
+    per-piece path."""
     mapping, delta = _repeat_one_shape(CHUNK // 2, 2 * CHUNK)
     assert len(mapping.plan(CHUNK // 2, 2 * CHUNK)) == 3
-    assert list(mapping._fp_plans) == [(CHUNK // 2, 2 * CHUNK, False)]
-    assert mapping._fp_plans[(CHUNK // 2, 2 * CHUNK, False)][1] is None
-    assert delta["vec_attempts"] == 8
-    assert delta["plan_builds"] == 0, "a negative plan is not a build"
-    assert delta["plan_hits"] == 7, "seven repeats, seven O(1) memo hits"
+    assert delta["vec_attempts"] == 8 and delta["rej_shape"] >= 8
+    assert delta["plan_builds"] == 8 and delta["plan_hits"] == 0
     assert delta["vec_commits"] == 0
     assert delta["attempts"] == 24, "three pieces per op try the WR entry"
     assert delta["commits"] > 0
@@ -212,15 +209,15 @@ def test_multi_chunk_shape_memoised_negatively():
 
 
 # ---------------------------------------------------------------------------
-# Mid-transfer crash: promotion must orphan memoised plans (ISSUE 10 fix)
+# Mid-transfer crash: promotion must orphan every target of the old layout
 # ---------------------------------------------------------------------------
 def _run_vec_crash_burst(fastpath: bool):
     """Multi-chunk write burst whose primary crashes mid-burst.
 
     The LMR is replicated, so the lease sweeper promotes the backup and
-    ``MappedLmr.retarget`` repoints the mapping — any plan memoised
-    against the dead layout must never commit again.  Returns end-state
-    observables plus the recovery lifecycle counts.
+    ``MappedLmr.retarget`` repoints the mapping — no op may commit
+    against the dead layout again.  Returns end-state observables plus
+    the recovery lifecycle counts.
     """
     saved = os.environ.get("REPRO_NO_FASTPATH")
     _with_fastpath(fastpath)
@@ -283,9 +280,8 @@ def _run_vec_crash_burst(fastpath: bool):
 def test_mid_transfer_crash_vec_ab_identity():
     """A primary crash mid multi-chunk burst must stay bit-identical A/B.
 
-    Guards the ISSUE 10 satellite fix: failover promotion remaps
-    ``lh -> (node, addr)`` via ``MappedLmr.retarget`` (plan_version bump
-    + memo clear) — a stale plan committing against the promoted-away
+    Failover promotion remaps ``lh -> (node, addr)`` via
+    ``MappedLmr.retarget`` — an op committing against the promoted-away
     layout would diverge time, snapshot, and outcomes."""
     commits_before = fp_stats.commits + fp_stats.vec_commits
     fast = _run_vec_crash_burst(fastpath=True)
@@ -413,8 +409,8 @@ def test_atomics_on_per_mr_chunk(node):
 
 
 # ---------------------------------------------------------------------------
-# The slim plan memo: an entry holds an address; plan_version and peer
-# liveness revalidate it, CostTable.resolve answers for everything else
+# The plan entry resolves only an address, from the live chunk list; peer
+# liveness is read per attempt, CostTable.resolve answers for the rest
 # ---------------------------------------------------------------------------
 def _memo_cluster(per_mr: bool = False):
     """A 3-node cluster, fast path on, and a context on LITE 1."""
@@ -427,8 +423,9 @@ def _memo_cluster(per_mr: bool = False):
 
 def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
     """``lt_free`` then an ``lt_malloc`` landing on the same physical
-    range: the memoised address now names the new allocation, and a hit
-    must read *its* bytes — the memo holds no backing to go stale."""
+    range: the freed mapping's address now names the new allocation, and
+    a read through it must return *its* bytes — the plan entry holds no
+    backing to go stale."""
     cluster, kernels, ctx = _memo_cluster()
     out = {}
 
@@ -455,9 +452,9 @@ def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
 @pytest.mark.parametrize("per_mr", [False, True], ids=["global", "per_mr"])
 def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
     """No live allocation (global MR) or a deregistered MR (per-MR mode,
-    whose ``lt_free`` is a ``dereg_mr``) behind a memoised address: the
-    hit declines under ``rej_target`` and the generator path surfaces
-    the error."""
+    whose ``lt_free`` is a ``dereg_mr``) behind a freed mapping's
+    address: the attempt declines under ``rej_target`` and the generator
+    path surfaces the error."""
     cluster, kernels, ctx = _memo_cluster(per_mr)
     out = {}
 
@@ -482,9 +479,9 @@ def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
 
 def test_move_then_realloc_never_commits_a_stale_address():
     """``lt_move`` retargets the master's own mappings through
-    ``retarget()``: the memoised address of the old layout is orphaned
-    (``plan_version``), so a later allocation that reuses the vacated
-    range is never written through the moved LMR's handle."""
+    ``retarget()``: the next op resolves its address from the new
+    layout, so a later allocation that reuses the vacated range is never
+    written through the moved LMR's handle."""
     cluster, kernels, ctx = _memo_cluster()
     out = {}
 
@@ -493,9 +490,8 @@ def test_move_then_realloc_never_commits_a_stale_address():
         yield from ctx.lt_write(moved, 0, b"1" * 4096)
         yield from ctx.lt_write(moved, 0, b"2" * 4096)
         vacated = moved.mapping.chunks[0].addr
-        version = moved.mapping.plan_version
         yield from ctx.lt_move(moved, 3)
-        assert moved.mapping.plan_version == version + 1
+        assert moved.mapping.chunks[0].node_id == 3
         squatter = yield from ctx.lt_malloc(4096, name="squatter", nodes=2)
         assert squatter.mapping.chunks[0].addr == vacated
         yield from ctx.lt_write(squatter, 0, b"s" * 4096)
@@ -506,6 +502,6 @@ def test_move_then_realloc_never_commits_a_stale_address():
 
     cluster.run_process(driver())
     delta = _delta(out["before"])
-    assert delta["plan_builds"] >= 1 and delta["mismodels"] == 0
+    assert delta["plan_hits"] == 3 and delta["mismodels"] == 0
     assert out["squatter"] == b"s" * 4096
     assert out["moved"] == b"3" * 4096

@@ -232,6 +232,56 @@ def _source(rng, data):
     return memoryview(b"<" + data + b">")[1:-1]       # partial bytes view
 
 
+def _short_page_cases(size):
+    """Short pages against the flat-bytearray oracle, one fresh region
+    per case; every step re-reads the first block (and past it)."""
+    block = PhysRegion(0, 0, size)._block
+    rng = random.Random(size)
+
+    def fresh():
+        return PhysRegion(0, 0, size), bytearray(size)
+
+    def write(region, oracle, offset, data):
+        region.write(offset, _source(rng, data))
+        oracle[offset : offset + len(data)] = data
+        for lo, n in ((0, min(size, block + 4096)), (150, 100),
+                      (offset, len(data)), (offset + len(data) - 3, 3)):
+            n = min(n, size - lo)
+            assert region.read(lo, n) == oracle[lo : lo + n]
+            buf = bytearray(n)
+            region.read_into(lo, buf)
+            assert buf == oracle[lo : lo + n]
+
+    # A short page (held to byte 164), a read straddling its end, then a
+    # second write inside it.
+    region, oracle = fresh()
+    write(region, oracle, 100, rng.randbytes(64))
+    assert region.resident_bytes == 164
+    write(region, oracle, 120, rng.randbytes(8))
+    assert region.resident_bytes == 4096
+    # A write past a short page's end.
+    region, oracle = fresh()
+    write(region, oracle, 100, rng.randbytes(64))
+    write(region, oracle, 1000, rng.randbytes(16))
+    assert region.resident_bytes == 4096
+    # Promoting a block that holds short pages: one small write per page
+    # until the block turns dense (the second write, in a one-page block).
+    region, oracle = fresh()
+    for index in range(max(2, block // 4096 // 4 + 1)):
+        write(region, oracle, index * 4096 % block + 200 + index,
+              rng.randbytes(8))
+    assert region.resident_bytes == block
+    # A whole-block alias over a sparse block, then copy-on-write.
+    region, oracle = fresh()
+    write(region, oracle, 50, rng.randbytes(8))
+    data = rng.randbytes(block)
+    region.write(0, data)
+    oracle[:block] = data
+    assert region.read(0, block) is data
+    write(region, oracle, 7, rng.randbytes(3))
+    assert region.read(0, size) == oracle
+
+
 @pytest.mark.parametrize("size", [4 * KB, 1 * MB, 64 * MB])
 def test_reference_model_mixed_ops(size):
     """PhysRegion behaves exactly like one flat bytearray.
@@ -240,8 +290,10 @@ def test_reference_model_mixed_ops(size):
     64 KiB and 1 MiB boundaries, the region end) so the ops straddle
     pages and blocks, re-hit whole-block writes with partial ones
     (alias then copy-on-write) and pile small writes onto one block
-    until it is promoted from sparse to dense.
+    until it is promoted from sparse to dense.  A directed prelude first
+    walks a short first-touch page through each of its transitions.
     """
+    _short_page_cases(size)
     spots = sorted({0, min(64 * KB, size) - 1, min(MB, size) - 1,
                     size // 2, size - 1})
     lengths = [0, 1, 8, 64, 64, 4095, 4096, 4097, 3 * 4096 + 5,
@@ -279,9 +331,10 @@ def test_reference_model_mixed_ops(size):
 
 
 def test_sparse_block_promotes_to_dense_without_losing_bytes():
-    """Page-sized steps across one 1 MiB block: resident bytes grow a
-    page at a time, then jump to the block size once, well before every
-    page has been written, and contents survive the promotion."""
+    """Page-sized steps across one 1 MiB block: each first touch holds
+    a short page (up to the write's end), then the block jumps to its
+    full size once, when a quarter of its pages are touched, and
+    contents survive the promotion."""
     region = PhysRegion(0, 0, 8 * MB)
     oracle = bytearray(8 * MB)
     seen = [0]
@@ -291,15 +344,17 @@ def test_sparse_block_promotes_to_dense_without_losing_bytes():
         region.write(offset, data)
         oracle[offset : offset + 64] = data
         resident = region.resident_bytes
-        assert resident - seen[-1] in (0, 4096) or resident == MB
+        assert resident - seen[-1] == 164 or resident == MB
         seen.append(resident)
         assert region.read(MB, MB) == oracle[MB : 2 * MB]
-    assert seen[1] == 4096 and seen[-1] == MB
-    assert seen.index(MB) <= 128
+    assert seen[1] == 164 and seen[-1] == MB
+    assert seen.index(MB) == 64
     assert region.read(0, 8 * MB) == oracle
 
 
 def test_first_touch_cost_is_proportional_to_bytes_written():
+    """A page written once holds bytes up to the end of that write; a
+    page written twice holds a full page."""
     rng = random.Random(14)
     region = PhysRegion(0, 0, 1 << 30)
     offsets = [rng.randrange((1 << 30) // 64) * 64 for _ in range(2000)]
@@ -310,14 +365,27 @@ def test_first_touch_cost_is_proportional_to_bytes_written():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert region.resident_bytes == len({o // 4096 for o in offsets}) * 4096
-    assert region.resident_bytes <= 2000 * 4096
-    assert peak < 16 * MB
+    by_page = {}
+    for offset in offsets:
+        by_page.setdefault(offset // 4096, []).append(offset % 4096 + 64)
+    assert any(len(ends) > 1 for ends in by_page.values())
+    assert region.resident_bytes == sum(
+        ends[0] if len(ends) == 1 else 4096 for ends in by_page.values())
+    assert region.resident_bytes < 0.6 * len(by_page) * 4096
+    assert peak < 8 * MB
     assert region.read(offsets[0], 64) == b"y" * 64
 
+    # A write inside a one-page region stays a short page; the second
+    # write makes the block dense.
     small = PhysRegion(0, 0, 4096)
     small.write(128, b"y" * 64)
-    assert small.resident_bytes <= 4096
+    assert small.resident_bytes == 192
+    assert small.read(0, 4096) == bytes(128) + b"y" * 64 + bytes(3904)
+    small.write(0, b"z")
+    assert small.resident_bytes == 4096
+    assert small.read(0, 256) == b"z" + bytes(127) + b"y" * 64 + bytes(64)
+    # A region nothing has written holds no block table of its own.
+    assert PhysRegion(0, 0, 4096)._blocks is PhysRegion(0, 8192, 64)._blocks
 
 
 def test_exact_extent_read_of_aliased_block_is_zero_copy():
@@ -338,8 +406,10 @@ def test_host_memory_resident_bytes_follows_live_regions():
     a = mem.alloc(4096)
     b = mem.alloc(64 * MB)
     assert mem.resident_bytes == 0
-    a.write(0, b"x")
-    b.write(5 * MB, b"x")
-    assert mem.resident_bytes == a.resident_bytes + b.resident_bytes == 8192
+    a.write(100, b"xy")
+    b.write(5 * MB + 10, b"x")
+    assert mem.resident_bytes == a.resident_bytes + b.resident_bytes == 113
+    b.write(5 * MB + 20, b"x")  # second touch: b's page grows to 4 KB
+    assert mem.resident_bytes == 102 + 4096
     mem.free(b)
-    assert mem.resident_bytes == 4096
+    assert mem.resident_bytes == 102

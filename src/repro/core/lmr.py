@@ -180,15 +180,34 @@ class MappedLmr:
         """
         self.chunks = chunks
 
+    def _outside(self, offset: int, nbytes: int) -> ValueError:
+        return ValueError(
+            f"range [{offset}, {offset + nbytes}) outside LMR of size {self.size}"
+        )
+
+    def piece(self, offset: int, nbytes: int) -> Optional[Tuple[ChunkInfo, int]]:
+        """``(chunk, chunk_offset)`` of a non-empty access inside one
+        chunk of the live layout, else None; raises ValueError outside
+        the LMR, as :meth:`plan` does."""
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
+            raise self._outside(offset, nbytes)
+        if nbytes == 0:
+            return None
+        base = 0
+        for chunk in self.chunks:
+            end = base + chunk.size
+            if offset < end:
+                return (chunk, offset - base) if offset + nbytes <= end else None
+            base = end
+        return None
+
     def plan(self, offset: int, nbytes: int) -> List[Tuple[ChunkInfo, int, int, int]]:
         """Split [offset, offset+nbytes) into per-chunk pieces.
 
         Returns tuples (chunk, chunk_offset, piece_len, buffer_offset).
         """
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
-            raise ValueError(
-                f"range [{offset}, {offset + nbytes}) outside LMR of size {self.size}"
-            )
+            raise self._outside(offset, nbytes)
         pieces = []
         cursor = 0
         remaining_off = offset

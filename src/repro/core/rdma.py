@@ -17,7 +17,7 @@ import struct
 from typing import List
 
 from ..verbs import Opcode, SendWR, WcStatus
-from ..verbs.fastpath import try_fast_chain, try_fast_post, try_fast_post_vec
+from ..verbs.fastpath import try_fast_post
 from .errors import EIO, ENODEV, ETIMEDOUT, LiteError
 from .lmr import MappedLmr
 
@@ -63,7 +63,8 @@ class OneSidedEngine:
         onto; the RR bump and the doorbell CPU charge are replayed only
         on commit, so a declined attempt leaves LITE state untouched and
         the generator fallback proceeds exactly as if never tried.
-        Returns the completion handle, or None.
+        Returns the completion handle (True for an unsignaled WR), or
+        None.
         """
         pairs = self.kernel.qos.eligible_qps(peer, priority)
         qp, window = pairs[peer._rr % len(pairs)]
@@ -230,16 +231,23 @@ class OneSidedEngine:
                     )
                 continue
             peer = kernel.peer(chunk.node_id)
-            remote_addr, rkey = chunk.target(chunk_off, peer.global_rkey)
+            payload = None if view is None else view[buf_off : buf_off + piece_len]
+            wr = self._piece_wr(peer, chunk, chunk_off, piece_len, payload)
             if view is None:
-                wr = SendWR(Opcode.READ, remote_addr=remote_addr, rkey=rkey,
-                            read_length=piece_len)
                 parts.append(wr)
-            else:
-                wr = SendWR(Opcode.WRITE, remote_addr=remote_addr, rkey=rkey,
-                            inline_data=view[buf_off : buf_off + piece_len])
             emit(peer, wr)
         return parts
+
+    @staticmethod
+    def _piece_wr(peer, chunk, chunk_off: int, nbytes: int, payload) -> SendWR:
+        """The WR of one remote piece: a READ of ``nbytes`` when
+        ``payload`` is None, else a WRITE of ``payload``."""
+        remote_addr, rkey = chunk.target(chunk_off, peer.global_rkey)
+        if payload is None:
+            return SendWR(Opcode.READ, remote_addr=remote_addr, rkey=rkey,
+                          read_length=nbytes)
+        return SendWR(Opcode.WRITE, remote_addr=remote_addr, rkey=rkey,
+                      inline_data=payload)
 
     @staticmethod
     def _join(parts) -> bytes:
@@ -265,6 +273,34 @@ class OneSidedEngine:
 
         parts = yield from self._pieces(mapping, offset, nbytes, data, issue)
         return procs, parts
+
+    def _one_piece(self, mapping: MappedLmr, offset: int, nbytes: int, data,
+                   priority: int):
+        """Issue an access that is one remote piece of an unreplicated
+        LMR as its own WR (generator); returns the completed WR, or None
+        at once for any other access.  A committed WR is awaited with no
+        barrier; a declined one is posted as :meth:`_issue_pieces` posts
+        a lone piece (one :meth:`_post` behind an ``all_of``), once."""
+        piece = None if mapping.replica_chunks else mapping.piece(offset, nbytes)
+        if piece is None:
+            return None
+        chunk, chunk_off = piece
+        kernel = self.kernel
+        # A local chunk is a memcpy; a missing or dead peer, the walk's raise.
+        peer = kernel.peers.get(chunk.node_id)
+        if chunk.node_id == kernel.lite_id or peer is None or not peer.alive:
+            return None
+        wr = self._piece_wr(peer, chunk, chunk_off, nbytes,
+                            None if data is None else memoryview(data))
+        handle = self._try_fast(peer, wr, priority)
+        if handle is not None:
+            yield handle
+        else:
+            results = yield self.sim.all_of(
+                [self.sim.process(self._post(peer.lite_id, wr, priority))])
+            self._check(list(results.values()),
+                        "read" if data is None else "write")
+        return wr
 
     def _backup_write(self, mapping: MappedLmr, backup_id: int,
                       offset: int, data: bytes, priority: int):
@@ -316,16 +352,8 @@ class OneSidedEngine:
         self._check_not_failed(mapping)
         yield from kernel.qos.gate(priority)
         start = self.sim.now
-        # Plan entry: an op whose plan is one remote piece commits from
-        # that chunk's address (no WR, no barrier); any decline — several
-        # chunks, a local chunk, contention — falls through to the
-        # bit-exact per-piece walk below.
-        handle = try_fast_post_vec(
-            self, mapping, offset, len(data), data, Opcode.WRITE, priority
-        )
-        if handle is not None:
-            yield handle
-        else:
+        if (yield from self._one_piece(mapping, offset, len(data), data,
+                                       priority)) is None:
             procs, _ = yield from self._issue_pieces(
                 mapping, offset, len(data), data, priority
             )
@@ -347,11 +375,9 @@ class OneSidedEngine:
         self._check_not_failed(mapping)
         yield from kernel.qos.gate(priority)
         start = self.sim.now
-        handle = try_fast_post_vec(
-            self, mapping, offset, nbytes, None, Opcode.READ, priority
-        )
-        if handle is not None:
-            data = yield handle
+        wr = yield from self._one_piece(mapping, offset, nbytes, None, priority)
+        if wr is not None:
+            data = wr.return_data or b""
         else:
             procs, parts = yield from self._issue_pieces(
                 mapping, offset, nbytes, None, priority
@@ -437,10 +463,10 @@ class OneSidedEngine:
     def _atomic(self, mapping: MappedLmr, offset: int, opcode: Opcode,
                 compare_add: int, swap: int, priority: int):
         kernel = self.kernel
-        pieces = mapping.plan(offset, 8)
-        if len(pieces) != 1:
+        piece = mapping.piece(offset, 8)
+        if piece is None:
             raise ValueError("atomic target must not straddle chunks")
-        chunk, chunk_off, _len, _ = pieces[0]
+        chunk, chunk_off = piece
         if chunk.node_id == kernel.lite_id:
             # Local word: the RNIC still arbitrates atomics, loop back.
             yield self.sim.timeout(self.params.prices.dma_setup)
@@ -518,11 +544,9 @@ class OneSidedEngine:
         recovery path), never allowed to crash the simulation.
         """
         peer = self.kernel.peer(peer_id)
-        # Chain entry: commits the leg with no WR allocated at all (the
-        # commit bumps the wr_id counter itself).
-        if try_fast_chain(self, peer, phys_addr, data, imm, priority) is not None:
-            return
         wr = self._raw_wr(peer, phys_addr, data, imm, False)
+        if self._try_fast(peer, wr, priority) is not None:
+            return
 
         def runner():
             try:

@@ -16,13 +16,12 @@ There is exactly one commit (:func:`_commit`): one entry pass, one
 timeline, one state replay, one dispatch set for WRITE / WRITE_IMM /
 READ / SEND (the WRITE_IMM timeline with a two-pass responder) / the
 8-byte atomics (the READ timeline with the read-modify-write at the
-responder).  The four entries differ only in how they find the target
-— :func:`try_fast_post` from a ``SendWR`` LITE is about to post, the
-native one (``QueuePair._execute``, through the same :func:`_try_wr`)
-from one ``qp.post_send`` already prepared, :func:`try_fast_chain` from
-a raw write's (peer, address), :func:`try_fast_post_vec` from the one
-remote chunk an LMR access lands in — never in the timeline; all
-four resolve what is *at* the target through ``CostTable.resolve``.
+responder).  Every attempt comes with its ``SendWR`` through
+:func:`try_fast_post`, from one of two places: LITE's post time (the
+data plane's pieces, raw writes and atomics in ``core/rdma.py``, the
+control SENDs in ``core/kernel.py``), or the start hop of a WR that a
+native ``qp.post_send`` already prepared (``QueuePair._execute``).  Both
+resolve what is *at* the target through ``CostTable.resolve``.
 
 A committed WRITE_IMM or SEND pushes its real receive CQE at the
 responder's write-back instant, so the receiving poller wakes, charges
@@ -66,11 +65,9 @@ from __future__ import annotations
 import struct
 from heapq import heappush
 
-from .wr import (ACK_BYTES, Access, Opcode, SendWR, WcStatus, WorkCompletion,
-                 wire_bytes)
+from .wr import ACK_BYTES, Access, Opcode, WcStatus, WorkCompletion, wire_bytes
 
-__all__ = ["try_fast_post", "try_fast_post_vec", "try_fast_chain",
-           "prime_qp", "fp_stats", "FastPathStats"]
+__all__ = ["try_fast_post", "prime_qp", "fp_stats", "FastPathStats"]
 
 _NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
 _NEED_REMOTE_READ = Access.REMOTE_READ.value
@@ -94,13 +91,16 @@ _MEMO_MAX = 512
 class FastPathStats:
     """Module-wide fast-path telemetry (host-side only, not sim state).
 
-    ``attempts``/``commits`` count the WR entries (LITE's post-time one
-    and the native start-hop one), ``chain_*`` the raw-write entry,
-    ``vec_*`` and ``plan_*`` the plan entry.  Every declined attempt is
-    also counted once, under the first entry condition that failed (the
+    ``attempts``/``commits`` count both entries (LITE's post-time one
+    and the native start-hop one).  Every declined attempt is also
+    counted once, under the first entry condition that failed (the
     ``rej_*`` counters; INTERNALS §13 lists what each check covers), so
     attempts = commits + rejects.  All plain ints: consumers snapshot
     ``__slots__`` and subtract.
+
+    ``vec_*``, ``chain_*`` and ``plan_*`` belonged to the removed WR-less
+    entries and always read 0; they stay declared only because
+    ``perfbench/layers.py`` reads them by name.
     """
 
     __slots__ = ("attempts", "commits", "mismodels", "table_builds",
@@ -144,7 +144,7 @@ class CostTable:
     """
 
     __slots__ = (
-        "qp", "remote", "stamp", "fabric", "rdev", "rqp",
+        "qp", "remote", "stamp", "floor", "fabric", "rdev", "rqp",
         "lrnic", "rrnic", "lpipe", "rpipe", "src_port", "dst_port",
         "src_tx", "src_rx", "dst_tx", "dst_rx",
         "src_node", "dst_node", "dst_qpn", "srq_source", "srq_items",
@@ -228,28 +228,26 @@ class CostTable:
             tx()
 
         self._rel_back = _rel_back
-        self.stamp = self._current_stamp()
+        self.stamp = (self._lparams._version, self._rparams._version,
+                      self._fparams._version)
+        # Lower bound on any op's completion delay, for the early
+        # horizon reject: doorbell, a bare WQE at each RNIC, an empty
+        # frame out and both propagations — a strict subset of every
+        # timeline's terms, so rounding never lifts it past one.  Priced
+        # once: the stamp above retires the table when a price changes.
+        lp = self._lparams.prices
+        fp = self._fparams.prices
+        self.floor = (lp.doorbell + lp.wqe + fp.ser(_WIRE0) + fp.prop
+                      + self._rparams.prices.wqe + fp.prop)
         fp_stats.table_builds += 1
-
-    def _current_stamp(self):
-        return (self._lparams._version, self._rparams._version,
-                self._fparams._version)
 
     def valid(self) -> bool:
         """True while the QP's peer and every folded-in float input
         are unchanged."""
         return (self.remote == self.qp.remote
-                and self.stamp == self._current_stamp())
-
-    def floor(self) -> float:
-        """Lower bound on any op's completion delay, for the early
-        horizon reject: doorbell, a bare WQE at each RNIC, an empty
-        frame out and both propagations — a strict subset of every
-        timeline's terms, so rounding never lifts it past one."""
-        lp = self._lparams.prices
-        fp = self._fparams.prices
-        return (lp.doorbell + lp.wqe + fp.ser(_WIRE0) + fp.prop
-                + self._rparams.prices.wqe + fp.prop)
+                and self.stamp == (self._lparams._version,
+                                   self._rparams._version,
+                                   self._fparams._version))
 
     def resolve(self, rkey: int, addr: int, nbytes: int, need: int):
         """Resolve a remote span to ``(pages, backing, reg_off)``, or None.
@@ -336,12 +334,6 @@ def prime_qp(qp) -> bool:
     return False
 
 
-def _armed(sim) -> bool:
-    """The one bail-out: kill switch off and no tracer attached (the
-    trace goldens pin the generator path's span tree)."""
-    return sim.fastpath_enabled and sim.tracer is None
-
-
 def _lookup_cost(rnic, qpn, key, pages):
     """Miss penalties one RNIC stage's lookups would add, from probes.
 
@@ -369,25 +361,22 @@ def _lookup_cost(rnic, qpn, key, pages):
     return cost
 
 
-def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
-            wr, want_handle, pred=None, prepared=False):
+def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     """Run one WRITE / WRITE_IMM / READ / SEND / atomic to completion, or
     touch nothing.
 
-    The single commit behind all four entries.  ``wr`` is the posted
-    ``SendWR`` or None (the id counter is then bumped arithmetically so
-    a fall-back op mints the same id either way).  ``prepared``
-    marks the native entry: ``QueuePair._prepare`` ran at post time
-    (``pred`` and ``wr._order_done`` are its RC order link; nothing is
-    bumped twice) and the attempt comes from the WR's own start hop —
-    the only place a commit may touch state *earlier* than the generator
-    path would (a miss installing, a local SGE gathered, at t0), and
-    then only while no committed op is in flight.  Returns the
-    completion handle — it succeeds at the op's completion instant with
-    ``WcStatus.SUCCESS``, or with the READ bytes when there is no ``wr``
-    to carry them — or True when ``want_handle`` is false; None when any
-    entry condition fails, in which case *no state has been touched*
-    and the caller must take the generator path.
+    The single commit behind both entries, sized by
+    :func:`try_fast_post`.  ``prepared`` marks the native entry:
+    ``QueuePair._prepare`` ran at post time (``pred`` and
+    ``wr._order_done`` are its RC order link; nothing is bumped twice)
+    and the attempt comes from the WR's own start hop — the only place a
+    commit may touch state *earlier* than the generator path would (a
+    miss installing, a local SGE gathered, at t0), and then only while
+    no committed op is in flight.  Returns the completion handle — it
+    succeeds at the op's completion instant with ``WcStatus.SUCCESS``;
+    True for an unsignaled WR at post time, which nothing awaits — or
+    None when any entry condition fails, in which case *no state has
+    been touched* and the caller must take the generator path.
 
     The entry pass runs cheapest-first, then in the measured order of
     rejection (INTERNALS §13): on contended RPC traffic a busy pipeline,
@@ -440,7 +429,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     # exact one below would (``floor`` is below every completion delay).
     t0 = sim.now
     horizon = sim.fp_horizon()
-    if horizon <= t0 + table.floor():
+    if horizon <= t0 + table.floor:
         return _no("rej_floor")
 
     read_op = opcode is _READ
@@ -481,8 +470,9 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         rkey = rmr.lkey
         pages = rmr.page_ids(recv.offset, nbytes)
     else:
+        rkey = wr.rkey
         target = table.resolve(
-            rkey, addr, nbytes,
+            rkey, wr.remote_addr, nbytes,
             _NEED_REMOTE_ATOMIC if atomic
             else _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
         if target is None:
@@ -496,7 +486,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     lrnic = table.lrnic
     rrnic = table.rrnic
     cost_q = 0.0
-    sge = wr.sgl[0] if wr is not None and wr.sgl else None
+    sge = wr.sgl[0] if wr.sgl else None
     if prepared and not sim._fpq:
         # Start hop, nothing committed in flight: misses are priced.
         lkey = lpages = None
@@ -553,6 +543,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         t_rc = t5 + rp.completion if rqp is not None else t5
         back = t_rc + fp.ser(ACK_BYTES)
         t7 = (back + fp.prop) + lp.ack
+    signaled = wr.signaled
     t_end = t7 + lp.completion if signaled else t7
     if horizon <= t_end:
         return _no("rej_horizon")
@@ -564,17 +555,9 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
         qp.posted_sends += 1
         done = sim.event()
         qp._last_remote_done = done
-        if wr is not None:
-            wr._order_done = done
-    if wr is not None:
-        wr_id = wr.wr_id
-        if payload is None and not resp_op:
-            payload = qp._gather(wr)
-    else:
-        # The slow path allocates a SendWR before posting; keep the
-        # process-global id counter aligned.
-        wr_id = SendWR._next_id + 1
-        SendWR._next_id = wr_id
+        wr._order_done = done
+    if payload is None and not resp_op:
+        payload = qp._gather(wr)
 
     # Lookup replay, in slow-path order (installs, recency, stats).
     lrnic.qp_cache.access(qp.qpn)
@@ -624,7 +607,9 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     if srq_source is not None:
         srq_source._fp_claims += 1
 
-    handle = sim.event() if want_handle else None
+    # Nothing awaits an unsignaled LITE post (a raw write, a control
+    # SEND); the native entry's WR process always waits on its handle.
+    handle = sim.event() if signaled or prepared else None
     box = []
 
     def turn_around():
@@ -642,15 +627,14 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
             send_cq = qp.send_cq
             if send_cq is not None:
                 send_cq.push(WorkCompletion(
-                    wr_id=wr_id, status=_SUCCESS, opcode=opcode,
-                    byte_len=nbytes, imm=imm, qp_num=qp.qpn,
+                    wr_id=wr.wr_id, status=_SUCCESS, opcode=opcode,
+                    byte_len=nbytes, imm=wr.imm, qp_num=qp.qpn,
                 ))
         sq.release()
         if window is not None:
             window.release()
         if handle is not None:
-            handle.succeed(
-                box[0] if read_op and wr is None else _SUCCESS)
+            handle.succeed(_SUCCESS)
 
     # fp_schedule inlined (this is the hottest dispatch source): each
     # push takes the next seq, exactly as fp_schedule calls in program
@@ -690,7 +674,9 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
 
         def at_t7():
             lpipe.release()
-            if wr is not None:
+            if sge is None:
+                wr.return_data = box[0]     # ``qp._scatter``, a call cheaper
+            else:
                 qp._scatter(wr, box[0])
 
         seq += 1
@@ -762,7 +748,7 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
                     recv_cq.push(WorkCompletion(
                         wr_id=box[0].wr_id, status=_SUCCESS,
                         opcode=_RECV if send_op else _RECV_IMM,
-                        byte_len=nbytes, imm=imm,
+                        byte_len=nbytes, imm=wr.imm,
                         qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
                     ))
             turn_around()
@@ -777,23 +763,32 @@ def _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm, signaled,
     seq += 1
     heappush(fpq, (t_end, seq, at_end))
     sim._seq = seq
-    return handle if want_handle else True
+    return True if handle is None else handle
 
 
-def _try_wr(qp, wr, window, pred, prepared):
-    """The WR entries: size up a posted ``SendWR`` and call the commit.
+def try_fast_post(qp, wr, window=None, pred=None, prepared=False):
+    """Attempt run-to-completion execution of ``wr`` on ``qp``, in place
+    of its generator-path post: the one entry, called from two places.
 
-    ``prepared`` is the native Verbs entry, called by ``QueuePair._execute``
-    at the start hop of a WR that ``qp.post_send`` already prepared
-    (``pred`` is the RC predecessor ``_prepare`` returned): the WR's own
-    process on its first resume, never the posting handler — that
-    handler has parked or ended by now and the commit requires a
-    now-queue that runs nothing, so nothing else can be posted at this
-    instant behind a committed op.  Same contract as
-    :func:`try_fast_post`; a READ or atomic scatters into its SGE when
-    it has one.
+    LITE calls it at post time, before ``qp.post_send``; ``window`` is
+    the LITE per-QP window to hold for the op's lifetime.
+    ``QueuePair._execute`` calls it with ``prepared=True`` at the start
+    hop of a WR ``qp.post_send`` already prepared (``pred`` is the RC
+    predecessor ``_prepare`` returned): the WR's own process on its
+    first resume, after the posting handler has parked or ended, so with
+    a now-queue that runs nothing no sibling can be posted behind a
+    committed op at this instant.
+
+    Returns the completion event (it succeeds with the WcStatus at the
+    op's completion instant; READ / atomic bytes land in the SGE, else
+    in ``wr.return_data``), True for an unsignaled LITE post, or None
+    when any entry condition fails — *no state touched*; the caller
+    takes the generator path.
     """
-    if not _armed(qp.sim):
+    sim = qp.sim
+    # Kill switch, and no tracer attached (the trace goldens pin the
+    # generator path's span tree).
+    if not sim.fastpath_enabled or sim.tracer is not None:
         return None
     fp_stats.attempts += 1
 
@@ -813,138 +808,9 @@ def _try_wr(qp, wr, window, pred, prepared):
         nbytes = 8
     else:
         return _no("rej_shape")
-    if nbytes <= 0 or len(sgl) > 1 or wr.delivered is not None:
+    if nbytes <= 0 or (sgl and len(sgl) > 1) or wr.delivered is not None:
         return _no("rej_shape")
-    handle = _commit(qp, window, opcode, payload, nbytes, wr.rkey,
-                     wr.remote_addr, wr.imm, wr.signaled, wr, True,
-                     pred, prepared)
+    handle = _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared)
     if handle is not None:
         fp_stats.commits += 1
-    return handle
-
-
-def try_fast_post(qp, wr, window=None):
-    """Attempt run-to-completion execution of ``wr`` on ``qp`` at post
-    time, in place of ``qp.post_send(wr)`` (LITE's piece walker).
-
-    Returns the completion event (it succeeds with the WcStatus at the
-    op's completion instant; a READ's bytes land in ``wr.return_data``),
-    or ``None`` when any entry condition fails — in which case *no
-    state has been touched* and the caller must take the generator
-    path.  ``window`` is the LITE per-QP window resource to hold for
-    the op's lifetime.
-    """
-    return _try_wr(qp, wr, window, None, False)
-
-
-def _post_wrless(engine, peer, priority, opcode, payload, nbytes, rkey, addr,
-                 imm, signaled):
-    """The WR-less entries' common half: commit on the (qp, window) pair
-    the slow path's round-robin would pick.
-
-    The RR bump and the doorbell CPU charge are replayed only on commit,
-    so a declined attempt leaves LITE state untouched (the WR-shaped
-    twin is ``OneSidedEngine._try_fast``).  Returns the commit's result:
-    the completion handle of a signaled op, True for an unsignaled one.
-    """
-    kernel = engine.kernel
-    pairs = kernel.qos.eligible_qps(peer, priority)
-    qp, window = pairs[peer._rr % len(pairs)]
-    handle = _commit(qp, window, opcode, payload, nbytes, rkey, addr, imm,
-                     signaled, None, signaled)
-    if handle is not None:
-        peer._rr += 1
-        kernel.node.cpu.charge("lite-post", engine.params.prices.doorbell)
-    return handle
-
-
-def try_fast_chain(engine, peer, addr, data, imm, priority):
-    """Commit one leg of the RPC tri-post chain (raw unsignaled write).
-
-    Every RPC op issues three fire-and-forget posts through
-    ``raw_write_async``: the request append (WRITE_IMM into the server
-    ring), the server's head-pointer update (WRITE), and the reply
-    (WRITE_IMM into the caller's reply buffer).  This entry commits the
-    leg with no WR object at all.  Returns True on commit; None leaves
-    no state touched — the caller then builds the WR and takes the
-    generator path, consuming the same wr_id the commit would have.
-    """
-    sim = engine.sim
-    if not _armed(sim) or sim._nowq:
-        return None
-    nbytes = len(data)
-    if nbytes == 0:
-        return None
-    fp_stats.chain_attempts += 1
-    if _post_wrless(engine, peer, priority,
-                    _WRITE if imm is None else _WRITE_IMM, data, nbytes,
-                    peer.global_rkey, addr, imm, False) is None:
-        return None
-    fp_stats.chain_commits += 1
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Single-piece targets (LT_write/LT_read through a chunked LMR)
-# ---------------------------------------------------------------------------
-#
-# An LMR op that touches one remote chunk — the only plan shape the
-# measured workloads ever commit — needs no WR and no all_of barrier.
-# The entry finds that chunk by walking ``mapping.chunks`` to the one
-# holding ``offset`` (an LMR has a handful of chunks; the measured ones
-# one or two) and takes the address from ``chunk.target()``, so it
-# reads the live layout on every attempt and nothing it keeps can go
-# stale when ``retarget()`` remaps the LMR.  *What is there* (MR,
-# bounds, access bits, pages, backing) is the cost table's to
-# remember: the entry resolves its target through ``CostTable.resolve``
-# exactly as the WR, chain and native entries do.  Anything else
-# (several chunks, a local chunk) declines and rides the per-piece walk
-# in core/rdma.py, whose pieces each take the WR entry; see INTERNALS
-# §13 for what that costs.  ``plan_hits`` counts the lookups that found
-# one remote piece, ``plan_builds`` those handed to the walk, which
-# builds the full ``mapping.plan()``.
-
-
-def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
-                      priority):
-    """Commit an LMR read/write whose plan is one remote piece.
-
-    ``engine`` is the OneSidedEngine; ``payload`` is the caller's
-    buffer for WRITE (None for READ).  Returns the completion handle —
-    an event succeeding at the op's completion instant with
-    WcStatus.SUCCESS (WRITE) or the bytes read (READ) — or None, in
-    which case nothing was touched and the caller must walk the
-    per-piece path.
-    """
-    sim = engine.sim
-    if not _armed(sim) or sim._nowq:
-        return None
-    if mapping.replica_chunks or nbytes <= 0:
-        return None
-    fp_stats.vec_attempts += 1
-    kernel = engine.kernel
-
-    base = 0
-    for chunk in mapping.chunks:
-        end = base + chunk.size
-        if offset < end:
-            break
-        base = end
-    else:
-        chunk = None
-    if (chunk is None or offset < 0 or offset + nbytes > end
-            or chunk.node_id == kernel.lite_id):
-        fp_stats.plan_builds += 1
-        return _no("rej_shape")
-    fp_stats.plan_hits += 1
-    peer = kernel.peers.get(chunk.node_id)
-    if peer is None or not peer.alive:
-        return _no("rej_target")
-    # The peer's global rkey is read per attempt: a rejoin re-registers
-    # the global MR without remapping anything.
-    addr, rkey = chunk.target(offset - base, peer.global_rkey)
-    handle = _post_wrless(engine, peer, priority, opcode, payload, nbytes,
-                          rkey, addr, None, True)
-    if handle is not None:
-        fp_stats.vec_commits += 1
     return handle

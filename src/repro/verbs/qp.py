@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from ..hw.fabric import TransferDropped
 from ..sim import Process, Resource, Simulator, Store
-from .fastpath import _try_wr
+from .fastpath import try_fast_post
 from .wr import (
     _ATOMICS,
     ACK_BYTES,
@@ -325,7 +325,7 @@ class QueuePair:
             # is tried from (verbs/fastpath.py).  A committed WR is
             # arithmetic plus a few dispatches; this process only waits
             # for its completion handle.
-            handle = _try_wr(self, wr, None, predecessor, True)
+            handle = try_fast_post(self, wr, None, predecessor, True)
             if handle is not None:
                 return (yield handle)
         sim, prices = self.sim, self.device.params.prices

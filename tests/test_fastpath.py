@@ -143,9 +143,7 @@ def test_every_declined_attempt_counts_one_reason():
              for slot in fp_stats.__slots__}
     assert all(type(getattr(fp_stats, slot)) is int
                for slot in fp_stats.__slots__)
-    attempts = (delta["attempts"] + delta["vec_attempts"]
-                + delta["chain_attempts"])
-    commits = delta["commits"] + delta["vec_commits"] + delta["chain_commits"]
+    attempts, commits = delta["attempts"], delta["commits"]
     rejects = {slot: count for slot, count in delta.items()
                if slot.startswith("rej_") and count}
     assert commits > 0 and len(rejects) >= 3, rejects
@@ -355,9 +353,9 @@ def test_ring_wrap_mid_burst_fastpath_ab_identity():
     """ISSUE 8 satellite: with a 4 KB ring the burst wraps every ~13
     calls; the two-part wrapping appends must stay bit-identical to the
     slow run while the burst commits."""
-    commits_before = fp_stats.commits + fp_stats.chain_commits
+    commits_before = fp_stats.commits
     fast = _run_ring_wrap_burst(fastpath=True)
-    commits = fp_stats.commits + fp_stats.chain_commits - commits_before
+    commits = fp_stats.commits - commits_before
     assert commits > 0, "the burst must exercise fast-path commits"
     slow = _run_ring_wrap_burst(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
@@ -506,7 +504,7 @@ def test_sequential_echo_rpcs_fastpath_ab_identity():
     """The poll iteration a committed write-imm wakes is the generator
     path's own: time, snapshot, every CPU tag on both nodes and both
     kernels' receive-CQ counters agree with the slow run while ≥ 99% of
-    the three chain legs per RPC commit."""
+    the three ring writes per RPC commit."""
     fast, moved = _run_echo_rpcs(fastpath=True)
     slow, slow_moved = _run_echo_rpcs(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
@@ -514,7 +512,7 @@ def test_sequential_echo_rpcs_fastpath_ab_identity():
     assert fast[2] == slow[2] and len(fast[2]) == 300
     assert fast[3] == slow[3], "per-tag CPU ledgers diverged"
     assert fast[4] == slow[4], "receive-CQ pushed/polled diverged"
-    assert moved["chain_commits"] >= 0.99 * (3 * 300)
+    assert moved["commits"] >= 0.99 * (3 * 300)
     assert moved["mismodels"] == 0
     assert not any(slow_moved.values()), "the slow run must not attempt"
 
@@ -574,9 +572,9 @@ def _run_near_simultaneous_requests(fastpath: bool):
 def test_near_simultaneous_requests_fastpath_ab_identity():
     """A request CQE that lands inside another's poll iteration is
     queued behind it and dispatched in arrival order in both modes."""
-    commits_before = fp_stats.chain_commits
+    commits_before = fp_stats.commits
     fast = _run_near_simultaneous_requests(fastpath=True)
-    assert fp_stats.chain_commits > commits_before
+    assert fp_stats.commits > commits_before
     slow = _run_near_simultaneous_requests(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
     assert fast[1] == slow[1], "dispatch order diverged"
@@ -672,11 +670,11 @@ def test_fast_post_rejects_tracer_and_disabled():
 
 
 # ---------------------------------------------------------------------------
-# The one commit: horizon floor, and three entries onto one timeline
+# The one commit: horizon floor, and three callers onto one timeline
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("opcode_name", ["WRITE", "WRITE_IMM", "READ"])
 def test_horizon_floor_strictly_below_completion(opcode_name):
-    """``CostTable.floor()`` feeds the early horizon reject, which is only
+    """``CostTable.floor`` feeds the early horizon reject, which is only
     free if it can never reject what the exact check would accept: the
     floor must sit strictly below every committed completion delay."""
     from repro.core.protocol import pack_reply_imm
@@ -709,17 +707,23 @@ def test_horizon_floor_strictly_below_completion(opcode_name):
             posted = sim.now
             handle = try_fast_post(qp, wr, window)
             assert handle is not None, (nbytes, signaled)
-            sim.run(stop=handle)
-            floor = qp._fp_table.floor()
+            if signaled:
+                sim.run(stop=handle)
+            else:
+                # No handle: the op completes when its window slot frees.
+                assert handle is True
+                while window.in_use:
+                    sim.step()
+            floor = qp._fp_table.floor
             assert floor > 0.0
             assert posted + floor < sim.now, (nbytes, signaled)
             sim.run()  # drain the delivery tail before the next post
 
 
-def _one_write(entry: str, fastpath: bool):
-    """One 512 B write through the named entry; returns the completion
-    instant, the quiescent instant, the bytes that landed, and which
-    ``fp_stats`` commit counters the op moved."""
+def _one_write(caller: str, fastpath: bool):
+    """One 512 B write through the named caller; returns the completion
+    instant, the quiescent instant, the bytes that landed, and whether
+    the op moved ``fp_stats.commits``."""
     saved = os.environ.get("REPRO_NO_FASTPATH")
     _with_fastpath(fastpath)
     reset_global_counters()
@@ -730,12 +734,13 @@ def _one_write(entry: str, fastpath: bool):
         ctx = LiteContext(kernels[0], "entry", kernel_level=True)
         sink = kernels[1].node.memory.alloc(4096)
         payload = bytes(range(256)) * 2
+        raw = caller == "raw_write_async"
         holder = {}
 
         def driver():
             # Warm both RNICs' SRAM so the measured op can commit (raw
             # writes round-robin the shared QPs: one warm-up per QP).
-            if entry == "chain":
+            if raw:
                 for _ in kernels[0].peers[kernels[1].lite_id].qps:
                     kernels[0].onesided.raw_write_async(
                         kernels[1].lite_id, sink.addr + 1024, b"w" * 512
@@ -743,29 +748,25 @@ def _one_write(entry: str, fastpath: bool):
                     yield sim.timeout(10.0)
             else:
                 holder["lh"] = yield from ctx.lt_malloc(
-                    64 * 1024, nodes=2, replicas=1 if entry == "wr" else 0
+                    64 * 1024, nodes=2,
+                    replicas=1 if caller == "replicated_lt_write" else 0,
                 )
                 yield from ctx.lt_write(holder["lh"], 0, b"w" * 512)
             yield sim.timeout(50.0)
-            before = (fp_stats.vec_commits, fp_stats.commits,
-                      fp_stats.chain_commits)
-            if entry == "chain":
+            before = fp_stats.commits
+            if raw:
                 kernels[0].onesided.raw_write_async(
                     kernels[1].lite_id, sink.addr, payload
                 )
             else:
                 yield from ctx.lt_write(holder["lh"], 1024, payload)
             holder["done_at"] = sim.now
-            holder["moved"] = tuple(
-                now > was for now, was in zip(
-                    (fp_stats.vec_commits, fp_stats.commits,
-                     fp_stats.chain_commits), before)
-            )
+            holder["moved"] = fp_stats.commits > before
 
         cluster.run_process(driver())
         sim.run()
         quiet_at = sim.now
-        if entry == "chain":
+        if raw:
             landed = sink.read(0, 512)
         else:
             landed = cluster.run_process(ctx.lt_read(holder["lh"], 1024, 512))
@@ -777,17 +778,18 @@ def _one_write(entry: str, fastpath: bool):
             os.environ["REPRO_NO_FASTPATH"] = saved
 
 
-@pytest.mark.parametrize("entry,moved", [
-    ("plan", (True, False, False)),    # lt_write, plain LMR
-    ("wr", (False, True, False)),      # lt_write, replicated LMR
-    ("chain", (False, False, True)),   # raw_write_async
-], ids=["plan", "wr", "chain"])
-def test_three_entries_one_timeline(entry, moved):
-    """The same write through each public entry commits on that entry
-    and completes at the instant the generator path completes it."""
-    fast = _one_write(entry, fastpath=True)
-    slow = _one_write(entry, fastpath=False)
-    assert fast[3] == moved, "the op must commit on the named entry only"
-    assert slow[3] == (False, False, False)
+@pytest.mark.parametrize("caller", [
+    "lt_write",              # one remote piece: the shortcut, no barrier
+    "replicated_lt_write",   # primary and backup pieces through the walk
+    "raw_write_async",       # an RPC ring leg, unsignaled
+])
+def test_three_callers_one_timeline(caller):
+    """The same write from each LITE caller commits through its own
+    ``SendWR`` at the one post-time entry, and completes at the instant
+    the generator path completes it."""
+    fast = _one_write(caller, fastpath=True)
+    slow = _one_write(caller, fastpath=False)
+    assert fast[3], "the op must commit"
+    assert not slow[3]
     assert fast[2] and slow[2], "the payload must land"
     assert fast[:2] == slow[:2], "completion instants diverged"

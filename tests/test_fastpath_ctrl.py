@@ -161,13 +161,11 @@ def test_control_plane_and_litelog_equivalence(scenario, wrs, counted):
     assert fast[3] == slow[3], "CPU ledger diverged"
     assert off["attempts"] == 0
     assert delta["mismodels"] == 0
-    assert sum(delta[name] for name in (
-        "attempts", "chain_attempts", "vec_attempts")) == sum(
-            count for name, count in delta.items()
-            if name.startswith("rej_") or name.endswith("commits"))
+    assert delta["attempts"] == delta["commits"] + sum(
+        count for name, count in delta.items() if name.startswith("rej_"))
     if wrs:
-        # Sequential: every SEND / atomic WR is an attempt at the WR
-        # entries (the log's LT_writes ride the plan entry).
+        # Sequential: every SEND / atomic WR is an attempt (and so is
+        # each of the log's LT_writes).
         assert delta["attempts"] >= wrs
         assert delta["commits"] >= 0.95 * delta["attempts"]
     for counter in counted:

@@ -1,14 +1,14 @@
-"""Plan entry and multi-chunk fan-out: A/B equivalence and crash fencing.
+"""LMR ops on the one fast-path entry: A/B equivalence and crash fencing.
 
-``try_fast_post_vec`` serves LMR ops whose plan is one remote piece
-from that chunk's address, read off the mapping's chunk list on every
-attempt (docs/INTERNALS.md §13); every other shape — local+remote chunk
-straddles, multi-chunk ops, replica fan-out (``replicas=k``) — falls
-through to the per-piece loop, whose pieces each try the WR entry.  All
-of it must stay *bit-identical* to the generator path: sparse scattered
-sub-ranges, active fault plans, and a primary crash mid-transfer
-(failover promotion retargets the mapping, and no op may commit against
-the stale layout).
+An LT_write / LT_read that lands in one remote chunk of an unreplicated
+LMR builds that piece's ``SendWR`` from the mapping's live chunk list
+and tries the commit once, with no barrier (docs/INTERNALS.md §13);
+every other shape — local+remote chunk straddles, multi-chunk ops,
+replica fan-out (``replicas=k``) — walks its pieces, and each remote
+piece tries the same entry.  All of it must stay *bit-identical* to the
+generator path: sparse scattered sub-ranges, active fault plans, and a
+primary crash mid-transfer (failover promotion retargets the mapping,
+and no op may commit against the stale layout).
 
 As in test_fastpath.py, comparison happens only at quiescence: a commit
 accounts counters at commit time, so mid-flight snapshots may legally
@@ -119,11 +119,11 @@ def _run_vec_workload(seed: int, fastpath: bool, faults: bool):
 @pytest.mark.parametrize("seed", [3, 41])
 @pytest.mark.parametrize("faults", [False, True])
 def test_vec_equivalence_randomized(seed, faults):
-    commits_before = fp_stats.commits + fp_stats.vec_commits
+    commits_before = fp_stats.commits
     mismodels_before = fp_stats.mismodels
     fast = _run_vec_workload(seed, fastpath=True, faults=faults)
     if not faults:
-        assert fp_stats.commits + fp_stats.vec_commits > commits_before, \
+        assert fp_stats.commits > commits_before, \
             "the workload must actually exercise fast-path commits"
         assert fp_stats.mismodels == mismodels_before, \
             "clean runs must not widen any hold"
@@ -188,22 +188,21 @@ def test_single_piece_target_resolves_from_its_chunk(offset):
     """A one-chunk shape, in the first chunk or past a walk of three,
     resolves its target from the chunk every op and commits."""
     mapping, delta = _repeat_one_shape(offset, 4096)
-    assert len(mapping.plan(offset, 4096)) == 1
-    assert delta["plan_hits"] == 8 and delta["plan_builds"] == 0
-    assert delta["vec_commits"] >= 6, \
+    assert mapping.piece(offset, 4096) == (
+        mapping.chunks[offset // CHUNK], offset % CHUNK)
+    assert delta["attempts"] == 8
+    assert delta["commits"] >= 6, \
         "the resolved target must commit (the first op may miss a cold cache)"
     assert delta["mismodels"] == 0
 
 
 def test_multi_chunk_shape_declines_to_the_piece_walk():
-    """A 3-chunk shape declines every attempt; its pieces ride the
-    per-piece path."""
+    """A 3-chunk shape is no single piece; it walks, and each of its
+    pieces tries the entry once."""
     mapping, delta = _repeat_one_shape(CHUNK // 2, 2 * CHUNK)
     assert len(mapping.plan(CHUNK // 2, 2 * CHUNK)) == 3
-    assert delta["vec_attempts"] == 8 and delta["rej_shape"] >= 8
-    assert delta["plan_builds"] == 8 and delta["plan_hits"] == 0
-    assert delta["vec_commits"] == 0
-    assert delta["attempts"] == 24, "three pieces per op try the WR entry"
+    assert mapping.piece(CHUNK // 2, 2 * CHUNK) is None
+    assert delta["attempts"] == 24, "three pieces per op try the entry"
     assert delta["commits"] > 0
     assert delta["mismodels"] == 0
 
@@ -283,9 +282,9 @@ def test_mid_transfer_crash_vec_ab_identity():
     Failover promotion remaps ``lh -> (node, addr)`` via
     ``MappedLmr.retarget`` — an op committing against the promoted-away
     layout would diverge time, snapshot, and outcomes."""
-    commits_before = fp_stats.commits + fp_stats.vec_commits
+    commits_before = fp_stats.commits
     fast = _run_vec_crash_burst(fastpath=True)
-    assert fp_stats.commits + fp_stats.vec_commits > commits_before, \
+    assert fp_stats.commits > commits_before, \
         "the burst must actually exercise fast-path commits"
     slow = _run_vec_crash_burst(fastpath=False)
     assert fast[0] == slow[0], "final sim time diverged"
@@ -409,8 +408,8 @@ def test_atomics_on_per_mr_chunk(node):
 
 
 # ---------------------------------------------------------------------------
-# The plan entry resolves only an address, from the live chunk list; peer
-# liveness is read per attempt, CostTable.resolve answers for the rest
+# A single-piece op takes only an address from the live chunk list; peer
+# liveness is read per op, CostTable.resolve answers for the rest
 # ---------------------------------------------------------------------------
 def _memo_cluster(per_mr: bool = False):
     """A 3-node cluster, fast path on, and a context on LITE 1."""
@@ -424,8 +423,8 @@ def _memo_cluster(per_mr: bool = False):
 def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
     """``lt_free`` then an ``lt_malloc`` landing on the same physical
     range: the freed mapping's address now names the new allocation, and
-    a read through it must return *its* bytes — the plan entry holds no
-    backing to go stale."""
+    a read through it must return *its* bytes — nothing on the way holds
+    a backing to go stale."""
     cluster, kernels, ctx = _memo_cluster()
     out = {}
 
@@ -444,8 +443,8 @@ def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
 
     cluster.run_process(driver())
     delta = _delta(out["before"])
-    assert delta["plan_hits"] == 1 and delta["plan_builds"] == 0
-    assert delta["vec_commits"] == 1 and delta["mismodels"] == 0
+    assert delta["attempts"] == 1 and delta["commits"] == 1
+    assert delta["mismodels"] == 0
     assert out["data"] == b"n" * 4096
 
 
@@ -472,8 +471,8 @@ def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
 
     cluster.run_process(driver())
     delta = _delta(out["before"])
-    assert delta["plan_hits"] == 1 and delta["vec_commits"] == 0
-    assert delta["rej_target"] >= 1 and delta["mismodels"] == 0
+    assert delta["attempts"] == 1 and delta["commits"] == 0
+    assert delta["rej_target"] == 1 and delta["mismodels"] == 0
     assert "error" in out
 
 
@@ -502,6 +501,65 @@ def test_move_then_realloc_never_commits_a_stale_address():
 
     cluster.run_process(driver())
     delta = _delta(out["before"])
-    assert delta["plan_hits"] == 3 and delta["mismodels"] == 0
+    assert delta["attempts"] == 3 and delta["mismodels"] == 0
     assert out["squatter"] == b"s" * 4096
     assert out["moved"] == b"3" * 4096
+
+
+def _rejects(delta) -> int:
+    return sum(count for name, count in delta.items()
+               if name.startswith("rej_"))
+
+
+@pytest.mark.parametrize("op", ["write", "read"])
+def test_declined_single_piece_op_is_attempted_once(op):
+    """An ordinary event due inside the op's window declines the commit;
+    the same WR then takes the generator path without a second attempt,
+    and the op still completes."""
+    cluster, kernels, ctx = _memo_cluster()
+    sim = cluster.sim
+    engine = kernels[0].onesided
+    out = {}
+
+    def driver():
+        lh = yield from ctx.lt_malloc(4096, name="once", nodes=2)
+        yield from ctx.lt_write(lh, 0, b"w" * 4096)  # warms both RNICs
+        mapping = lh.mapping
+        out["before"] = _stats()
+        sim.timeout(0.001)  # nothing waits on it; it bounds the horizon
+        if op == "write":
+            yield from engine.write(mapping, 0, b"v" * 4096)
+        else:
+            out["data"] = yield from engine.read(mapping, 0, 4096)
+        out["delta"] = _delta(out["before"])
+        if op == "write":
+            out["data"] = yield from ctx.lt_read(lh, 0, 4096)
+
+    cluster.run_process(driver())
+    delta = out["delta"]
+    assert delta["attempts"] == 1 and delta["commits"] == 0
+    assert _rejects(delta) == 1, "one declined op, one reject"
+    assert delta["rej_floor"] == 1 and delta["mismodels"] == 0
+    assert out["data"] == (b"v" if op == "write" else b"w") * 4096
+
+
+@pytest.mark.parametrize("offset,error", [
+    (CHUNK - 4, "straddle"),        # the word crosses a chunk boundary
+    (4 * CHUNK - 4, "outside"),     # the word runs past the LMR's end
+], ids=["straddle", "outside"])
+def test_atomic_target_must_be_one_in_range_word(offset, error):
+    reset_global_counters()
+    cluster = Cluster(3, params=SimParams(lite_chunk_bytes=CHUNK))
+    kernels = lite_boot(cluster)
+    ctx = LiteContext(kernels[0], "word", kernel_level=True)
+    out = {}
+
+    def driver():
+        lh = yield from ctx.lt_malloc(4 * CHUNK, name="word", nodes=[2, 3])
+        try:
+            yield from ctx.lt_fetch_add(lh, offset, 1)
+        except ValueError as exc:
+            out["error"] = str(exc)
+
+    cluster.run_process(driver())
+    assert error in out["error"]

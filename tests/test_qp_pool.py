@@ -226,13 +226,12 @@ def test_churn_fastpath_ab_identical():
                     yield cluster.sim.timeout(7.0)
 
             cluster.sim.process(background(), name="bg-writer")
-            commits_before = fp_stats.commits + fp_stats.vec_commits
+            commits_before = fp_stats.commits
             stats = run_churn(
                 cluster, kernels, n_clients=10, seed=5,
                 abandon_every=4, mean_gap_us=25.0,
             )
-            commits = (fp_stats.commits + fp_stats.vec_commits
-                       - commits_before)
+            commits = fp_stats.commits - commits_before
             snap = dataclasses.asdict(snapshot(cluster))
             return (
                 (stats.fingerprint[0], stats.hits, stats.misses,

@@ -110,15 +110,15 @@ path on vs off comparison the same run makes with its kill-switch
 pass.  LITE's control `SEND`s attempt it at post time through
 `try_fast_post`, like the data plane's WRs.  Native `qp.post_send`
 traffic attempts the same commit from the WR's start hop (the
-prologue of `QueuePair._execute` calling `_try_wr`, which that `cum_s`
-row does not name; its time is inside `verbs.fastpath.self_s`), so
+prologue of `QueuePair._execute` calling `try_fast_post` too, so
+that `cum_s` row counts both entries), so
 `verbs_mr_thrash` commits every op, SRAM misses included.  *Why*
 attempts are declined is data too: `python3 tools/fp_rejects.py
 [workload ...]` runs one pass per workload and prints, for set-up and
 timed region apart, attempts, commits, the `fp_stats.rej_*` counters —
 each declined attempt under the first entry condition that failed —
 and the WRs that ran the generator path with no attempt at all, by
-opcode (`docs/INTERNALS.md` §13 carries the table).
+opcode (`docs/INTERNALS.md` §13 says how to read it).
 
 Host memory and first-touch time belong to the same budget: the
 backing store is demand-paged (`docs/INTERNALS.md` §1), and the two

@@ -21,7 +21,6 @@ from .obs import (
     MetricsRegistry,
     Tracer,
     install_tracer,
-    set_enabled,
     uninstall_tracer,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "MetricsRegistry",
     "install_tracer",
     "uninstall_tracer",
-    "set_enabled",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from ..hw.caches import LruDict
 from ..sim import Event, Resource, Store
 from ..verbs import Access, Opcode, RecvWR, SendWR
-from ..verbs.fastpath import try_fast_post
+from ..verbs.fastpath import prime_qp, try_fast_post
 from .errors import ENODEV, ETIMEDOUT, LiteError
 from .lmr import ChunkInfo, MasterRecord, MappedLmr, Permission
 from .protocol import MsgType, decode_ctrl, encode_ctrl
@@ -215,8 +215,6 @@ class LiteKernel:
         other.node_to_lite[self.node.node_id] = self.lite_id
         # Build the fast-path cost tables eagerly so the very first op
         # on each shared QP can commit without a table-build stall.
-        from ..verbs.fastpath import prime_qp
-
         for qp in mine.qps:
             prime_qp(qp)
         for qp in theirs.qps:
@@ -413,28 +411,18 @@ class LiteKernel:
     # The shared polling thread (one per node, §5.1/§6.1)
     # ------------------------------------------------------------------
     def _poll_loop(self):
+        # Each wakeup drains up to ``cq_poll_batch`` CQEs with one poll
+        # call (§5.2): one discovery latency and one dispatch charge per
+        # batch; a batch of 1 is one of each per CQE.
         cpu = self.node.cpu
         batch = max(1, self.params.cq_poll_batch)
-        if batch == 1:
-            # Seed-identical path: one discovery wait and one dispatch
-            # charge per CQE.
-            while True:
-                wc = yield from cpu.busy_wait(
-                    self.recv_cq.wait_wc(), tag="lite-poll"
-                )
-                cpu.charge("lite-poll", 0.10)  # dispatch bookkeeping
+        while True:
+            wcs = yield from cpu.adaptive_poll(
+                self.recv_cq, tag="lite-poll", max_entries=batch
+            )
+            cpu.charge("lite-poll", 0.10)  # dispatch bookkeeping
+            for wc in wcs:
                 self._dispatch_wc(wc)
-        else:
-            # Coalesced path (§5.2): each wakeup drains the CQ backlog
-            # with a single poll call — one discovery latency and one
-            # dispatch charge amortized over the whole batch.
-            while True:
-                wcs = yield from cpu.adaptive_poll(
-                    self.recv_cq, tag="lite-poll", max_entries=batch
-                )
-                cpu.charge("lite-poll", 0.10)  # dispatch bookkeeping
-                for wc in wcs:
-                    self._dispatch_wc(wc)
 
     def _dispatch_wc(self, wc) -> None:
         """Demultiplex one receive-side CQE (control msg or RPC imm)."""

@@ -29,6 +29,7 @@ from .protocol import (
     MAX_TOKEN,
     REPLY_HEADER_BYTES,
     REQ_HEADER_BYTES,
+    MsgType,
     pack_reply_imm,
     pack_request_imm,
     unpack_imm,
@@ -194,8 +195,6 @@ class RpcEngine:
         gate = self.sim.event()
         self._binding[server_id] = gate
         head_region = self.kernel.node.memory.alloc(8)
-        from .protocol import MsgType
-
         try:
             reply = yield from self.kernel.ctrl_request(
                 server_id,

@@ -3,7 +3,7 @@
 Quick start::
 
     from repro.obs import install_tracer
-    tracer = install_tracer(cluster)      # None if the kill switch is off
+    tracer = install_tracer(cluster)
     ... run workload ...
     from repro.obs import to_jsonl, aggregate_breakdown, format_breakdown
     print(to_jsonl(tracer))
@@ -20,8 +20,6 @@ from .trace import (
     Span,
     Tracer,
     install_tracer,
-    is_enabled,
-    set_enabled,
     traced_op,
     uninstall_tracer,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "Tracer",
     "install_tracer",
     "uninstall_tracer",
-    "set_enabled",
-    "is_enabled",
     "traced_op",
     "span_record",
     "to_jsonl",

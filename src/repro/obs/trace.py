@@ -19,28 +19,10 @@ from .metrics import MetricsRegistry
 __all__ = [
     "Span",
     "Tracer",
-    "set_enabled",
-    "is_enabled",
     "install_tracer",
     "uninstall_tracer",
     "traced_op",
 ]
-
-# Module-level kill switch.  When off, install_tracer() is a no-op and
-# the whole subsystem stays dormant (sim.tracer remains None).
-_ENABLED = True
-
-
-def set_enabled(flag: bool) -> None:
-    """Flip the global tracing kill switch."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-def is_enabled() -> bool:
-    """Whether install_tracer() will actually install anything."""
-    return _ENABLED
-
 
 class Span:
     """One timed interval in an op's life, in simulated microseconds."""
@@ -202,11 +184,9 @@ class Tracer:
 
 
 def install_tracer(cluster, metrics: Optional[MetricsRegistry] = None):
-    """Attach a Tracer to ``cluster`` (no-op returning None when the
-    kill switch is off).  Also points each node's HostMemory at the
-    tracer so allocation markers can be recorded."""
-    if not _ENABLED:
-        return None
+    """Attach a Tracer to ``cluster`` and return it.  Also points each
+    node's HostMemory at the tracer so allocation markers can be
+    recorded."""
     tracer = Tracer(cluster.sim, metrics)
     cluster.sim.tracer = tracer
     for node in cluster.nodes:

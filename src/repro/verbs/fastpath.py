@@ -44,8 +44,9 @@ Soundness rests on two pillars:
    of previously committed fast ops — so no third party can observe the
    (slightly widened) hold windows or the eagerly-applied counters.
 
-What still deviates, by design (all counter/LRU-state end-equivalent,
-none timing-visible under the horizon check; see INTERNALS §13):
+What still deviates, by design (counters end-equivalent, LRU order too
+but for a multi-piece read racing its own pieces; none timing-visible
+under the horizon check; see INTERNALS §13):
 cache lookups are replayed at commit time rather than at the lookup
 instants (a *miss*, which installs and may evict, only from the native
 start hop with no committed op in flight), and byte counters

@@ -17,9 +17,6 @@ from repro.workloads import generate_corpus, powerlaw_graph
 def test_uc_write_completes_without_ack():
     """UC writes complete locally (no ACK wait): faster completion but
     the same data placement."""
-    cluster = Cluster(2)
-    sim = cluster.sim
-
     def measure(qp_type):
         local = Cluster(2)
 
@@ -51,19 +48,13 @@ def test_uc_write_completes_without_ack():
     assert uc_time < rc_time  # no ACK round
 
 
-def test_same_qp_writes_land_in_posting_order():
+def test_same_qp_writes_land_in_posting_order(pair):
     """RC ordering guarantee: two writes to the same address from one
     QP always leave the second value, even with cache-miss jitter."""
-    cluster = Cluster(2)
+    cluster, mr_a, mr_b, qa = (pair["cluster"], pair["mr_a"], pair["mr_b"],
+                               pair["qa"])
 
     def proc():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        mr_a = yield from a.device.reg_mr(pd_a, 4096, Access.ALL)
-        mr_b = yield from b.device.reg_mr(pd_b, 4096, Access.ALL)
-        qa = a.device.create_qp(pd_a, "RC")
-        qb = b.device.create_qp(pd_b, "RC")
-        a.device.connect(qa, qb)
         mr_a.write(0, b"first!")
         mr_a.write(100, b"second")
         p1 = qa.post_send(SendWR(
@@ -78,17 +69,12 @@ def test_same_qp_writes_land_in_posting_order():
     assert cluster.run_process(proc()) == b"second"
 
 
-def test_dereg_invalidates_rnic_cached_state():
-    cluster = Cluster(2)
+def test_dereg_invalidates_rnic_cached_state(pair):
+    cluster, mr_a, mr_b, qa = (pair["cluster"], pair["mr_a"], pair["mr_b"],
+                               pair["qa"])
+    b = cluster[1]
 
     def proc():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        mr_a = yield from a.device.reg_mr(pd_a, 4096, Access.ALL)
-        mr_b = yield from b.device.reg_mr(pd_b, 4096, Access.ALL)
-        qa = a.device.create_qp(pd_a, "RC")
-        qb = b.device.create_qp(pd_b, "RC")
-        a.device.connect(qa, qb)
         # Warm the remote caches.
         yield qa.post_send(SendWR(
             Opcode.WRITE, sgl=[Sge(mr_a, 0, 8)],

@@ -291,13 +291,17 @@ def test_stage_knobs_are_read_only_by_the_price_list():
 # ------------------------------------------------ trace determinism --
 
 
-def _chaos_plan():
-    from repro.fault import FaultPlan
+def _traced(seed, chaos=False):
+    """The shared mixed workload traced from boot.  Callers hold the
+    returned record: a collected cluster closes its pollers' generators,
+    whose ``finally`` would end their open wait spans mid-comparison."""
+    from tests import ab
 
-    return (FaultPlan()
-            .link_flap(2, start_us=200.0, end_us=1500.0,
-                       down_us=30.0, up_us=120.0)
-            .packet_loss(0.08, start_us=100.0, end_us=2500.0))
+    return ab.run(ab.mixed_traffic, "traced", seed=seed, chaos=chaos)
+
+
+def _tracer(record):
+    return record.run.clusters[0].sim.tracer
 
 
 def test_trace_jsonl_byte_identical_across_runs():
@@ -305,23 +309,19 @@ def test_trace_jsonl_byte_identical_across_runs():
     global object-id counters are reset per run, so even wire-message
     digit counts match exactly)."""
     from repro.obs import to_jsonl
-    from tests.obs_helpers import run_mixed
 
-    _c1, tracer_a, records_a, _s1 = run_mixed(seed=7)
-    _c2, tracer_b, records_b, _s2 = run_mixed(seed=7)
-    assert records_a == records_b
-    assert to_jsonl(tracer_a) == to_jsonl(tracer_b)
+    run_a, run_b = _traced(7), _traced(7)
+    assert run_a.outcomes == run_b.outcomes
+    assert to_jsonl(_tracer(run_a)) == to_jsonl(_tracer(run_b))
 
 
 def test_trace_jsonl_byte_identical_under_faults():
     """Trace determinism survives an active seeded FaultPlan: drops,
     retries, and late spans land identically in both runs."""
     from repro.obs import to_jsonl
-    from tests.obs_helpers import run_mixed
 
-    _c1, tracer_a, _r1, _s1 = run_mixed(seed=11, plan=_chaos_plan())
-    _c2, tracer_b, _r2, _s2 = run_mixed(seed=11, plan=_chaos_plan())
-    jsonl_a, jsonl_b = to_jsonl(tracer_a), to_jsonl(tracer_b)
+    run_a, run_b = _traced(11, chaos=True), _traced(11, chaos=True)
+    jsonl_a, jsonl_b = to_jsonl(_tracer(run_a)), to_jsonl(_tracer(run_b))
     assert "dropped" in jsonl_a or "err:" in jsonl_a  # faults visible
     assert jsonl_a == jsonl_b
 
@@ -330,31 +330,25 @@ def test_trace_chrome_export_deterministic():
     import json
 
     from repro.obs import to_chrome_trace
-    from tests.obs_helpers import run_mixed
 
-    _c1, tracer_a, _r1, _s1 = run_mixed(seed=7)
-    _c2, tracer_b, _r2, _s2 = run_mixed(seed=7)
-    dump = lambda t: json.dumps(to_chrome_trace(t), separators=(",", ":"))
-    assert dump(tracer_a) == dump(tracer_b)
+    run_a, run_b = _traced(7), _traced(7)
+    dump = lambda r: json.dumps(to_chrome_trace(_tracer(r)),
+                                separators=(",", ":"))
+    assert dump(run_a) == dump(run_b)
 
 
 def test_trace_metrics_summary_deterministic():
-    from tests.obs_helpers import run_mixed
-
-    _c1, tracer_a, _r1, _s1 = run_mixed(seed=7)
-    _c2, tracer_b, _r2, _s2 = run_mixed(seed=7)
-    summary_a = tracer_a.metrics.summary()
+    run_a, run_b = _traced(7), _traced(7)
+    summary_a = _tracer(run_a).metrics.summary()
     assert "span.op.lt_write" in summary_a["counters"]
-    assert summary_a == tracer_b.metrics.summary()
+    assert summary_a == _tracer(run_b).metrics.summary()
 
 
 def test_trace_different_seeds_differ():
     from repro.obs import to_jsonl
-    from tests.obs_helpers import run_mixed
 
-    _c1, tracer_a, _r1, _s1 = run_mixed(seed=7)
-    _c2, tracer_b, _r2, _s2 = run_mixed(seed=8)
-    assert to_jsonl(tracer_a) != to_jsonl(tracer_b)
+    run_a, run_b = _traced(7), _traced(8)
+    assert to_jsonl(_tracer(run_a)) != to_jsonl(_tracer(run_b))
 
 
 # --------------------------------------------- engine stress property --

@@ -196,22 +196,16 @@ def test_cq_overflow_is_counted_not_fatal():
     assert cq.overflows == 3
 
 
-def test_rnr_stall_recovers_when_recv_posted_late():
+def test_rnr_stall_recovers_when_recv_posted_late(pair):
     """A SEND arriving before any recv buffer waits (RNR) and completes
     once the application posts one."""
-    from repro.verbs import Opcode, RecvWR, SendWR, Sge, Access
+    from repro.verbs import Opcode, RecvWR, SendWR, Sge
 
-    cluster = Cluster(2)
+    cluster, mr_a, mr_b = pair["cluster"], pair["mr_a"], pair["mr_b"]
+    qa, qb = pair["qa"], pair["qb"]
     sim = cluster.sim
 
     def proc():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        mr_a = yield from a.device.reg_mr(pd_a, 4096, Access.ALL)
-        mr_b = yield from b.device.reg_mr(pd_b, 4096, Access.ALL)
-        qa = a.device.create_qp(pd_a, "RC")
-        qb = b.device.create_qp(pd_b, "RC")
-        a.device.connect(qa, qb)
         mr_a.write(0, b"patience")
         send_proc = qa.post_send(SendWR(Opcode.SEND, sgl=[Sge(mr_a, 0, 8)]))
         yield sim.timeout(100)

@@ -5,12 +5,12 @@ LITE-Log commit is ``LT_fetch-add`` + ``LT_write`` (paper §4.1, §8.1):
 the two shapes ``verbs/fastpath.py`` learned last (docs/INTERNALS.md
 §13).  A control SEND tries the commit once, at post time, like the
 data plane's WRs.  Each scenario runs with the fast path on and with
-``sim.fastpath_enabled = False`` and must agree on every simulated
-instant, the cluster snapshot, the CPU ledger and the bytes in the log.
+the generator path only and must agree on every simulated
+instant, the cluster snapshot (CPU ledger included), the SRAM caches and
+the bytes in the log (``tests/ab.py``).
 """
 
 import base64
-import dataclasses
 import gc
 import json
 import sys
@@ -18,12 +18,11 @@ import sys
 import pytest
 
 from repro.apps.litelog import LiteLog, LogWriter
-from repro.cluster import Cluster
 from repro.core import LiteContext, Permission, lite_boot
 from repro.core.protocol import MsgType, decode_ctrl, encode_ctrl
 from repro.determinism import reset_global_counters
-from repro.stats import snapshot
-from repro.verbs.fastpath import fp_stats
+
+from tests import ab
 
 
 def _malloc_free(cluster, kernels, out):
@@ -126,20 +125,13 @@ def _log_writers(n_writers, commits):
     return scenario
 
 
-def _run(scenario, fastpath: bool):
-    reset_global_counters()
-    before = {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
-    cluster = Cluster(3)
-    cluster.sim.fastpath_enabled = fastpath
-    kernels = lite_boot(cluster)
+def _booted(run, body):
+    """Three booted nodes running ``body(cluster, kernels, out)``."""
+    cluster = run.cluster(3)
     out = []
-    cluster.run_process(scenario(cluster, kernels, out))
+    cluster.run_process(body(cluster, lite_boot(cluster), out))
     cluster.sim.run()
-    delta = {name: getattr(fp_stats, name) - before[name]
-             for name in fp_stats.__slots__}
-    ledger = [sorted(node.cpu.busy_time.items()) for node in cluster.nodes]
-    return (cluster.sim.now, out, dataclasses.asdict(snapshot(cluster)),
-            ledger), delta
+    return out
 
 
 @pytest.mark.parametrize("scenario,wrs,counted", [
@@ -153,16 +145,8 @@ def _run(scenario, fastpath: bool):
     ids=["malloc_free", "map_grant", "locks_barriers", "fragments",
          "cold_qp", "log_1_writer", "log_6_writers"])
 def test_control_plane_and_litelog_equivalence(scenario, wrs, counted):
-    fast, delta = _run(scenario, True)
-    slow, off = _run(scenario, False)
-    assert fast[0] == slow[0], "final simulated time diverged"
-    assert fast[1] == slow[1], "per-op instants / log bytes diverged"
-    assert fast[2] == slow[2], "cluster snapshot diverged"
-    assert fast[3] == slow[3], "CPU ledger diverged"
-    assert off["attempts"] == 0
+    delta = ab.check(_booted, body=scenario)["fast"].fp
     assert delta["mismodels"] == 0
-    assert delta["attempts"] == delta["commits"] + sum(
-        count for name, count in delta.items() if name.startswith("rej_"))
     if wrs:
         # Sequential: every SEND / atomic WR is an attempt (and so is
         # each of the log's LT_writes).
@@ -185,8 +169,7 @@ _MALLOC_CALLS = {(3, 10): 12_450, (3, 11): 11_709, (3, 12): 11_559,
 
 def test_remote_lt_malloc_python_call_budget():
     reset_global_counters()
-    cluster = Cluster(2)
-    cluster.sim.fastpath_enabled = True
+    cluster = ab.Run("fast").cluster(2)
     kernels = lite_boot(cluster)
     ctx = LiteContext(kernels[0], "budget", kernel_level=True)
     target = kernels[1].lite_id

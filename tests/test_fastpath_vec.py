@@ -5,181 +5,114 @@ LMR builds that piece's ``SendWR`` from the mapping's live chunk list
 and tries the commit once, with no barrier (docs/INTERNALS.md §13);
 every other shape — local+remote chunk straddles, multi-chunk ops,
 replica fan-out (``replicas=k``) — walks its pieces, and each remote
-piece tries the same entry.  All of it must stay *bit-identical* to the
-generator path: sparse scattered sub-ranges, active fault plans, and a
-primary crash mid-transfer (failover promotion retargets the mapping,
-and no op may commit against the stale layout).
-
-As in test_fastpath.py, comparison happens only at quiescence: a commit
-accounts counters at commit time, so mid-flight snapshots may legally
-differ — end states may not.
+piece tries the same entry.  All of it must stay bit-identical to the
+generator path (``tests/ab.py``): sparse scattered sub-ranges, active
+fault plans, and a primary crash mid-transfer (failover promotion
+retargets the mapping, and no op may commit against the stale layout).
 """
 
-import dataclasses
-import os
 import random
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.core import LiteContext, LiteError, Permission, lite_boot
-from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import SimParams
 from repro.recovery import RecoveryManager
-from repro.stats import snapshot
 from repro.verbs import SendWR
-from repro.verbs.fastpath import fp_stats
 
+from tests import ab
 
 # 64 KB chunks: a 256 KB LMR split across two hosts yields four chunks,
 # so modest offsets straddle chunk and host boundaries.
 CHUNK = 64 * 1024
 
 
-def _with_fastpath(enabled):
-    if enabled:
-        os.environ.pop("REPRO_NO_FASTPATH", None)
-    else:
-        os.environ["REPRO_NO_FASTPATH"] = "1"
+def _booted(run, n_nodes=3, **boot):
+    """A cluster of ``CHUNK``-byte LMR chunks and a kernel-level context
+    on LITE 1."""
+    cluster = run.cluster(n_nodes, params=SimParams(lite_chunk_bytes=CHUNK))
+    kernels = lite_boot(cluster, **boot)
+    return cluster, kernels, LiteContext(kernels[0], "vec", kernel_level=True)
 
 
-def _run_vec_workload(seed: int, fastpath: bool, faults: bool):
-    """Randomized multi-chunk ops over three LMR shapes; end observables."""
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    _with_fastpath(fastpath)
-    reset_global_counters()
-    try:
-        params = SimParams(lite_chunk_bytes=CHUNK)
-        cluster = Cluster(3, params=params)
-        kernels = lite_boot(cluster)
-        sim = cluster.sim
-        if faults:
-            plan = FaultPlan.random(
-                seed, [node.node_id for node in cluster.nodes], 60000.0,
-                crashes=0, flaps=1, loss_rate=0.02,
-            )
-            FaultInjector(cluster, plan).install()
-        ctx = LiteContext(kernels[0], "vec", kernel_level=True)
-        holder = {}
+def vec_ops(run, seed: int, faults: bool):
+    """70 random multi-chunk ops over three LMR shapes, hopping between
+    disjoint windows (holes between them) in different chunks."""
+    cluster, _kernels, ctx = _booted(run)
+    if faults:
+        plan = FaultPlan.random(
+            seed, [node.node_id for node in cluster.nodes], 60000.0,
+            crashes=0, flaps=1, loss_rate=0.02,
+        )
+        FaultInjector(cluster, plan).install()
+    holder = {}
 
-        def setup():
-            # Remote-remote straddle: 2 chunks on LITE 2 + 2 on LITE 3.
-            holder["ab"] = yield from ctx.lt_malloc(
-                4 * CHUNK, name="vec-ab", nodes=[2, 3]
-            )
-            # Local+remote straddle: first half loops back through the
-            # caller's own port, second half crosses the wire.
-            holder["loc"] = yield from ctx.lt_malloc(
-                2 * CHUNK, name="vec-loc", nodes=[1, 3]
-            )
-            # Replica fan-out: primary on LITE 2, one full backup.
-            holder["rep"] = yield from ctx.lt_malloc(
-                2 * CHUNK, name="vec-rep", nodes=2, replicas=1
-            )
+    def setup():
+        # Remote-remote straddle: 2 chunks on LITE 2 + 2 on LITE 3.
+        holder["ab"] = yield from ctx.lt_malloc(4 * CHUNK, name="vec-ab",
+                                                nodes=[2, 3])
+        # Local+remote straddle: the first half loops back through the
+        # caller's own port, the second crosses the wire.
+        holder["loc"] = yield from ctx.lt_malloc(2 * CHUNK, name="vec-loc",
+                                                 nodes=[1, 3])
+        # Replica fan-out: primary on LITE 2, one full backup.
+        holder["rep"] = yield from ctx.lt_malloc(2 * CHUNK, name="vec-rep",
+                                                 nodes=2, replicas=1)
 
-        cluster.run_process(setup())
-        rng = random.Random(seed)
-        errors = []
-        # Sparse scattered sub-ranges: ops hop between disjoint windows
-        # (holes between them) in different chunks of each LMR.
-        windows = [0, CHUNK // 2, CHUNK, 2 * CHUNK - 4096, 3 * CHUNK // 2]
+    cluster.run_process(setup())
+    rng = random.Random(seed)
+    outcomes = []
+    windows = [0, CHUNK // 2, CHUNK, 2 * CHUNK - 4096, 3 * CHUNK // 2]
 
-        def driver():
-            yield sim.timeout(5)
-            for index in range(70):
-                which = rng.randrange(3)
-                lh = holder[("ab", "loc", "rep")[which]]
-                span = (4 if which == 0 else 2) * CHUNK
-                base = windows[rng.randrange(len(windows))] % span
-                size = rng.choice((256, 4096, 32768, CHUNK, CHUNK + 8192))
-                size = min(size, span - base)
-                try:
-                    if rng.randrange(3) == 0:
-                        data = yield from ctx.lt_read(lh, base, size)
-                        errors.append(len(data))
-                    else:
-                        yield from ctx.lt_write(
-                            lh, base, bytes([index & 0xFF]) * size
-                        )
-                except LiteError as exc:
-                    errors.append((type(exc).__name__, exc.errno))
+    def driver():
+        yield cluster.sim.timeout(5)
+        for index in range(70):
+            which = rng.randrange(3)
+            lh = holder[("ab", "loc", "rep")[which]]
+            span = (4 if which == 0 else 2) * CHUNK
+            base = windows[rng.randrange(len(windows))] % span
+            size = rng.choice((256, 4096, 32768, CHUNK, CHUNK + 8192))
+            size = min(size, span - base)
+            try:
+                if rng.randrange(3) == 0:
+                    data = yield from ctx.lt_read(lh, base, size)
+                    outcomes.append(len(data))
+                else:
+                    yield from ctx.lt_write(
+                        lh, base, bytes([index & 0xFF]) * size)
+            except LiteError as exc:
+                outcomes.append((type(exc).__name__, exc.errno))
 
-        cluster.run_process(driver())
-        sim.run()  # drain in-flight tails before comparing
-        snap = dataclasses.asdict(snapshot(cluster))
-        return sim.now, snap, errors
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+    cluster.run_process(driver())
+    cluster.sim.run()  # drain in-flight tails before comparing
+    return outcomes
 
 
 @pytest.mark.parametrize("seed", [3, 41])
 @pytest.mark.parametrize("faults", [False, True])
 def test_vec_equivalence_randomized(seed, faults):
-    commits_before = fp_stats.commits
-    mismodels_before = fp_stats.mismodels
-    fast = _run_vec_workload(seed, fastpath=True, faults=faults)
+    fp = ab.check(vec_ops, seed=seed, faults=faults)["fast"].fp
     if not faults:
-        assert fp_stats.commits > commits_before, \
-            "the workload must actually exercise fast-path commits"
-        assert fp_stats.mismodels == mismodels_before, \
-            "clean runs must not widen any hold"
-    slow = _run_vec_workload(seed, fastpath=False, faults=faults)
-    assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "cluster snapshot diverged"
-    assert fast[2] == slow[2], "op outcomes diverged"
-
-
-def _stats():
-    return {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
-
-
-def _delta(before):
-    return {name: getattr(fp_stats, name) - value
-            for name, value in before.items()}
+        assert fp["commits"] > 0, "the workload must exercise commits"
+        assert fp["mismodels"] == 0, "clean runs must not widen any hold"
 
 
 def _repeat_one_shape(offset: int, size: int):
-    """Eight writes of one (offset, size) into a 4-chunk LMR.
+    """Eight writes of one (offset, size) into a 4-chunk LMR, fast path
+    on.  Returns the mapping plus the ``fp_stats`` delta of the burst."""
+    cluster, _kernels, ctx = _booted(ab.Run("fast"))
+    lh = cluster.run_process(ctx.lt_malloc(4 * CHUNK, name="memo",
+                                           nodes=[2, 3]))
+    before = ab.fp_counts()
 
-    Returns the mapping plus the ``fp_stats`` deltas of the burst.
-    """
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    _with_fastpath(True)
-    reset_global_counters()
-    try:
-        params = SimParams(lite_chunk_bytes=CHUNK)
-        cluster = Cluster(3, params=params)
-        kernels = lite_boot(cluster)
-        ctx = LiteContext(kernels[0], "memo", kernel_level=True)
-        holder = {}
+    def driver():
+        for index in range(8):
+            yield from ctx.lt_write(lh, offset, bytes([index]) * size)
 
-        def setup():
-            holder["lh"] = yield from ctx.lt_malloc(
-                4 * CHUNK, name="memo", nodes=[2, 3]
-            )
-
-        cluster.run_process(setup())
-        before = _stats()
-
-        def driver():
-            for index in range(8):
-                yield from ctx.lt_write(
-                    holder["lh"], offset, bytes([index]) * size
-                )
-
-        cluster.run_process(driver())
-        cluster.sim.run()
-        delta = _delta(before)
-        return holder["lh"].require(ctx, Permission.WRITE), delta
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+    cluster.run_process(driver())
+    cluster.sim.run()
+    return lh.require(ctx, Permission.WRITE), ab.fp_delta(before)
 
 
 @pytest.mark.parametrize("offset", [CHUNK // 2, 3 * CHUNK + 100],
@@ -210,89 +143,53 @@ def test_multi_chunk_shape_declines_to_the_piece_walk():
 # ---------------------------------------------------------------------------
 # Mid-transfer crash: promotion must orphan every target of the old layout
 # ---------------------------------------------------------------------------
-def _run_vec_crash_burst(fastpath: bool):
-    """Multi-chunk write burst whose primary crashes mid-burst.
+def vec_crash_burst(run):
+    """40 writes of 1.25 chunks each into a replicated LMR whose primary
+    (fabric node 1, LITE 2) crashes at 2.5 ms and restarts at 8 ms; the
+    lease sweeper promotes the backup and ``MappedLmr.retarget``
+    repoints the mapping."""
+    cluster, kernels, ctx = _booted(run)
+    sim = cluster.sim
+    plan = FaultPlan().crash(1, 2500.0, restart_at_us=8000.0)
+    FaultInjector(cluster, plan).install().arm_lite(
+        kernels, keepalive_interval_us=500.0, miss_limit=2)
+    recovery = RecoveryManager(
+        cluster, kernels, lease_ttl_us=1500.0,
+        renew_interval_us=400.0, sweep_interval_us=300.0,
+    ).arm()
+    lh = cluster.run_process(ctx.lt_malloc(3 * CHUNK, name="vcrash",
+                                           nodes=2, replicas=1))
+    outcomes = []
 
-    The LMR is replicated, so the lease sweeper promotes the backup and
-    ``MappedLmr.retarget`` repoints the mapping — no op may commit
-    against the dead layout again.  Returns end-state observables plus
-    the recovery lifecycle counts.
-    """
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    _with_fastpath(fastpath)
-    reset_global_counters()
-    try:
-        params = SimParams(lite_chunk_bytes=CHUNK)
-        cluster = Cluster(3, params=params)
-        kernels = lite_boot(cluster)
-        sim = cluster.sim
-        # Fabric node 1 is LITE 2: the primary's host.
-        plan = FaultPlan().crash(1, 2500.0, restart_at_us=8000.0)
-        injector = FaultInjector(cluster, plan).install()
-        injector.arm_lite(kernels, keepalive_interval_us=500.0, miss_limit=2)
-        recovery = RecoveryManager(
-            cluster, kernels, lease_ttl_us=1500.0,
-            renew_interval_us=400.0, sweep_interval_us=300.0,
-        ).arm()
-        ctx = LiteContext(kernels[0], "vcrash", kernel_level=True)
-        holder = {}
+    def driver():
+        for index in range(40):
+            # Every op straddles at least two chunks, so the burst rides
+            # the per-piece fall-through right up to the crash.
+            offset = (index * 8192) % CHUNK
+            try:
+                yield from ctx.lt_write(
+                    lh, offset, bytes([index & 0xFF]) * (CHUNK + 16384))
+                outcomes.append(index)
+            except LiteError as exc:
+                outcomes.append((type(exc).__name__, exc.errno))
+                yield sim.timeout(200.0)
+            yield sim.timeout(60.0)
+        if sim.now < 12000.0:
+            yield sim.timeout(12000.0 - sim.now)
+        recovery.stop()
 
-        def setup():
-            holder["lh"] = yield from ctx.lt_malloc(
-                3 * CHUNK, name="vcrash", nodes=2, replicas=1
-            )
-
-        cluster.run_process(setup())
-        lh = holder["lh"]
-        outcomes = []
-
-        def driver():
-            for index in range(40):
-                # Every op straddles at least two chunks, so the burst
-                # rides the per-piece fall-through right up to the crash.
-                offset = (index * 8192) % CHUNK
-                size = CHUNK + 16384
-                try:
-                    yield from ctx.lt_write(
-                        lh, offset, bytes([index & 0xFF]) * size
-                    )
-                    outcomes.append(index)
-                except LiteError as exc:
-                    outcomes.append((type(exc).__name__, exc.errno))
-                    yield sim.timeout(200.0)
-                yield sim.timeout(60.0)
-            if sim.now < 12000.0:
-                yield sim.timeout(12000.0 - sim.now)
-            recovery.stop()
-
-        cluster.run_process(driver())
-        snap = dataclasses.asdict(snapshot(cluster))
-        return (sim.now, snap, outcomes,
-                recovery.promotions, recovery.rejoins)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+    cluster.run_process(driver())
+    run.extras.update(promotions=recovery.promotions, rejoins=recovery.rejoins)
+    return outcomes
 
 
 def test_mid_transfer_crash_vec_ab_identity():
-    """A primary crash mid multi-chunk burst must stay bit-identical A/B.
-
-    Failover promotion remaps ``lh -> (node, addr)`` via
-    ``MappedLmr.retarget`` — an op committing against the promoted-away
-    layout would diverge time, snapshot, and outcomes."""
-    commits_before = fp_stats.commits
-    fast = _run_vec_crash_burst(fastpath=True)
-    assert fp_stats.commits > commits_before, \
-        "the burst must actually exercise fast-path commits"
-    slow = _run_vec_crash_burst(fastpath=False)
-    assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "cluster snapshot diverged"
-    assert fast[2] == slow[2], "op outcomes diverged"
-    assert fast[3:] == slow[3:], "recovery lifecycle diverged"
-    assert fast[3] >= 1, "the crash must trigger a promotion"
-    assert fast[4] >= 1, "the restart must trigger a rejoin"
+    """An op committing against the promoted-away layout would diverge
+    time, snapshot, outcomes and the recovery lifecycle."""
+    fast = ab.check(vec_crash_burst)["fast"]
+    assert fast.fp["commits"] > 0, "the burst must exercise commits"
+    assert fast.extras["promotions"] >= 1, "the crash must promote"
+    assert fast.extras["rejoins"] >= 1, "the restart must rejoin"
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +212,8 @@ def _chunk_bytes(kernels, chunks) -> bytes:
     return b"".join(parts)
 
 
-def _run_walker_case(per_mr: bool, placement: str, op: str, fastpath: bool):
-    reset_global_counters()
-    cluster = Cluster(4, params=SimParams(lite_chunk_bytes=CHUNK))
-    sim = cluster.sim
-    sim.fastpath_enabled = fastpath
-    kernels = lite_boot(cluster, use_global_mr=not per_mr)
-    ctx = LiteContext(kernels[0], "walk", kernel_level=True)
+def walker_case(run, per_mr: bool, placement: str, op: str):
+    cluster, kernels, ctx = _booted(run, 4, use_global_mr=not per_mr)
     size = 6 * CHUNK
     oracle = bytearray(size)
     seed = bytes(range(251)) * (size // 251 + 1)
@@ -342,8 +234,7 @@ def _run_walker_case(per_mr: bool, placement: str, op: str, fastpath: bool):
             yield from ctx.lt_write(*put(_OFF, data[:_LEN]))
         elif op == "write_vec":
             yield from ctx.lt_write_vec(
-                [put(_OFF, data[:_LEN]), put(64, data[:4096])]
-            )
+                [put(_OFF, data[:_LEN]), put(64, data[:4096])])
         elif op == "read":
             got = yield from ctx.lt_read(lh, _OFF, _LEN)
             assert got == oracle[_OFF : _OFF + _LEN]
@@ -352,7 +243,7 @@ def _run_walker_case(per_mr: bool, placement: str, op: str, fastpath: bool):
             assert got == [oracle[_OFF : _OFF + _LEN], oracle[64 : 64 + 4096]]
 
     cluster.run_process(driver())
-    sim.run()
+    cluster.sim.run()
     mapping = holder["lh"].mapping
     assert len(mapping.plan(_OFF, _LEN)) == 4
     assert (mapping.chunks[0].rkey is not None) == per_mr
@@ -360,7 +251,7 @@ def _run_walker_case(per_mr: bool, placement: str, op: str, fastpath: bool):
     assert len(mapping.replica_chunks) == (op == "replicated_write")
     for bchunks in mapping.replica_chunks.values():
         assert _chunk_bytes(kernels, bchunks) == oracle
-    return sim.now, dataclasses.asdict(snapshot(cluster)), SendWR._next_id
+    return SendWR._next_id   # the WR id allocation
 
 
 @pytest.mark.parametrize("op", ["write", "read", "write_vec", "read_vec",
@@ -368,19 +259,17 @@ def _run_walker_case(per_mr: bool, placement: str, op: str, fastpath: bool):
 @pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
 @pytest.mark.parametrize("per_mr", [False, True], ids=["global", "per_mr"])
 def test_walker_matrix(per_mr, placement, op):
-    fast = _run_walker_case(per_mr, placement, op, fastpath=True)
-    slow = _run_walker_case(per_mr, placement, op, fastpath=False)
-    assert fast[0] == slow[0], "final sim time diverged"
-    assert fast[1] == slow[1], "cluster snapshot diverged"
-    assert fast[2] == slow[2], "SendWR id allocation diverged"
+    # A 4-piece read whose first remote piece commits at post time
+    # touches the requester's QP-state cache before its generator-path
+    # siblings do: same contents and counters, another LRU order.
+    ab.check(walker_case, per_mr=per_mr, placement=placement, op=op,
+             lru_order=op != "read" or placement == "local")
 
 
-def _run_per_mr_atomics(node: int, fastpath: bool):
-    reset_global_counters()
-    cluster = Cluster(2)
-    cluster.sim.fastpath_enabled = fastpath
-    kernels = lite_boot(cluster, use_global_mr=False)
-    ctx = LiteContext(kernels[0], "atom", kernel_level=True)
+def per_mr_atomics(run, node: int):
+    cluster = run.cluster(2)
+    ctx = LiteContext(lite_boot(cluster, use_global_mr=False)[0], "atom",
+                      kernel_level=True)
     out = []
 
     def driver():
@@ -395,16 +284,14 @@ def _run_per_mr_atomics(node: int, fastpath: bool):
     cluster.run_process(driver())
     cluster.sim.run()
     assert out == [0, 5, 4, 99, (99).to_bytes(8, "little")]
-    return (cluster.sim.now, dataclasses.asdict(snapshot(cluster)),
-            SendWR._next_id)
+    return SendWR._next_id
 
 
 @pytest.mark.parametrize("node", [1, 2], ids=["local", "remote"])
 def test_atomics_on_per_mr_chunk(node):
     """``_atomic`` shares the walker's address rule: a per-MR chunk is
     addressed by its own VA + rkey."""
-    assert (_run_per_mr_atomics(node, fastpath=True)
-            == _run_per_mr_atomics(node, fastpath=False))
+    ab.check(per_mr_atomics, node=node)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +300,7 @@ def test_atomics_on_per_mr_chunk(node):
 # ---------------------------------------------------------------------------
 def _memo_cluster(per_mr: bool = False):
     """A 3-node cluster, fast path on, and a context on LITE 1."""
-    reset_global_counters()
-    cluster = Cluster(3)
-    cluster.sim.fastpath_enabled = True
+    cluster = ab.Run("fast").cluster(3)
     kernels = lite_boot(cluster, use_global_mr=not per_mr)
     return cluster, kernels, LiteContext(kernels[0], "memo", kernel_level=True)
 
@@ -437,12 +322,12 @@ def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
         new = yield from ctx.lt_malloc(4096, name="new", nodes=2)
         assert new.mapping.chunks[0].addr == old.mapping.chunks[0].addr
         yield from ctx.lt_write(new, 0, b"n" * 4096)
-        out["before"] = _stats()
+        out["before"] = ab.fp_counts()
         # Below the lh check, through the freed LMR's mapping.
         out["data"] = yield from kernels[0].onesided.read(out["mapping"], 0, 4096)
 
     cluster.run_process(driver())
-    delta = _delta(out["before"])
+    delta = ab.fp_delta(out["before"])
     assert delta["attempts"] == 1 and delta["commits"] == 1
     assert delta["mismodels"] == 0
     assert out["data"] == b"n" * 4096
@@ -463,14 +348,14 @@ def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
         yield from ctx.lt_write(lh, 0, b"y" * 4096)
         mapping = lh.mapping
         yield from ctx.lt_free(lh)
-        out["before"] = _stats()
+        out["before"] = ab.fp_counts()
         try:
             yield from kernels[0].onesided.write(mapping, 0, b"z" * 4096)
         except LiteError as exc:
             out["error"] = exc
 
     cluster.run_process(driver())
-    delta = _delta(out["before"])
+    delta = ab.fp_delta(out["before"])
     assert delta["attempts"] == 1 and delta["commits"] == 0
     assert delta["rej_target"] == 1 and delta["mismodels"] == 0
     assert "error" in out
@@ -494,21 +379,16 @@ def test_move_then_realloc_never_commits_a_stale_address():
         squatter = yield from ctx.lt_malloc(4096, name="squatter", nodes=2)
         assert squatter.mapping.chunks[0].addr == vacated
         yield from ctx.lt_write(squatter, 0, b"s" * 4096)
-        out["before"] = _stats()
+        out["before"] = ab.fp_counts()
         yield from ctx.lt_write(moved, 0, b"3" * 4096)
         out["squatter"] = yield from ctx.lt_read(squatter, 0, 4096)
         out["moved"] = yield from ctx.lt_read(moved, 0, 4096)
 
     cluster.run_process(driver())
-    delta = _delta(out["before"])
+    delta = ab.fp_delta(out["before"])
     assert delta["attempts"] == 3 and delta["mismodels"] == 0
     assert out["squatter"] == b"s" * 4096
     assert out["moved"] == b"3" * 4096
-
-
-def _rejects(delta) -> int:
-    return sum(count for name, count in delta.items()
-               if name.startswith("rej_"))
 
 
 @pytest.mark.parametrize("op", ["write", "read"])
@@ -525,20 +405,20 @@ def test_declined_single_piece_op_is_attempted_once(op):
         lh = yield from ctx.lt_malloc(4096, name="once", nodes=2)
         yield from ctx.lt_write(lh, 0, b"w" * 4096)  # warms both RNICs
         mapping = lh.mapping
-        out["before"] = _stats()
+        before = ab.fp_counts()
         sim.timeout(0.001)  # nothing waits on it; it bounds the horizon
         if op == "write":
             yield from engine.write(mapping, 0, b"v" * 4096)
         else:
             out["data"] = yield from engine.read(mapping, 0, 4096)
-        out["delta"] = _delta(out["before"])
+        out["delta"] = ab.fp_delta(before)
         if op == "write":
             out["data"] = yield from ctx.lt_read(lh, 0, 4096)
 
     cluster.run_process(driver())
     delta = out["delta"]
     assert delta["attempts"] == 1 and delta["commits"] == 0
-    assert _rejects(delta) == 1, "one declined op, one reject"
+    assert ab.rejects(delta) == 1, "one declined op, one reject"
     assert delta["rej_floor"] == 1 and delta["mismodels"] == 0
     assert out["data"] == (b"v" if op == "write" else b"w") * 4096
 
@@ -548,18 +428,11 @@ def test_declined_single_piece_op_is_attempted_once(op):
     (4 * CHUNK - 4, "outside"),     # the word runs past the LMR's end
 ], ids=["straddle", "outside"])
 def test_atomic_target_must_be_one_in_range_word(offset, error):
-    reset_global_counters()
-    cluster = Cluster(3, params=SimParams(lite_chunk_bytes=CHUNK))
-    kernels = lite_boot(cluster)
-    ctx = LiteContext(kernels[0], "word", kernel_level=True)
-    out = {}
+    cluster, _kernels, ctx = _booted(ab.Run("fast"))
 
     def driver():
         lh = yield from ctx.lt_malloc(4 * CHUNK, name="word", nodes=[2, 3])
-        try:
+        with pytest.raises(ValueError, match=error):
             yield from ctx.lt_fetch_add(lh, offset, 1)
-        except ValueError as exc:
-            out["error"] = str(exc)
 
     cluster.run_process(driver())
-    assert error in out["error"]

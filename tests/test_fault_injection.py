@@ -29,6 +29,8 @@ from repro.hw import FabricError, SimParams
 from repro.verbs import Opcode, SendWR, Sge, WcStatus
 from repro.workloads import generate_corpus
 
+from tests import ab
+
 
 # ---------------------------------------------------------------------------
 # FaultPlan construction and validation
@@ -111,11 +113,10 @@ def test_fabric_link_state_and_detach_validation():
         cluster.sim.run_process(fabric.transfer(0, 1, 64))
 
 
-def _rc_write_after_detach(fastpath: bool):
+def rc_write_after_detach(run):
     """A warm RC WRITE, then ``detach(1)``, then one more WRITE: returns
     the error the second one raised and the instant it raised it."""
-    cluster = Cluster(2)
-    cluster.sim.fastpath_enabled = fastpath
+    cluster = run.cluster(2)
     a, b = cluster[0], cluster[1]
     state = {}
 
@@ -140,9 +141,8 @@ def test_detached_port_fails_the_same_in_both_modes():
     """A cost table still holds the detached ``Port``: it must decline
     (the port is marked down before it is dropped) so the WR fails on
     the generator path exactly as it does with the fast path off."""
-    slow = _rc_write_after_detach(False)
-    assert slow is not None and slow[0] is FabricError
-    assert _rc_write_after_detach(True) == slow
+    raised = ab.check(rc_write_after_detach)["fast"].outcomes
+    assert raised is not None and raised[0] is FabricError
 
 
 def test_loopback_transfer_updates_port_counters():

@@ -9,9 +9,9 @@ Locks down the microsecond control plane:
   remembered no-op, never a double park).
 * Determinism — the same seed produces bit-identical ``(time, seq)``
   fingerprints and cluster snapshots across repeat runs and across the
-  serial/parallel sweep runner, and bit-identical final time and
-  snapshots across the fast-path A/B toggle (``REPRO_NO_FASTPATH=1``;
-  ``seq`` counts real enqueues, so it is compared within a mode only).
+  serial/parallel sweep runner, and identical records with the fast
+  path on and off (``tests/ab.py``; ``seq`` counts real enqueues, so
+  it is compared within a mode only).
 * Fencing — a mid-churn peer crash (FaultPlan + armed RecoveryManager)
   fences the pooled conns; later acquires discard them cold instead of
   ever granting a dead conn.
@@ -19,7 +19,6 @@ Locks down the microsecond control plane:
 
 import dataclasses
 import json
-import os
 
 import pytest
 
@@ -32,21 +31,14 @@ from repro.hw.fabric import FabricError, TransferDropped
 from repro.recovery import RecoveryManager
 from repro.stats import snapshot
 from repro.sweep import run_sweep
-from repro.verbs.fastpath import fp_stats
 from repro.workloads.churn import churn_point, run_churn
+
+from tests import ab
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-def _with_fastpath(enabled):
-    """Env toggle (the Simulator reads it at __init__)."""
-    if enabled:
-        os.environ.pop("REPRO_NO_FASTPATH", None)
-    else:
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-
-
 def _instrument(pool):
     """Wrap the pool's entry points to record invariant-relevant events.
 
@@ -192,63 +184,30 @@ def test_churn_repeat_runs_bit_identical(seed):
     assert once() == once()
 
 
+def churn_with_background(run):
+    """Churn beside a background ``lt_write`` stream: session ops take the
+    generator path by construction, the stream is what commits."""
+    cluster = run.cluster(2)
+    kernels = lite_boot(cluster)
+    ctx = LiteContext(kernels[0], "bg", kernel_level=True)
+    lh = cluster.run_process(ctx.lt_malloc(128 * 1024, nodes=2))
+
+    def background():
+        for index in range(40):
+            yield from ctx.lt_write(lh, (index % 16) * 1024,
+                                    bytes([index & 0xFF]) * 512)
+            yield cluster.sim.timeout(7.0)
+
+    cluster.sim.process(background(), name="bg-writer")
+    stats = run_churn(cluster, kernels, n_clients=10, seed=5,
+                      abandon_every=4, mean_gap_us=25.0)
+    return (stats.fingerprint[0], stats.hits, stats.misses, stats.ops_ok,
+            stats.expiries)
+
+
 def test_churn_fastpath_ab_identical():
-    """Churn + background one-sided traffic: fast == slow, bit for bit.
-
-    Session ops take the generator path by construction; the background
-    ``lt_write`` stream is what the fast path actually accelerates, so
-    the fast run must show commits while observables stay identical.
-    """
-
-    def once(fastpath):
-        saved = os.environ.get("REPRO_NO_FASTPATH")
-        _with_fastpath(fastpath)
-        reset_global_counters()
-        try:
-            cluster = Cluster(2)
-            kernels = lite_boot(cluster)
-            ctx = LiteContext(kernels[0], "bg", kernel_level=True)
-            holder = {}
-
-            def setup():
-                holder["lh"] = yield from ctx.lt_malloc(
-                    128 * 1024, nodes=2
-                )
-
-            cluster.run_process(setup())
-
-            def background():
-                for index in range(40):
-                    yield from ctx.lt_write(
-                        holder["lh"], (index % 16) * 1024,
-                        bytes([index & 0xFF]) * 512,
-                    )
-                    yield cluster.sim.timeout(7.0)
-
-            cluster.sim.process(background(), name="bg-writer")
-            commits_before = fp_stats.commits
-            stats = run_churn(
-                cluster, kernels, n_clients=10, seed=5,
-                abandon_every=4, mean_gap_us=25.0,
-            )
-            commits = fp_stats.commits - commits_before
-            snap = dataclasses.asdict(snapshot(cluster))
-            return (
-                (stats.fingerprint[0], stats.hits, stats.misses,
-                 stats.ops_ok, stats.expiries, snap),
-                commits,
-            )
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_NO_FASTPATH", None)
-            else:
-                os.environ["REPRO_NO_FASTPATH"] = saved
-
-    fast, fast_commits = once(True)
-    slow, slow_commits = once(False)
-    assert fast == slow
-    assert fast_commits > 0
-    assert slow_commits == 0
+    records = ab.check(churn_with_background, modes=ab.MODES)
+    assert records["fast"].fp["commits"] > 0
 
 
 def test_churn_sweep_serial_parallel_identical():
@@ -262,79 +221,58 @@ def test_churn_sweep_serial_parallel_identical():
 # ---------------------------------------------------------------------------
 # Fencing: mid-churn peer crash under an armed RecoveryManager
 # ---------------------------------------------------------------------------
-def _crash_churn(fastpath):
-    """Serial churn across a peer crash+restart; returns observables."""
-    saved = os.environ.get("REPRO_NO_FASTPATH")
-    _with_fastpath(fastpath)
-    reset_global_counters()
-    try:
-        cluster = Cluster(3)
-        kernels = lite_boot(cluster)
-        sim = cluster.sim
-        plan = FaultPlan().crash(
-            cluster.nodes[1].node_id, 2500.0, restart_at_us=9000.0
-        )
-        FaultInjector(cluster, plan).install()
-        recovery = RecoveryManager(
-            cluster, kernels, lease_ttl_us=1500.0,
-            renew_interval_us=400.0, sweep_interval_us=300.0,
-        ).arm()
-        pool = kernels[0].qp_pool(
-            kernels[1].lite_id, reserve=2, lease_ttl_us=1200.0
-        )
-        log = _instrument(pool)
-        outcomes = []
+def crash_churn(run):
+    """Serial churn across a peer crash+restart: (grants, outcomes, pool
+    hits, misses, fenced discards, promotions)."""
+    cluster = run.cluster(3)
+    kernels = lite_boot(cluster)
+    sim = cluster.sim
+    plan = FaultPlan().crash(cluster.nodes[1].node_id, 2500.0,
+                             restart_at_us=9000.0)
+    FaultInjector(cluster, plan).install()
+    recovery = RecoveryManager(
+        cluster, kernels, lease_ttl_us=1500.0,
+        renew_interval_us=400.0, sweep_interval_us=300.0,
+    ).arm()
+    pool = kernels[0].qp_pool(kernels[1].lite_id, reserve=2,
+                              lease_ttl_us=1200.0)
+    log = _instrument(pool)
+    outcomes = []
 
-        def client(index):
-            ctx = LiteContext(
-                kernels[0], f"crash{index}", kernel_level=True
-            )
-            session = ClientSession(
-                ctx, kernels[1].lite_id, session_id=index + 1,
-                buffer_bytes=256,
-            )
-            try:
-                yield from session.attach()
-                for _ in range(2):
-                    status = yield from session.write(b"y" * 256)
-                    outcomes.append(
-                        (index, getattr(status, "name", str(status)))
-                    )
-                yield from session.detach()
-            except (LiteError, TransferDropped, FabricError) as exc:
-                # Cold bring-up toward the dead peer: a deterministic
-                # failure, recorded as this client's outcome.
-                outcomes.append((index, type(exc).__name__))
+    def client(index):
+        ctx = LiteContext(kernels[0], f"crash{index}", kernel_level=True)
+        session = ClientSession(ctx, kernels[1].lite_id,
+                                session_id=index + 1, buffer_bytes=256)
+        try:
+            yield from session.attach()
+            for _ in range(2):
+                status = yield from session.write(b"y" * 256)
+                outcomes.append((index, getattr(status, "name", str(status))))
+            yield from session.detach()
+        except (LiteError, TransferDropped, FabricError) as exc:
+            # Cold bring-up toward the dead peer: a deterministic
+            # failure, recorded as this client's outcome.
+            outcomes.append((index, type(exc).__name__))
 
-        def driver():
-            pool.arm()
-            yield from pool.prebuild()
-            for index in range(10):
-                yield from client(index)
-                yield sim.timeout(900.0)
-            recovery.stop()
-            pool.stop()
-            yield sim.timeout(600.0)
+    def driver():
+        pool.arm()
+        yield from pool.prebuild()
+        for index in range(10):
+            yield from client(index)
+            yield sim.timeout(900.0)
+        recovery.stop()
+        pool.stop()
+        yield sim.timeout(600.0)
 
-        cluster.run_process(driver())
-        sim.run()
-        snap = dataclasses.asdict(snapshot(cluster))
-        return (
-            sim.now, snap, log["grants"], outcomes,
-            pool.hits, pool.misses, pool.fenced_discards,
-            recovery.promotions,
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+    cluster.run_process(driver())
+    sim.run()
+    return (log["grants"], outcomes, pool.hits, pool.misses,
+            pool.fenced_discards, recovery.promotions)
 
 
 def test_crash_fences_pool_and_never_regrants_dead_conns():
-    result = _crash_churn(fastpath=True)
-    grants, outcomes = result[2], result[3]
-    fenced_discards = result[6]
+    grants, outcomes, _hits, _misses, fenced_discards, _promotions = \
+        ab.run(crash_churn, "fast").outcomes
     # Every granted conn was usable at grant time, crash or not.
     assert all(usable for (_, _, _, usable) in grants)
     # The failover fenced the parked reserve; later acquires discarded
@@ -350,8 +288,8 @@ def test_crash_fences_pool_and_never_regrants_dead_conns():
 
 
 def test_crash_churn_fastpath_ab_identical():
-    """Mid-churn crash: fast vs REPRO_NO_FASTPATH=1 runs are identical."""
-    assert _crash_churn(fastpath=True) == _crash_churn(fastpath=False)
+    """Mid-churn crash: the fast and the generator-path runs agree."""
+    ab.check(crash_churn)
 
 
 # ---------------------------------------------------------------------------

@@ -10,28 +10,29 @@ the cluster's own counters, and tracing never perturbs simulated time.
 
 import pytest
 
-from repro.fault import FaultPlan
+from repro.core import LiteContext, RpcTimeoutError, lite_boot
 from repro.hw import DEFAULT_PARAMS
-from repro.obs import install_tracer, op_breakdown, set_enabled
-from repro.obs.trace import is_enabled
+from repro.obs import op_breakdown
+from repro.stats import snapshot
 
-from tests.obs_helpers import run_mixed
+from tests import ab
 
 EPS = 1e-9
+
+
+def traced_mix(seed=7, chaos=False):
+    """``ab.mixed_traffic`` traced from boot: ``(cluster, tracer, op
+    records, (snapshot before boot, final snapshot))``."""
+    record = ab.run(ab.mixed_traffic, "traced", seed=seed, chaos=chaos)
+    cluster = record.run.clusters[0]
+    return (cluster, cluster.sim.tracer, record.outcomes,
+            (record.run.notes["base"], snapshot(cluster)))
 
 
 @pytest.fixture(scope="module")
 def mixed():
     """One fault-free mixed run shared by the read-only invariants."""
-    return run_mixed(seed=7)
-
-
-def _chaos_plan():
-    """Flapping link on a data node plus uniform packet loss."""
-    return (FaultPlan()
-            .link_flap(2, start_us=200.0, end_us=1500.0,
-                       down_us=30.0, up_us=120.0)
-            .packet_loss(0.08, start_us=100.0, end_us=2500.0))
+    return traced_mix()
 
 
 def _check_nesting(tracer, allow_late: bool) -> None:
@@ -169,7 +170,7 @@ def test_invariants_hold_under_faults():
     structurally valid trace: spans nest (late retries tolerated),
     exclusive resources never double-book, and the fault machinery
     visibly fired (dropped hops or non-success WQE outcomes)."""
-    _cluster, tracer, records, _snaps = run_mixed(seed=11, plan=_chaos_plan())
+    _cluster, tracer, records, _snaps = traced_mix(seed=11, chaos=True)
     assert records, "every op failed under the fault plan"
     _check_nesting(tracer, allow_late=True)
     _check_exclusive(tracer)
@@ -181,26 +182,24 @@ def test_invariants_hold_under_faults():
     assert faulted, "fault plan never produced a visible fault in spans"
 
 
+def test_failed_op_span_records_the_error():
+    """An op that raises ends its root span with ``err:<exception>``."""
+    cluster = ab.Run("traced").cluster(2)
+    kernels = lite_boot(cluster)
+    client = LiteContext(kernels[0], "c")
+    LiteContext(kernels[1], "s").lt_reg_rpc(9)  # registered, never served
+
+    def call():
+        with pytest.raises(RpcTimeoutError):
+            yield from client.lt_rpc(2, 9, b"x", max_reply=64, timeout=200.0)
+
+    cluster.run_process(call())
+    assert [span.outcome for span in cluster.sim.tracer.op_roots()
+            if span.name == "op.lt_rpc"] == ["err:RpcTimeoutError"]
+
+
 def test_tracing_off_runs_timing_identical():
     """The tracer records in simulated time but never schedules events:
-    a traced run and an untraced run of the same workload produce
-    exactly equal per-op latencies and the same final clock."""
-    cluster_off, tracer_off, records_off, _ = run_mixed(seed=7, traced=False)
-    cluster_on, tracer_on, records_on, _ = run_mixed(seed=7, traced=True)
-    assert tracer_off is None and tracer_on is not None
-    assert records_off == records_on  # exact float equality
-    assert cluster_off.sim.now == cluster_on.sim.now
-
-
-def test_kill_switch_makes_install_a_noop():
-    from repro.cluster import Cluster
-
-    assert is_enabled()
-    set_enabled(False)
-    try:
-        cluster = Cluster(2)
-        assert install_tracer(cluster) is None
-        assert cluster.sim.tracer is None
-        assert all(n.memory.tracer is None for n in cluster.nodes)
-    finally:
-        set_enabled(True)
+    the mix traced, untraced on the generator path and untraced with the
+    fast path on ends in the same record, per-op latencies included."""
+    ab.check(ab.mixed_traffic, modes=("traced", "slow", "fast"), seed=7)

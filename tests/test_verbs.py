@@ -14,25 +14,7 @@ from repro.verbs import (
     WcStatus,
 )
 
-
-@pytest.fixture
-def pair():
-    """Two connected RC QPs across two nodes, with 4 KB MRs."""
-    cluster = Cluster(2)
-    state = {}
-
-    def setup():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        state["mr_a"] = yield from a.device.reg_mr(pd_a, 4096)
-        state["mr_b"] = yield from b.device.reg_mr(pd_b, 4096)
-        state["qa"] = a.device.create_qp(pd_a, "RC")
-        state["qb"] = b.device.create_qp(pd_b, "RC")
-        a.device.connect(state["qa"], state["qb"])
-
-    cluster.run_process(setup())
-    state["cluster"] = cluster
-    return state
+from tests import ab
 
 
 def run(cluster, gen):
@@ -498,8 +480,7 @@ def test_explain_sums_to_the_completion_instant(opcode, nbytes, fastpath):
     from repro import explain
     from repro.verbs.fastpath import fp_stats
 
-    cluster = Cluster(2)
-    cluster.sim.fastpath_enabled = fastpath
+    cluster = ab.Run("fast" if fastpath else "slow").cluster(2)
     a, b = cluster[0], cluster[1]
     world = {}
 

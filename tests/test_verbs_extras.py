@@ -72,23 +72,17 @@ def test_ud_send_pays_grh_per_datagram():
 # ----------------------------------------------------------- atomics --
 
 
-def test_sglless_atomic_returns_old_value_inline():
-    cluster = Cluster(2)
+def test_sglless_atomic_returns_old_value_inline(pair):
+    mr_b, qa = pair["mr_b"], pair["qa"]
 
     def proc():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        mr_b = yield from b.device.reg_mr(pd_b, 4096, Access.ALL)
-        qa = a.device.create_qp(pd_a, "RC")
-        qb = b.device.create_qp(pd_b, "RC")
-        a.device.connect(qa, qb)
         mr_b.write(16, struct.pack("<Q", 1000))
         wr = SendWR(Opcode.FETCH_ADD, remote_addr=mr_b.base_addr + 16,
                     rkey=mr_b.rkey, compare_add=24)
         yield qa.post_send(wr)
         return struct.unpack("<Q", wr.return_data)[0], mr_b.read(16, 8)
 
-    old, raw = cluster.run_process(proc())
+    old, raw = pair["cluster"].run_process(proc())
     assert old == 1000
     assert struct.unpack("<Q", raw)[0] == 1024
 
@@ -106,45 +100,33 @@ def test_atomic_with_wrong_sized_sgl_rejected():
     cluster.run_process(proc())
 
 
-def test_fetch_add_wraps_at_64_bits():
-    cluster = Cluster(2)
+def test_fetch_add_wraps_at_64_bits(pair):
+    mr_b, qa = pair["mr_b"], pair["qa"]
 
     def proc():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        mr_b = yield from b.device.reg_mr(pd_b, 64, Access.ALL)
-        qa = a.device.create_qp(pd_a, "RC")
-        qb = b.device.create_qp(pd_b, "RC")
-        a.device.connect(qa, qb)
         mr_b.write(0, struct.pack("<Q", (1 << 64) - 1))
         wr = SendWR(Opcode.FETCH_ADD, remote_addr=mr_b.base_addr,
                     rkey=mr_b.rkey, compare_add=2)
         yield qa.post_send(wr)
         return struct.unpack("<Q", mr_b.read(0, 8))[0]
 
-    assert cluster.run_process(proc()) == 1
+    assert pair["cluster"].run_process(proc()) == 1
 
 
 # ------------------------------------------------------------ sgl-less read --
 
 
-def test_read_without_sgl_uses_read_length():
-    cluster = Cluster(2)
+def test_read_without_sgl_uses_read_length(pair):
+    mr_b, qa = pair["mr_b"], pair["qa"]
 
     def proc():
-        a, b = cluster[0], cluster[1]
-        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
-        mr_b = yield from b.device.reg_mr(pd_b, 4096, Access.ALL)
-        qa = a.device.create_qp(pd_a, "RC")
-        qb = b.device.create_qp(pd_b, "RC")
-        a.device.connect(qa, qb)
         mr_b.write(32, b"inline-read-target")
         wr = SendWR(Opcode.READ, remote_addr=mr_b.base_addr + 32,
                     rkey=mr_b.rkey, read_length=18)
         yield qa.post_send(wr)
         return wr.return_data
 
-    assert cluster.run_process(proc()) == b"inline-read-target"
+    assert pair["cluster"].run_process(proc()) == b"inline-read-target"
 
 
 # ------------------------------------------------------------------ CQ --

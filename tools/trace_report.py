@@ -147,9 +147,6 @@ def main(argv=None) -> int:
 
     if args.demo:
         tracer, default_op = run_demo(args.demo)
-        if tracer is None:
-            print("tracing kill switch is off; nothing to report")
-            return 1
         if args.jsonl:
             write_jsonl(tracer, args.jsonl)
             print(f"wrote {len(tracer.spans)} spans to {args.jsonl}")

@@ -15,7 +15,6 @@ knob to show where the registration cost lands (attach vs first op).
 
 from repro.cluster import Cluster
 from repro.core import lite_boot
-from repro.determinism import reset_global_counters
 from repro.workloads.churn import churn_point, run_churn
 
 from .common import print_table, sweep
@@ -78,7 +77,6 @@ def test_churn_eager_vs_lazy_registration():
     """The MR knob moves Fig 8's pin cost between attach and first op."""
 
     def once(eager):
-        reset_global_counters()
         cluster = Cluster(2)
         kernels = lite_boot(cluster)
         stats = run_churn(

@@ -28,13 +28,10 @@ __all__ = ["LiteGraphDsm"]
 class LiteGraphDsm:
     """PageRank with vertex data in distributed shared memory."""
 
-    _job_counter = 0
-
     def __init__(self, kernels, graph: PartitionedGraph,
                  threads_per_node: int = 4, costs: Optional[GraphCosts] = None):
         if len(kernels) < graph.n_partitions:
             raise ValueError("need one LITE node per partition")
-        LiteGraphDsm._job_counter += 1
         self.graph = graph
         self.costs = costs if costs is not None else GraphCosts()
         self.threads_per_node = threads_per_node
@@ -47,7 +44,7 @@ class LiteGraphDsm:
             base += len(graph.owned[part])
         self.dsm = LiteDsm(
             kernels[: graph.n_partitions],
-            f"gdsm{LiteGraphDsm._job_counter}",
+            f"gdsm{next(kernels[0].sim.ids.dsm_job)}",
             base * RANK_BYTES,
         )
         self.elapsed_us = 0.0

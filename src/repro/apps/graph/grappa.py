@@ -25,6 +25,20 @@ from .common import (
 
 __all__ = ["GrappaSim"]
 
+_BOUNCE_BYTES = 16 * 1024
+_BOUNCE_SLOTS = 512
+
+
+def _bounce_offset(slot: int) -> int:
+    return (slot % _BOUNCE_SLOTS) * _BOUNCE_BYTES
+
+
+def _bounce_buffer(mr, slot: int) -> RecvWR:
+    """A recv WR for bounce buffer ``slot``; its wr_id is the slot, so
+    a CQE names where its bytes landed."""
+    return RecvWR(mr=mr, offset=_bounce_offset(slot), length=_BOUNCE_BYTES,
+                  wr_id=slot)
+
 
 class GrappaSim:
     """GAS PageRank over an aggregating message substrate."""
@@ -44,8 +58,6 @@ class GrappaSim:
         self._qps: Dict[tuple, object] = {}
         self._mrs: Dict[int, object] = {}
         self._inbox: List[Store] = [Store(self.sim) for _ in range(graph.n_partitions)]
-        # wr_id -> landing offset for every posted recv buffer.
-        self._posted: Dict[int, int] = {}
         self.elapsed_us = 0.0
 
     def _build_mesh(self):
@@ -72,17 +84,13 @@ class GrappaSim:
         """Drain every recv CQ of this partition's QPs into the inbox."""
         graph = self.graph
         node = self.nodes[part]
-        offset_cursor = [0]
         qps = [self._qps[(part, other)] for other in range(graph.n_partitions)
                if other != part]
         mr = self._mrs[part]
         slot = 0
         for qp in qps:
             for _ in range(32):
-                wr = RecvWR(mr=mr, offset=(slot % 512) * 16 * 1024,
-                            length=16 * 1024)
-                self._posted[wr.wr_id] = wr.offset
-                qp.post_recv(wr)
+                qp.post_recv(_bounce_buffer(mr, slot))
                 slot += 1
         events = Store(self.sim)
 
@@ -97,10 +105,7 @@ class GrappaSim:
             qp, wc = yield from node.cpu.busy_wait(events.get(), tag="grappa-poll")
             # Locate the landing buffer; hand the bytes to the app.
             self._inbox[part].put(wc)
-            wr = RecvWR(mr=mr, offset=(slot % 512) * 16 * 1024,
-                        length=16 * 1024)
-            self._posted[wr.wr_id] = wr.offset
-            qp.post_recv(wr)
+            qp.post_recv(_bounce_buffer(mr, slot))
             slot += 1
 
     def _send_aggregated(self, src: int, dst: int, blob: bytes, n_values: int):
@@ -183,7 +188,7 @@ class GrappaSim:
 
     def _parse(self, mr, wc):
         """Extract (src, length, payload) from a landed aggregate."""
-        offset = self._posted.pop(wc.wr_id)
+        offset = _bounce_offset(wc.wr_id)
         header = mr.read(offset, 8)
         src = int.from_bytes(header[:4], "little")
         length = int.from_bytes(header[4:8], "little")

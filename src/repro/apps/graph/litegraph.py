@@ -141,15 +141,12 @@ class _Partition:
 class LiteGraph:
     """The distributed engine: one partition per LITE node."""
 
-    _job_counter = 0
-
     def __init__(self, kernels, graph: PartitionedGraph,
                  threads_per_node: int = 4, costs: Optional[GraphCosts] = None,
                  program: Optional[VertexProgram] = None):
         if len(kernels) < graph.n_partitions:
             raise ValueError("need one LITE node per partition")
-        LiteGraph._job_counter += 1
-        self.job = f"lg{LiteGraph._job_counter}"
+        self.job = f"lg{next(kernels[0].sim.ids.graph_job)}"
         self.graph = graph
         self.program = program if program is not None else PageRankProgram()
         self.iterations_run = 0

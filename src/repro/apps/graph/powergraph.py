@@ -10,7 +10,6 @@ LITE-Graph by 3.5-5.6x.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 from .common import (
@@ -22,8 +21,6 @@ from .common import (
 )
 
 __all__ = ["PowerGraphSim"]
-
-_port_counter = itertools.count(start=30000)
 
 
 class PowerGraphSim:
@@ -50,7 +47,7 @@ class PowerGraphSim:
         listeners = {}
         ports = {}
         for part in range(graph.n_partitions):
-            port = next(_port_counter)
+            port = next(self.sim.ids.powergraph_port)
             ports[part] = port
             listeners[part] = self.nodes[part].tcp.listen(port)
 

@@ -10,7 +10,6 @@ worse than LITE's RDMA stack").
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Dict, List, Sequence
 
@@ -26,8 +25,6 @@ from .common import (
 )
 
 __all__ = ["HadoopMR"]
-
-_port_counter = itertools.count(start=20000)
 
 
 class HadoopMR:
@@ -112,7 +109,7 @@ class HadoopMR:
 
         def reduce_worker(part_index: int):
             node = self.worker_nodes[part_index % n_workers]
-            port = next(_port_counter)
+            port = next(sim.ids.hadoop_port)
             listener = node.tcp.listen(port)
             received: List[bytes] = []
 
@@ -155,7 +152,7 @@ class HadoopMR:
         # ---- final merge at the master over TCP --------------------------
         start = sim.now
         collected: List[Counter] = []
-        port = next(_port_counter)
+        port = next(sim.ids.hadoop_port)
         listener = self.master_node.tcp.listen(port)
 
         def collector():

@@ -166,15 +166,12 @@ class _Worker:
 class LiteMR:
     """The distributed job driver (runs at the master node)."""
 
-    _job_counter = 0
-
     def __init__(self, kernels, n_workers: int = None, total_threads: int = 8,
                  n_partitions: int = 8, costs: MrCosts = None,
                  rpc_timeout_us: float = None, rpc_retries: int = 0):
         if len(kernels) < 2:
             raise ValueError("LITE-MR needs a master plus at least one worker")
-        LiteMR._job_counter += 1
-        self.job = f"mrjob{LiteMR._job_counter}"
+        self.job = f"mrjob{next(kernels[0].sim.ids.mr_job)}"
         self.costs = costs if costs is not None else MrCosts()
         self.master_kernel = kernels[0]
         worker_kernels = kernels[1:]

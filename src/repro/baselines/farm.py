@@ -14,7 +14,6 @@ the data itself truly travels through the MR.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from typing import Dict
 
@@ -22,8 +21,6 @@ from ..sim import Store
 from ..verbs import Access, Opcode, SendWR, WcStatus
 
 __all__ = ["FarmEndpoint", "connect_farm_pair"]
-
-_ring_counter = itertools.count(start=1)
 
 _HDR = 8  # length(4) + sender slot id(4)
 

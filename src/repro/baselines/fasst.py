@@ -62,8 +62,9 @@ class FasstEndpoint:
         slots_total = (1024 * 1024) // UD_MTU
         for _ in range(count):
             offset = (self._next_slot % slots_total) * UD_MTU
+            wr = RecvWR(mr=self.mr, offset=offset, length=UD_MTU,
+                        wr_id=self._next_slot)
             self._next_slot += 1
-            wr = RecvWR(mr=self.mr, offset=offset, length=UD_MTU)
             self._posted_slots[wr.wr_id] = offset
             self.ud_qp.post_recv(wr)
 
@@ -115,7 +116,8 @@ class FasstEndpoint:
             header = self.mr.read(slot_offset, _HDR)
             kind, token, total, frag_off = struct.unpack("<IIII", header)
             piece = self.mr.read(slot_offset + _HDR, wc.byte_len - _HDR)
-            replacement = RecvWR(mr=self.mr, offset=slot_offset, length=UD_MTU)
+            replacement = RecvWR(mr=self.mr, offset=slot_offset, length=UD_MTU,
+                                 wr_id=wc.wr_id)
             self._posted_slots[replacement.wr_id] = slot_offset
             self.ud_qp.post_recv(replacement)
             body = self._reassemble(kind, token, total, frag_off, piece)

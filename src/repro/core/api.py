@@ -11,7 +11,6 @@ which is the "LITE KL" line in Figures 6 and 10.
 from __future__ import annotations
 
 import base64
-import itertools
 from typing import List, Optional, Sequence, Union
 
 from ..obs.trace import traced_op
@@ -23,9 +22,6 @@ from .protocol import MsgType
 
 __all__ = ["ClientSession", "LiteContext", "LiteLock", "lite_boot",
            "rpc_server_loop"]
-
-_anon_counter = itertools.count(start=1)
-_session_counter = itertools.count(start=1)
 
 
 class LiteLock:
@@ -55,7 +51,7 @@ class LiteContext:
         self.kernel = kernel
         self.sim = kernel.sim
         self.params = kernel.params
-        self.principal = principal or f"proc{next(_anon_counter)}"
+        self.principal = principal or f"proc{next(self.sim.ids.anon)}"
         self.priority = priority
         self.kernel_level = kernel_level
         self._tag = f"lite-user:{self.principal}"
@@ -171,9 +167,10 @@ class LiteContext:
         replica_chunks = {}
         for backup in backup_ids:
             replica_chunks[backup] = yield from self._alloc_on(backup, size)
-        lmr_name = name if name is not None else f"__anon:{next(_anon_counter)}"
-        record = MasterRecord(lmr_name, size, chunks, creator=self.principal,
-                              default_perm=default_perm)
+        ids = self.sim.ids
+        lmr_name = name if name is not None else f"__anon:{next(ids.anon)}"
+        record = MasterRecord(next(ids.lmr), lmr_name, size, chunks,
+                              creator=self.principal, default_perm=default_perm)
         record.replicas = replica_chunks
         kernel.registry[lmr_name] = record
         kernel._records_by_id[record.lmr_id] = record
@@ -772,7 +769,7 @@ class ClientSession:
         self.sim = ctx.sim
         self.params = ctx.params
         self.peer_lite_id = peer_lite_id
-        self.session_id = (next(_session_counter)
+        self.session_id = (next(self.sim.ids.session)
                            if session_id is None else session_id)
         self.eager_mr = eager_mr
         self.buffer_bytes = buffer_bytes

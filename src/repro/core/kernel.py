@@ -19,7 +19,6 @@ plane in :mod:`repro.core.rpc`; both are composed here.
 from __future__ import annotations
 
 import base64
-import itertools
 from typing import Dict, List, Optional
 
 from ..hw.caches import LruDict
@@ -63,8 +62,6 @@ class PeerInfo:
 class LiteKernel:
     """One node's LITE instance."""
 
-    _token_counter = itertools.count(start=1)
-
     def __init__(self, node, manager, qos_mode: Optional[str] = None,
                  use_global_mr: bool = True):
         self.node = node
@@ -73,6 +70,7 @@ class LiteKernel:
         # MR, reintroducing native RDMA's SRAM-scalability problems.
         self.use_global_mr = use_global_mr
         self.sim = node.sim
+        self._token_counter = node.sim.ids.kernel_token
         self.params = node.params
         self.manager = manager
         self.lite_id = manager.join(node)

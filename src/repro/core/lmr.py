@@ -10,13 +10,10 @@ node, encapsulating the address mapping and this user's permission.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
 __all__ = ["Permission", "ChunkInfo", "MasterRecord", "MappedLmr", "LmrHandle"]
 
-_lmr_counter = itertools.count(start=1)
-_lh_counter = itertools.count(start=1)
 # ``MasterRecord.mapped_by`` of every LMR nobody has mapped yet.
 _NO_MAPPERS = frozenset()
 
@@ -95,9 +92,10 @@ class MasterRecord:
     __slots__ = ("lmr_id", "name", "size", "chunks", "acl", "default_perm",
                  "mapped_by", "freed", "replicas", "version")
 
-    def __init__(self, name: str, size: int, chunks: List[ChunkInfo], creator: str,
+    def __init__(self, lmr_id: int, name: str, size: int,
+                 chunks: List[ChunkInfo], creator: str,
                  default_perm: Permission = Permission.NONE):
-        self.lmr_id = next(_lmr_counter)
+        self.lmr_id = lmr_id
         self.name = name
         self.size = size
         self.chunks = chunks
@@ -244,7 +242,7 @@ class LmrHandle:
     __slots__ = ("lh_id", "context", "mapping", "perm", "valid")
 
     def __init__(self, context, mapping: MappedLmr, perm: Permission):
-        self.lh_id = next(_lh_counter)
+        self.lh_id = next(context.sim.ids.lh)
         self.context = context
         self.mapping = mapping
         self.perm = perm

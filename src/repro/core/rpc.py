@@ -16,7 +16,6 @@ where the Figure 12 memory-utilization win comes from.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from typing import Callable, Dict, Optional
 
@@ -140,11 +139,10 @@ class _PendingCall:
 class RpcEngine:
     """The write-imm ring RPC stack of one LITE instance (§5)."""
 
-    _token_counter = itertools.count(start=1)
-
     def __init__(self, kernel):
         self.kernel = kernel
         self.sim = kernel.sim
+        self._token_counter = kernel.sim.ids.rpc_token
         self.params = kernel.params
         self.funcs: Dict[int, Store] = {}
         self.client_rings: Dict[int, _ClientRing] = {}

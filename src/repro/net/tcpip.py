@@ -10,14 +10,11 @@ kernel per-segment processing pipeline, matching measured IPoIB numbers
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Tuple
 
 from ..sim import Resource, Simulator, Store
 
 __all__ = ["TcpStack", "TcpConnection", "TcpListener"]
-
-_conn_counter = itertools.count(start=1)
 
 
 class _Stream:
@@ -217,7 +214,7 @@ class TcpStack:
             raise ConnectionRefusedError(
                 f"node {dst_node} is not listening on port {port}"
             )
-        conn_id = next(_conn_counter)
+        conn_id = next(self.sim.ids.tcp_conn)
         local = TcpConnection(self, dst_node, conn_id)
         remote = TcpConnection(peer_stack, self.node.node_id, conn_id)
         local.peer, remote.peer = remote, local

@@ -247,26 +247,21 @@ class RecoveryManager:
         yield from self._broadcast_update(lmr_id, entry)
 
     def _rehome_record(self, lmr_id: int, entry: dict, new_master: int) -> None:
-        """Reconstruct the MasterRecord on the promoted backup.
-
-        Built with ``__new__`` so the process-global lmr id counter is
-        untouched (determinism: recovery must not perturb id streams).
-        Explicit ACL grants die with the old master; the creator's full
-        rights and the recorded default permission survive.
+        """Reconstruct the MasterRecord on the promoted backup, under
+        its old lmr id.  Explicit ACL grants die with the old master; the
+        creator's full rights and the recorded default permission
+        survive.
         """
         kernel = self._by_id[new_master]
-        record = MasterRecord.__new__(MasterRecord)
-        record.lmr_id = lmr_id
-        record.name = entry["name"]
-        record.size = entry["size"]
-        record.chunks = [ChunkInfo.from_wire(w) for w in entry["primary"]]
-        record.acl = {entry["creator"]: Permission.full()}
-        record.default_perm = Permission(entry.get("dperm", 0))
+        record = MasterRecord(
+            lmr_id, entry["name"], entry["size"],
+            [ChunkInfo.from_wire(w) for w in entry["primary"]],
+            creator=entry["creator"],
+            default_perm=Permission(entry.get("dperm", 0)))
         record.mapped_by = {
             lite_id for lite_id in sorted(self._by_id)
             if lite_id not in self.dead
         }
-        record.freed = False
         record.replicas = {
             backup: [ChunkInfo.from_wire(w) for w in wires]
             for backup, wires in entry["backups"].items()

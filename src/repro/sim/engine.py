@@ -35,6 +35,7 @@ when they exceed half of all pending entries.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from collections import deque
 from sys import getrefcount
@@ -389,6 +390,32 @@ class AnyOf(_Condition):
         return None
 
 
+class Ids:
+    """The id counters of one simulation, one per kind.
+
+    Keys, QPNs, LMR ids, handles, tokens, ports and job names are unique
+    within the cluster that hands them out, as on a real fabric (paper
+    §4.1: "an lh of an LMR is local to a process on a node").  Their
+    digit counts set control-message sizes, so each simulator counts
+    from the same start: two simulations in one process see the same
+    ids and the same simulated time.  Allocation is ``next(sim.ids.kind)``.
+    """
+
+    __slots__ = ("key", "qpn", "kernel_token", "rpc_token", "anon",
+                 "session", "lmr", "lh", "tcp_conn", "hadoop_port",
+                 "powergraph_port", "mr_job", "graph_job", "dsm_job")
+
+    def __init__(self):
+        count = itertools.count
+        self.key = count(1000)
+        self.hadoop_port = count(20000)
+        self.powergraph_port = count(30000)
+        for kind in ("qpn", "kernel_token", "rpc_token", "anon", "session",
+                     "lmr", "lh", "tcp_conn", "mr_job", "graph_job",
+                     "dsm_job"):
+            setattr(self, kind, count(1))
+
+
 class Simulator:
     """The event loop: owns simulated time and the pending-event queues.
 
@@ -406,7 +433,8 @@ class Simulator:
     """
 
     __slots__ = ("now", "_heap", "_seq", "_timeout_pool", "_event_pool",
-                 "tracer", "_nowq", "_ncancelled", "_fpq", "fastpath_enabled")
+                 "tracer", "_nowq", "_ncancelled", "_fpq", "fastpath_enabled",
+                 "ids")
 
     def __init__(self):
         self.now: float = 0.0
@@ -435,6 +463,7 @@ class Simulator:
         # Kill switch for run-to-completion op execution.  Read once at
         # construction; tests may also flip the attribute directly.
         self.fastpath_enabled = os.environ.get("REPRO_NO_FASTPATH", "") != "1"
+        self.ids = Ids()
 
     # -- scheduling -----------------------------------------------------
     def _enqueue(self, delay: float, event: Event) -> None:
@@ -670,6 +699,8 @@ class Simulator:
         nowq = self._nowq
         heap = self._heap
         if until is not None:
+            if until < self.now:
+                raise SimulationError(f"until={until} is before now={self.now}")
             while nowq or heap or self._fpq:
                 if stop is not None and stop.callbacks is None:
                     break

@@ -7,10 +7,10 @@ cluster — so they parallelize perfectly across worker processes.
 
 Determinism contract (the whole point of this module):
 
-- Each point runs under a fresh :func:`repro.determinism.
-  reset_global_counters` call and a per-point ``random`` seed derived
-  only from the point's *index*, in the serial and the parallel path
-  alike.  A sweep at ``--jobs 4`` therefore produces **byte-identical**
+- Each point builds its own cluster, whose ids come from its own
+  simulator (``sim.ids``), and runs under a per-point ``random`` seed
+  derived only from the point's *index*, in the serial and the
+  parallel path alike.  A sweep at ``--jobs 4`` therefore produces **byte-identical**
   per-point results to the serial run.
 - Results are merged in point order (``Pool.map`` order semantics), so
   tables and result files never depend on worker scheduling.
@@ -27,7 +27,6 @@ import os
 import random
 from typing import Callable, List, Optional, Sequence
 
-from .determinism import reset_global_counters
 
 __all__ = ["run_sweep", "resolve_jobs", "SWEEP_JOBS_ENV"]
 
@@ -70,12 +69,11 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def _run_point(packed):
     """Worker-side body: isolate, seed, evaluate one point.
 
-    Module-level so it pickles under every start method.  The counter
-    reset + seeding runs identically in the serial path below — that
+    Module-level so it pickles under every start method.  The seeding
+    runs identically in the serial path below — that
     equivalence is what the parallel==serial determinism tests pin.
     """
     fn, point, index = packed
-    reset_global_counters()
     random.seed(_POINT_SEED_SALT ^ index)
     return fn(point)
 

@@ -19,14 +19,10 @@ class CompletionQueue:
     idle spin is done by :meth:`repro.hw.cpu.CpuSet.busy_wait`).
     """
 
-    _next_id = 0
-
-    def __init__(self, sim: Simulator, depth: int = 4096, name: str = ""):
-        CompletionQueue._next_id += 1
-        self.cq_id = CompletionQueue._next_id
+    def __init__(self, sim: Simulator, depth: int = 4096, name: str = "cq"):
         self.sim = sim
         self.depth = depth
-        self.name = name or f"cq{self.cq_id}"
+        self.name = name
         self._store = Store(sim)
         self.pushed = 0
         self.polled = 0

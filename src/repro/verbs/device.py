@@ -9,7 +9,6 @@ SRAM-cache accounting on the responder RNIC.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from typing import Dict, Optional, Tuple
 
@@ -20,12 +19,6 @@ from .qp import _ATOMICS, QueuePair, SharedReceiveQueue
 from .wr import Access, Opcode, RecvWR, WcStatus, WorkCompletion
 
 __all__ = ["Device", "ProtectionDomain"]
-
-# Global counters so keys/QPNs are unique across the whole cluster, as
-# they effectively are on real fabrics.
-_key_counter = itertools.count(start=1000)
-_qpn_counter = itertools.count(start=1)
-_pd_counter = itertools.count(start=1)
 
 # Virtual addresses start high so they can never collide with physical
 # addresses used by kernel (physical) MRs.
@@ -44,10 +37,9 @@ class ProtectionDomain:
 
     def __init__(self, device: "Device"):
         self.device = device
-        self.pd_id = next(_pd_counter)
 
     def __repr__(self) -> str:
-        return f"PD({self.pd_id}@node{self.device.node.node_id})"
+        return f"PD(node{self.device.node.node_id})"
 
 
 class Device:
@@ -69,7 +61,7 @@ class Device:
         """Allocate a protection domain."""
         return ProtectionDomain(self)
 
-    def create_cq(self, depth: int = 4096, name: str = "") -> CompletionQueue:
+    def create_cq(self, depth: int = 4096, name: str = "cq") -> CompletionQueue:
         """Create a completion queue."""
         return CompletionQueue(self.sim, depth=depth, name=name)
 
@@ -89,7 +81,7 @@ class Device:
         """Create a QP.  Pass ``send_cq=None`` to suppress send CQEs
         entirely (LITE relies on replies instead of polling send state,
         §5.1); the default ``"auto"`` creates a private CQ."""
-        qpn = next(_qpn_counter)
+        qpn = next(self.sim.ids.qpn)
         qp = QueuePair(
             self,
             qpn,
@@ -141,8 +133,9 @@ class Device:
         yield self.sim.timeout(
             params.mr_register_base_us + pages * params.mr_pin_page_us
         )
-        lkey = next(_key_counter)
-        rkey = next(_key_counter)
+        keys = self.sim.ids.key
+        lkey = next(keys)
+        rkey = next(keys)
         mr = MemoryRegion(
             self,
             pd,
@@ -168,8 +161,9 @@ class Device:
         kernel), no PTEs for the RNIC to cache, one key record total.
         """
         yield self.sim.timeout(self.params.mr_register_base_us)
-        lkey = next(_key_counter)
-        rkey = next(_key_counter)
+        keys = self.sim.ids.key
+        lkey = next(keys)
+        rkey = next(keys)
         mr = MemoryRegion(
             self,
             pd,

@@ -85,7 +85,11 @@ class Sge:
 
 
 class SendWR:
-    """A send-queue work request (one-sided ops, sends, atomics)."""
+    """A send-queue work request (one-sided ops, sends, atomics).
+
+    ``wr_id`` is the caller's cookie, echoed in the WR's CQE, as in
+    ``ibv_send_wr``; the simulator never assigns one.
+    """
 
     __slots__ = (
         "opcode",
@@ -104,8 +108,6 @@ class SendWR:
         "_order_done",  # QP send-ordering chain link (set by QP.post_send)
     )
 
-    _next_id = 0
-
     def __init__(
         self,
         opcode: Opcode,
@@ -113,7 +115,7 @@ class SendWR:
         remote_addr: int = 0,
         rkey: int = 0,
         imm: Optional[int] = None,
-        wr_id: Optional[int] = None,
+        wr_id: int = 0,
         signaled: bool = True,
         compare_add: int = 0,
         swap: int = 0,
@@ -129,9 +131,6 @@ class SendWR:
             total = sum(sge.length for sge in sgl)
             if total != 8:
                 raise ValueError("atomics operate on exactly 8 bytes")
-        if wr_id is None:
-            SendWR._next_id += 1
-            wr_id = SendWR._next_id
         self.opcode = opcode
         self.sgl = list(sgl) if sgl else []
         self.remote_addr = remote_addr
@@ -163,16 +162,12 @@ class SendWR:
 
 
 class RecvWR:
-    """A receive-queue work request: one landing buffer."""
+    """A receive-queue work request: one landing buffer (``wr_id`` is
+    the caller's cookie, as on a SendWR)."""
 
     __slots__ = ("mr", "offset", "length", "wr_id")
 
-    _next_id = 0
-
-    def __init__(self, mr=None, offset: int = 0, length: int = 0, wr_id=None):
-        if wr_id is None:
-            RecvWR._next_id += 1
-            wr_id = RecvWR._next_id
+    def __init__(self, mr=None, offset: int = 0, length: int = 0, wr_id: int = 0):
         if mr is not None and offset + length > mr.size:
             raise ValueError("recv buffer exceeds MR bounds")
         self.mr = mr

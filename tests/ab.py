@@ -18,8 +18,8 @@ CI leg too):
 
 Compared, per cluster: ``sim.now``, the whole :func:`repro.stats.snapshot`
 and every RNIC SRAM cache's contents in LRU order with its counters;
-then the scenario's outcomes and ``run.extras``.  Deliberately not
-compared: ``Simulator._seq`` (a commit enqueues fewer events),
+then the scenario's outcomes.  Deliberately not compared:
+``Simulator._seq`` (a commit enqueues fewer events),
 ``Snapshot.op_latency`` (the tracer's own histograms), ``run.notes``
 (mode-dependent observations a row reads) and the ``fp_stats`` delta,
 which is reported in every failure message and checked only for its
@@ -33,19 +33,15 @@ import random
 
 from repro.cluster import Cluster
 from repro.core import LiteContext, LiteError, lite_boot, rpc_server_loop
-from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.obs import install_tracer
 from repro.stats import snapshot
 from repro.verbs.fastpath import fp_stats
 
-__all__ = ["KILL_SWITCH", "MODES", "Run", "Record", "check", "fp_counts",
+__all__ = ["MODES", "Run", "Record", "check", "fp_counts",
            "fp_delta", "mixed_traffic", "rejects", "run", "sram_state"]
 
 MODES = ("fast", "slow", "traced")
-# The environment kill switch ``Simulator()`` reads; only the one test
-# of the switch itself sets it.
-KILL_SWITCH = "REPRO_NO_FASTPATH"
 
 
 class Run:
@@ -55,7 +51,6 @@ class Run:
         assert mode in MODES, mode
         self.mode = mode
         self.clusters = []
-        self.extras = {}    # compared across modes
         self.notes = {}     # never compared: what a row check reads
 
     def cluster(self, n_nodes: int, **kwargs) -> Cluster:
@@ -71,7 +66,6 @@ class Run:
 class Record:
     state: list         # per cluster: (sim.now, snapshot, SRAM state)
     outcomes: object
-    extras: dict
     fp: dict            # fp_stats delta over the run: reported, not compared
     run: Run
 
@@ -110,9 +104,7 @@ def _state(cluster) -> tuple:
 
 
 def run(scenario, mode: str, **params) -> Record:
-    """``scenario`` under ``mode``, from rewound global id counters (they
-    feed token digit counts into control-message sizes)."""
-    reset_global_counters()
+    """``scenario`` under ``mode``."""
     before = fp_counts()
     current = Run(mode)
     outcomes = scenario(current, **params)
@@ -121,7 +113,7 @@ def run(scenario, mode: str, **params) -> Record:
     if mode != "fast":
         assert fp["attempts"] == 0, f"{mode} run attempted a commit: {fp}"
     return Record([_state(cluster) for cluster in current.clusters],
-                  outcomes, current.extras, fp, current)
+                  outcomes, fp, current)
 
 
 def _unordered(sram: list) -> list:
@@ -147,7 +139,6 @@ def check(scenario, modes=("fast", "slow"), lru_order=True, **params) -> dict:
                 _unordered(a[2]), _unordered(b[2]))
             assert sram_a == sram_b, f"cluster {index}: SRAM diverged ({fp})"
         assert want.outcomes == got.outcomes, f"outcomes diverged ({fp})"
-        assert want.extras == got.extras, f"extras diverged ({fp})"
     return records
 
 

@@ -12,7 +12,6 @@ from repro.apps.graph import (
 )
 from repro.cluster import Cluster
 from repro.core import lite_boot
-from repro.determinism import reset_global_counters
 from repro.workloads import degree_histogram, powerlaw_graph
 
 
@@ -174,7 +173,6 @@ def test_reference_is_bit_identical_to_the_per_edge_loop(graph):
 ])
 def test_engines_bit_identical_and_sim_time_unchanged(build, elapsed_us):
     graph = PartitionedGraph(400, powerlaw_graph(400, 6, seed=3), 4)
-    reset_global_counters()
     cluster, engine = build(graph)
     ranks = cluster.run_process(engine.run(3))
     assert ranks == pagerank_reference(graph, 3) == _per_edge_pagerank(graph, 3)

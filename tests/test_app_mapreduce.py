@@ -15,7 +15,6 @@ from repro.apps.mapreduce.common import (
 )
 from repro.cluster import Cluster
 from repro.core import lite_boot
-from repro.determinism import reset_global_counters
 from repro.workloads import generate_corpus
 
 
@@ -170,7 +169,6 @@ def _hadoop():
                "merge": 47.328669230768355, "total": 9655.541096153847}),
 ])
 def test_map_kernel_leaves_sim_time_unchanged(build, phase_times, corpus, truth):
-    reset_global_counters()
     cluster, engine = build()
     assert cluster.run_process(engine.run(corpus)) == truth
     assert engine.phase_times == phase_times

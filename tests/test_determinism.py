@@ -6,24 +6,25 @@ down end-to-end, plus stress the engine with randomized process graphs.
 """
 
 import ast
-import importlib
-import itertools
+import dataclasses
 import pathlib
 import random
 import re
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core import LiteContext, lite_boot, rpc_server_loop
 from repro.sim import Simulator
+from repro.stats import snapshot
 from repro.workloads import generate_corpus
 
 
-def _lite_rpc_trace(seed: int):
-    """A mixed workload; returns (timestamps, replies)."""
+def _lite_rpc_workload(seed: int):
+    """A booted cluster and its mixed-workload driver, not yet run;
+    returns (cluster, driver process, trace).  The trace records the
+    LMR and handle ids the cluster handed out, then (time, reply)."""
     cluster = Cluster(3)
     kernels = lite_boot(cluster)
     sim = cluster.sim
@@ -36,6 +37,7 @@ def _lite_rpc_trace(seed: int):
     def driver():
         yield sim.timeout(1)
         lh = yield from client.lt_malloc(4096, nodes=3)
+        trace.append((lh.mapping.lmr_id, lh.lh_id))
         for index in range(30):
             yield sim.timeout(rng.random() * 10)
             if index % 3 == 0:
@@ -50,43 +52,59 @@ def _lite_rpc_trace(seed: int):
                 data = yield from client.lt_read(lh, index - 1, 1)
                 trace.append((round(sim.now, 6), data))
 
-    cluster.run_process(driver())
+    return cluster, sim.process(driver()), trace
+
+
+def _lite_rpc_trace(seed: int):
+    cluster, driver, trace = _lite_rpc_workload(seed)
+    cluster.run(stop=driver)
     return trace
 
 
 def test_identical_seeds_produce_identical_traces():
-    """Same seed -> byte-identical data; timestamps match to <0.5%
-    (global object-id counters change wire-message digit counts between
-    runs, which is the only tolerated drift)."""
-    trace_a = _lite_rpc_trace(7)
-    trace_b = _lite_rpc_trace(7)
-    assert [d for _t, d in trace_a] == [d for _t, d in trace_b]
-    for (ta, _), (tb, _) in zip(trace_a, trace_b):
-        assert tb == pytest.approx(ta, rel=5e-3)
+    """Same seed -> identical ids, data and timestamps, however many
+    clusters the process built before."""
+    assert _lite_rpc_trace(7) == _lite_rpc_trace(7)
 
 
 def test_different_seeds_differ():
-    times_a = [t for t, _d in _lite_rpc_trace(7)]
-    times_b = [t for t, _d in _lite_rpc_trace(8)]
+    times_a = [t for t, _d in _lite_rpc_trace(7)[1:]]
+    times_b = [t for t, _d in _lite_rpc_trace(8)[1:]]
     assert times_a != times_b
+
+
+def test_interleaved_clusters_match_their_solo_runs():
+    """Ids belong to the simulator: two clusters built and advanced in
+    alternating ``sim.run(until=...)`` steps in one process each end
+    exactly as they end alone — instant, snapshot and outcomes."""
+
+    def result(cluster, trace):
+        return (cluster.sim.now, dataclasses.asdict(snapshot(cluster)),
+                trace)
+
+    solo = []
+    for seed in (7, 8):
+        cluster, driver, trace = _lite_rpc_workload(seed)
+        cluster.run(stop=driver)
+        solo.append(result(cluster, trace))
+    runs = [_lite_rpc_workload(seed) for seed in (7, 8)]
+    ends = [now for now, _, _ in solo]
+    for until in range(5, int(max(ends)), 5):
+        for (cluster, _, _), end in zip(runs, ends):
+            if cluster.sim.now < until < end:
+                cluster.run(until=until)
+    for cluster, driver, _ in runs:
+        cluster.run(stop=driver)
+    assert [result(cluster, trace) for cluster, _, trace in runs] == solo
 
 
 def test_empty_fault_plan_is_zero_cost():
     """An installed-but-empty FaultPlan must not perturb the event
-    stream: timestamps and data stay byte-identical.
-
-    Uses the KV store (its wire messages carry no global object-id
-    counters, so runs are *exactly* reproducible in-process — see the
-    §7 note in docs/INTERNALS.md for why the RPC trace above is not).
-    """
+    stream: timestamps and data stay byte-identical."""
     from repro.apps.kvstore import LiteKVClient, LiteKVServer
-    from repro.determinism import reset_global_counters
     from repro.fault import FaultInjector, FaultPlan
 
     def run_once(inject: bool):
-        # Pin the global object-id counters so both runs see identical
-        # wire-message digit counts regardless of what ran before.
-        reset_global_counters()
         cluster = Cluster(3)
         kernels = lite_boot(cluster)
         if inject:
@@ -113,10 +131,7 @@ def test_empty_fault_plan_is_zero_cost():
         cluster.run_process(proc())
         return trace, cluster.sim.now
 
-    trace_plain, now_plain = run_once(False)
-    trace_inj, now_inj = run_once(True)
-    assert trace_plain == trace_inj  # timestamps exactly equal
-    assert now_plain == now_inj
+    assert run_once(False) == run_once(True)  # timestamps exactly equal
 
 
 def test_full_app_run_is_deterministic():
@@ -131,25 +146,18 @@ def test_full_app_run_is_deterministic():
         result = cluster.run_process(engine.run(corpus))
         return engine.phase_times["total"], result
 
-    t1, r1 = run_once()
-    t2, r2 = run_once()
-    assert r1 == r2                       # identical answers, always
-    assert t2 == pytest.approx(t1, rel=5e-3)  # timing drift < 0.5%
+    assert run_once() == run_once()
 
 
-def test_reset_global_counters_rewinds_job_names():
-    """The job name travels in control messages, so the tenth job of a
-    process (``mrjob10``) would cost a byte more on the wire than the
-    first nine unless the reset rewinds the apps' job counters too."""
-    from repro.apps.dsm.graphdsm import LiteGraphDsm
-    from repro.apps.graph.litegraph import LiteGraph
+def test_ten_jobs_in_one_process_get_the_same_name_and_final_instant():
+    """The job name travels in control messages, and it comes from the
+    cluster's own counter: the tenth job of a process is ``mrjob1`` of
+    its cluster, not ``mrjob10``, and costs no extra byte on the wire."""
     from repro.apps.mapreduce import LiteMR
-    from repro.determinism import reset_global_counters
 
     corpus = generate_corpus(8, 40, vocab_size=50, seed=3)
 
     def run_once():
-        reset_global_counters()
         cluster = Cluster(3)
         kernels = lite_boot(cluster)
         engine = LiteMR(kernels, total_threads=4)
@@ -157,31 +165,17 @@ def test_reset_global_counters_rewinds_job_names():
         return engine.job, cluster.sim.now
 
     runs = [run_once() for _ in range(10)]
-    assert set(runs) == {runs[0]}  # same name, same final instant
-    LiteGraph._job_counter = LiteGraphDsm._job_counter = 7
-    reset_global_counters()
-    assert LiteGraph._job_counter == LiteGraphDsm._job_counter == 0
+    assert runs[0][0] == "mrjob1"
+    assert set(runs) == {runs[0]}
 
 
-def _declared_counters():
-    """Every process-global id counter ``src/repro`` declares, as
-    (module, class or None, attribute, import-time value): module- and
-    class-level ``itertools.count(...)`` assignments, plus class-level
-    int attributes named like one (``_next_id``, ``*_counter``)."""
-    import repro
-
-    def count_start(value):
-        func = getattr(value, "func", None)
-        if getattr(func, "attr", getattr(func, "id", None)) != "count":
-            return None
-        args = value.args + [kw.value for kw in value.keywords]
-        return itertools.count(ast.literal_eval(args[0]) if args else 0)
-
-    root = pathlib.Path(repro.__file__).parent
+def _declared_counters(root: pathlib.Path):
+    """Every process-global id counter declared under ``root``, as
+    (module path, class or None, attribute): module- and class-level
+    ``itertools.count(...)`` assignments, plus class-level int
+    attributes named like one (``_next_id``, ``*_counter``)."""
     found = []
     for path in sorted(root.rglob("*.py")):
-        parts = ("repro",) + path.relative_to(root).with_suffix("").parts
-        module = ".".join(part for part in parts if part != "__init__")
         tree = ast.parse(path.read_text())
         scopes = [(None, tree.body)] + [
             (node.name, node.body) for node in tree.body
@@ -192,43 +186,29 @@ def _declared_counters():
                         and isinstance(stmt.targets[0], ast.Name)):
                     continue
                 name, value = stmt.targets[0].id, stmt.value
-                initial = count_start(value)
-                if (initial is None and cls is not None
-                        and isinstance(value, ast.Constant)
-                        and type(value.value) is int
-                        and re.search(r"(_next_id|_counter)$", name)):
-                    initial = value.value
-                if initial is not None:
-                    found.append((module, cls, name, initial))
+                func = getattr(value, "func", None)
+                is_count = getattr(func, "attr", getattr(func, "id", None)) == "count"
+                if is_count or (cls is not None
+                                and isinstance(value, ast.Constant)
+                                and type(value.value) is int
+                                and re.search(r"(_next_id|_counter)$", name)):
+                    found.append((path.relative_to(root).as_posix(), cls, name))
     return found
 
 
-def test_reset_global_counters_rewinds_every_declared_counter():
-    """ROADMAP 6b: a counter that escapes ``reset_global_counters()``
-    shifts id digit counts — and so wire timing — between two clusters
-    of one process.  Disturb every counter the source declares, reset,
-    and require each back at its import-time value."""
-    from repro.determinism import reset_global_counters
+def test_no_process_global_id_counters(tmp_path):
+    """Ids come from ``sim.ids``: a counter shared by the whole process
+    would shift id digit counts — and so wire timing — between two
+    clusters of one process.  The walk itself must see the shapes it
+    guards against."""
+    import repro
 
-    counters = _declared_counters()
-    assert len(counters) >= 19, "the walk must find the known counters"
-    owners = []
-    for module, cls, name, initial in counters:
-        owner = importlib.import_module(module)
-        if cls is not None:
-            owner = getattr(owner, cls)
-        owners.append(owner)
-        if isinstance(initial, int):
-            setattr(owner, name, getattr(owner, name) + 7)
-        else:
-            next(getattr(owner, name))
-    reset_global_counters()
-    escaped = [
-        f"{module}:{cls + '.' if cls else ''}{name}"
-        for owner, (module, cls, name, initial) in zip(owners, counters)
-        if repr(getattr(owner, name)) != repr(initial)]
-    assert not escaped, (
-        f"not rewound by reset_global_counters(): {escaped}")
+    planted = tmp_path / "planted.py"
+    planted.write_text("import itertools\n_keys = itertools.count(1000)\n"
+                       "class Wr:\n    _next_id = 0\n")
+    assert _declared_counters(tmp_path) == [
+        ("planted.py", None, "_keys"), ("planted.py", "Wr", "_next_id")]
+    assert _declared_counters(pathlib.Path(repro.__file__).parent) == []
 
 
 def test_every_simparams_field_has_a_reader():
@@ -305,9 +285,7 @@ def _tracer(record):
 
 
 def test_trace_jsonl_byte_identical_across_runs():
-    """Two same-seed traced runs export byte-identical JSONL (the
-    global object-id counters are reset per run, so even wire-message
-    digit counts match exactly)."""
+    """Two same-seed traced runs export byte-identical JSONL."""
     from repro.obs import to_jsonl
 
     run_a, run_b = _traced(7), _traced(7)

@@ -81,7 +81,8 @@ def lite_mixed(run, seed: int, faults: bool):
 
 def crash_burst(run):
     """60 writes while LITE 2, the primary's host, crashes at 1.5 ms and
-    restarts at 6 ms into a remapped world (its LMR was promoted away)."""
+    restarts at 6 ms into a remapped world (its LMR was promoted away).
+    Outcomes: per write, its index or error; then promotions, rejoins."""
     cluster = run.cluster(3)
     kernels = lite_boot(cluster)
     sim = cluster.sim
@@ -114,14 +115,15 @@ def crash_burst(run):
     # No trailing sim.run(): the keep-alive/lease loops never exit, and
     # the settle window already drains in-flight tails.
     cluster.run_process(driver())
-    run.extras.update(promotions=recovery.promotions, rejoins=recovery.rejoins)
-    return outcomes
+    return outcomes, recovery.promotions, recovery.rejoins
 
 
 def retry_storm(run):
     """120 RPCs under 8% loss: resent tokens hit the reply cache or are
     dropped in flight.  Every attempt declines under a loss rule, so
-    this pins that declined attempts leave no trace on suppression."""
+    this pins that declined attempts leave no trace on suppression.
+    Outcomes: per RPC, its reply length or error; then the server's
+    reply-cache hits and installs."""
     cluster = run.cluster(3)
     kernels = lite_boot(cluster)
     sim = cluster.sim
@@ -146,8 +148,7 @@ def retry_storm(run):
     cluster.run_process(driver())
     sim.run()  # drain straggler retries / late replies
     cache = kernels[2].rpc._reply_cache
-    run.extras.update(hits=cache.stats.hits, installs=cache.stats.installs)
-    return outcomes
+    return outcomes, cache.stats.hits, cache.stats.installs
 
 
 def ring_wrap_burst(run):
@@ -383,14 +384,13 @@ def test_crash_mid_burst_fastpath_ab_identity():
     the dead (or remapped) peer would diverge the recovery lifecycle."""
     records = ab.check(crash_burst, modes=ab.MODES)
     assert records["fast"].fp["commits"] > 0, "the burst must commit"
-    assert records["fast"].extras["promotions"] >= 1
-    assert records["fast"].extras["rejoins"] >= 1
+    _, promotions, rejoins = records["fast"].outcomes
+    assert promotions >= 1 and rejoins >= 1
 
 
 def test_retry_storm_reply_cache_fastpath_ab_identity():
-    records = ab.check(retry_storm, modes=ab.MODES)
-    assert records["fast"].extras["hits"] > 0, \
-        "the storm must actually resend answered tokens (cache hits)"
+    _, hits, _ = ab.check(retry_storm, modes=ab.MODES)["fast"].outcomes
+    assert hits > 0, "the storm must resend answered tokens (cache hits)"
 
 
 def test_ring_wrap_mid_burst_fastpath_ab_identity():
@@ -428,6 +428,7 @@ def test_sequential_echo_rpcs_fastpath_ab_identity():
     fast = ab.check(echo_rpcs)["fast"]
     assert len(fast.outcomes[0]) == 300
     assert fast.fp["commits"] >= 0.99 * (3 * 300)
+    assert fast.fp["mismodels"] == 0
 
 
 def test_near_simultaneous_requests_fastpath_ab_identity():
@@ -446,7 +447,7 @@ def test_near_simultaneous_requests_fastpath_ab_identity():
 
 
 def test_kill_switch_disables_commits(monkeypatch):
-    monkeypatch.setenv(ab.KILL_SWITCH, "1")
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
     cluster = Cluster(2)
     assert cluster.sim.fastpath_enabled is False
     ctx = LiteContext(lite_boot(cluster)[0], "ks", kernel_level=True)

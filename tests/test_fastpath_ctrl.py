@@ -20,7 +20,6 @@ import pytest
 from repro.apps.litelog import LiteLog, LogWriter
 from repro.core import LiteContext, Permission, lite_boot
 from repro.core.protocol import MsgType, decode_ctrl, encode_ctrl
-from repro.determinism import reset_global_counters
 
 from tests import ab
 
@@ -168,7 +167,6 @@ _MALLOC_CALLS = {(3, 10): 12_450, (3, 11): 11_709, (3, 12): 11_559,
 
 
 def test_remote_lt_malloc_python_call_budget():
-    reset_global_counters()
     cluster = ab.Run("fast").cluster(2)
     kernels = lite_boot(cluster)
     ctx = LiteContext(kernels[0], "budget", kernel_level=True)

@@ -567,7 +567,7 @@ def race(run):
 
 def test_two_qps_racing_one_word():
     fast = ab.check(race)["fast"]
-    assert fast.fp["commits"] > 0
+    assert fast.fp["commits"] > 0 and fast.fp["mismodels"] == 0
     olds, word = fast.outcomes
     assert int.from_bytes(word, "little") == 25 * 1001
     values = {int.from_bytes(old, "little") for _, old in olds}

@@ -19,7 +19,6 @@ from repro.core import LiteContext, LiteError, Permission, lite_boot
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import SimParams
 from repro.recovery import RecoveryManager
-from repro.verbs import SendWR
 
 from tests import ab
 
@@ -147,7 +146,8 @@ def vec_crash_burst(run):
     """40 writes of 1.25 chunks each into a replicated LMR whose primary
     (fabric node 1, LITE 2) crashes at 2.5 ms and restarts at 8 ms; the
     lease sweeper promotes the backup and ``MappedLmr.retarget``
-    repoints the mapping."""
+    repoints the mapping.  Outcomes: per write, its index or error;
+    then promotions, rejoins."""
     cluster, kernels, ctx = _booted(run)
     sim = cluster.sim
     plan = FaultPlan().crash(1, 2500.0, restart_at_us=8000.0)
@@ -179,8 +179,7 @@ def vec_crash_burst(run):
         recovery.stop()
 
     cluster.run_process(driver())
-    run.extras.update(promotions=recovery.promotions, rejoins=recovery.rejoins)
-    return outcomes
+    return outcomes, recovery.promotions, recovery.rejoins
 
 
 def test_mid_transfer_crash_vec_ab_identity():
@@ -188,8 +187,9 @@ def test_mid_transfer_crash_vec_ab_identity():
     time, snapshot, outcomes and the recovery lifecycle."""
     fast = ab.check(vec_crash_burst)["fast"]
     assert fast.fp["commits"] > 0, "the burst must exercise commits"
-    assert fast.extras["promotions"] >= 1, "the crash must promote"
-    assert fast.extras["rejoins"] >= 1, "the restart must rejoin"
+    _, promotions, rejoins = fast.outcomes
+    assert promotions >= 1, "the crash must promote"
+    assert rejoins >= 1, "the restart must rejoin"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def walker_case(run, per_mr: bool, placement: str, op: str):
     assert len(mapping.replica_chunks) == (op == "replicated_write")
     for bchunks in mapping.replica_chunks.values():
         assert _chunk_bytes(kernels, bchunks) == oracle
-    return SendWR._next_id   # the WR id allocation
+    return [node.rnic.wqe_count for node in cluster.nodes]  # WRs posted
 
 
 @pytest.mark.parametrize("op", ["write", "read", "write_vec", "read_vec",
@@ -284,7 +284,7 @@ def per_mr_atomics(run, node: int):
     cluster.run_process(driver())
     cluster.sim.run()
     assert out == [0, 5, 4, 99, (99).to_bytes(8, "little")]
-    return SendWR._next_id
+    return [node.rnic.wqe_count for node in cluster.nodes]
 
 
 @pytest.mark.parametrize("node", [1, 2], ids=["local", "remote"])

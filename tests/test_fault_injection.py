@@ -433,12 +433,9 @@ def test_rpc_retry_with_duplicate_suppression():
 # Zero-cost-when-disabled: empty plan is byte-identical
 # ---------------------------------------------------------------------------
 def _kv_trace(install_empty_injector: bool):
-    # Byte-identity needs identical id streams in both runs: global
-    # counters drift between back-to-back clusters, and crossing an id
-    # digit boundary changes control-message lengths and thus timing.
-    from repro.determinism import reset_global_counters
-
-    reset_global_counters()
+    # Byte-identity needs identical id streams in both runs: each
+    # cluster's ids come from its own simulator, so back-to-back
+    # clusters see the same control-message lengths and timing.
     cluster = Cluster(3)
     kernels = lite_boot(cluster)
     if install_empty_injector:

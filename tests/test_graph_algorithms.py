@@ -19,7 +19,6 @@ from repro.apps.graph.algorithms import (
 )
 from repro.cluster import Cluster
 from repro.core import lite_boot
-from repro.determinism import reset_global_counters
 from repro.workloads import powerlaw_graph
 
 
@@ -146,7 +145,6 @@ def test_bulk_programs_leave_sim_time_unchanged(make_program, symmetrize,
     if symmetrize:
         edges = sorted(set(edges) | {(b, a) for a, b in edges})
     graph = PartitionedGraph(400, edges, 4)
-    reset_global_counters()
     cluster = Cluster(4)
     engine = LiteGraph(lite_boot(cluster), graph, threads_per_node=2,
                        program=make_program())

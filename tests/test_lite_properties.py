@@ -206,7 +206,7 @@ def test_property_write_read_roundtrip_any_range(prop_env, data):
 def test_property_acl_check_is_subset_test(held, wanted):
     from repro.core.lmr import MasterRecord
 
-    record = MasterRecord("x", 8, [], creator="owner")
+    record = MasterRecord(1, "x", 8, [], creator="owner")
     record.acl["user"] = held
     assert record.check("user", wanted) == ((held & wanted) == wanted)
     # The creator always passes.

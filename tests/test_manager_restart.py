@@ -230,9 +230,6 @@ def test_srq_counts_postings():
 # QP-lease table (INTERNALS §15): snapshot/restore + mid-churn restart
 # ---------------------------------------------------------------------------
 def test_restore_roundtrips_qp_lease_state():
-    from repro.determinism import reset_global_counters
-
-    reset_global_counters()
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     pool = kernels[0].qp_pool(kernels[1].lite_id, reserve=2)
@@ -268,9 +265,6 @@ def _churn_with_optional_manager_restart(restart_mid):
     table and the rest of the run is bit-identical to a no-restart run.
     """
     from repro.core.api import ClientSession
-    from repro.determinism import reset_global_counters
-
-    reset_global_counters()
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     sim = cluster.sim

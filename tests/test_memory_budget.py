@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import LiteContext, lite_boot
-from repro.determinism import reset_global_counters
 from repro.verbs import Access
 
 KB = 1024
@@ -52,7 +51,6 @@ def _window(run, count):
 
 def _registered_mrs(count=256):
     """Bytes per never-written 4 KB MR, then per 64 B first write."""
-    reset_global_counters()
     cluster = Cluster(2)
     device = cluster[1].device
     pd = device.alloc_pd()
@@ -76,7 +74,6 @@ def _registered_mrs(count=256):
 def _remote_lt_mallocs(count=100):
     """Bytes per kernel-level 4 KB lt_malloc on a remote node, after the
     control slots and every first-use path are warm."""
-    reset_global_counters()
     cluster = Cluster(2)
     cluster.sim.fastpath_enabled = True
     kernels = lite_boot(cluster)

@@ -3,8 +3,8 @@
 The contract of ``repro.sweep`` (INTERNALS §12) is that ``--jobs N`` is
 a pure wall-clock optimization: per-point results, their order, and any
 table built from them must be identical to a serial run.  That requires
-per-point isolation of every process-global counter — which these tests
-verify directly by returning counter-derived ids from the points.
+per-point isolation of every id — which these tests verify directly by
+returning counter-derived ids from the points.
 """
 
 import io
@@ -69,8 +69,8 @@ def test_parallel_matches_serial_byte_identical():
 def test_worker_isolation_resets_global_counters():
     """Identical points must yield identical counter-derived ids no
     matter which worker ran them or how many ran before: a pool worker
-    evaluates several points in one process, so any missing
-    reset_global_counters call shows up as drifting qpn/handle ids."""
+    evaluates several points in one process, so an id shared between
+    two simulations shows up as drifting qpn/handle ids."""
     points = [25] * (2 * JOBS)  # every worker sees at least ~2 points
     serial = run_sweep(_point, points, jobs=1)
     parallel = run_sweep(_point, points, jobs=JOBS)

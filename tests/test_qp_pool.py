@@ -25,7 +25,6 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import LiteContext, LiteError, lite_boot
 from repro.core.api import ClientSession
-from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.fabric import FabricError, TransferDropped
 from repro.recovery import RecoveryManager
@@ -72,7 +71,6 @@ def _instrument(pool):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [7, 21, 1009])
 def test_pool_invariants_under_seeded_churn(seed):
-    reset_global_counters()
     cluster = Cluster(3)
     kernels = lite_boot(cluster)
     # Active fault plan: a bystander link outage keeps the injector (and
@@ -108,7 +106,6 @@ def test_pool_invariants_under_seeded_churn(seed):
 
 
 def test_release_after_expiry_is_noop_and_sid_reuse_regrants():
-    reset_global_counters()
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     pool = kernels[0].qp_pool(
@@ -144,7 +141,6 @@ def test_release_after_expiry_is_noop_and_sid_reuse_regrants():
 
 
 def test_double_lease_same_session_rejected():
-    reset_global_counters()
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     pool = kernels[0].qp_pool(kernels[1].lite_id, reserve=1)
@@ -170,7 +166,6 @@ def test_double_lease_same_session_rejected():
 @pytest.mark.parametrize("seed", [3, 11])
 def test_churn_repeat_runs_bit_identical(seed):
     def once():
-        reset_global_counters()
         cluster = Cluster(2)
         kernels = lite_boot(cluster)
         stats = run_churn(
@@ -298,7 +293,6 @@ def test_crash_churn_fastpath_ab_identical():
 # ---------------------------------------------------------------------------
 def test_pooled_ttfo_beats_cold_bringup():
     def ttfo(pooled):
-        reset_global_counters()
         cluster = Cluster(2)
         kernels = lite_boot(cluster)
         stats = run_churn(

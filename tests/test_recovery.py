@@ -19,7 +19,6 @@ from repro.cluster import Cluster, ClusterManager
 from repro.core import LiteContext, LiteError, Permission, lite_boot
 from repro.core.errors import ENODEV
 from repro.core.lmr import ChunkInfo, MappedLmr
-from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.recovery import RecoveryManager
 from repro.stats import snapshot
@@ -33,7 +32,6 @@ SWEEP = 300.0
 
 def _armed(n_nodes=3, plan=None, seed=0):
     """Fresh cluster with keep-alive + recovery armed (plan optional)."""
-    reset_global_counters()
     cluster = Cluster(n_nodes)
     kernels = lite_boot(cluster)
     injector = FaultInjector(cluster, plan or FaultPlan(), seed=seed)
@@ -387,7 +385,6 @@ def test_replicas_need_nodes_outside_the_primary_placement():
 def test_unarmed_recovery_is_a_no_op():
     """Constructing (but not arming) the manager adds no lease state,
     no processes, and no event-count drift."""
-    reset_global_counters()
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     baseline_seq = cluster.sim._seq

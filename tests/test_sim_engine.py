@@ -190,6 +190,9 @@ def test_run_until_stops_clock():
     sim.run(until=35)
     assert ticks == [10, 20, 30]
     assert sim.now == 35
+    with pytest.raises(SimulationError):  # the clock never rewinds
+        sim.run(until=34)
+    assert sim.now == 35
 
 
 def test_yielding_non_event_is_an_error():

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import LiteContext, LiteError, lite_boot
-from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import SimParams
 from repro.obs import install_tracer, to_jsonl
@@ -29,11 +28,10 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
 # ---------------------------------------------------------------------------
-# Canonical scenarios: each boots a fresh cluster from rewound global id
-# counters, runs any untraced warm-up, then traces one small workload.
+# Canonical scenarios: each boots a fresh cluster (its ids start over with
+# its simulator), runs any untraced warm-up, then traces one small workload.
 # ---------------------------------------------------------------------------
 def _booted(n_nodes=2, **kwargs):
-    reset_global_counters()
     cluster = Cluster(n_nodes, **kwargs)
     kernels = lite_boot(cluster)
     return cluster, kernels, LiteContext(kernels[0], f"t{kernels[0].lite_id}")

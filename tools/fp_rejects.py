@@ -31,17 +31,19 @@ def install_probe(unattempted: Counter) -> None:
     from repro.core import kernel, rdma
     from repro.verbs.qp import QueuePair
 
-    tried = set()  # wr_ids LITE tried at post time (LITE never sets wr_id)
+    declined = {}  # id(wr) -> wr, for WRs LITE tried at post time
     post, execute = rdma.try_fast_post, QueuePair._execute
     assert kernel.try_fast_post is post
 
     def try_fast_post(qp, wr, window=None):
-        tried.add(wr.wr_id)
-        return post(qp, wr, window)
+        result = post(qp, wr, window)
+        if result is None:
+            declined[id(wr)] = wr  # held until its generator path runs
+        return result
 
     def _execute(self, wr, dst, predecessor=None, doorbell_wait=None,
                  doorbell_fire=None, attempt=False):
-        if not attempt and wr.wr_id not in tried:
+        if not attempt and declined.pop(id(wr), None) is not wr:
             unattempted[wr.opcode.value] += 1
         return execute(self, wr, dst, predecessor, doorbell_wait,
                        doorbell_fire, attempt)

@@ -28,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cluster import Cluster  # noqa: E402
 from repro.core import LiteContext, lite_boot  # noqa: E402
-from repro.determinism import reset_global_counters  # noqa: E402
 from repro.obs import (  # noqa: E402
     ReplayTrace,
     aggregate_breakdown,
@@ -42,7 +41,6 @@ DEMOS = ("write64", "read64", "rpc64")
 
 
 def _demo_cluster():
-    reset_global_counters()
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     contexts = [LiteContext(k, f"trace{k.lite_id}") for k in kernels]

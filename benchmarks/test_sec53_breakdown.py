@@ -8,7 +8,7 @@ user-kernel crossings.  We instrument the same stages.
 import pytest
 
 from repro.core import LiteContext, rpc_server_loop
-from repro.hw.params import SimParams
+from repro.hw.params import DEFAULT_PARAMS, SimParams
 
 from .common import lite_pair, print_table
 
@@ -43,29 +43,8 @@ def _rpc_total(params):
 
 
 def run_sec53():
-    cluster, kernels, _ = lite_pair()
-    params = cluster.params
-    client = LiteContext(kernels[0], "cli")
-    server = LiteContext(kernels[1], "srv")
-    cluster.sim.process(rpc_server_loop(server, 1, lambda _in: b"r" * 4096))
-    sim = cluster.sim
-
-    def settle():
-        yield sim.timeout(5)
-
-    cluster.run_process(settle())
-    samples = []
-
-    def driver():
-        for _ in range(20):
-            yield from client.lt_rpc(2, 1, b"k" * 8, max_reply=4200)
-        for _ in range(100):
-            start = sim.now
-            yield from client.lt_rpc(2, 1, b"k" * 8, max_reply=4200)
-            samples.append(sim.now - start)
-
-    cluster.run_process(driver())
-    total = sum(samples) / len(samples)
+    params = DEFAULT_PARAMS
+    total = _rpc_total(params)
     crossings = params.lite_syscall_enter_us + params.lite_sharedpage_return_us
     metadata = params.lite_metadata_us
     recv_stack = params.lite_recv_stack_us + 8 / params.memcpy_bytes_per_us

@@ -18,7 +18,6 @@ from .core import (
 from .hw import DEFAULT_PARAMS, SimParams
 from .verbs.explain import explain
 from .obs import (
-    MetricsRegistry,
     Tracer,
     install_tracer,
     uninstall_tracer,
@@ -42,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "Tracer",
-    "MetricsRegistry",
     "install_tracer",
     "uninstall_tracer",
     "__version__",

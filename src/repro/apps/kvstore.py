@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..core import LiteContext, Permission, rpc_server_loop
@@ -32,8 +33,9 @@ _OPEN = Permission.READ | Permission.WRITE
 
 
 def kv_shard_of(key: bytes, n_shards: int) -> int:
-    """Stable shard index for a key."""
-    return hash(key) % n_shards
+    """Shard index for a key, the same in every process (CRC-32, not
+    the per-process salted ``hash``)."""
+    return zlib.crc32(key) % n_shards
 
 
 def _key_tag(key: bytes) -> int:

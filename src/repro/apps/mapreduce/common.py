@@ -8,6 +8,7 @@ only from where threads run and which network stack moves the data.
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -55,10 +56,11 @@ def map_task(documents: Sequence[bytes]) -> Tuple[Counter, int]:
 
 
 def partition_counts(counts: Counter, n_partitions: int) -> List[Counter]:
-    """Split a counter into reduce partitions by word hash."""
+    """Split a counter into reduce partitions by the CRC-32 of each
+    (bytes) word, so placement does not depend on the process."""
     parts = [Counter() for _ in range(n_partitions)]
     for word, count in counts.items():
-        parts[hash(word) % n_partitions][word] = count
+        parts[zlib.crc32(word) % n_partitions][word] = count
     return parts
 
 

@@ -1,4 +1,4 @@
-"""repro.obs — per-op tracing, metrics, exporters, breakdown reports.
+"""repro.obs — per-op span tracing, exporters, breakdown reports.
 
 Quick start::
 
@@ -13,9 +13,15 @@ Quick start::
 Tracing is recorded in *simulated* time and never schedules events, so
 traced and untraced runs have identical simulated timings; with the
 tracer uninstalled (the default) every hook is a single ``None`` check.
+
+Spans are the only record a tracer keeps.  Everything else is derived
+from them when asked: ``repro.stats.snapshot`` buckets the finished
+``op.*`` spans into one :class:`HistogramSnapshot` per op name
+(``Snapshot.op_latency``), and :mod:`repro.obs.report` splits each op
+into the §5.3 stages.
 """
 
-from .metrics import Histogram, HistogramSnapshot, MetricsRegistry
+from .metrics import HistogramSnapshot
 from .trace import (
     Span,
     Tracer,
@@ -42,9 +48,7 @@ from .report import (
 )
 
 __all__ = [
-    "Histogram",
     "HistogramSnapshot",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "install_tracer",

@@ -1,18 +1,17 @@
-"""Counters and fixed-bucket latency histograms for the tracing layer.
+"""Fixed-bucket latency histograms, built from span durations.
 
-The registry is deliberately simple and allocation-light: plain integer
-counters plus log2-bucket histograms with fixed, pre-computed bounds so
-two identical runs produce byte-identical snapshots (no adaptive
-resizing, no floating accumulation order effects beyond the values
-observed).  Percentiles interpolate linearly inside a bucket, which is
-exact enough for the p50/p99 figures the paper reports.
+Buckets have fixed, pre-computed log2 bounds so two identical runs
+produce byte-identical histograms (no adaptive resizing).  Percentiles
+interpolate linearly inside a bucket, which is exact enough for the
+p50/p99 figures the paper reports.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Iterable, Optional, Tuple
 
-__all__ = ["Histogram", "HistogramSnapshot", "MetricsRegistry"]
+__all__ = ["HistogramSnapshot"]
 
 # Log2 bucket upper bounds in microseconds: 0.125 us .. ~16.8 s.  The
 # final implicit bucket catches anything beyond the last bound.
@@ -20,7 +19,7 @@ _BUCKET_BOUNDS: Tuple[float, ...] = tuple(0.125 * (2 ** k) for k in range(28))
 
 
 class HistogramSnapshot:
-    """Immutable copy of a histogram at one instant (delta-able)."""
+    """Immutable latency histogram (microseconds), delta-able."""
 
     __slots__ = ("counts", "total", "count", "min", "max")
 
@@ -31,6 +30,17 @@ class HistogramSnapshot:
         self.count = count
         self.min = min_value
         self.max = max_value
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[float]) -> "HistogramSnapshot":
+        """Bucket ``samples``: each lands in the first bucket whose
+        upper bound is >= the value."""
+        samples = list(samples)
+        counts = [0] * (len(_BUCKET_BOUNDS) + 1)
+        for value in samples:
+            counts[bisect_left(_BUCKET_BOUNDS, value)] += 1
+        return cls(tuple(counts), sum(samples, 0.0), len(samples),
+                   min(samples, default=None), max(samples, default=None))
 
     def delta(self, baseline: "HistogramSnapshot") -> "HistogramSnapshot":
         """Observations accumulated since ``baseline``.
@@ -75,88 +85,3 @@ class HistogramSnapshot:
             f"HistogramSnapshot(n={self.count}, mean={self.mean:.3f}, "
             f"p50={self.percentile(50):.3f}, p99={self.percentile(99):.3f})"
         )
-
-
-class Histogram:
-    """Fixed log2-bucket latency histogram (microseconds)."""
-
-    __slots__ = ("counts", "total", "count", "min", "max")
-
-    def __init__(self):
-        self.counts: List[int] = [0] * (len(_BUCKET_BOUNDS) + 1)
-        self.total = 0.0
-        self.count = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        """Record one latency sample."""
-        counts = self.counts
-        lo, hi = 0, len(_BUCKET_BOUNDS)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= _BUCKET_BOUNDS[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        counts[lo] += 1
-        self.total += value
-        self.count += 1
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def snapshot(self) -> HistogramSnapshot:
-        """Immutable copy for deltas and reporting."""
-        return HistogramSnapshot(
-            tuple(self.counts), self.total, self.count, self.min, self.max
-        )
-
-    def percentile(self, p: float) -> float:
-        """Approximate percentile of everything observed so far."""
-        return self.snapshot().percentile(p)
-
-
-class MetricsRegistry:
-    """Named counters + named latency histograms."""
-
-    __slots__ = ("counters", "hists")
-
-    def __init__(self):
-        self.counters: Dict[str, int] = {}
-        self.hists: Dict[str, Histogram] = {}
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump counter ``name`` by ``n``."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def histogram(self, name: str) -> Histogram:
-        """Get-or-create the histogram called ``name``."""
-        hist = self.hists.get(name)
-        if hist is None:
-            hist = self.hists[name] = Histogram()
-        return hist
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into histogram ``name``."""
-        self.histogram(name).observe(value)
-
-    def summary(self) -> Dict[str, object]:
-        """Deterministic digest: counters plus per-histogram stats."""
-        out: Dict[str, object] = {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-        }
-        latency = {}
-        for name in sorted(self.hists):
-            snap = self.hists[name].snapshot()
-            latency[name] = {
-                "count": snap.count,
-                "mean_us": snap.mean,
-                "p50_us": snap.percentile(50),
-                "p99_us": snap.percentile(99),
-                "min_us": snap.min,
-                "max_us": snap.max,
-            }
-        out["latency"] = latency
-        return out

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from .metrics import MetricsRegistry
-
 __all__ = [
     "Span",
     "Tracer",
@@ -62,12 +60,10 @@ class Span:
 class Tracer:
     """Records a forest of spans against the simulator clock."""
 
-    __slots__ = ("sim", "metrics", "spans", "current", "_sid_counter",
-                 "_op_counter")
+    __slots__ = ("sim", "spans", "current", "_sid_counter", "_op_counter")
 
-    def __init__(self, sim, metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim):
         self.sim = sim
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: List[Span] = []
         # Span the running process is currently inside (task-local; the
         # engine swaps it on every process suspend/resume).
@@ -100,15 +96,10 @@ class Tracer:
         span.op = self._op_counter
         return span
 
-    def end(self, span: Span, outcome: str = "ok", **attrs: Any) -> Span:
+    def end(self, span: Span, outcome: str = "ok") -> Span:
         """Close ``span`` and pop it from the current-context chain."""
         span.end = self.sim.now
         span.outcome = outcome
-        if attrs:
-            if span.attrs is None:
-                span.attrs = attrs
-            else:
-                span.attrs.update(attrs)
         parent = span.parent
         if parent is not None and parent.end is not None \
                 and parent.end < span.end:
@@ -122,10 +113,6 @@ class Tracer:
                 self.current = span.parent
                 break
             node = node.parent
-        # Metrics ride along: per-span-name counts, per-op latency hists.
-        self.metrics.count("span." + span.name)
-        if span.name.startswith("op."):
-            self.metrics.observe(span.name, span.end - span.start)
         return span
 
     def instant(self, name: str, node: Optional[int] = None, nbytes: int = 0,
@@ -143,7 +130,6 @@ class Tracer:
         span.end = now
         span.outcome = "ok"
         self.spans.append(span)
-        self.metrics.count("span." + name)
         return span
 
     def interval(self, name: str, start: float, end: float,
@@ -165,7 +151,6 @@ class Tracer:
         if parent is not None and parent.end is not None and parent.end < end:
             span.late = True
         self.spans.append(span)
-        self.metrics.count("span." + name)
         return span
 
     # -- queries --------------------------------------------------------
@@ -183,11 +168,11 @@ class Tracer:
         return index
 
 
-def install_tracer(cluster, metrics: Optional[MetricsRegistry] = None):
+def install_tracer(cluster):
     """Attach a Tracer to ``cluster`` and return it.  Also points each
     node's HostMemory at the tracer so allocation markers can be
     recorded."""
-    tracer = Tracer(cluster.sim, metrics)
+    tracer = Tracer(cluster.sim)
     cluster.sim.tracer = tracer
     for node in cluster.nodes:
         node.memory.tracer = tracer

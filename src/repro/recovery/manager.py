@@ -31,12 +31,11 @@ given (fault plan, seed) recovers identically on every run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.errors import LiteError
 from ..core.lmr import ChunkInfo, MappedLmr, MasterRecord, Permission
 from ..core.protocol import MsgType
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["RecoveryManager"]
 
@@ -58,7 +57,6 @@ class RecoveryManager:
         lease_ttl_us: float = DEFAULT_LEASE_TTL_US,
         renew_interval_us: float = DEFAULT_RENEW_INTERVAL_US,
         sweep_interval_us: float = DEFAULT_SWEEP_INTERVAL_US,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         if lease_ttl_us <= renew_interval_us:
             raise ValueError("lease TTL must exceed the renew interval")
@@ -70,7 +68,6 @@ class RecoveryManager:
         self.lease_ttl_us = lease_ttl_us
         self.renew_interval_us = renew_interval_us
         self.sweep_interval_us = sweep_interval_us
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Lifecycle state.
         self.dead: Set[int] = set()
         self._rejoining: Set[int] = set()
@@ -78,12 +75,16 @@ class RecoveryManager:
         self._last_renew: Dict[int, float] = {}
         self._armed = False
         self._stopped = False
-        # Stats (exact samples kept alongside the histograms: the
-        # histogram buckets are lossy, assertions want the real values).
+        # Stats.  ``promotions`` counts failovers (one per dead node);
+        # ``promoted_lmrs`` the LMRs whose backup took over in them.
         self.promotions = 0
         self.rejoins = 0
         self.resyncs = 0
         self.failed_lmrs = 0
+        self.promoted_lmrs = 0
+        self.dropped_updates = 0
+        self.failed_resyncs = 0
+        self.exhausted_resyncs = 0
         self.promotion_samples: List[float] = []
         self.unavailability_samples: List[float] = []
 
@@ -176,7 +177,6 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def _failover(self, dead_id: int):
         t0 = self.sim.now
-        self.metrics.count("recovery.failovers")
         for kernel in self.kernels:
             if kernel.lite_id == dead_id:
                 continue
@@ -204,10 +204,8 @@ class RecoveryManager:
         promotion = self.sim.now - t0
         self.promotions += 1
         self.promotion_samples.append(promotion)
-        self.metrics.observe("recovery.promotion_us", promotion)
         unavailability = self.sim.now - self._last_renew.get(dead_id, t0)
         self.unavailability_samples.append(unavailability)
-        self.metrics.observe("recovery.unavailability_us", unavailability)
 
     def _repair_entry(self, lmr_id: int, entry: dict, dead_id: int):
         # A backup copy on the dead node is lost (kept for resync).
@@ -227,7 +225,6 @@ class RecoveryManager:
         if not candidates:
             entry["failed"] = True
             self.failed_lmrs += 1
-            self.metrics.count("recovery.lmr_failed")
             yield from self._broadcast_update(lmr_id, entry)
             return
         new_master = candidates[0]
@@ -243,7 +240,7 @@ class RecoveryManager:
         if name in self.manager.names:
             self.manager.names[name] = new_master
         self._rehome_record(lmr_id, entry, new_master)
-        self.metrics.count("recovery.promoted_lmrs")
+        self.promoted_lmrs += 1
         yield from self._broadcast_update(lmr_id, entry)
 
     def _rehome_record(self, lmr_id: int, entry: dict, new_master: int) -> None:
@@ -320,7 +317,7 @@ class RecoveryManager:
         except LiteError:
             # Mapper unreachable: its mappings are repaired on a later
             # sweep (or are gone with the node).
-            self.metrics.count("recovery.update_dropped")
+            self.dropped_updates += 1
 
     # ------------------------------------------------------------------
     # Rejoin + resync
@@ -345,7 +342,6 @@ class RecoveryManager:
                             qp.reset()
             self.dead.discard(rejoin_id)
             self.rejoins += 1
-            self.metrics.count("recovery.rejoins")
             # Give the re-registration a metadata tick so rejoin is an
             # observable simulated-time event, then let the sweeper
             # schedule resyncs for every copy this node lost.
@@ -399,18 +395,17 @@ class RecoveryManager:
             else:
                 # Still racing writes after the retry budget: leave the
                 # copy out of the set; a later sweep tries again.
-                self.metrics.count("recovery.resync_retry_exhausted")
+                self.exhausted_resyncs += 1
                 return
         except LiteError:
             # Source or target became unreachable mid-copy.
-            self.metrics.count("recovery.resync_failed")
+            self.failed_resyncs += 1
             return
         entry["backups"][holder] = entry["lost"].pop(holder)
         record = master._records_by_id.get(lmr_id)
         if record is not None:
             record.replicas[holder] = list(dst_map.chunks)
         self.resyncs += 1
-        self.metrics.count("recovery.resyncs")
         yield from self._broadcast_update(lmr_id, entry)
 
     def __repr__(self) -> str:

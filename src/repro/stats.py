@@ -8,12 +8,15 @@ subtracts a baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional
 
 from .obs.metrics import HistogramSnapshot
 
 __all__ = ["NodeStats", "Snapshot", "snapshot"]
+
+# NodeStats fields that NodeStats.delta does not subtract.
+_NOT_COUNTERS = ("node_id", "cpu_busy", "lite_qps")
 
 
 @dataclass
@@ -58,33 +61,23 @@ class NodeStats:
         return sum(self.cpu_busy.values())
 
     def delta(self, baseline: "NodeStats") -> "NodeStats":
-        """Counters accumulated since ``baseline`` (same node)."""
+        """Counters accumulated since ``baseline`` (same node).  Every
+        int counter subtracts; ``lite_qps`` is a level, not a counter."""
         if baseline.node_id != self.node_id:
             raise ValueError("delta between different nodes")
         tags = set(self.cpu_busy) | set(baseline.cpu_busy)
+        counters = {
+            f.name: getattr(self, f.name) - getattr(baseline, f.name)
+            for f in fields(self) if f.name not in _NOT_COUNTERS
+        }
         return NodeStats(
             node_id=self.node_id,
             cpu_busy={
                 tag: self.cpu_busy.get(tag, 0.0) - baseline.cpu_busy.get(tag, 0.0)
                 for tag in tags
             },
-            key_cache_hits=self.key_cache_hits - baseline.key_cache_hits,
-            key_cache_misses=self.key_cache_misses - baseline.key_cache_misses,
-            pte_cache_hits=self.pte_cache_hits - baseline.pte_cache_hits,
-            pte_cache_misses=self.pte_cache_misses - baseline.pte_cache_misses,
-            qp_cache_hits=self.qp_cache_hits - baseline.qp_cache_hits,
-            qp_cache_misses=self.qp_cache_misses - baseline.qp_cache_misses,
-            wqe_count=self.wqe_count - baseline.wqe_count,
-            dma_bytes=self.dma_bytes - baseline.dma_bytes,
-            tx_bytes=self.tx_bytes - baseline.tx_bytes,
-            rx_bytes=self.rx_bytes - baseline.rx_bytes,
-            dram_allocated=self.dram_allocated - baseline.dram_allocated,
-            lite_reads=self.lite_reads - baseline.lite_reads,
-            lite_writes=self.lite_writes - baseline.lite_writes,
-            lite_atomics=self.lite_atomics - baseline.lite_atomics,
-            lite_rpcs_sent=self.lite_rpcs_sent - baseline.lite_rpcs_sent,
-            lite_rpcs_served=self.lite_rpcs_served - baseline.lite_rpcs_served,
             lite_qps=self.lite_qps,
+            **counters,
         )
 
 
@@ -96,8 +89,8 @@ class Snapshot:
     nodes: Dict[int, NodeStats]
     fabric_bytes: int
     fabric_transfers: int
-    # Per-op-type latency histograms (e.g. "op.lt_write"), populated when
-    # a tracer is installed on the cluster; None otherwise.
+    # Per-op-type latency histograms (e.g. "op.lt_write"), built from
+    # the finished op spans when a tracer is installed; None otherwise.
     op_latency: Optional[Dict[str, HistogramSnapshot]] = None
 
     def delta(self, baseline: "Snapshot") -> "Snapshot":
@@ -191,9 +184,13 @@ def snapshot(cluster) -> Snapshot:
     tracer = cluster.sim.tracer
     op_latency = None
     if tracer is not None:
+        durations: Dict[str, List[float]] = {}
+        for span in tracer.op_roots():
+            if span.end is not None:
+                durations.setdefault(span.name, []).append(span.duration)
         op_latency = {
-            name: tracer.metrics.hists[name].snapshot()
-            for name in sorted(tracer.metrics.hists)
+            name: HistogramSnapshot.from_samples(durations[name])
+            for name in sorted(durations)
         }
     return Snapshot(
         at=cluster.sim.now,

@@ -67,17 +67,11 @@ class MemoryRegion:
     def read(self, offset: int, nbytes: int) -> bytes:
         """Read real bytes from the MR's backing memory."""
         region, reg_off = self._backing(offset, nbytes)
-        tracer = self.device.sim.tracer
-        if tracer is not None:
-            tracer.metrics.count("mr.bytes_read", nbytes)
         return region.read(reg_off, nbytes)
 
     def write(self, offset: int, payload) -> None:
         """Write real bytes (any bytes-like) into the MR's backing memory."""
         region, reg_off = self._backing(offset, len(payload))
-        tracer = self.device.sim.tracer
-        if tracer is not None:
-            tracer.metrics.count("mr.bytes_written", len(payload))
         region.write(reg_off, payload)
 
     # -- RNIC cost inputs --------------------------------------------------

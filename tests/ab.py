@@ -20,12 +20,13 @@ Compared, per cluster: ``sim.now``, the whole :func:`repro.stats.snapshot`
 and every RNIC SRAM cache's contents in LRU order with its counters;
 then the scenario's outcomes.  Deliberately not compared:
 ``Simulator._seq`` (a commit enqueues fewer events),
-``Snapshot.op_latency`` (the tracer's own histograms), ``run.notes``
-(mode-dependent observations a row reads) and the ``fp_stats`` delta,
-which is reported in every failure message and checked only for its
-bookkeeping: every attempt is a commit or one reject, and no mode but
-``fast`` attempts.  (``mismodels`` is a row's to check: a few residual
-ones are by design, e.g. in ``test_fastpath.py``'s mixed rows.)
+``Snapshot.op_latency`` (derived from spans: ``None`` untraced),
+``run.notes`` (mode-dependent observations a row reads) and the
+``fp_stats`` delta, which is reported in every failure message and
+checked only for its bookkeeping: every attempt is a commit or one
+reject, and no mode but ``fast`` attempts.  (``mismodels`` is a row's
+to check: a few residual ones are by design, e.g. in
+``test_fastpath.py``'s mixed rows.)
 """
 
 import dataclasses

@@ -136,6 +136,7 @@ def test_failover_promotes_backup_and_loses_nothing():
 
     cluster.run_process(proc())
     assert recovery.promotions == 1
+    assert recovery.promoted_lmrs == 1
     assert recovery.unavailability_samples, "failover must be timed"
     # Unavailability is bounded by expiry + detection + promotion slack.
     assert max(recovery.unavailability_samples) <= TTL + RENEW + SWEEP + 1000.0
@@ -343,6 +344,10 @@ def _storm_fingerprint(seed: int):
         recovery.promotions,
         recovery.rejoins,
         recovery.resyncs,
+        recovery.promoted_lmrs,
+        recovery.dropped_updates,
+        recovery.failed_resyncs,
+        recovery.exhausted_resyncs,
         list(recovery.unavailability_samples),
     )
 

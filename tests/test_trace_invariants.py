@@ -12,8 +12,12 @@ import pytest
 
 from repro.core import LiteContext, RpcTimeoutError, lite_boot
 from repro.hw import DEFAULT_PARAMS
-from repro.obs import op_breakdown
+from repro.obs import (
+    HistogramSnapshot, ReplayTrace, aggregate_breakdown, install_tracer,
+    op_breakdown, to_jsonl, uninstall_tracer, write_jsonl,
+)
 from repro.stats import snapshot
+from repro.verbs.fastpath import fp_stats
 
 from tests import ab
 
@@ -163,6 +167,82 @@ def test_snapshot_op_latency_matches_spans(mixed):
         assert snap.min == pytest.approx(min(durs))
         assert snap.max == pytest.approx(max(durs))
     assert "p50" in final.summary() or "n=" in final.summary()
+
+
+def test_jsonl_export_reloads_to_the_same_trace(mixed, tmp_path):
+    """``write_jsonl`` then ``ReplayTrace.from_jsonl`` loses nothing:
+    the reloaded spans export the same bytes and break down into the
+    same stages."""
+    _cluster, tracer, _records, _snaps = mixed
+    path = tmp_path / "mixed.jsonl"
+    write_jsonl(tracer, path)
+    replay = ReplayTrace.from_jsonl(path)
+    assert to_jsonl(replay) == to_jsonl(tracer)
+    names = sorted({span.name for span in tracer.op_roots()})
+    assert "op.lt_write" in names
+    for name in [None] + names:
+        assert aggregate_breakdown(replay, name) == \
+            aggregate_breakdown(tracer, name)
+
+
+def test_uninstall_tracer_restores_the_fast_path():
+    """``uninstall_tracer`` detaches the tracer from the simulator and
+    every node's memory, so the next op commits on the fast path and
+    the old tracer records nothing more."""
+    cluster = ab.Run("fast").cluster(2)
+    kernels = lite_boot(cluster)
+    tracer = install_tracer(cluster)
+    ctx = LiteContext(kernels[0], "u")
+    lh = cluster.run_process(ctx.lt_malloc(4096, nodes=2))
+
+    def write():
+        yield from ctx.lt_write(lh, 0, b"w" * 64)
+
+    commits = fp_stats.commits
+    cluster.run_process(write())
+    assert fp_stats.commits == commits, "a traced op committed"
+    assert uninstall_tracer(cluster) is tracer
+    assert cluster.sim.tracer is None
+    assert all(node.memory.tracer is None for node in cluster.nodes)
+    spans = len(tracer.spans)
+    cluster.run_process(write())
+    assert fp_stats.commits == commits + 1
+    assert len(tracer.spans) == spans
+
+
+def test_snapshot_delta_op_latency_covers_the_interval():
+    """``Snapshot.delta`` of two traced snapshots holds, per op name,
+    exactly the op spans that finished between them: bucket for bucket,
+    including an op name the baseline never saw."""
+    cluster = ab.Run("traced").cluster(2)
+    kernels = lite_boot(cluster)
+    ctx = LiteContext(kernels[0], "u")
+    lh = cluster.run_process(ctx.lt_malloc(4096, nodes=2))
+
+    def ops(writes, reads, atomics):
+        for index in range(writes):
+            yield from ctx.lt_write(lh, 64 * index, b"w" * 64)
+        for index in range(reads):
+            yield from ctx.lt_read(lh, 64 * index, 64)
+        for _ in range(atomics):
+            yield from ctx.lt_fetch_add(lh, 1024, 1)
+
+    cluster.run_process(ops(3, 1, 0))
+    base = snapshot(cluster)
+    cluster.run_process(ops(2, 4, 1))
+    delta = snapshot(cluster).delta(base).op_latency
+    finished = {}
+    for span in cluster.sim.tracer.op_roots():
+        if span.end is not None and span.end > base.at:
+            finished.setdefault(span.name, []).append(span.duration)
+    assert {name: len(durs) for name, durs in finished.items()} == {
+        "op.lt_write": 2, "op.lt_read": 4, "op.lt_fetch_add": 1}
+    assert delta["op.lt_malloc"].count == 0
+    for name, durs in finished.items():
+        assert delta[name].count == len(durs)
+        assert delta[name].counts == \
+            HistogramSnapshot.from_samples(durs).counts
+        assert delta[name].total == pytest.approx(sum(durs))
 
 
 def test_invariants_hold_under_faults():

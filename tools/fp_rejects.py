@@ -107,8 +107,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        # repro.apps shards by hash(bytes); pin it as perfbench/run.py does.
-        os.execve(sys.executable, [sys.executable] + sys.argv,
-                  dict(os.environ, PYTHONHASHSEED="0"))
     sys.exit(main(sys.argv[1:]))

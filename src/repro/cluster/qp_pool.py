@@ -58,6 +58,13 @@ _EXPIRED_MEMO = 256
 # remote registration).
 _SCRATCH_BYTES = 64 * 1024
 
+# Pool policy defaults, owned here: conns prebuilt per peer, conns
+# parked at most (raised to the reserve), and the QP-lease TTL on the
+# recovery cadence (the sweep interval is ``repro.recovery``'s).
+DEFAULT_RESERVE = 0
+DEFAULT_CAP = 8
+DEFAULT_LEASE_TTL_US = 2000.0
+
 
 class PooledConn:
     """One reserved RC connection owned by a :class:`QPPool`."""
@@ -84,29 +91,26 @@ class PooledConn:
 class QPPool:
     """Pre-built reserved RC connections toward one peer, leased out.
 
-    Created lazily by ``LiteKernel.qp_pool(peer_lite_id)``; pre-built at
-    ``connect()`` time when ``SimParams.lite_qp_pool_reserve > 0`` (the
-    default 0 keeps the seed's connect timing byte-identical).
+    Created lazily by ``LiteKernel.qp_pool(peer_lite_id)``; its
+    reserve is built by :meth:`prebuild`.  ``None`` arguments take the
+    module defaults.
     """
 
     def __init__(self, kernel, peer_kernel, reserve=None, cap=None,
                  lease_ttl_us=None, sweep_interval_us=None):
-        params = kernel.params
         self.kernel = kernel
         self.peer_kernel = peer_kernel
         self.sim = kernel.sim
-        self.params = params
-        self.reserve = (params.lite_qp_pool_reserve
-                        if reserve is None else reserve)
-        self.cap = (max(params.lite_qp_pool_cap, self.reserve)
-                    if cap is None else cap)
+        self.params = kernel.params
+        self.reserve = DEFAULT_RESERVE if reserve is None else reserve
+        self.cap = max(DEFAULT_CAP, self.reserve) if cap is None else cap
         if sweep_interval_us is None:
             # Reuse the recovery cadence (lazy import: repro.recovery
             # pulls in repro.core, which this module must not at import
             # time).
             from ..recovery.manager import DEFAULT_SWEEP_INTERVAL_US
             sweep_interval_us = DEFAULT_SWEEP_INTERVAL_US
-        self.lease_ttl_us = (params.lite_qp_lease_ttl_us
+        self.lease_ttl_us = (DEFAULT_LEASE_TTL_US
                              if lease_ttl_us is None else lease_ttl_us)
         self.sweep_interval_us = sweep_interval_us
         # Remote scratch window for session ops (global-MR covered).
@@ -197,15 +201,14 @@ class QPPool:
     # ------------------------------------------------------------------
     # Bring-up
     # ------------------------------------------------------------------
-    def prebuild(self, n=None):
-        """Build up to ``n`` (default: the reserve) conns; generator.
+    def prebuild(self):
+        """Build the reserve's conns, up to the cap; generator.
 
-        Called from ``LiteKernel.connect()`` so the reserve's bring-up
-        cost lands where it belongs: at connection-setup time, not on
-        the first unlucky client.
+        Run at set-up (``run_churn`` does, before its first arrival) so
+        the reserve's bring-up cost lands at connection-setup time, not
+        on the first unlucky client.
         """
-        count = self.reserve if n is None else n
-        for _ in range(count):
+        for _ in range(self.reserve):
             if len(self._free) >= self.cap:
                 break
             conn = yield from self._build_conn()

@@ -100,9 +100,9 @@ class LiteKernel:
         self.sync = SyncService(self)
         self._poller = None
         self.booted = False
-        # Fault tolerance (off by default: zero-cost, seed-identical
-        # behavior).  enable_fault_tolerance() or a FaultInjector flips
-        # these on.
+        # Control-plane timeout/retry policy: off (wait forever, the
+        # seed's behavior) until enable_fault_tolerance(), which
+        # FaultInjector.arm_lite calls, copies it from SimParams.
         self.ctrl_timeout_us = 0.0  # 0 = wait forever (seed behavior)
         self.ctrl_retries = 0
         self._ctrl_reply_cache = LruDict(
@@ -128,8 +128,7 @@ class LiteKernel:
         }
         self._keepalive = None
         # Control plane: per-peer QP lease pools (cluster/qp_pool.py),
-        # created lazily by qp_pool() or eagerly by connect() when
-        # lite_qp_pool_reserve > 0.  Keyed by peer LITE id.
+        # created lazily by qp_pool().  Keyed by peer LITE id.
         self.qp_pools: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -217,12 +216,6 @@ class LiteKernel:
             prime_qp(qp)
         for qp in theirs.qps:
             prime_qp(qp)
-        # Control plane: pre-build reserved leasable conns (KRCORE-style
-        # pooling).  The default reserve of 0 skips pool creation
-        # entirely, keeping the seed's connect() timing byte-identical.
-        if params.lite_qp_pool_reserve > 0:
-            yield from self.qp_pool(other.lite_id).prebuild()
-            yield from other.qp_pool(self.lite_id).prebuild()
 
     def qp_pool(self, peer_lite_id: int, **overrides):
         """The QP lease pool toward ``peer_lite_id`` (created lazily).
@@ -740,25 +733,18 @@ class LiteKernel:
         return
         yield  # pragma: no cover - generator marker
 
-    def enable_fault_tolerance(self, ctrl_timeout_us: Optional[float] = None,
-                               ctrl_retries: Optional[int] = None) -> None:
-        """Arm the control-plane timeout/retry policy (off in the seed)."""
-        params = self.params
-        self.ctrl_timeout_us = (
-            params.lite_ctrl_timeout_us if ctrl_timeout_us is None
-            else ctrl_timeout_us
-        )
-        self.ctrl_retries = (
-            params.lite_ctrl_retries if ctrl_retries is None else ctrl_retries
-        )
+    def enable_fault_tolerance(self) -> None:
+        """Arm the control-plane timeout/retry policy (off in the seed):
+        ``SimParams.lite_ctrl_timeout_us`` and ``lite_ctrl_retries``."""
+        self.ctrl_timeout_us = self.params.lite_ctrl_timeout_us
+        self.ctrl_retries = self.params.lite_ctrl_retries
 
     @property
     def keepalive_running(self) -> bool:
         """True while the keep-alive prober is active."""
         return self._keepalive is not None
 
-    def start_keepalive(self, interval_us: Optional[float] = None,
-                        miss_limit: Optional[int] = None):
+    def start_keepalive(self, interval_us: float, miss_limit: int):
         """Start the per-node keep-alive prober (idempotent).
 
         Every ``interval_us`` the kernel pings each remote peer with a
@@ -768,19 +754,8 @@ class LiteKernel:
         """
         if self._keepalive is not None:
             return self._keepalive
-        params = self.params
-        interval = (
-            params.lite_keepalive_interval_us if interval_us is None
-            else interval_us
-        )
-        if interval <= 0:
-            return None
-        limit = (
-            params.lite_keepalive_miss_limit if miss_limit is None
-            else miss_limit
-        )
         self._keepalive = self.sim.process(
-            self._keepalive_loop(interval, max(limit, 1)),
+            self._keepalive_loop(interval_us, max(miss_limit, 1)),
             name=f"lite{self.lite_id}-keepalive",
         )
         return self._keepalive

@@ -74,22 +74,20 @@ class FaultInjector:
             sim.process(self._drive_flap(flap), name=f"fault-flap-{flap.node_id}")
         return self
 
-    def arm_lite(self, kernels, ctrl_timeout_us=None, ctrl_retries=None,
-                 keepalive_interval_us=None, miss_limit=None) -> None:
+    def arm_lite(self, kernels, keepalive_interval_us=None,
+                 miss_limit=None) -> None:
         """Switch LITE kernels to timeout/retry mode + start keep-alive.
 
         Without this, control-plane requests wait forever (the seed
         default) and a crashed peer turns into a hang instead of a
-        ``LiteError(ETIMEDOUT)``.
+        ``LiteError(ETIMEDOUT)``.  The timeout and retry budget come
+        from ``SimParams``; keep-alive starts only when
+        ``keepalive_interval_us`` is given, with ``miss_limit``.
         """
         for kernel in kernels:
-            kernel.enable_fault_tolerance(
-                ctrl_timeout_us=ctrl_timeout_us, ctrl_retries=ctrl_retries
-            )
+            kernel.enable_fault_tolerance()
             if keepalive_interval_us is not None:
-                kernel.start_keepalive(
-                    interval_us=keepalive_interval_us, miss_limit=miss_limit
-                )
+                kernel.start_keepalive(keepalive_interval_us, miss_limit)
 
     # ------------------------------------------------------------------
     # Fabric hook

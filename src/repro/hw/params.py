@@ -19,13 +19,13 @@ GB = 1024 * 1024 * 1024
 PAGE_SIZE = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimParams:
-    """Every tunable cost in the simulated testbed.
+    """Every calibrated cost in the simulated testbed, fixed for a run.
 
     The defaults model the paper's cluster: 2× Xeon E5-2620 (6 cores
     each), 128 GB DRAM, one 40 Gbps Mellanox ConnectX-3, one 40 Gbps IB
-    switch.
+    switch.  Frozen: :meth:`copy` makes a variant.
     """
 
     # ---- fabric -----------------------------------------------------
@@ -104,8 +104,6 @@ class SimParams:
     lite_retry_backoff_cap_us: float = 8000.0    # backoff ceiling
     lite_ctrl_timeout_us: float = 4000.0         # ctrl RPC round trip bound
     lite_ctrl_retries: int = 3                   # ctrl-plane resend budget
-    lite_keepalive_interval_us: float = 0.0      # 0 = keepalive off
-    lite_keepalive_miss_limit: int = 3           # misses before dead
 
     # ---- TCP/IP over IB (IPoIB) --------------------------------------
     tcp_stack_tx_us: float = 6.0                 # per-send kernel TCP path
@@ -118,32 +116,16 @@ class SimParams:
     # ---- RDMA-CM ------------------------------------------------------
     rdma_cm_overhead_us: float = 0.12            # event-channel bookkeeping
 
-    # ---- control plane: QP bring-up & pooling (§2.4, KRCORE direction)
+    # ---- control plane: QP bring-up (§2.4) ---------------------------
     # The collapsed RTS state machine hides the RESET->INIT->RTR->RTS
     # ladder from the failure model, not its cost: the control plane
     # pays one ibv_create_qp kernel call plus three ibv_modify_qp hops
     # per endpoint when it sets a connection up for real.
     qp_create_us: float = 12.0                   # ibv_create_qp kernel path
     qp_transition_us: float = 3.0                # one ibv_modify_qp state hop
-    lite_qp_pool_reserve: int = 0                # prebuilt leasable conns per peer
-    lite_qp_pool_cap: int = 8                    # max parked conns per pool
-    lite_qp_lease_ttl_us: float = 2000.0         # QP-lease TTL (recovery cadence)
 
     def __post_init__(self):
         object.__setattr__(self, "prices", Prices(self))
-
-    def __setattr__(self, name, value):
-        # Every field assignment (including the ones dataclass __init__
-        # makes) bumps a monotonic version, which fast-path cost tables
-        # key on, and, once built, rebuilds the price list.  Private
-        # names are bookkeeping, not cost inputs.  (No ``__getattr__``
-        # here: it would unspecialise every field load on 3.11.)
-        object.__setattr__(self, name, value)
-        if not name.startswith("_"):
-            state = self.__dict__
-            object.__setattr__(self, "_version", state.get("_version", 0) + 1)
-            if "prices" in state:
-                object.__setattr__(self, "prices", Prices(self))
 
     def __getstate__(self):
         # Pickles and copies carry the knobs; the price list is rebuilt.
@@ -168,9 +150,9 @@ class SimParams:
 
 class Prices:
     """The §5.3 stage durations of one ``SimParams`` (``params.prices``,
-    rebuilt after any field assignment).  The generator path, the fast
-    path's commit and ``explain()`` read stage prices here and nowhere
-    else, so they agree by construction."""
+    fixed at construction).  The generator path, the fast path's commit
+    and ``explain()`` read stage prices here and nowhere else, so they
+    agree by construction."""
 
     __slots__ = ("doorbell", "wqe", "completion", "ack", "prop",
                  "dma_setup", "ud_header", "ser", "dma", "occupancy",

@@ -135,17 +135,17 @@ def _no(reason: str) -> None:
 class CostTable:
     """Per-QP state of the commit: resources, ports, target memos.
 
-    Built lazily at first fast post (or eagerly via :func:`prime_qp`),
-    stamped with the local, remote and fabric ``SimParams`` mutation
-    counters.  All else it holds is fixed for the node's lifetime or
-    checked where the commit uses it (INTERNALS §13), so no other
-    module invalidates it.  It holds no prices: the commit reads every
+    Built lazily at first fast post (or eagerly via :func:`prime_qp`)
+    and kept while the QP's peer is unchanged.  All else it holds is
+    fixed for the node's lifetime (``SimParams`` is frozen) or checked
+    where the commit uses it (INTERNALS §13), so no other module
+    invalidates it.  It holds no prices: the commit reads every
     stage duration from the same ``params.prices`` lists the generator
     path reads.
     """
 
     __slots__ = (
-        "qp", "remote", "stamp", "floor", "fabric", "rdev", "rqp",
+        "qp", "remote", "floor", "fabric", "rdev", "rqp",
         "lrnic", "rrnic", "lpipe", "rpipe", "src_port", "dst_port",
         "src_tx", "src_rx", "dst_tx", "dst_rx",
         "src_node", "dst_node", "dst_qpn", "srq_source", "srq_items",
@@ -229,13 +229,11 @@ class CostTable:
             tx()
 
         self._rel_back = _rel_back
-        self.stamp = (self._lparams._version, self._rparams._version,
-                      self._fparams._version)
         # Lower bound on any op's completion delay, for the early
         # horizon reject: doorbell, a bare WQE at each RNIC, an empty
         # frame out and both propagations — a strict subset of every
         # timeline's terms, so rounding never lifts it past one.  Priced
-        # once: the stamp above retires the table when a price changes.
+        # once: the price lists are fixed at construction.
         lp = self._lparams.prices
         fp = self._fparams.prices
         self.floor = (lp.doorbell + lp.wqe + fp.ser(_WIRE0) + fp.prop
@@ -243,12 +241,8 @@ class CostTable:
         fp_stats.table_builds += 1
 
     def valid(self) -> bool:
-        """True while the QP's peer and every folded-in float input
-        are unchanged."""
-        return (self.remote == self.qp.remote
-                and self.stamp == (self._lparams._version,
-                                   self._rparams._version,
-                                   self._fparams._version))
+        """True while the QP's peer is unchanged."""
+        return self.remote == self.qp.remote
 
     def resolve(self, rkey: int, addr: int, nbytes: int, need: int):
         """Resolve a remote span to ``(pages, backing, reg_off)``, or None.

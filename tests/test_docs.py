@@ -5,19 +5,30 @@ docs must resolve: the file exists and ``<name>`` is a function defined
 in it (found with ``ast``, so nothing is imported or run).  Every
 backticked ``repro.<dotted.name>`` (a call's argument list allowed)
 must resolve too: the longest importable module prefix is imported and
-the rest is looked up with ``getattr``.
+the rest is looked up with ``getattr``.  Every ``<pkg>/<file>.py`` path
+inside a one-line code span must be a file under the repo root,
+``src/repro/`` or one of the top-level code directories, and every
+``SimParams.<name>`` in one must be a dataclass field.
 """
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
+
+from repro.hw.params import SimParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = [*sorted(ROOT.glob("docs/*.md")), ROOT / "DESIGN.md", ROOT / "README.md",
         ROOT / "EXPERIMENTS.md", ROOT / ".claude/skills/verify/SKILL.md"]
 CITATION = re.compile(r"\btests/(\w+\.py)(?:::(\w+))?")
 REFERENCE = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`)]*\))?`")
+SPAN = re.compile(r"`[^`\n]+`")
+PATH = re.compile(r"(?<![\w/.-])((?:\w+/)+\w+\.py)\b")
+FIELD = re.compile(r"\bSimParams\.(\w+)")
+PATH_ROOTS = [ROOT, *(ROOT / name for name in (
+    "src/repro", "tests", "tools", "benchmarks", "examples", "perfbench"))]
 
 
 def _functions(path: pathlib.Path) -> set:
@@ -63,3 +74,37 @@ def test_cited_repro_names_resolve():
                 dangling.append(f"{doc.relative_to(ROOT)}: {match[0]}")
     assert cited > 20, "the reference pattern stopped matching the docs"
     assert not dangling, dangling
+
+
+def _span_names(text: str):
+    """``(cited, dangling)`` over the paths and ``SimParams`` fields
+    named in ``text``'s one-line code spans."""
+    fields = {field.name for field in dataclasses.fields(SimParams)}
+    cited, dangling = 0, []
+    for span in SPAN.findall(text):
+        for path in PATH.findall(span):
+            cited += 1
+            if not any((root / path).is_file() for root in PATH_ROOTS):
+                dangling.append(path)
+        for name in FIELD.findall(span):
+            cited += 1
+            if name not in fields:
+                dangling.append(f"SimParams.{name}")
+    return cited, dangling
+
+
+def test_cited_paths_and_simparams_fields_resolve():
+    dangling, cited = [], 0
+    for doc in DOCS:
+        count, missing = _span_names(doc.read_text())
+        cited += count
+        dangling += [f"{doc.relative_to(ROOT)}: {name}" for name in missing]
+    assert cited > 50, "the span patterns stopped matching the docs"
+    assert not dangling, dangling
+
+
+def test_dangling_span_names_are_caught():
+    text = ("`SimParams.lite_ctrl_retries` and `hw/params.py` resolve; "
+            "`SimParams.lite_qp_pool_reserve > 0` and `hw/knobs.py` do not")
+    assert _span_names(text) == (
+        4, ["SimParams.lite_qp_pool_reserve", "hw/knobs.py"])

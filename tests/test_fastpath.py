@@ -8,6 +8,7 @@ quiescence: a commit accounts counters at commit time, so mid-flight
 snapshots may legally differ — end states may not.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from repro.core import (
     rpc_server_loop,
 )
 from repro.fault import FaultInjector, FaultPlan
-from repro.hw.params import MB, SimParams
+from repro.hw.params import DEFAULT_PARAMS, MB, SimParams
 from repro.recovery import RecoveryManager
 from repro.verbs.fastpath import CostTable, fp_stats, prime_qp, try_fast_post
 from repro.verbs.wr import Opcode, SendWR
@@ -490,14 +491,19 @@ def test_cost_table_built_at_connect_and_stable():
     assert fp_stats.table_builds == builds
 
 
-def test_cost_table_invalidated_by_param_mutation():
-    # Fresh SimParams: the default is a process-wide singleton, and the
-    # doubled knob below must not leak into later tests' clusters.
-    kernels = lite_boot(Cluster(2, params=SimParams()))
-    table = _connected_qp(kernels)._fp_table
-    assert table is not None and table.valid()
-    kernels[1].params.rnic_wqe_process_us *= 2.0
-    assert not table.valid(), "remote SimParams mutation must invalidate"
+def test_simparams_are_frozen():
+    """The cost model is fixed for a run: no field can be assigned, on
+    the shared default or on a fresh set, so a cost table never goes
+    stale on a price; ``copy`` makes a variant with its own prices."""
+    for params in (DEFAULT_PARAMS, SimParams()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.rnic_wqe_process_us = 0.2
+        assert params.rnic_wqe_process_us == 0.1
+    slower = DEFAULT_PARAMS.copy(rnic_wqe_process_us=0.2)
+    assert slower.prices.wqe == 0.2 and DEFAULT_PARAMS.prices.wqe == 0.1
+    qp = _connected_qp(lite_boot(Cluster(2, params=slower)))
+    table = qp._fp_table
+    assert prime_qp(qp) and qp._fp_table is table
 
 
 def test_fast_post_rejects_tracer_and_disabled():

@@ -11,14 +11,10 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import LiteContext
-from repro.hw.params import SimParams
 
 from .common import latency_of, lite_pair, print_table, verbs_pair, verbs_write_op
 
 SIZES = [8, 64, 512, 4096, 32768]
-
-# §5.2 fast path: chained doorbells + coalesced completion polling.
-BATCHED = SimParams(doorbell_batch=16, cq_poll_batch=16)
 
 
 def verbs_latencies():
@@ -30,8 +26,8 @@ def verbs_latencies():
     return out
 
 
-def lite_latencies(kernel_level: bool, params=None):
-    cluster, kernels, _ = lite_pair(params=params)
+def lite_latencies(kernel_level: bool):
+    cluster, kernels, _ = lite_pair()
     ctx = LiteContext(kernels[0], "lat", kernel_level=kernel_level)
     holder = {}
 
@@ -90,10 +86,9 @@ def run_fig06():
     tcp = tcp_latencies()
     user = lite_latencies(kernel_level=False)
     kernel = lite_latencies(kernel_level=True)
-    batched = lite_latencies(kernel_level=True, params=BATCHED)
     verbs = verbs_latencies()
     return [
-        (size, tcp[size], user[size], kernel[size], batched[size], verbs[size])
+        (size, tcp[size], user[size], kernel[size], verbs[size])
         for size in SIZES
     ]
 
@@ -103,11 +98,10 @@ def test_fig06_write_latency(benchmark):
     rows = benchmark.pedantic(run_fig06, rounds=1, iterations=1)
     print_table(
         "Figure 6: write latency vs size (us)",
-        ["size_B", "TCP/IP", "LITE_write", "LITE_write KL", "KL batched",
-         "Verbs write"],
+        ["size_B", "TCP/IP", "LITE_write", "LITE_write KL", "Verbs write"],
         rows,
     )
-    for size, tcp, user, kernel, batched, verbs in rows:
+    for size, tcp, user, kernel, verbs in rows:
         # TCP/IP far above RDMA for small messages (~10x); the gap
         # narrows at 32 KB where serialization dominates (paper: ~2x).
         assert tcp > (8 * verbs if size <= 512 else 1.5 * verbs)
@@ -115,6 +109,3 @@ def test_fig06_write_latency(benchmark):
         assert abs(kernel - verbs) < 0.8
         # User-level adds well under a microsecond over KL (§5.2).
         assert 0 < user - kernel < 1.0
-        # The batched fast path never hurts single-op latency; coalesced
-        # completion discovery can only shave the poll wakeup.
-        assert batched <= kernel + 0.1

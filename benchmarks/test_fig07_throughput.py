@@ -9,7 +9,6 @@ well below it.
 import pytest
 
 from repro.cluster import Cluster
-from repro.hw.params import SimParams
 from repro.net import rdma_cm_connect
 
 from .common import lite_pair, print_table, throughput_run, verbs_pair, verbs_write_op
@@ -17,9 +16,6 @@ from .common import lite_pair, print_table, throughput_run, verbs_pair, verbs_wr
 KB = 1024
 SIZES = [1 * KB, 4 * KB, 16 * KB, 64 * KB]
 DURATION_US = 2000.0
-
-# §5.2 fast path: chained doorbells + coalesced completion polling.
-BATCHED = SimParams(doorbell_batch=16, cq_poll_batch=16)
 
 
 def gbps(rate_ops_per_us: float, size: int) -> float:
@@ -56,8 +52,8 @@ def rdma_cm_tput(size: int, workers: int) -> float:
     return gbps(rate, size)
 
 
-def lite_tput(size: int, workers: int, params=None) -> float:
-    cluster, _k, contexts = lite_pair(params=params)
+def lite_tput(size: int, workers: int) -> float:
+    cluster, _k, contexts = lite_pair()
     ctx = contexts[0]
     holder = {}
 
@@ -114,7 +110,6 @@ def run_fig07():
             (
                 size // KB,
                 lite_tput(size, 8),
-                lite_tput(size, 8, params=BATCHED),
                 verbs_tput(size, 8),
                 rdma_cm_tput(size, 8),
                 lite_tput(size, 1),
@@ -131,21 +126,19 @@ def test_fig07_write_throughput(benchmark):
     rows = benchmark.pedantic(run_fig07, rounds=1, iterations=1)
     print_table(
         "Figure 7: write throughput vs size (GB/s)",
-        ["size_KB", "LITE-8", "LITE-8 batch", "Verbs-8", "CM-8", "LITE-1",
-         "Verbs-1", "CM-1", "TCP/IP"],
+        ["size_KB", "LITE-8", "Verbs-8", "CM-8", "LITE-1", "Verbs-1", "CM-1",
+         "TCP/IP"],
         rows,
         note="link ceiling = 5 GB/s raw, ~4 GB/s delivered at 64 KB",
     )
     big = rows[-1]
-    _size, lite8, lite8b, verbs8, cm8, lite1, verbs1, cm1, tcp = big
+    _size, lite8, verbs8, cm8, lite1, verbs1, cm1, tcp = big
     # All 8-way RDMA lines near the link ceiling at 64 KB.
-    for value in (lite8, lite8b, verbs8, cm8):
+    for value in (lite8, verbs8, cm8):
         assert value > 3.0
     # LITE-8 within 10% of Verbs-8 (paper: slightly better with threads).
     assert lite8 > 0.9 * verbs8
-    # Batching never costs sustained throughput.
-    assert lite8b > 0.9 * lite8
     # TCP single-stream stays well below the RDMA ceiling.
     assert tcp < 0.75 * verbs8
     # Single-thread lines are size-limited but converge upward.
-    assert rows[0][5] < rows[-1][5]
+    assert rows[0][4] < rows[-1][4]

@@ -12,19 +12,15 @@ import pytest
 from repro.baselines import FasstEndpoint, HerdServer, connect_farm_pair
 from repro.cluster import Cluster
 from repro.core import LiteContext, rpc_server_loop
-from repro.hw.params import SimParams
 
 from .common import latency_of, lite_pair, print_table
 
 RETURN_SIZES = [8, 64, 512, 4096]
 INPUT = b"k" * 8
 
-# §5.2 fast path: reply+head piggybacking and coalesced polling.
-BATCHED = SimParams(doorbell_batch=16, cq_poll_batch=16)
 
-
-def lite_rpc_latency(kernel_level: bool, params=None):
-    cluster, kernels, _ = lite_pair(params=params)
+def lite_rpc_latency(kernel_level: bool):
+    cluster, kernels, _ = lite_pair()
     server = LiteContext(kernels[1], "srv")
     client = LiteContext(kernels[0], "cli", kernel_level=kernel_level)
     replies = {size: b"r" * size for size in RETURN_SIZES}
@@ -131,14 +127,12 @@ def fasst_latency():
 
 def run_fig10():
     lite = lite_rpc_latency(kernel_level=False)
-    lite_batch = lite_rpc_latency(kernel_level=False, params=BATCHED)
     lite_kl = lite_rpc_latency(kernel_level=True)
     farm = farm_two_writes()
     herd = herd_latency()
     fasst = fasst_latency()
     return [
-        (size, lite[size], lite_batch[size], lite_kl[size], farm[size],
-         herd[size], fasst[size])
+        (size, lite[size], lite_kl[size], farm[size], herd[size], fasst[size])
         for size in RETURN_SIZES
     ]
 
@@ -148,22 +142,20 @@ def test_fig10_rpc_latency(benchmark):
     rows = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
     print_table(
         "Figure 10: RPC latency vs return size (us), 8B input",
-        ["ret_B", "LITE_RPC", "LITE batch", "LITE_RPC KL", "2 Verbs writes",
-         "HERD", "FaSST"],
+        ["ret_B", "LITE_RPC", "LITE_RPC KL", "2 Verbs writes", "HERD",
+         "FaSST"],
         rows,
     )
     by_size = {row[0]: row for row in rows}
-    for size, lite, lite_batch, lite_kl, farm, herd, fasst in rows:
+    for size, lite, lite_kl, farm, herd, fasst in rows:
         # KL within a fraction of a microsecond below user-level.
         assert 0 < lite - lite_kl < 1.0
         # LITE tracks the 2-write lower bound within ~1.5 us.
         assert abs(lite - farm) < 1.5
-        # The piggybacked reply path stays within noise of the seed path.
-        assert abs(lite_batch - lite) < 0.5
     # HERD's raw polling is fastest at small returns.
-    assert by_size[8][5] <= by_size[8][1]
+    assert by_size[8][4] <= by_size[8][1]
     # FaSST is the slowest mechanism at 4 KB (two full-MTU UD sends).
     row4k = by_size[4096]
-    assert row4k[6] >= max(row4k[1], row4k[4], row4k[5]) - 0.2
+    assert row4k[5] >= max(row4k[1], row4k[3], row4k[4]) - 0.2
     # §5.3: the 8B->4KB LT_RPC lands in the ~5-9 us envelope.
     assert 4.5 < row4k[1] < 9.5

@@ -10,16 +10,12 @@ import pytest
 from repro.baselines import FasstEndpoint, HerdServer
 from repro.cluster import Cluster
 from repro.core import LiteContext, rpc_server_loop
-from repro.hw.params import SimParams
 
 from .common import lite_pair, print_table
 
 RETURN_SIZES = [64, 512, 1024, 2048, 4096]
 INPUT = b"i" * 8
 DURATION_US = 1500.0
-
-# §5.2 fast path: reply+head piggybacking and coalesced polling.
-BATCHED = SimParams(doorbell_batch=16, cq_poll_batch=16)
 
 
 def _measure(cluster, make_worker, n_clients: int) -> float:
@@ -42,8 +38,8 @@ def _measure(cluster, make_worker, n_clients: int) -> float:
     return counted[0] / DURATION_US
 
 
-def lite_throughput(size: int, n_clients: int, params=None) -> float:
-    cluster, kernels, _ = lite_pair(params=params)
+def lite_throughput(size: int, n_clients: int) -> float:
+    cluster, kernels, _ = lite_pair()
     # 16 concurrent server threads drain the same function id.
     for index in range(max(n_clients, 1)):
         server = LiteContext(kernels[1], f"srv{index}")
@@ -128,7 +124,6 @@ def run_fig11():
             (
                 size,
                 lite_throughput(size, 16),
-                lite_throughput(size, 16, params=BATCHED),
                 herd_throughput(size, 16),
                 fasst_throughput(size, 16),
                 lite_throughput(size, 1),
@@ -144,17 +139,15 @@ def test_fig11_rpc_throughput(benchmark):
     rows = benchmark.pedantic(run_fig11, rounds=1, iterations=1)
     print_table(
         "Figure 11: RPC throughput vs return size (GB/s of returned data)",
-        ["ret_B", "LITE-16", "LITE-16 batch", "HERD-16", "FaSST-16",
-         "LITE-1", "HERD-1", "FaSST-1"],
+        ["ret_B", "LITE-16", "HERD-16", "FaSST-16", "LITE-1", "HERD-1",
+         "FaSST-1"],
         rows,
     )
     big = rows[-1]
-    _size, lite16, lite16b, herd16, fasst16, lite1, herd1, fasst1 = big
+    _size, lite16, herd16, fasst16, lite1, herd1, fasst1 = big
     # At 16 clients and 4 KB returns LITE >= HERD >= FaSST (paper).
     assert lite16 >= 0.9 * herd16
     assert herd16 > fasst16
-    # Batched rings keep pace with the seed path under load.
-    assert lite16b >= 0.9 * lite16
     # 16 clients always beat 1 client.
     assert lite16 > lite1
     # Large returns approach the link ceiling for LITE.

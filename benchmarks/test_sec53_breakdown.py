@@ -8,17 +8,14 @@ user-kernel crossings.  We instrument the same stages.
 import pytest
 
 from repro.core import LiteContext, rpc_server_loop
-from repro.hw.params import DEFAULT_PARAMS, SimParams
+from repro.hw.params import DEFAULT_PARAMS
 
 from .common import lite_pair, print_table
 
-# §5.2 fast path: reply+head piggybacking and coalesced polling.
-BATCHED = SimParams(doorbell_batch=16, cq_poll_batch=16)
 
-
-def _rpc_total(params):
-    """Mean LT_RPC latency (8 B -> 4 KB) under the given knobs."""
-    cluster, kernels, _ = lite_pair(params=params)
+def _rpc_total():
+    """Mean LT_RPC latency (8 B -> 4 KB)."""
+    cluster, kernels, _ = lite_pair()
     client = LiteContext(kernels[0], "cli")
     server = LiteContext(kernels[1], "srv")
     cluster.sim.process(rpc_server_loop(server, 1, lambda _in: b"r" * 4096))
@@ -44,7 +41,7 @@ def _rpc_total(params):
 
 def run_sec53():
     params = DEFAULT_PARAMS
-    total = _rpc_total(params)
+    total = _rpc_total()
     crossings = params.lite_syscall_enter_us + params.lite_sharedpage_return_us
     metadata = params.lite_metadata_us
     recv_stack = params.lite_recv_stack_us + 8 / params.memcpy_bytes_per_us
@@ -52,7 +49,6 @@ def run_sec53():
     network = total - crossings - metadata - recv_stack - reply_stack
     return [
         ("total LT_RPC (8B -> 4KB)", total),
-        ("total, batched fast path", _rpc_total(BATCHED)),
         ("metadata (map+perm check)", metadata),
         ("LT_recvRPC kernel stack", recv_stack),
         ("LT_replyRPC kernel stack", reply_stack),
@@ -74,8 +70,6 @@ def test_sec53_rpc_breakdown(benchmark):
     total = values["total LT_RPC (8B -> 4KB)"]
     # The envelope of the paper's 6.95 us measurement.
     assert 4.0 < total < 9.5
-    # Doorbell chaining + reply piggybacking never slow the RPC down.
-    assert values["total, batched fast path"] < total + 0.25
     assert values["metadata (map+perm check)"] < 0.3
     assert values["user-kernel crossings"] < 0.25
     assert values["LT_recvRPC kernel stack"] <= 0.35

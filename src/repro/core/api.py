@@ -434,45 +434,6 @@ class LiteContext:
         yield from self._exit()
         return data
 
-    @traced_op("op.lt_write_vec", nbytes=lambda a: sum(len(d) for _, _, d in a[0]))
-    def lt_write_vec(self, ops):
-        """Vector LT_write: many ``(lh, offset, data)`` in one call (§5.2).
-
-        One syscall crossing and one metadata charge cover the whole
-        vector, and the kernel posts the WRs as doorbell-batched chains
-        (``params.doorbell_batch``).  Generator; returns when all writes
-        have landed.
-        """
-        if not ops:
-            return
-        plan = [
-            (lh.require(self, Permission.WRITE), offset, data)
-            for lh, offset, data in ops
-        ]
-        yield from self._enter()
-        yield from self._metadata()
-        yield from self.kernel.onesided.write_vec(plan, self.priority)
-        yield from self._exit()
-
-    @traced_op("op.lt_read_vec", nbytes=lambda a: sum(n for _, _, n in a[0]))
-    def lt_read_vec(self, ops):
-        """Vector LT_read: many ``(lh, offset, nbytes)`` in one call.
-
-        Generator; returns a list of bytes objects in op order.  Same
-        single-crossing, doorbell-batched model as :meth:`lt_write_vec`.
-        """
-        if not ops:
-            return []
-        plan = [
-            (lh.require(self, Permission.READ), offset, nbytes)
-            for lh, offset, nbytes in ops
-        ]
-        yield from self._enter()
-        yield from self._metadata()
-        results = yield from self.kernel.onesided.read_vec(plan, self.priority)
-        yield from self._exit()
-        return results
-
     # ------------------------------------------------------------------
     # Memory-like extended ops (§7.1)
     # ------------------------------------------------------------------

@@ -402,18 +402,14 @@ class LiteKernel:
     # The shared polling thread (one per node, §5.1/§6.1)
     # ------------------------------------------------------------------
     def _poll_loop(self):
-        # Each wakeup drains up to ``cq_poll_batch`` CQEs with one poll
-        # call (§5.2): one discovery latency and one dispatch charge per
-        # batch; a batch of 1 is one of each per CQE.
+        # Each wakeup takes one CQE: one discovery latency, then one
+        # dispatch charge.
         cpu = self.node.cpu
-        batch = max(1, self.params.cq_poll_batch)
         while True:
-            wcs = yield from cpu.adaptive_poll(
-                self.recv_cq, tag="lite-poll", max_entries=batch
-            )
+            wc = yield from cpu.busy_wait(self.recv_cq.wait_wc(),
+                                          tag="lite-poll")
             cpu.charge("lite-poll", 0.10)  # dispatch bookkeeping
-            for wc in wcs:
-                self._dispatch_wc(wc)
+            self._dispatch_wc(wc)
 
     def _dispatch_wc(self, wc) -> None:
         """Demultiplex one receive-side CQE (control msg or RPC imm)."""

@@ -128,66 +128,6 @@ class OneSidedEngine:
             yield self.sim.timeout(backoff)
             backoff = min(backoff * 2, params.lite_retry_backoff_cap_us)
 
-    def _post_batch(self, peer_id: int, wrs: List[SendWR], priority: int):
-        """Issue many WRs to one peer behind one doorbell + window slot.
-
-        Generator; returns the list of completion statuses in posting
-        order.  The whole chain is posted with a single
-        ``post_send_batch`` call: one ``lite-post`` CPU charge and (for
-        ``doorbell_batch > 1``) one MMIO doorbell per chunk of WRs,
-        modeling §5.2's batched WQE posting.  The batch occupies a
-        single QoS-window slot — acquiring one slot per WR could
-        deadlock two concurrent batches sharing a window.  Individual
-        transport failures fall back to the one-at-a-time :meth:`_post`
-        retry path (atomics excluded, as they are not idempotent).
-        """
-        kernel = self.kernel
-        params = self.params
-        if params.doorbell_batch <= 1 or len(wrs) == 1:
-            # Unbatched: identical to the seed's per-WR posting, issued
-            # concurrently.
-            procs = [
-                self.sim.process(self._post(peer_id, wr, priority))
-                for wr in wrs
-            ]
-            results = yield self.sim.all_of(procs)
-            return [results[index] for index in range(len(procs))]
-        peer = kernel.peer(peer_id)
-        # Stripe doorbell chunks across the class's eligible shared QPs:
-        # batching must not collapse the K-way QP parallelism onto one
-        # RC ordering chain.  The floor of 2 keeps small chains (e.g.
-        # the RPC reply+head piggyback) on one QP — splitting a pair
-        # across QPs would pay two doorbells and lose their ordering.
-        fanout = max(len(kernel.qos.eligible_qps(peer, priority)), 1)
-        chunk_len = min(
-            params.doorbell_batch, max(2, -(-len(wrs) // fanout))
-        )
-        out: List[WcStatus] = [None] * len(wrs)
-
-        def chunk_runner(chunk, base_index):
-            qp, window = kernel.qos.pick_qp(peer, priority)
-            yield window.request()
-            try:
-                kernel.node.cpu.charge("lite-post", params.prices.doorbell)
-                results = yield self.sim.all_of(qp.post_send_batch(chunk))
-                statuses = [results[index] for index in range(len(chunk))]
-            finally:
-                window.release()
-            for offset, (wr, status) in enumerate(zip(chunk, statuses)):
-                if status in _RETRYABLE and wr.opcode not in _ATOMIC_OPS:
-                    if qp.state == "ERROR":
-                        qp.reset()
-                    self.retried_ops += 1
-                    status = yield from self._post(peer_id, wr, priority)
-                out[base_index + offset] = status
-
-        runners = [
-            self.sim.process(chunk_runner(wrs[start : start + chunk_len], start))
-            for start in range(0, len(wrs), chunk_len)
-        ]
-        yield self.sim.all_of(runners)
-        return out
-
     def _check(self, statuses: List[WcStatus], what: str) -> None:
         for status in statuses:
             if status is not WcStatus.SUCCESS:
@@ -201,20 +141,23 @@ class OneSidedEngine:
                 f"LMR {mapping.lmr_id} lost its last replica", errno=ENODEV
             )
 
-    def _pieces(self, mapping: MappedLmr, offset: int, nbytes: int, data, emit):
+    def _pieces(self, mapping: MappedLmr, offset: int, nbytes: int, data,
+                priority: int):
         """The one walk of an access's pieces, in plan order (generator).
 
         ``data`` is the caller's buffer for a write, None for a read.  A
         piece local to this node is charged and memcpy'd in place; a
         remote piece becomes one ``SendWR`` (a write's payload a
         zero-copy memoryview slice of ``data`` — the single copy happens
-        at the destination region write) handed to ``emit(peer, wr)``,
-        which issues it or gathers it for a batch.  Returns the read's
-        parts in order — bytes for a local piece, the ``SendWR`` whose
-        ``return_data`` the completion fills for a remote one.
+        at the destination region write), issued as it is built: the
+        fast path's handle, else the generator path's process.  Returns
+        ``(what to await, the read's parts)`` — a part is bytes for a
+        local piece, the ``SendWR`` whose ``return_data`` the completion
+        fills for a remote one.
         """
         kernel = self.kernel
         view = None if data is None else memoryview(data)
+        procs = []
         parts = []
         for chunk, chunk_off, piece_len, buf_off in mapping.plan(offset, nbytes):
             if chunk.node_id == kernel.lite_id:
@@ -235,8 +178,11 @@ class OneSidedEngine:
             wr = self._piece_wr(peer, chunk, chunk_off, piece_len, payload)
             if view is None:
                 parts.append(wr)
-            emit(peer, wr)
-        return parts
+            handle = self._try_fast(peer, wr, priority)
+            if handle is None:
+                handle = self.sim.process(self._post(peer.lite_id, wr, priority))
+            procs.append(handle)
+        return procs, parts
 
     @staticmethod
     def _piece_wr(peer, chunk, chunk_off: int, nbytes: int, payload) -> SendWR:
@@ -258,29 +204,13 @@ class OneSidedEngine:
         ]
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def _issue_pieces(self, mapping: MappedLmr, offset: int, nbytes: int, data,
-                      priority: int):
-        """:meth:`_pieces` with every remote piece issued as it is built
-        (generator): the fast path's handle, else the generator path's
-        process.  Returns ``(what to await, the read's parts)``."""
-        procs = []
-
-        def issue(peer, wr):
-            handle = self._try_fast(peer, wr, priority)
-            if handle is None:
-                handle = self.sim.process(self._post(peer.lite_id, wr, priority))
-            procs.append(handle)
-
-        parts = yield from self._pieces(mapping, offset, nbytes, data, issue)
-        return procs, parts
-
     def _one_piece(self, mapping: MappedLmr, offset: int, nbytes: int, data,
                    priority: int):
         """Issue an access that is one remote piece of an unreplicated
         LMR as its own WR (generator); returns the completed WR, or None
         at once for any other access.  A committed WR is awaited with no
-        barrier; a declined one is posted as :meth:`_issue_pieces` posts
-        a lone piece (one :meth:`_post` behind an ``all_of``), once."""
+        barrier; a declined one is posted as :meth:`_pieces` posts a
+        lone piece (one :meth:`_post` behind an ``all_of``), once."""
         piece = None if mapping.replica_chunks else mapping.piece(offset, nbytes)
         if piece is None:
             return None
@@ -317,7 +247,7 @@ class OneSidedEngine:
             return WcStatus.SUCCESS
         bmap = MappedLmr(0, "", mapping.size, bchunks, 0)
         try:
-            procs, _ = yield from self._issue_pieces(
+            procs, _ = yield from self._pieces(
                 bmap, offset, len(data), data, priority
             )
             if procs:
@@ -354,7 +284,7 @@ class OneSidedEngine:
         start = self.sim.now
         if (yield from self._one_piece(mapping, offset, len(data), data,
                                        priority)) is None:
-            procs, _ = yield from self._issue_pieces(
+            procs, _ = yield from self._pieces(
                 mapping, offset, len(data), data, priority
             )
             # Replicated LMR: the same bytes fan out to every backup copy
@@ -379,7 +309,7 @@ class OneSidedEngine:
         if wr is not None:
             data = wr.return_data or b""
         else:
-            procs, parts = yield from self._issue_pieces(
+            procs, parts = yield from self._pieces(
                 mapping, offset, nbytes, None, priority
             )
             if procs:
@@ -389,75 +319,6 @@ class OneSidedEngine:
         self.reads += 1
         kernel.qos.observe(priority, self.sim.now - start)
         return data
-
-    # -- vector ops (batched data plane, §5.2) --------------------------------
-    def _post_batches(self, by_peer: dict, priority: int):
-        """One :meth:`_post_batch` process per peer's gathered WRs."""
-        return [
-            self.sim.process(self._post_batch(peer_id, wrs, priority))
-            for peer_id, wrs in by_peer.items()
-        ]
-
-    def write_vec(self, ops, priority: int = 0):
-        """Vector LT_write: many writes, one doorbell per WR chunk.
-
-        ``ops`` is a sequence of ``(mapping, offset, data)`` triples.
-        All remote pieces destined for the same peer are posted as one
-        WR chain through :meth:`_post_batch`; local pieces short-circuit
-        into memcpy as usual.  Generator; raises on any failure.
-        """
-        kernel = self.kernel
-        yield from kernel.qos.gate(priority)
-        start = self.sim.now
-        by_peer: dict = {}
-        backup_procs = []
-
-        def gather(peer, wr):
-            by_peer.setdefault(peer.lite_id, []).append(wr)
-
-        for mapping, offset, data in ops:
-            self._check_not_failed(mapping)
-            backup_procs += self._backup_procs(mapping, offset, data, priority)
-            yield from self._pieces(mapping, offset, len(data), data, gather)
-        if by_peer or backup_procs:
-            batch_procs = self._post_batches(by_peer, priority)
-            results = yield self.sim.all_of(batch_procs + backup_procs)
-            for index in range(len(batch_procs)):
-                self._check(results[index], "write_vec")
-        for mapping, _offset, _data in ops:
-            if mapping.replica_chunks:
-                self._ack_replicated_write(mapping)
-        self.writes += len(ops)
-        kernel.qos.observe(priority, self.sim.now - start)
-
-    def read_vec(self, ops, priority: int = 0):
-        """Vector LT_read: many reads, one doorbell per WR chunk.
-
-        ``ops`` is a sequence of ``(mapping, offset, nbytes)`` triples.
-        Generator; returns a list of bytes objects, one per op, in op
-        order.
-        """
-        kernel = self.kernel
-        yield from kernel.qos.gate(priority)
-        start = self.sim.now
-        op_parts = []
-        by_peer: dict = {}
-
-        def gather(peer, wr):
-            by_peer.setdefault(peer.lite_id, []).append(wr)
-
-        for mapping, offset, nbytes in ops:
-            self._check_not_failed(mapping)
-            op_parts.append(
-                (yield from self._pieces(mapping, offset, nbytes, None, gather))
-            )
-        if by_peer:
-            results = yield self.sim.all_of(self._post_batches(by_peer, priority))
-            for statuses in results.values():
-                self._check(statuses, "read_vec")
-        self.reads += len(ops)
-        kernel.qos.observe(priority, self.sim.now - start)
-        return [self._join(parts) for parts in op_parts]
 
     # -- atomics ---------------------------------------------------------------
     def _atomic(self, mapping: MappedLmr, offset: int, opcode: Opcode,
@@ -551,32 +412,6 @@ class OneSidedEngine:
         def runner():
             try:
                 yield from self._post(peer_id, wr, priority)
-            except LiteError:
-                self.async_write_failures += 1
-
-        self.sim.process(runner(), name="lite-raw-write")
-
-    def raw_write_batch_async(self, peer_id: int, writes, priority: int = 0) -> None:
-        """Fire-and-forget chain of raw writes behind one doorbell.
-
-        ``writes`` is a sequence of ``(phys_addr, data, imm)`` triples
-        (``imm=None`` for a plain write).  The chain is posted in order
-        on one shared QP, so RC ordering holds across the whole batch —
-        the piggybacked RPC reply+ring-head update relies on this.
-        Failure semantics match :meth:`raw_write_async`.
-        """
-
-        def runner():
-            try:
-                peer = self.kernel.peer(peer_id)
-                wrs = [
-                    self._raw_wr(peer, phys_addr, data, imm, False)
-                    for phys_addr, data, imm in writes
-                ]
-                statuses = yield from self._post_batch(peer_id, wrs, priority)
-                for status in statuses:
-                    if status is not WcStatus.SUCCESS:
-                        self.async_write_failures += 1
             except LiteError:
                 self.async_write_failures += 1
 

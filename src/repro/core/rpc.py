@@ -85,7 +85,7 @@ class _ServerRing:
     """Server-side state for one client's ring."""
 
     __slots__ = ("client_id", "region", "size", "head_virtual",
-                 "client_head_slot_addr", "bytes_received", "head_dirty")
+                 "client_head_slot_addr", "bytes_received")
 
     def __init__(self, client_id: int, region, client_head_slot_addr: int):
         self.client_id = client_id
@@ -94,9 +94,6 @@ class _ServerRing:
         self.head_virtual = 0
         self.client_head_slot_addr = client_head_slot_addr
         self.bytes_received = 0
-        # Head-pointer update owed to the client but not yet written
-        # (deferred for reply piggybacking when doorbell_batch > 1).
-        self.head_dirty = False
 
     def read_wrapped(self, pos: int, nbytes: int) -> bytes:
         """Read ring bytes, wrapping past the physical end."""
@@ -412,29 +409,21 @@ class RpcEngine:
                            nbytes=msg_len, func=func_id)
         ring.head_virtual += msg_len
         ring.bytes_received += msg_len
-        # Background header-pointer update to the client (step f).  With
-        # batched posting it is deferred and piggybacked onto this
-        # client's next reply write — one doorbell instead of two (§5.2).
-        # Every reply path flushes it; a handler that never replies
-        # leaves the client to its RPC timeout, which is already the
-        # failure story.
-        if self.params.doorbell_batch > 1:
-            ring.head_dirty = True
-        else:
-            try:
-                self.kernel.onesided.raw_write_async(
-                    client_id,
-                    ring.client_head_slot_addr,
-                    struct.pack("<Q", ring.head_virtual),
-                )
-            except LiteError:
-                # The requester got dead-marked (e.g. we just restarted
-                # and have not re-learned our peers) between its send
-                # and our dispatch.  A server must never die for it:
-                # drop the update and let the client's retry path — and
-                # the reply cache — pick up the pieces.
-                self.replies_dropped += 1
-                return
+        # Background header-pointer update to the client (step f).
+        try:
+            self.kernel.onesided.raw_write_async(
+                client_id,
+                ring.client_head_slot_addr,
+                struct.pack("<Q", ring.head_virtual),
+            )
+        except LiteError:
+            # The requester got dead-marked (e.g. we just restarted and
+            # have not re-learned our peers) between its send and our
+            # dispatch.  A server must never die for it: drop the update
+            # and let the client's retry path — and the reply cache —
+            # pick up the pieces.
+            self.replies_dropped += 1
+            return
         # Same-token duplicate (a client retry that crossed our reply or
         # arrived while the handler still runs) must not invoke the
         # handler twice: answer from the reply cache or drop it.
@@ -464,37 +453,11 @@ class RpcEngine:
 
     def _send_reply(self, client_id: int, reply_addr: int, payload: bytes,
                     token: int) -> None:
-        """Write a reply, piggybacking any owed head-pointer update.
-
-        With ``doorbell_batch > 1`` the deferred ring-head write and the
-        reply ride one WR chain behind a single doorbell; RC posting
-        order guarantees the client observes the head advance no later
-        than the reply imm.
-        """
-        ring = self.server_rings.get(client_id)
-        imm = pack_reply_imm(token)
+        """Write a reply: one fire-and-forget WRITE_IMM to the client."""
         try:
-            if (
-                self.params.doorbell_batch > 1
-                and ring is not None
-                and ring.head_dirty
-            ):
-                ring.head_dirty = False
-                self.kernel.onesided.raw_write_batch_async(
-                    client_id,
-                    [
-                        (
-                            ring.client_head_slot_addr,
-                            struct.pack("<Q", ring.head_virtual),
-                            None,
-                        ),
-                        (reply_addr, payload, imm),
-                    ],
-                )
-            else:
-                self.kernel.onesided.raw_write_async(
-                    client_id, reply_addr, payload, imm=imm
-                )
+            self.kernel.onesided.raw_write_async(
+                client_id, reply_addr, payload, imm=pack_reply_imm(token)
+            )
         except LiteError:
             # Requester dead-marked between request arrival and reply
             # send (keep-alive verdict, or we restarted mid-exchange).

@@ -122,23 +122,6 @@ class CpuSet:
             if span is not None:
                 tracer.end(span)
 
-    def adaptive_poll(self, cq, tag: str = "poll", max_entries: int = 16):
-        """Busy-wait the next CQE, then drain the backlog in one charge.
-
-        The coalesced poller (§5.2): the poll loop discovers *one* new
-        completion (paying the usual busy wait plus half a poll-loop
-        iteration of discovery latency), then harvests up to
-        ``max_entries - 1`` further CQEs already sitting in the CQ with
-        a single ``ibv_poll_cq`` call — no extra discovery latency and
-        no extra per-CQE poll charge.  Returns the list of CQEs (at
-        least one).
-        """
-        first = yield from self.busy_wait(cq.wait_wc(), tag=tag)
-        batch = [first]
-        if max_entries > 1:
-            batch.extend(cq.poll(max_entries - 1))
-        return batch
-
     def sleep_wait(self, event: Event, tag: str = "sleep"):
         """Block immediately; pay only wakeup latency and cost."""
         tracer = self.sim.tracer

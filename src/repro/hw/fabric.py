@@ -115,13 +115,12 @@ class Fabric:
     def fp_path_clear(self, src_port: Port, dst_port: Port) -> bool:
         """True when a fast-path commit may model this src→dst path.
 
-        One predicate for the vectorized/chained commits in
-        ``verbs/fastpath.py``: no fault hook armed (the hook is
-        consulted per transfer on the slow path, so any hook at all
-        forces the generator path), both links up, and all four
-        channels idle — src TX/RX and dst TX/RX, because a committed
-        op holds the forward leg now and acquires the return leg
-        mid-flight.
+        The path check of the one commit in ``verbs/fastpath.py``: no
+        fault hook armed (the hook is consulted per transfer on the slow
+        path, so any hook at all forces the generator path), both links
+        up, and all four channels idle — src TX/RX and dst TX/RX,
+        because a committed op holds the forward leg now and acquires
+        the return leg mid-flight.
         """
         return (self.fault is None
                 and src_port.up and dst_port.up

@@ -81,11 +81,6 @@ class SimParams:
     lite_rpc_ring_bytes: int = 16 * MB           # per-client RPC ring LMR
     lite_qp_factor_k: int = 2                    # K in K×N shared QPs
     lite_qp_window: int = 16                     # outstanding ops per QP
-    # Data-plane batching knobs (§5.2 amortization).  Both default to 1,
-    # which reproduces the seed's unbatched timing exactly: one doorbell
-    # MMIO per work request and one poll/dispatch charge per completion.
-    doorbell_batch: int = 1                      # WQEs posted per doorbell
-    cq_poll_batch: int = 1                       # CQEs drained per poll wakeup
     lite_ctrl_slots: int = 256                   # pre-posted control recvs
     lite_ctrl_slot_bytes: int = 4096
 

@@ -47,10 +47,9 @@ class CompletionQueue:
         """Drain up to ``max_entries`` CQEs immediately available.
 
         This is ``ibv_poll_cq(cq, max_entries, ...)``: one software poll
-        harvesting a whole backlog of completions in a single call — the
-        §5.2 completion-coalescing primitive.  Callers model the CPU cost
-        as one poll charge per *call*, not per CQE (see
-        :meth:`repro.hw.cpu.CpuSet.adaptive_poll`).
+        harvesting a backlog of completions in a single call.  It costs
+        no simulated time; a poller's CPU cost is its wait strategy's
+        (:meth:`repro.hw.cpu.CpuSet.busy_wait` and friends).
         """
         out: List[WorkCompletion] = []
         while len(out) < max_entries:
@@ -60,9 +59,6 @@ class CompletionQueue:
             out.append(wc)
         self.polled += len(out)
         return out
-
-    # Verbs-style alias.
-    poll_cq = poll
 
     def wait_wc(self) -> Event:
         """Event that fires with the next CQE (consumes it)."""

@@ -221,41 +221,6 @@ class QueuePair:
             self._execute(wr, dst, predecessor), name=f"qp{self.qpn}-send"
         )
 
-    def post_send_batch(
-        self, wrs, dst: Optional[Tuple[int, int]] = None
-    ) -> list:
-        """Post a chain of work requests behind shared doorbells.
-
-        Models ibv_post_send with a linked WR list (§5.2 amortization):
-        WRs are chunked by ``params.doorbell_batch``, the first WR of
-        each chunk pays the single MMIO doorbell and the followers ride
-        it.  Posting order — and therefore the RC/UC remote-execution
-        order — is preserved across the whole chain.  Returns one
-        Process per WR.  With ``doorbell_batch=1`` this is timing-
-        identical to a loop of :meth:`post_send`.
-        """
-        batch = max(1, self.device.params.doorbell_batch)
-        processes = []
-        doorbell = None
-        for index, wr in enumerate(wrs):
-            wr_dst, predecessor = self._prepare(wr, dst)
-            doorbell_wait = doorbell_fire = None
-            if batch > 1:
-                if index % batch == 0:
-                    doorbell = self.sim.event()
-                    doorbell_fire = doorbell
-                else:
-                    doorbell_wait = doorbell
-            processes.append(
-                self.sim.process(
-                    self._execute(
-                        wr, wr_dst, predecessor, doorbell_wait, doorbell_fire
-                    ),
-                    name=f"qp{self.qpn}-send",
-                )
-            )
-        return processes
-
     # -- datapath ------------------------------------------------------------
     def _gather(self, wr: SendWR):
         data = wr.inline_data
@@ -318,7 +283,7 @@ class QueuePair:
                 yield self.sim.timeout(self.timeout_us)
 
     def _execute(self, wr: SendWR, dst: Tuple[int, int], predecessor=None,
-                 doorbell_wait=None, doorbell_fire=None, attempt=False):
+                 attempt=False):
         if attempt:
             # The start hop of a WR that ``post_send`` posted on an RC QP:
             # the instant and queue position the run-to-completion commit
@@ -350,8 +315,7 @@ class QueuePair:
                 status = WcStatus.WR_FLUSH_ERR
             else:
                 status, byte_len = yield from self._execute_rts(
-                    wr, fabric, src_node, dst_node, dst_qpn, predecessor,
-                    doorbell_wait, doorbell_fire
+                    wr, fabric, src_node, dst_node, dst_qpn, predecessor
                 )
 
             # Requester CQE.
@@ -380,41 +344,21 @@ class QueuePair:
                 done.succeed()
             if wr.delivered is not None and not wr.delivered.triggered:
                 wr.delivered.succeed(status)
-            # A batch leader that flushed before ringing must still wake
-            # its followers, or they wait on the doorbell forever.
-            if doorbell_fire is not None and not doorbell_fire.triggered:
-                doorbell_fire.succeed()
             self._sq_slots.release()
             if span is not None:
                 tracer.end(span, outcome=status.value)
 
     def _execute_rts(self, wr: SendWR, fabric, src_node: int, dst_node: int,
-                     dst_qpn: int, predecessor, doorbell_wait=None,
-                     doorbell_fire=None):
+                     dst_qpn: int, predecessor):
         sim, prices = self.sim, self.device.params.prices
         tracer = sim.tracer
 
-        # 1. Doorbell: MMIO post over PCIe.  In a batched post the chunk
-        # leader pays the one MMIO and rings the shared event; followers
-        # ride it for free.
-        if doorbell_wait is None:
-            dspan = (tracer.begin("qp.doorbell", node=src_node, qpn=self.qpn)
-                     if tracer is not None else None)
-            yield sim.timeout(prices.doorbell)
-            if doorbell_fire is not None:
-                doorbell_fire.succeed()
-            if dspan is not None:
-                tracer.end(dspan)
-        elif not doorbell_wait.processed:
-            dspan = (tracer.begin("qp.doorbell", node=src_node, qpn=self.qpn,
-                                  chained=True)
-                     if tracer is not None else None)
-            yield doorbell_wait
-            if dspan is not None:
-                tracer.end(dspan)
-        elif tracer is not None:
-            tracer.instant("qp.doorbell", node=src_node, qpn=self.qpn,
-                           chained=True)
+        # 1. Doorbell: MMIO post over PCIe.
+        dspan = (tracer.begin("qp.doorbell", node=src_node, qpn=self.qpn)
+                 if tracer is not None else None)
+        yield sim.timeout(prices.doorbell)
+        if dspan is not None:
+            tracer.end(dspan)
 
         # 2. Local RNIC: lookups + payload DMA from host memory.
         rnic = self.device.rnic

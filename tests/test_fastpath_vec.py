@@ -230,17 +230,11 @@ def walker_case(run, per_mr: bool, placement: str, op: str):
             replicas=1 if op == "replicated_write" else 0,
         )
         yield from ctx.lt_write(*put(0, seed[:size]))
-        if op in ("write", "replicated_write"):
-            yield from ctx.lt_write(*put(_OFF, data[:_LEN]))
-        elif op == "write_vec":
-            yield from ctx.lt_write_vec(
-                [put(_OFF, data[:_LEN]), put(64, data[:4096])])
-        elif op == "read":
+        if op == "read":
             got = yield from ctx.lt_read(lh, _OFF, _LEN)
             assert got == oracle[_OFF : _OFF + _LEN]
         else:
-            got = yield from ctx.lt_read_vec([(lh, _OFF, _LEN), (lh, 64, 4096)])
-            assert got == [oracle[_OFF : _OFF + _LEN], oracle[64 : 64 + 4096]]
+            yield from ctx.lt_write(*put(_OFF, data[:_LEN]))
 
     cluster.run_process(driver())
     cluster.sim.run()
@@ -254,8 +248,7 @@ def walker_case(run, per_mr: bool, placement: str, op: str):
     return [node.rnic.wqe_count for node in cluster.nodes]  # WRs posted
 
 
-@pytest.mark.parametrize("op", ["write", "read", "write_vec", "read_vec",
-                                "replicated_write"])
+@pytest.mark.parametrize("op", ["write", "read", "replicated_write"])
 @pytest.mark.parametrize("placement", sorted(_PLACEMENTS))
 @pytest.mark.parametrize("per_mr", [False, True], ids=["global", "per_mr"])
 def test_walker_matrix(per_mr, placement, op):

@@ -157,6 +157,7 @@ def test_cq_poll_respects_max_entries():
     assert [wc.wr_id for wc in first] == [0, 1, 2]
     rest = cq.poll(max_entries=100)
     assert len(rest) == 7
+    assert cq.polled == 10
 
 
 def test_wc_completed_at_records_push_time():

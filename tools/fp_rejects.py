@@ -41,12 +41,10 @@ def install_probe(unattempted: Counter) -> None:
             declined[id(wr)] = wr  # held until its generator path runs
         return result
 
-    def _execute(self, wr, dst, predecessor=None, doorbell_wait=None,
-                 doorbell_fire=None, attempt=False):
+    def _execute(self, wr, dst, predecessor=None, attempt=False):
         if not attempt and declined.pop(id(wr), None) is not wr:
             unattempted[wr.opcode.value] += 1
-        return execute(self, wr, dst, predecessor, doorbell_wait,
-                       doorbell_fire, attempt)
+        return execute(self, wr, dst, predecessor, attempt)
 
     rdma.try_fast_post = kernel.try_fast_post = try_fast_post
     QueuePair._execute = _execute

@@ -8,11 +8,11 @@ global MR needs no PTEs, so throughput is flat up to 1 GB.
 
 import random
 
-import pytest
+from repro.sweep import run_sweep
+from repro.verbs import Access
 
-from repro.verbs import Access, Opcode, SendWR, Sge
-
-from .common import lite_pair, print_table, sweep, throughput_run, verbs_pair
+from .common import lite_lmr, throughput_run, verbs_pair, verbs_write_op
+from .figures import Figure, ratio_between, within
 
 MB = 1 << 20
 SIZES = [1 * MB, 4 * MB, 16 * MB, 64 * MB, 256 * MB, 1024 * MB]
@@ -20,74 +20,36 @@ DURATION_US = 800.0
 WORKERS = 24
 
 
-def verbs_throughput(total_size: int, write_size: int) -> float:
-    state = verbs_pair(mr_bytes=4096)
-    cluster = state["cluster"]
-    remote = cluster[1]
-    target = {}
-
-    def register():
-        target["mr"] = yield from remote.device.reg_mr(
-            state["pd_b"], total_size, Access.ALL
-        )
-
-    cluster.run_process(register())
-    mr = target["mr"]
-    rng = random.Random(5)
-    span = total_size - write_size
-
-    def op():
-        offset = rng.randrange(span)
-        wr = SendWR(
-            Opcode.WRITE,
-            sgl=[Sge(state["mr_a"], 0, write_size)],
-            remote_addr=mr.base_addr + offset,
-            rkey=mr.rkey,
-            signaled=False,
-        )
-        yield state["qa"].post_send(wr)
-
-    rate, _count = throughput_run(
-        cluster, op, n_workers=WORKERS, duration_us=DURATION_US
-    )
-    return rate
-
-
-def lite_throughput(total_size: int, write_size: int) -> float:
-    cluster, _kernels, contexts = lite_pair()
-    ctx = contexts[0]
-    holder = {}
-
-    def setup():
-        holder["lh"] = yield from ctx.lt_malloc(total_size, nodes=2)
-
-    cluster.run_process(setup())
-    lh = holder["lh"]
-    rng = random.Random(5)
-    span = total_size - write_size
-    payload = b"y" * write_size
-
-    def op():
-        yield from ctx.lt_write(lh, rng.randrange(span), payload)
-
-    rate, _count = throughput_run(
-        cluster, op, n_workers=WORKERS, duration_us=DURATION_US
-    )
-    return rate
-
-
 def fig05_point(point):
-    size, write_size, system = point
-    fn = lite_throughput if system == "lite" else verbs_throughput
-    return fn(size, write_size)
+    """Write rate of 24 loops of random-offset writes into one region."""
+    total_size, write_size, system = point
+    rng = random.Random(5)
+    span = total_size - write_size
+    if system == "lite":
+        cluster, ctx, lh = lite_lmr(total_size)
+        payload = b"y" * write_size
+
+        def op():
+            return ctx.lt_write(lh, rng.randrange(span), payload)
+    else:
+        state = verbs_pair(mr_bytes=4096)
+        cluster = state["cluster"]
+        mr = cluster.run_process(
+            cluster[1].device.reg_mr(state["pd_b"], total_size, Access.ALL)
+        )
+
+        def op():
+            return verbs_write_op(state, write_size, rng.randrange(span), mr=mr)
+
+    return throughput_run(cluster, [op] * WORKERS, duration_us=DURATION_US)
 
 
-def run_fig05(parallel=None):
+def run_fig05(jobs):
     points = [(size, write_size, system)
               for size in SIZES
               for write_size in (1024, 64)
               for system in ("lite", "verbs")]
-    values = dict(zip(points, sweep(fig05_point, points, parallel=parallel)))
+    values = dict(zip(points, run_sweep(fig05_point, points, jobs=jobs)))
     return [
         (
             size // MB,
@@ -100,21 +62,20 @@ def run_fig05(parallel=None):
     ]
 
 
-@pytest.mark.benchmark(group="fig05")
-def test_fig05_write_throughput_vs_mr_size(benchmark):
-    rows = benchmark.pedantic(run_fig05, rounds=1, iterations=1)
-    print_table(
-        "Figure 5: write throughput vs total (L)MR size (requests/us)",
-        ["size_MB", "LITE-1K", "Verbs-1K", "LITE-64B", "Verbs-64B"],
-        rows,
-        note="paper: Verbs collapses past 4 MB (PTE thrash); LITE flat",
-    )
-    by_size = {row[0]: row for row in rows}
-    # LITE flat within 20% across three decades, for both sizes.
-    lite_64 = [row[3] for row in rows]
-    assert max(lite_64) < 1.2 * min(lite_64)
-    # Verbs collapses >=2.5x from 1 MB to 1 GB.
-    assert by_size[1][4] > 2.5 * by_size[1024][4]
-    assert by_size[1][2] > 2.0 * by_size[1024][2]
-    # At 1 GB LITE clearly wins.
-    assert by_size[1024][3] > 1.5 * by_size[1024][4]
+FIG05 = Figure(
+    "fig05", "Figure 5: write throughput vs total (L)MR size (requests/us)",
+    ["size_MB", "LITE-1K", "Verbs-1K", "LITE-64B", "Verbs-64B"], run_fig05,
+    note="paper: Verbs collapses past 4 MB (PTE thrash); LITE flat",
+    claim="Verbs ~5 req/us collapsing to ~1 past 4 MB (PTE thrash); LITE "
+          "flat.",
+    checks={
+        "LITE-64B flat within 20% across three decades":
+            within("LITE-64B", 1.2),
+        "Verbs-64B collapses >= 2.5x from 1 MB to 1 GB":
+            ratio_between((1, "Verbs-64B"), (1024, "Verbs-64B"), lo=2.5),
+        "Verbs-1K collapses >= 2x from 1 MB to 1 GB":
+            ratio_between((1, "Verbs-1K"), (1024, "Verbs-1K"), lo=2.0),
+        "at 1 GB LITE-64B clearly wins (> 1.5x Verbs)":
+            ratio_between((1024, "LITE-64B"), (1024, "Verbs-64B"), lo=1.5),
+    },
+)

@@ -7,68 +7,46 @@ optimized crossing overhead (§5.2); TCP/IP sits an order of magnitude
 above all RDMA lines.
 """
 
-import pytest
-
 from repro.cluster import Cluster
 from repro.core import LiteContext
 
-from .common import latency_of, lite_pair, print_table, verbs_pair, verbs_write_op
+from .common import (latency_of, lite_pair, tcp_connection, verbs_pair,
+                     verbs_write_op)
+from .figures import Figure
 
 SIZES = [8, 64, 512, 4096, 32768]
 
 
+def _by_size(cluster, op_for, **kwargs):
+    """Mean latency of ``op_for(size)()`` at every size (µs)."""
+    return {size: latency_of(cluster, op_for(size), **kwargs) for size in SIZES}
+
+
 def verbs_latencies():
     state = verbs_pair(mr_bytes=1 << 20)
-    cluster = state["cluster"]
-    out = {}
-    for size in SIZES:
-        out[size] = latency_of(cluster, lambda s=size: verbs_write_op(state, s))
-    return out
+    return _by_size(state["cluster"],
+                    lambda size: lambda: verbs_write_op(state, size))
 
 
 def lite_latencies(kernel_level: bool):
     cluster, kernels, _ = lite_pair()
     ctx = LiteContext(kernels[0], "lat", kernel_level=kernel_level)
-    holder = {}
+    lh = cluster.run_process(ctx.lt_malloc(1 << 20, nodes=2))
 
-    def setup():
-        holder["lh"] = yield from ctx.lt_malloc(1 << 20, nodes=2)
-
-    cluster.run_process(setup())
-    lh = holder["lh"]
-    out = {}
-    for size in SIZES:
+    def write(size):
         payload = b"z" * size
+        return lambda: ctx.lt_write(lh, 0, payload)
 
-        def op():
-            yield from ctx.lt_write(lh, 0, payload)
-
-        out[size] = latency_of(cluster, op)
-    return out
+    return _by_size(cluster, write)
 
 
 def tcp_latencies():
-    cluster = Cluster(2)
-    sim = cluster.sim
-    listener = cluster[1].tcp.listen(6000)
-
-    def echo_server():
-        conn = yield from listener.accept()
+    def echo(conn):
         while True:
-            data = yield from conn.recv_msg()
+            yield from conn.recv_msg()
             yield from conn.send_msg(b"k")
 
-    holder = {}
-
-    def setup():
-        sim.process(echo_server())
-        yield sim.timeout(1)
-        holder["conn"] = yield from cluster[0].tcp.connect(1, 6000)
-
-    cluster.run_process(setup())
-    conn = holder["conn"]
-    out = {}
-    for size in SIZES:
+    def round_trip(size):
         payload = b"t" * size
 
         def op():
@@ -77,12 +55,15 @@ def tcp_latencies():
             yield from conn.send_msg(payload)
             yield from conn.recv_msg()
 
-        rtt = latency_of(cluster, op, count=60, warmup=5)
-        out[size] = rtt / 2
-    return out
+        return op
+
+    cluster = Cluster(2)
+    conn = tcp_connection(cluster, 6000, echo)
+    rtts = _by_size(cluster, round_trip, count=60, warmup=5)
+    return {size: rtt / 2 for size, rtt in rtts.items()}
 
 
-def run_fig06():
+def run_fig06(_jobs):
     tcp = tcp_latencies()
     user = lite_latencies(kernel_level=False)
     kernel = lite_latencies(kernel_level=True)
@@ -93,19 +74,22 @@ def run_fig06():
     ]
 
 
-@pytest.mark.benchmark(group="fig06")
-def test_fig06_write_latency(benchmark):
-    rows = benchmark.pedantic(run_fig06, rounds=1, iterations=1)
-    print_table(
-        "Figure 6: write latency vs size (us)",
-        ["size_B", "TCP/IP", "LITE_write", "LITE_write KL", "Verbs write"],
-        rows,
-    )
-    for size, tcp, user, kernel, verbs in rows:
-        # TCP/IP far above RDMA for small messages (~10x); the gap
-        # narrows at 32 KB where serialization dominates (paper: ~2x).
-        assert tcp > (8 * verbs if size <= 512 else 1.5 * verbs)
-        # Kernel-level LITE is nearly identical to raw Verbs.
-        assert abs(kernel - verbs) < 0.8
-        # User-level adds well under a microsecond over KL (§5.2).
-        assert 0 < user - kernel < 1.0
+FIG06 = Figure(
+    "fig06", "Figure 6: write latency vs size (us)",
+    ["size_B", "TCP/IP", "LITE_write", "LITE_write KL", "Verbs write"],
+    run_fig06,
+    claim="TCP ~20-30 us; Verbs lowest; LITE-KL ~= Verbs; LITE-user + a "
+          "fraction of a us.",
+    checks={
+        # The gap narrows at 32 KB where serialization dominates (paper: ~2x).
+        "TCP/IP > 8x Verbs up to 512 B and > 1.5x above": lambda t: all(
+            r["TCP/IP"] > (8 if r["size_B"] <= 512 else 1.5) * r["Verbs write"]
+            for r in t),
+        "kernel-level LITE within 0.8 us of raw Verbs at every size":
+            lambda t: all(abs(r["LITE_write KL"] - r["Verbs write"]) < 0.8
+                          for r in t),
+        "user-level adds well under a microsecond over KL (§5.2)":
+            lambda t: all(0 < r["LITE_write"] - r["LITE_write KL"] < 1.0
+                          for r in t),
+    },
+)

@@ -6,104 +6,68 @@ ceiling (~4 GB/s delivered) at 64 KB with 8-way parallelism; TCP stays
 well below it.
 """
 
-import pytest
-
 from repro.cluster import Cluster
 from repro.net import rdma_cm_connect
 
-from .common import lite_pair, print_table, throughput_run, verbs_pair, verbs_write_op
+from .common import (lite_lmr, tcp_connection, throughput_run, verbs_pair,
+                     verbs_write_op)
+from .figures import Figure, ratio_between
 
 KB = 1024
 SIZES = [1 * KB, 4 * KB, 16 * KB, 64 * KB]
 DURATION_US = 2000.0
 
 
-def gbps(rate_ops_per_us: float, size: int) -> float:
-    return rate_ops_per_us * size / 1000.0  # bytes/us -> GB/s
+def gbps(cluster, op, workers: int, size: int) -> float:
+    """GB/s of ``size``-byte writes from ``workers`` loops of ``op()``."""
+    rate = throughput_run(cluster, [op] * workers, duration_us=DURATION_US)
+    return rate * size / 1000.0  # bytes/us -> GB/s
 
 
 def verbs_tput(size: int, workers: int) -> float:
     state = verbs_pair(mr_bytes=1 << 20)
-    rate, _ = throughput_run(
-        state["cluster"], lambda: verbs_write_op(state, size),
-        n_workers=workers, duration_us=DURATION_US,
-    )
-    return gbps(rate, size)
+    return gbps(state["cluster"], lambda: verbs_write_op(state, size), workers,
+                size)
 
 
 def rdma_cm_tput(size: int, workers: int) -> float:
     cluster = Cluster(2)
-    holder = {}
-
-    def setup():
-        chan_a, chan_b = yield from rdma_cm_connect(
-            cluster[0], cluster[1], buffer_bytes=1 << 20
-        )
-        holder["chan"] = chan_a
-
-    cluster.run_process(setup())
-    chan = holder["chan"]
+    chan, _chan_b = cluster.run_process(
+        rdma_cm_connect(cluster[0], cluster[1], buffer_bytes=1 << 20)
+    )
 
     def op():
         yield from chan.write(0, 0, size)
 
-    rate, _ = throughput_run(cluster, op, n_workers=workers,
-                             duration_us=DURATION_US)
-    return gbps(rate, size)
+    return gbps(cluster, op, workers, size)
 
 
 def lite_tput(size: int, workers: int) -> float:
-    cluster, _k, contexts = lite_pair()
-    ctx = contexts[0]
-    holder = {}
-
-    def setup():
-        holder["lh"] = yield from ctx.lt_malloc(1 << 20, nodes=2)
-
-    cluster.run_process(setup())
-    lh = holder["lh"]
+    cluster, ctx, lh = lite_lmr(1 << 20)
     payload = b"w" * size
 
     def op():
         yield from ctx.lt_write(lh, 0, payload)
 
-    rate, _ = throughput_run(cluster, op, n_workers=workers,
-                             duration_us=DURATION_US)
-    return gbps(rate, size)
+    return gbps(cluster, op, workers, size)
 
 
 def tcp_tput(size: int) -> float:
-    cluster = Cluster(2)
-    sim = cluster.sim
-    listener = cluster[1].tcp.listen(6100)
-    received = [0]
-
-    def sink():
-        conn = yield from listener.accept()
+    def sink(conn):
         while True:
-            data = yield from conn.recv_msg()
-            received[0] += len(data)
+            yield from conn.recv_msg()
 
-    holder = {}
-
-    def setup():
-        sim.process(sink())
-        yield sim.timeout(1)
-        holder["conn"] = yield from cluster[0].tcp.connect(1, 6100)
-
-    cluster.run_process(setup())
-    conn = holder["conn"]
+    cluster = Cluster(2)
+    conn = tcp_connection(cluster, 6100, sink)
     payload = b"t" * size
 
     def op():
         yield from conn.send_msg(payload)
 
-    rate, _ = throughput_run(cluster, op, n_workers=1,
-                             duration_us=DURATION_US)
-    return gbps(rate, size)
+    return gbps(cluster, op, 1, size)
 
 
-def run_fig07():
+def run_fig07(_jobs):
     rows = []
     for size in SIZES:
         rows.append(
@@ -121,24 +85,23 @@ def run_fig07():
     return rows
 
 
-@pytest.mark.benchmark(group="fig07")
-def test_fig07_write_throughput(benchmark):
-    rows = benchmark.pedantic(run_fig07, rounds=1, iterations=1)
-    print_table(
-        "Figure 7: write throughput vs size (GB/s)",
-        ["size_KB", "LITE-8", "Verbs-8", "CM-8", "LITE-1", "Verbs-1", "CM-1",
-         "TCP/IP"],
-        rows,
-        note="link ceiling = 5 GB/s raw, ~4 GB/s delivered at 64 KB",
-    )
-    big = rows[-1]
-    _size, lite8, verbs8, cm8, lite1, verbs1, cm1, tcp = big
-    # All 8-way RDMA lines near the link ceiling at 64 KB.
-    for value in (lite8, verbs8, cm8):
-        assert value > 3.0
-    # LITE-8 within 10% of Verbs-8 (paper: slightly better with threads).
-    assert lite8 > 0.9 * verbs8
-    # TCP single-stream stays well below the RDMA ceiling.
-    assert tcp < 0.75 * verbs8
-    # Single-thread lines are size-limited but converge upward.
-    assert rows[0][4] < rows[-1][4]
+FIG07 = Figure(
+    "fig07", "Figure 7: write throughput vs size (GB/s)",
+    ["size_KB", "LITE-8", "Verbs-8", "CM-8", "LITE-1", "Verbs-1", "CM-1",
+     "TCP/IP"],
+    run_fig07,
+    note="link ceiling = 5 GB/s raw, ~4 GB/s delivered at 64 KB",
+    claim="All RDMA lines approach link rate at 64 KB x8; LITE ~= Verbs; TCP "
+          "below.",
+    checks={
+        "all 8-way RDMA lines near the link ceiling (> 3 GB/s) at 64 KB":
+            lambda t: all(t[64][line] > 3.0
+                          for line in ("LITE-8", "Verbs-8", "CM-8")),
+        "LITE-8 within 10% of Verbs-8 at 64 KB":
+            ratio_between((64, "LITE-8"), (64, "Verbs-8"), lo=0.9),
+        "single-stream TCP stays well below the RDMA ceiling (< 0.75x Verbs-8)":
+            ratio_between((64, "TCP/IP"), (64, "Verbs-8"), hi=0.75),
+        "single-thread LITE converges upward from 1 KB to 64 KB":
+            lambda t: t[1]["LITE-1"] < t[64]["LITE-1"],
+    },
+)

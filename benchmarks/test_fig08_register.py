@@ -6,66 +6,53 @@ metadata — no pinning — so they are flat and orders of magnitude
 cheaper for large regions.
 """
 
-import pytest
-
 from repro.core import Permission
 from repro.verbs import Access
 
-from .common import lite_pair, print_table, verbs_pair
+from .common import lite_pair, verbs_pair
+from .figures import Figure, ratio_between
 
 KB = 1024
 SIZES = [1 * KB, 4 * KB, 16 * KB, 64 * KB, 256 * KB, 1024 * KB]
 
 
-def verbs_register_costs(size: int):
-    state = verbs_pair(mr_bytes=4096)
-    cluster = state["cluster"]
+def _mean_costs(cluster, acquire, release):
+    """Mean µs of ``acquire()`` and of ``release(handle)`` over 20 rounds."""
     sim = cluster.sim
-    samples = {"reg": [], "dereg": []}
+    samples = ([], [])
 
     def driver():
         for _ in range(20):
             start = sim.now
-            mr = yield from cluster[0].device.reg_mr(
-                state["pd_a"], size, Access.ALL
-            )
-            samples["reg"].append(sim.now - start)
+            handle = yield from acquire()
+            samples[0].append(sim.now - start)
             start = sim.now
-            yield from cluster[0].device.dereg_mr(mr)
-            samples["dereg"].append(sim.now - start)
+            yield from release(handle)
+            samples[1].append(sim.now - start)
 
     cluster.run_process(driver())
-    return (
-        sum(samples["reg"]) / len(samples["reg"]),
-        sum(samples["dereg"]) / len(samples["dereg"]),
-    )
+    return [sum(costs) / len(costs) for costs in samples]
+
+
+def verbs_register_costs(size: int):
+    state = verbs_pair(mr_bytes=4096)
+    device = state["cluster"][0].device
+    return _mean_costs(state["cluster"],
+                       lambda: device.reg_mr(state["pd_a"], size, Access.ALL),
+                       device.dereg_mr)
 
 
 def lite_map_costs(size: int):
     cluster, _kernels, contexts = lite_pair()
     ctx = contexts[0]
-    sim = cluster.sim
-    samples = {"map": [], "unmap": []}
-
-    def driver():
-        # The paper's Fig 8 maps a *local* LMR.
-        yield from ctx.lt_malloc(size, name=f"fig8-{size}")
-        for _ in range(20):
-            start = sim.now
-            lh = yield from ctx.lt_map(f"fig8-{size}", Permission.full())
-            samples["map"].append(sim.now - start)
-            start = sim.now
-            yield from ctx.lt_unmap(lh)
-            samples["unmap"].append(sim.now - start)
-
-    cluster.run_process(driver())
-    return (
-        sum(samples["map"]) / len(samples["map"]),
-        sum(samples["unmap"]) / len(samples["unmap"]),
-    )
+    # The paper's Fig 8 maps a *local* LMR.
+    cluster.run_process(ctx.lt_malloc(size, name=f"fig8-{size}"))
+    return _mean_costs(
+        cluster, lambda: ctx.lt_map(f"fig8-{size}", Permission.full()),
+        ctx.lt_unmap)
 
 
-def run_fig08():
+def run_fig08(_jobs):
     rows = []
     for size in SIZES:
         reg, dereg = verbs_register_costs(size)
@@ -74,23 +61,27 @@ def run_fig08():
     return rows
 
 
-@pytest.mark.benchmark(group="fig08")
-def test_fig08_registration_latency(benchmark):
-    rows = benchmark.pedantic(run_fig08, rounds=1, iterations=1)
-    print_table(
-        "Figure 8: (de)register / (un)map latency vs size (us)",
-        ["size_KB", "Verbs register", "Verbs deregister", "LITE_unmap",
-         "LITE_map"],
-        rows,
-        note="paper: register/deregister grow with pages; map/unmap flat",
-    )
-    first, last = rows[0], rows[-1]
-    # Verbs registration grows ~linearly with page count (1 KB -> 1 MB
-    # is 256x the pages; expect >= 30x the cost).
-    assert last[1] > 30 * first[1]
-    assert last[2] > 10 * first[2]
-    # LITE map/unmap are flat: no dependence on region size.
-    assert last[4] < 2 * first[4]
-    assert last[3] < 2 * first[3]
-    # At 1 MB, LITE map is >= 10x faster than Verbs registration.
-    assert last[1] > 10 * last[4]
+FIG08 = Figure(
+    "fig08", "Figure 8: (de)register / (un)map latency vs size (us)",
+    ["size_KB", "Verbs register", "Verbs deregister", "LITE_unmap",
+     "LITE_map"],
+    run_fig08,
+    note="paper: register/deregister grow with pages; map/unmap flat",
+    claim="Register/deregister linear in pages (ms at 1 MB); LT_map/unmap "
+          "flat microseconds.",
+    checks={
+        # 1 KB -> 1 MB is 256x the pages.
+        "Verbs register grows >= 30x from 1 KB to 1 MB":
+            ratio_between((1024, "Verbs register"), (1, "Verbs register"),
+                          lo=30),
+        "Verbs deregister grows >= 10x from 1 KB to 1 MB":
+            ratio_between((1024, "Verbs deregister"), (1, "Verbs deregister"),
+                          lo=10),
+        "LITE map flat (< 2x) from 1 KB to 1 MB":
+            ratio_between((1024, "LITE_map"), (1, "LITE_map"), hi=2),
+        "LITE unmap flat (< 2x) from 1 KB to 1 MB":
+            ratio_between((1024, "LITE_unmap"), (1, "LITE_unmap"), hi=2),
+        "at 1 MB LITE map >= 10x faster than Verbs register":
+            ratio_between((1024, "Verbs register"), (1024, "LITE_map"), lo=10),
+    },
+)

@@ -8,18 +8,16 @@ consumes payload + a 20 B header, so it sits near 100 %.
 Key and value messages are scored separately, as in the paper's figure.
 """
 
-import pytest
-
 from repro.baselines import LiteRingReceiver, memory_utilization
 from repro.workloads import FacebookKV
 
-from .common import print_table
+from .figures import Figure, monotone, ratio_between
 
 N_MESSAGES = 20_000
 MAX_MESSAGE = 4096
 
 
-def run_fig12():
+def run_fig12(_jobs):
     workload = FacebookKV(seed=12, max_value=MAX_MESSAGE)
     key_sizes = [workload.key_size() for _ in range(N_MESSAGES)]
     value_sizes = [workload.value_size() for _ in range(N_MESSAGES)]
@@ -45,24 +43,27 @@ def run_fig12():
     return rows
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_memory_utilization(benchmark):
-    rows = benchmark.pedantic(run_fig12, rounds=1, iterations=1)
-    print_table(
-        "Figure 12: RPC memory utilization, Facebook KV distribution (%)",
-        ["scheme", "key msgs", "value msgs"],
-        rows,
-    )
-    by_scheme = {row[0]: row for row in rows}
-    # More receive queues monotonically improve send-based utilization.
-    for column in (1, 2):
-        series = [by_scheme[f"{q}RQ"][column] for q in (1, 2, 3, 4)]
-        assert series == sorted(series)
-    # LITE blows past even 4 RQs, for both keys and values.
-    assert by_scheme["LITE"][1] > by_scheme["4RQ"][1] * 1.15
-    assert by_scheme["LITE"][2] > by_scheme["4RQ"][2] * 1.15
-    # LITE utilization is high in absolute terms.
-    assert by_scheme["LITE"][1] > 55.0   # keys are tiny: header-bound
-    assert by_scheme["LITE"][2] > 85.0
-    # Single-queue send/recv wastes most of its memory on keys.
-    assert by_scheme["1RQ"][1] < 10.0
+RQS = ["1RQ", "2RQ", "3RQ", "4RQ"]
+
+FIG12 = Figure(
+    "fig12", "Figure 12: RPC memory utilization, Facebook KV distribution (%)",
+    ["scheme", "key msgs", "value msgs"], run_fig12,
+    claim="LITE near-full utilization vs <= 50% for 1-4 RQ send/recv.",
+    checks={
+        "more receive queues monotonically improve key utilization":
+            monotone("key msgs", RQS),
+        "more receive queues monotonically improve value utilization":
+            monotone("value msgs", RQS),
+        "LITE > 1.15x 4RQ for keys":
+            ratio_between(("LITE", "key msgs"), ("4RQ", "key msgs"), lo=1.15),
+        "LITE > 1.15x 4RQ for values":
+            ratio_between(("LITE", "value msgs"), ("4RQ", "value msgs"),
+                          lo=1.15),
+        "LITE key utilization > 55% (keys are tiny: header-bound)":
+            lambda t: t["LITE"]["key msgs"] > 55.0,
+        "LITE value utilization > 85%":
+            lambda t: t["LITE"]["value msgs"] > 85.0,
+        "single-queue send/recv wastes most key memory (< 10%)":
+            lambda t: t["1RQ"]["key msgs"] < 10.0,
+    },
+)

@@ -12,146 +12,79 @@ Two experiments:
    Lighter load (bigger factor) widens LITE's advantage.
 """
 
-import pytest
-
-from repro.baselines import FasstEndpoint, HerdServer
 from repro.cluster import Cluster
 from repro.core import LiteContext, rpc_server_loop
 from repro.workloads import FacebookKV
 
-from .common import lite_pair, print_table
+from .common import fasst_pairs, herd_clients, lite_pair, settle
+from .figures import Figure
 
 N_THREADS = 8
 REQUESTS_PER_THREAD = 40
+KEY = b"key-1234"
 
 
-def _cpu_totals(cluster):
-    return sum(node.cpu.total_busy() for node in cluster.nodes)
-
-
-def _drive(cluster, make_op, arrivals):
-    """Run N_THREADS open-loop request threads with given gap lists."""
+def _cpu_per_request(cluster, calls, amplification: float) -> float:
+    """Busy CPU µs per request over N_THREADS open-loop request threads,
+    thread ``i`` issuing ``calls[i]()`` after each Facebook
+    inter-arrival gap."""
     sim = cluster.sim
-    done = []
-
-    def thread(index):
-        op = make_op(index)
-        for gap in arrivals[index]:
-            yield sim.timeout(gap)
-            yield from op()
-        done.append(index)
-
-    def driver():
-        procs = [sim.process(thread(index)) for index in range(N_THREADS)]
-        yield sim.all_of(procs)
-
-    for node in cluster.nodes:
-        node.cpu.reset_accounting()
-    start = sim.now
-    cluster.run_process(driver())
-    elapsed = sim.now - start
-    return elapsed
-
-
-def _gaps(amplification: float, seed: int):
-    workload = FacebookKV(seed=seed, mean_inter_arrival_us=1000.0)
-    return [
+    workload = FacebookKV(seed=7, mean_inter_arrival_us=1000.0)
+    arrivals = [
         [workload.inter_arrival(amplification) for _ in range(REQUESTS_PER_THREAD)]
         for _ in range(N_THREADS)
     ]
 
+    def thread(index):
+        for gap in arrivals[index]:
+            yield sim.timeout(gap)
+            yield from calls[index]()
+
+    def driver():
+        yield sim.all_of([sim.process(thread(i)) for i in range(N_THREADS)])
+
+    for node in cluster.nodes:
+        node.cpu.reset_accounting()
+    cluster.run_process(driver())
+    busy = sum(node.cpu.total_busy() for node in cluster.nodes)
+    return busy / (N_THREADS * REQUESTS_PER_THREAD)
+
+
+def _handler():
+    """The servers' reply: a Facebook-sized value picked by input length."""
+    workload = FacebookKV(seed=99)
+    sizes = [workload.value_size() for _ in range(64)]
+    return lambda d: b"v" * sizes[len(d) % 64]
+
 
 def lite_cpu(amplification: float) -> float:
     cluster, kernels, _ = lite_pair()
-    workload = FacebookKV(seed=99)
-    sizes = [workload.value_size() for _ in range(64)]
+    handler = _handler()
     for index in range(N_THREADS):
         server = LiteContext(kernels[1], f"s{index}")
-        cluster.sim.process(
-            rpc_server_loop(server, 1, lambda d: b"v" * sizes[len(d) % 64])
-        )
+        cluster.sim.process(rpc_server_loop(server, 1, handler))
     clients = [LiteContext(kernels[0], f"c{i}") for i in range(N_THREADS)]
-    cluster.run_process(_settle(cluster))
-    for node in cluster.nodes:
-        node.cpu.reset_accounting()
-
-    def make_op(index):
-        ctx = clients[index]
-
-        def op():
-            yield from ctx.lt_rpc(2, 1, b"key-1234", max_reply=4200)
-
-        return op
-
-    _drive(cluster, make_op, _gaps(amplification, seed=7))
-    return _cpu_totals(cluster) / (N_THREADS * REQUESTS_PER_THREAD)
-
-
-def _settle(cluster):
-    yield cluster.sim.timeout(5)
+    settle(cluster)
+    calls = [lambda ctx=ctx: ctx.lt_rpc(2, 1, KEY, max_reply=4200)
+             for ctx in clients]
+    return _cpu_per_request(cluster, calls, amplification)
 
 
 def herd_cpu(amplification: float) -> float:
     cluster = Cluster(2)
-    workload = FacebookKV(seed=99)
-    sizes = [workload.value_size() for _ in range(64)]
-    holder = {"clients": []}
-
-    def setup():
-        server = HerdServer(cluster[1], n_threads=N_THREADS)
-        yield from server.build(lambda d: b"v" * sizes[len(d) % 64])
-        for _ in range(N_THREADS):
-            client = yield from server.connect_client(cluster[0])
-            holder["clients"].append(client)
-
-    cluster.run_process(setup())
-    for node in cluster.nodes:
-        node.cpu.reset_accounting()
-
-    def make_op(index):
-        client = holder["clients"][index]
-
-        def op():
-            yield from client.call(b"key-1234")
-
-        return op
-
-    _drive(cluster, make_op, _gaps(amplification, seed=7))
-    return _cpu_totals(cluster) / (N_THREADS * REQUESTS_PER_THREAD)
+    clients = herd_clients(cluster, N_THREADS, N_THREADS, _handler())
+    calls = [lambda client=client: client.call(KEY) for client in clients]
+    return _cpu_per_request(cluster, calls, amplification)
 
 
 def fasst_cpu(amplification: float) -> float:
     cluster = Cluster(2)
-    workload = FacebookKV(seed=99)
-    sizes = [workload.value_size() for _ in range(64)]
-    holder = {"pairs": []}
-
-    def setup():
-        for _ in range(N_THREADS):
-            a = FasstEndpoint(cluster[0])
-            b = FasstEndpoint(cluster[1],
-                              handler=lambda d: b"v" * sizes[len(d) % 64])
-            yield from a.build()
-            yield from b.build()
-            holder["pairs"].append((a, b))
-
-    cluster.run_process(setup())
-    for node in cluster.nodes:
-        node.cpu.reset_accounting()
-
-    def make_op(index):
-        a, b = holder["pairs"][index]
-
-        def op():
-            yield from a.call(b, b"key-1234")
-
-        return op
-
-    _drive(cluster, make_op, _gaps(amplification, seed=7))
-    return _cpu_totals(cluster) / (N_THREADS * REQUESTS_PER_THREAD)
+    pairs = fasst_pairs(cluster, N_THREADS, _handler())
+    calls = [lambda a=a, b=b: a.call(b, KEY) for a, b in pairs]
+    return _cpu_per_request(cluster, calls, amplification)
 
 
-def run_fig13():
+def run_fig13(_jobs):
     rows = []
     for amplification in (1, 2, 4, 8):
         rows.append(
@@ -165,21 +98,20 @@ def run_fig13():
     return rows
 
 
-@pytest.mark.benchmark(group="fig13")
-def test_fig13_cpu_per_request(benchmark):
-    rows = benchmark.pedantic(run_fig13, rounds=1, iterations=1)
-    print_table(
-        "Figure 13: CPU time per request, Facebook arrivals (us/request)",
-        ["inter-arrival", "HERD", "FaSST", "LITE"],
-        rows,
-        note="client+server busy time summed; lighter load to the right",
-    )
-    for label, herd, fasst, lite in rows:
-        # LITE uses materially less CPU than both at every load.
-        assert lite < 0.75 * herd
-        assert lite < 0.75 * fasst
-    # LITE's advantage widens as load lightens (adaptive sleep): the
-    # LITE/HERD ratio at 8x is smaller than at 1x.
-    first_ratio = rows[0][3] / rows[0][1]
-    last_ratio = rows[-1][3] / rows[-1][1]
-    assert last_ratio <= first_ratio * 1.05
+FIG13 = Figure(
+    "fig13", "Figure 13: CPU time per request, Facebook arrivals (us/request)",
+    ["inter-arrival", "HERD", "FaSST", "LITE"], run_fig13,
+    note="client+server busy time summed; lighter load to the right",
+    claim="LITE uses ~half the CPU of HERD/FaSST (4.3 vs 8.7/8.8 s), and its "
+          "advantage grows at light load.",
+    checks={
+        "LITE < 0.75x HERD's CPU at every load":
+            lambda t: all(r["LITE"] < 0.75 * r["HERD"] for r in t),
+        "LITE < 0.75x FaSST's CPU at every load":
+            lambda t: all(r["LITE"] < 0.75 * r["FaSST"] for r in t),
+        # Adaptive sleep: the LITE/HERD ratio at 8x is smaller than at 1x.
+        "LITE's advantage over HERD widens as load lightens": lambda t: (
+            t["8x"]["LITE"] / t["8x"]["HERD"]
+            <= t["1x"]["LITE"] / t["1x"]["HERD"] * 1.05),
+    },
+)

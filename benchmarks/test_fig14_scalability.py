@@ -5,11 +5,13 @@ to all other nodes.  With K×N shared QPs and per-node RNICs, aggregate
 throughput scales near-linearly with node count.
 """
 
-import pytest
+import itertools
 
-from repro.core import LiteContext, rpc_server_loop
+from repro.core import LiteContext, Permission, rpc_server_loop
+from repro.sweep import run_sweep
 
-from .common import lite_pair, print_table, sweep
+from .common import lite_pair, settle, throughput_run
+from .figures import Figure, monotone, ratio_between
 
 THREADS_PER_NODE = 8
 DURATION_US = 1000.0
@@ -17,18 +19,15 @@ DURATION_US = 1000.0
 
 def write_scalability(n_nodes: int) -> float:
     cluster, kernels, contexts = lite_pair(n_nodes=n_nodes)
-    sim = cluster.sim
-    handles = {}
 
     def setup():
-        from repro.core import Permission
-
         # One world-writable buffer per node; everyone maps the rest.
         for kernel, ctx in zip(kernels, contexts):
             yield from ctx.lt_malloc(
                 1 << 16, name=f"buf{kernel.lite_id}",
                 default_perm=Permission.READ | Permission.WRITE,
             )
+        handles = {}
         for ctx in contexts:
             maps = {}
             for kernel in kernels:
@@ -37,67 +36,46 @@ def write_scalability(n_nodes: int) -> float:
                         f"buf{kernel.lite_id}"
                     )
             handles[ctx.lite_id] = maps
+        return handles
 
-    cluster.run_process(setup())
-    counted = [0]
-    stop_at = [0.0]
+    handles = cluster.run_process(setup())
     payload = b"w" * 64
 
-    def worker(ctx, targets, index):
-        order = list(targets.items())
-        while sim.now < stop_at[0]:
-            _peer, lh = order[index % len(order)]
-            index += 1
-            yield from ctx.lt_write(lh, (index * 64) % 4096, payload)
-            counted[0] += 1
+    def writer(ctx, thread):
+        # Each thread cycles through the peers' buffers from its own start.
+        targets = list(handles[ctx.lite_id].values())
+        turn = itertools.count(thread)
 
-    def driver():
-        stop_at[0] = sim.now + DURATION_US
-        procs = []
-        for ctx in contexts:
-            for thread in range(THREADS_PER_NODE):
-                procs.append(
-                    sim.process(worker(ctx, handles[ctx.lite_id], thread))
-                )
-        yield sim.all_of(procs)
+        def op():
+            index = next(turn)
+            return ctx.lt_write(targets[index % len(targets)],
+                                ((index + 1) * 64) % 4096, payload)
 
-    cluster.run_process(driver())
-    return counted[0] / DURATION_US
+        return op
+
+    ops = [writer(ctx, thread)
+           for ctx in contexts for thread in range(THREADS_PER_NODE)]
+    return throughput_run(cluster, ops, duration_us=DURATION_US, warmup_us=0.0)
 
 
 def rpc_scalability(n_nodes: int) -> float:
     cluster, kernels, contexts = lite_pair(n_nodes=n_nodes)
-    sim = cluster.sim
     for kernel in kernels:
         for index in range(THREADS_PER_NODE):
             server = LiteContext(kernel, f"srv{kernel.lite_id}-{index}")
-            sim.process(rpc_server_loop(server, 1, lambda _in: b"r" * 8))
-    cluster.run_process(_settle(cluster))
-    counted = [0]
-    stop_at = [0.0]
+            cluster.sim.process(
+                rpc_server_loop(server, 1, lambda _in: b"r" * 8))
+    settle(cluster)
 
-    def worker(ctx, peers, index):
-        while sim.now < stop_at[0]:
-            target = peers[index % len(peers)]
-            index += 1
-            yield from ctx.lt_rpc(target, 1, b"q" * 64, max_reply=64)
-            counted[0] += 1
+    def caller(ctx, thread):
+        peers = [k.lite_id for k in kernels if k.lite_id != ctx.lite_id]
+        turn = itertools.count(thread)
+        return lambda: ctx.lt_rpc(peers[next(turn) % len(peers)], 1,
+                                  b"q" * 64, max_reply=64)
 
-    def driver():
-        stop_at[0] = sim.now + DURATION_US
-        procs = []
-        for ctx in contexts:
-            peers = [k.lite_id for k in kernels if k.lite_id != ctx.lite_id]
-            for thread in range(THREADS_PER_NODE):
-                procs.append(sim.process(worker(ctx, peers, thread)))
-        yield sim.all_of(procs)
-
-    cluster.run_process(driver())
-    return counted[0] / DURATION_US
-
-
-def _settle(cluster):
-    yield cluster.sim.timeout(5)
+    ops = [caller(ctx, thread)
+           for ctx in contexts for thread in range(THREADS_PER_NODE)]
+    return throughput_run(cluster, ops, duration_us=DURATION_US, warmup_us=0.0)
 
 
 def fig14_point(point):
@@ -106,30 +84,27 @@ def fig14_point(point):
     return fn(n_nodes)
 
 
-def run_fig14(parallel=None):
+def run_fig14(jobs):
     points = [(n_nodes, mode)
               for n_nodes in (2, 4, 6, 8) for mode in ("write", "rpc")]
-    values = dict(zip(points, sweep(fig14_point, points, parallel=parallel)))
+    values = dict(zip(points, run_sweep(fig14_point, points, jobs=jobs)))
     return [
         (n_nodes, values[(n_nodes, "write")], values[(n_nodes, "rpc")])
         for n_nodes in (2, 4, 6, 8)
     ]
 
 
-@pytest.mark.benchmark(group="fig14")
-def test_fig14_scalability(benchmark):
-    rows = benchmark.pedantic(run_fig14, rounds=1, iterations=1)
-    print_table(
-        "Figure 14: aggregate throughput vs cluster size (requests/us)",
-        ["nodes", "LT_write", "LT_RPC"],
-        rows,
-        note="8 threads/node, 64B writes / 64B->8B RPCs",
-    )
-    writes = {n: w for n, w, _ in rows}
-    rpcs = {n: r for n, _, r in rows}
-    # Near-linear scaling 2 -> 8 nodes (>= 3x for 4x the nodes).
-    assert writes[8] > 3.0 * writes[2]
-    assert rpcs[8] > 3.0 * rpcs[2]
-    # Monotonic growth.
-    assert sorted(writes.values()) == [writes[n] for n in (2, 4, 6, 8)]
-    assert sorted(rpcs.values()) == [rpcs[n] for n in (2, 4, 6, 8)]
+FIG14 = Figure(
+    "fig14", "Figure 14: aggregate throughput vs cluster size (requests/us)",
+    ["nodes", "LT_write", "LT_RPC"], run_fig14,
+    note="8 threads/node, 64B writes / 64B->8B RPCs",
+    claim="Near-linear scaling of LT_write and LT_RPC to 8 nodes.",
+    checks={
+        "LT_write near-linear: > 3x from 2 to 8 nodes":
+            ratio_between((8, "LT_write"), (2, "LT_write"), lo=3.0),
+        "LT_RPC near-linear: > 3x from 2 to 8 nodes":
+            ratio_between((8, "LT_RPC"), (2, "LT_RPC"), lo=3.0),
+        "LT_write grows monotonically with nodes": monotone("LT_write"),
+        "LT_RPC grows monotonically with nodes": monotone("LT_RPC"),
+    },
+)

@@ -10,23 +10,30 @@ HW-Sep helps but less; LITE-Graph is less affected than LITE-Log
 because it is more CPU-intensive (paper §6.2).
 """
 
-import pytest
-
 from repro.apps.graph import LiteGraph, PartitionedGraph
-from repro.apps.litelog import LiteLog, LogWriter
+from repro.apps.litelog import LiteLog
 from repro.core import PRIORITY_HIGH, PRIORITY_LOW, LiteContext, Permission
 from repro.hw import SimParams
 from repro.workloads import powerlaw_graph
 
-from .common import lite_pair, print_table
+from .common import lite_pair
+from .figures import Figure
+from .test_sec81_litelog import commit_loop
 
 QOS_PARAMS = SimParams(lite_qp_factor_k=4, lite_qp_window=4)
 LOG_WINDOW_US = 4_000.0
 
 
-def _background(cluster, kernels, stop_flag):
-    """Low-priority writers hammering every node with 4 KB writes."""
-    sim = cluster.sim
+def qos_cluster(mode, background: bool, n_nodes: int = 4):
+    """LITE nodes in QoS ``mode``; with ``background``, low-priority writers
+    hammer every other node with 4 KB writes until the returned list is
+    appended to.  Returns (cluster, kernels, that list)."""
+    cluster, kernels, _ = lite_pair(params=QOS_PARAMS, n_nodes=n_nodes)
+    for kernel in kernels:
+        kernel.qos.mode = mode
+    stop_flag = []
+    if not background:
+        return cluster, kernels, stop_flag
 
     def setup():
         creator = LiteContext(kernels[0], "bg-creator")
@@ -47,30 +54,21 @@ def _background(cluster, kernels, stop_flag):
             yield from ctx.lt_write(lh, 0, payload)
 
     for index in range(12):
-        sim.process(bg_thread(index))
+        cluster.sim.process(bg_thread(index))
+    return cluster, kernels, stop_flag
 
 
 def litelog_perf(mode, background: bool) -> float:
-    cluster, kernels, _ = lite_pair(params=QOS_PARAMS, n_nodes=4)
-    for kernel in kernels:
-        kernel.qos.mode = mode
+    cluster, kernels, stop_flag = qos_cluster(mode, background)
     sim = cluster.sim
-    stop_flag = []
-    if background:
-        _background(cluster, kernels, stop_flag)
     committed = [0]
 
     def writer(node_index, writer_id):
         ctx = LiteContext(
             kernels[node_index], f"log{writer_id}", priority=PRIORITY_HIGH
         )
-        log = yield from LiteLog.open(ctx, "qlog")
-        writer_obj = LogWriter(log, writer_id=writer_id)
-        end = sim.now + LOG_WINDOW_US
-        while sim.now < end:
-            writer_obj.append(b"x" * 64)
-            yield from writer_obj.commit()
-            committed[0] += 1
+        return commit_loop(ctx, "qlog", writer_id, LOG_WINDOW_US, [b"x" * 64],
+                           committed)
 
     def driver():
         creator = LiteContext(kernels[0], "log-creator", priority=PRIORITY_HIGH)
@@ -89,12 +87,7 @@ def litelog_perf(mode, background: bool) -> float:
 
 
 def litegraph_perf(mode, background: bool) -> float:
-    cluster, kernels, _ = lite_pair(params=QOS_PARAMS, n_nodes=4)
-    for kernel in kernels:
-        kernel.qos.mode = mode
-    stop_flag = []
-    if background:
-        _background(cluster, kernels, stop_flag)
+    cluster, kernels, stop_flag = qos_cluster(mode, background)
     edges = powerlaw_graph(400, 6, seed=15)
     graph = PartitionedGraph(400, edges, 4)
     engine = LiteGraph(kernels, graph, threads_per_node=4)
@@ -108,7 +101,7 @@ def litegraph_perf(mode, background: bool) -> float:
     return 1.0 / engine.elapsed_us  # higher is better
 
 
-def run_fig15():
+def run_fig15(_jobs):
     rows = []
     for app_name, runner in (("LITE-Log", litelog_perf),
                              ("LITE-Graph", litegraph_perf)):
@@ -122,21 +115,20 @@ def run_fig15():
     return rows
 
 
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_qos_real_apps(benchmark):
-    rows = benchmark.pedantic(run_fig15, rounds=1, iterations=1)
-    print_table(
-        "Figure 15: QoS with real applications (performance vs No-QoS)",
-        ["app", "No b/g traffic", "SW-Pri", "HW-Sep", "No QoS"],
-        rows,
-    )
-    for app, no_bg, sw, hw, _base in rows:
-        # Background traffic hurts: the clean run is the ceiling.
-        assert no_bg > 1.05
-        # SW-Pri recovers a large share of the ceiling, beating HW-Sep.
-        assert sw > hw * 0.95
-        assert sw > 1.02
-    log_row = rows[0]
-    graph_row = rows[1]
-    # LITE-Graph (CPU-bound) is less affected by QoS than LITE-Log.
-    assert (log_row[1] - 1.0) > (graph_row[1] - 1.0) * 0.9
+FIG15 = Figure(
+    "fig15", "Figure 15: QoS with real applications (performance vs No-QoS)",
+    ["app", "No b/g traffic", "SW-Pri", "HW-Sep", "No QoS"], run_fig15,
+    claim="SW-Pri recovers most of the no-background performance, HW-Sep "
+          "less; the graph is less affected.",
+    checks={
+        "background traffic hurts: the clean run is the ceiling (> 1.05x)":
+            lambda t: all(r["No b/g traffic"] > 1.05 for r in t),
+        "SW-Pri beats HW-Sep (> 0.95x) for both apps":
+            lambda t: all(r["SW-Pri"] > r["HW-Sep"] * 0.95 for r in t),
+        "SW-Pri recovers a share of the ceiling (> 1.02x) for both apps":
+            lambda t: all(r["SW-Pri"] > 1.02 for r in t),
+        "LITE-Graph (CPU-bound) is less affected than LITE-Log": lambda t: (
+            (t["LITE-Log"]["No b/g traffic"] - 1.0)
+            > (t["LITE-Graph"]["No b/g traffic"] - 1.0) * 0.9),
+    },
+)

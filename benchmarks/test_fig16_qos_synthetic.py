@@ -12,12 +12,10 @@ Expected shape (paper):
   high class is quiet, so aggregate bandwidth is the worst.
 """
 
-import pytest
-
 from repro.core import PRIORITY_HIGH, PRIORITY_LOW, LiteContext, Permission
-from repro.hw import SimParams
 
-from .common import lite_pair, print_table
+from .figures import Figure
+from .test_fig15_qos_apps import qos_cluster
 
 RUNTIME_US = 20_000.0
 BUCKET_US = 1_000.0
@@ -25,28 +23,18 @@ HIGH_START = 2_000.0
 HIGH_PAUSE = 12_000.0
 HIGH_RESUME = 14_000.0
 
-QOS_PARAMS = SimParams(lite_qp_factor_k=4, lite_qp_window=4)
-
 
 def run_mode(mode):
-    cluster, kernels, _ = lite_pair(params=QOS_PARAMS)
-    for kernel in kernels:
-        kernel.qos.mode = mode
+    cluster, kernels, _ = qos_cluster(mode, background=False, n_nodes=2)
     sim = cluster.sim
     n_buckets = int(RUNTIME_US / BUCKET_US)
     high_bytes = [0.0] * n_buckets
     total_bytes = [0.0] * n_buckets
-    holder = {}
-
-    def setup():
-        creator = LiteContext(kernels[0], "creator")
-        holder["lh"] = yield from creator.lt_malloc(
-            1 << 20, name="qos-target", nodes=2,
-            default_perm=Permission.READ | Permission.WRITE,
-        )
-
-    cluster.run_process(setup())
-    lh = holder["lh"]
+    creator = LiteContext(kernels[0], "creator")
+    cluster.run_process(creator.lt_malloc(
+        1 << 20, name="qos-target", nodes=2,
+        default_perm=Permission.READ | Permission.WRITE,
+    ))
     start_time = sim.now
 
     def record(size, priority):
@@ -98,57 +86,48 @@ def run_mode(mode):
     return high_series, total_series
 
 
-def run_fig16():
-    out = {}
-    for mode in (None, "hw-sep", "sw-pri"):
-        out[mode or "none"] = run_mode(mode)
-    return out
+def run_fig16(_jobs):
+    series = {mode or "none": run_mode(mode)
+              for mode in (None, "hw-sep", "sw-pri")}
+    return [
+        (bucket, *(series[mode][line][bucket]
+                   for mode in ("sw-pri", "hw-sep", "none") for line in (1, 0)))
+        for bucket in range(len(series["none"][0]))
+    ]
 
 
-@pytest.mark.benchmark(group="fig16")
-def test_fig16_qos_timeline(benchmark):
-    series = benchmark.pedantic(run_fig16, rounds=1, iterations=1)
-    rows = []
-    n_buckets = len(series["none"][0])
-    for bucket in range(n_buckets):
-        rows.append(
-            (
-                bucket,
-                series["sw-pri"][1][bucket],
-                series["sw-pri"][0][bucket],
-                series["hw-sep"][1][bucket],
-                series["hw-sep"][0][bucket],
-                series["none"][1][bucket],
-                series["none"][0][bucket],
-            )
-        )
-    print_table(
-        "Figure 16: QoS timeline (GB/s per 1ms bucket)",
-        ["ms", "SWPri-Tot", "SWPri-Hi", "HWSep-Tot", "HWSep-Hi",
-         "NoQoS-Tot", "NoQoS-Hi"],
-        rows,
-    )
+def _mean(t, header, lo, hi):
+    chunk = t.col(header)[lo:hi]
+    return sum(chunk) / len(chunk)
 
-    def window(series_values, lo, hi):
-        chunk = series_values[lo:hi]
-        return sum(chunk) / len(chunk)
 
-    contended = (4, 11)  # both classes active
-    # 1. Without QoS, high-priority gets roughly half the bandwidth.
-    none_high = window(series["none"][0], *contended)
-    none_total = window(series["none"][1], *contended)
-    assert none_high < 0.62 * none_total
-    # 2. SW-Pri hands high-priority most of the bandwidth under contention.
-    sw_high = window(series["sw-pri"][0], *contended)
-    sw_total = window(series["sw-pri"][1], *contended)
-    assert sw_high > 0.75 * sw_total
-    assert sw_high > 1.3 * none_high
-    # 3. HW-Sep also protects high-priority...
-    hw_high = window(series["hw-sep"][0], *contended)
-    assert hw_high > 1.2 * none_high
-    # ...but wastes reserved capacity when high is idle (0-2 ms window):
-    hw_idle_total = window(series["hw-sep"][1], 0, 2)
-    sw_idle_total = window(series["sw-pri"][1], 0, 2)
-    assert hw_idle_total < 0.8 * sw_idle_total
-    # 4. SW-Pri aggregate >= HW-Sep aggregate overall.
-    assert sum(series["sw-pri"][1]) > sum(series["hw-sep"][1])
+CONTENDED = (4, 11)  # buckets where both classes are active
+
+FIG16 = Figure(
+    "fig16", "Figure 16: QoS timeline (GB/s per 1ms bucket)",
+    ["ms", "SWPri-Tot", "SWPri-Hi", "HWSep-Tot", "HWSep-Hi", "NoQoS-Tot",
+     "NoQoS-Hi"],
+    run_fig16,
+    claim="SW-Pri gives high priority its protection and the best aggregate; "
+          "HW-Sep wastes reserved capacity while high is idle; no QoS halves "
+          "high priority.",
+    checks={
+        "without QoS high priority gets roughly half (< 0.62x) under contention":
+            lambda t: (_mean(t, "NoQoS-Hi", *CONTENDED)
+                       < 0.62 * _mean(t, "NoQoS-Tot", *CONTENDED)),
+        "SW-Pri hands high priority most (> 0.75x) of the bandwidth":
+            lambda t: (_mean(t, "SWPri-Hi", *CONTENDED)
+                       > 0.75 * _mean(t, "SWPri-Tot", *CONTENDED)),
+        "SW-Pri high priority > 1.3x its no-QoS share":
+            lambda t: (_mean(t, "SWPri-Hi", *CONTENDED)
+                       > 1.3 * _mean(t, "NoQoS-Hi", *CONTENDED)),
+        "HW-Sep also protects high priority (> 1.2x no QoS)":
+            lambda t: (_mean(t, "HWSep-Hi", *CONTENDED)
+                       > 1.2 * _mean(t, "NoQoS-Hi", *CONTENDED)),
+        "HW-Sep wastes reserved capacity while high is idle (0-2 ms)":
+            lambda t: (_mean(t, "HWSep-Tot", 0, 2)
+                       < 0.8 * _mean(t, "SWPri-Tot", 0, 2)),
+        "SW-Pri aggregate beats HW-Sep's over the run":
+            lambda t: sum(t.col("SWPri-Tot")) > sum(t.col("HWSep-Tot")),
+    },
+)

@@ -7,88 +7,65 @@ worse (distributed 2-way merging); LITE-MR improves mildly with more
 workers.
 """
 
-import pytest
-
 from repro.apps.mapreduce import HadoopMR, LiteMR, PhoenixMR
 from repro.cluster import Cluster
 from repro.core import lite_boot
 from repro.workloads import generate_corpus
 
-from .common import print_table
+from .figures import Figure
 
 TOTAL_THREADS = 8
 WORKER_COUNTS = (2, 4, 8)
 
 
-def make_corpus():
-    return generate_corpus(256, 500, vocab_size=2000, seed=18)
-
-
-def run_fig18():
-    corpus = make_corpus()
-    results = {}
-
-    phoenix_cluster = Cluster(1)
-    phoenix = PhoenixMR(phoenix_cluster[0], n_threads=TOTAL_THREADS)
-    phoenix_result = phoenix_cluster.run_process(phoenix.run(corpus))
-    results["Phoenix"] = dict(phoenix.phase_times)
-
-    reference = phoenix_result
+def run_fig18(_jobs):
+    corpus = generate_corpus(256, 500, vocab_size=2000, seed=18)
+    systems = [("Phoenix", 1, lambda c: PhoenixMR(c[0], n_threads=TOTAL_THREADS))]
     for workers in WORKER_COUNTS:
-        cluster = Cluster(workers + 1)
-        kernels = lite_boot(cluster)
-        engine = LiteMR(kernels, total_threads=TOTAL_THREADS)
+        systems += [
+            (f"LITE-MR-{workers}", workers + 1,
+             lambda c: LiteMR(lite_boot(c), total_threads=TOTAL_THREADS)),
+            (f"Hadoop-{workers}", workers + 1,
+             lambda c: HadoopMR(c.nodes, total_threads=TOTAL_THREADS)),
+        ]
+    rows, reference = [], None
+    for name, n_nodes, make in systems:
+        cluster = Cluster(n_nodes)
+        engine = make(cluster)
         out = cluster.run_process(engine.run(corpus))
-        assert out == reference, "LITE-MR result mismatch"
-        results[f"LITE-MR-{workers}"] = dict(engine.phase_times)
-
-        hadoop_cluster = Cluster(workers + 1)
-        hadoop = HadoopMR(hadoop_cluster.nodes, total_threads=TOTAL_THREADS)
-        out = hadoop_cluster.run_process(hadoop.run(corpus))
-        assert out == reference, "Hadoop result mismatch"
-        results[f"Hadoop-{workers}"] = dict(hadoop.phase_times)
-    return results
+        if reference is None:
+            reference = out  # Phoenix's counts
+        assert out == reference, f"{name} result mismatch"
+        rows.append((name, *(engine.phase_times[phase] / 1000.0
+                             for phase in ("map", "reduce", "merge", "total"))))
+    return rows
 
 
-@pytest.mark.benchmark(group="fig18")
-def test_fig18_mapreduce(benchmark):
-    results = benchmark.pedantic(run_fig18, rounds=1, iterations=1)
-    order = ["Phoenix"] + [
-        name
-        for workers in WORKER_COUNTS
-        for name in (f"LITE-MR-{workers}", f"Hadoop-{workers}")
-    ]
-    rows = [
-        (
-            name,
-            results[name]["map"] / 1000.0,
-            results[name]["reduce"] / 1000.0,
-            results[name]["merge"] / 1000.0,
-            results[name]["total"] / 1000.0,
-        )
-        for name in order
-    ]
-    print_table(
-        "Figure 18: WordCount run time (ms), 8 threads total",
-        ["system", "map", "reduce", "merge", "total"],
-        rows,
-    )
-    phoenix = results["Phoenix"]
-    for workers in WORKER_COUNTS:
-        lite = results[f"LITE-MR-{workers}"]
-        hadoop = results[f"Hadoop-{workers}"]
-        ratio = hadoop["total"] / lite["total"]
-        # Paper: Hadoop is 4.3-5.3x slower; accept a 3.5-7x envelope.
-        assert 3.5 < ratio < 7.0, f"Hadoop/LITE ratio {ratio:.2f} at {workers}w"
-        # LITE-MR's map+reduce beat Phoenix's (split per-node index).
-        assert (lite["map"] + lite["reduce"]) < (
-            phoenix["map"] + phoenix["reduce"]
-        )
-        # ...but its distributed merge phase is slower than Phoenix's.
-        assert lite["merge"] > phoenix["merge"]
-    # More workers help (amortized LMR management, §8.2).
-    assert (
-        results["LITE-MR-8"]["total"] <= results["LITE-MR-2"]["total"] * 1.05
-    )
-    # Overall: LITE-MR (any scale) beats Phoenix end to end.
-    assert results["LITE-MR-4"]["total"] < phoenix["total"]
+def _per_scale(check):
+    """``check(lite_row, hadoop_row, phoenix_row)`` at every worker count."""
+    return lambda t: all(
+        check(t[f"LITE-MR-{workers}"], t[f"Hadoop-{workers}"], t["Phoenix"])
+        for workers in WORKER_COUNTS)
+
+
+FIG18 = Figure(
+    "fig18", "Figure 18: WordCount run time (ms), 8 threads total",
+    ["system", "map", "reduce", "merge", "total"], run_fig18,
+    claim="Hadoop 4.3-5.3x slower than LITE-MR; LITE-MR beats Phoenix in "
+          "map+reduce and loses in merge.",
+    checks={
+        # Paper: 4.3-5.3x.
+        "Hadoop 3.5-7x slower than LITE-MR at every scale": _per_scale(
+            lambda lite, hadoop, _p: 3.5 < hadoop["total"] / lite["total"] < 7.0),
+        "LITE-MR's map+reduce beat Phoenix's (split per-node index)":
+            _per_scale(lambda lite, _h, phoenix: (
+                lite["map"] + lite["reduce"]
+                < phoenix["map"] + phoenix["reduce"])),
+        "LITE-MR's distributed merge is slower than Phoenix's":
+            _per_scale(lambda lite, _h, phoenix: lite["merge"] > phoenix["merge"]),
+        "more workers help (amortized LMR management, §8.2)": lambda t: (
+            t["LITE-MR-8"]["total"] <= t["LITE-MR-2"]["total"] * 1.05),
+        "LITE-MR-4 beats Phoenix end to end":
+            lambda t: t["LITE-MR-4"]["total"] < t["Phoenix"]["total"],
+    },
+)

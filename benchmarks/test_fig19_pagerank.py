@@ -7,8 +7,6 @@ same ranks.  Expected order: LITE-Graph fastest; PowerGraph slowest
 with LITE-Graph-DSM comparable to or better than Grappa.
 """
 
-import pytest
-
 from repro.apps.dsm import LiteGraphDsm
 from repro.apps.graph import (
     GrappaSim,
@@ -21,11 +19,13 @@ from repro.cluster import Cluster
 from repro.core import lite_boot
 from repro.workloads import powerlaw_graph
 
-from .common import print_table
+from .figures import Figure
 
 N_VERTICES = 2000
 EDGES_PER_VERTEX = 8
 ITERATIONS = 5
+ENGINES = {"LITE-Graph": LiteGraph, "LITE-Graph-DSM": LiteGraphDsm,
+           "Grappa": GrappaSim, "PowerGraph": PowerGraphSim}
 
 
 def run_nodes(n_nodes: int):
@@ -33,58 +33,45 @@ def run_nodes(n_nodes: int):
     graph = PartitionedGraph(N_VERTICES, edges, n_nodes)
     reference = pagerank_reference(graph, ITERATIONS)
 
-    def check(ranks):
-        assert max(abs(a - b) for a, b in zip(ranks, reference)) < 1e-12
-
     out = {}
-
-    cluster = Cluster(n_nodes)
-    engine = LiteGraph(lite_boot(cluster), graph, threads_per_node=4)
-    check(cluster.run_process(engine.run(ITERATIONS)))
-    out["LITE-Graph"] = engine.elapsed_us
-
-    cluster = Cluster(n_nodes)
-    engine = LiteGraphDsm(lite_boot(cluster), graph, threads_per_node=4)
-    check(cluster.run_process(engine.run(ITERATIONS)))
-    out["LITE-Graph-DSM"] = engine.elapsed_us
-
-    cluster = Cluster(n_nodes)
-    engine = GrappaSim(cluster.nodes, graph, threads_per_node=4)
-    check(cluster.run_process(engine.run(ITERATIONS)))
-    out["Grappa"] = engine.elapsed_us
-
-    cluster = Cluster(n_nodes)
-    engine = PowerGraphSim(cluster.nodes, graph, threads_per_node=4)
-    check(cluster.run_process(engine.run(ITERATIONS)))
-    out["PowerGraph"] = engine.elapsed_us
+    for name, engine_type in ENGINES.items():
+        cluster = Cluster(n_nodes)
+        # The LITE engines run on LITE kernels, the baselines on bare nodes.
+        hosts = lite_boot(cluster) if name.startswith("LITE") else cluster.nodes
+        engine = engine_type(hosts, graph, threads_per_node=4)
+        ranks = cluster.run_process(engine.run(ITERATIONS))
+        assert max(abs(a - b) for a, b in zip(ranks, reference)) < 1e-12
+        out[name] = engine.elapsed_us
     return out
 
 
-def run_fig19():
-    return {n: run_nodes(n) for n in (4, 7)}
+def run_fig19(_jobs):
+    results = {n: run_nodes(n) for n in (4, 7)}
+    return [(engine, results[4][engine] / 1000.0, results[7][engine] / 1000.0)
+            for engine in ENGINES]
 
 
-@pytest.mark.benchmark(group="fig19")
-def test_fig19_pagerank(benchmark):
-    results = benchmark.pedantic(run_fig19, rounds=1, iterations=1)
-    rows = []
-    for engine in ("LITE-Graph", "LITE-Graph-DSM", "Grappa", "PowerGraph"):
-        rows.append(
-            (engine, results[4][engine] / 1000.0, results[7][engine] / 1000.0)
-        )
-    print_table(
-        "Figure 19: PageRank run time (ms), 4 threads/node",
-        ["engine", "4 nodes", "7 nodes"],
-        rows,
-        note="all four engines produce bit-identical ranks",
-    )
-    for n_nodes in (4, 7):
-        r = results[n_nodes]
-        # Figure 19 ordering.
-        assert r["LITE-Graph"] < r["LITE-Graph-DSM"]
-        assert r["LITE-Graph-DSM"] < r["PowerGraph"]
-        assert r["Grappa"] < r["PowerGraph"]
-        # The headline: PowerGraph 3.5-5.6x slower than LITE-Graph
-        # (accept a 3.0-6.5x envelope at simulation scale).
-        ratio = r["PowerGraph"] / r["LITE-Graph"]
-        assert 3.0 < ratio < 6.5, f"PowerGraph/LITE ratio {ratio:.2f}"
+def _at_both_scales(check):
+    """``check(run times by engine)`` on 4 and on 7 nodes."""
+    return lambda t: all(check({r["engine"]: r[nodes] for r in t})
+                         for nodes in ("4 nodes", "7 nodes"))
+
+
+FIG19 = Figure(
+    "fig19", "Figure 19: PageRank run time (ms), 4 threads/node",
+    ["engine", "4 nodes", "7 nodes"], run_fig19,
+    note="all four engines produce bit-identical ranks",
+    claim="LITE-Graph 3.5-5.6x faster than PowerGraph; Grappa and Graph-DSM "
+          "in between.",
+    checks={
+        "LITE-Graph beats LITE-Graph-DSM": _at_both_scales(
+            lambda r: r["LITE-Graph"] < r["LITE-Graph-DSM"]),
+        "LITE-Graph-DSM beats PowerGraph": _at_both_scales(
+            lambda r: r["LITE-Graph-DSM"] < r["PowerGraph"]),
+        "Grappa beats PowerGraph": _at_both_scales(
+            lambda r: r["Grappa"] < r["PowerGraph"]),
+        # Paper: 3.5-5.6x; the envelope is wider at simulation scale.
+        "PowerGraph 3.0-6.5x slower than LITE-Graph": _at_both_scales(
+            lambda r: 3.0 < r["PowerGraph"] / r["LITE-Graph"] < 6.5),
+    },
+)

@@ -11,12 +11,10 @@ similarly tiny count (barriers only).
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from loc import app_effort_table  # noqa: E402
 
-from .common import print_table
+from .figures import ROOT, Figure
 
 PAPER = {
     "LITE-Log": (330, 36),
@@ -27,32 +25,29 @@ PAPER = {
 }
 
 
-def run_fig20():
-    root = Path(__file__).resolve().parents[1]
+def run_fig20(_jobs):
     rows = []
-    for name, loc, lite_loc in app_effort_table(root):
+    for name, loc, lite_loc in app_effort_table(ROOT):
         paper_loc, paper_lite = PAPER[name]
         rows.append((name, loc, lite_loc, paper_loc, paper_lite))
     return rows
 
 
-@pytest.mark.benchmark(group="fig20")
-def test_fig20_implementation_effort(benchmark):
-    rows = benchmark.pedantic(run_fig20, rounds=1, iterations=1)
-    print_table(
-        "Figure 20: application implementation effort",
-        ["application", "LOC", "LOC using LITE", "paper LOC",
-         "paper LITE LOC"],
-        rows,
-    )
-    by_app = {row[0]: row for row in rows}
-    for name, loc, lite_loc, _paper_loc, _paper_lite in rows:
-        assert loc > 0
-        # LITE lines are a small fraction of each app.
-        assert lite_loc < 0.30 * loc, f"{name}: {lite_loc}/{loc}"
-    # The paper's headline: the graph engine needs ~20 LITE lines; ours
-    # stays within the same order (< 40).
-    assert by_app["LITE-Graph"][2] <= 40
-    # Graph-DSM barely touches LITE directly (paper: 0; allow <= 8 for
-    # explicit barrier calls).
-    assert by_app["LITE-Graph-DSM"][2] <= 8
+FIG20 = Figure(
+    "fig20", "Figure 20: application implementation effort",
+    ["application", "LOC", "LOC using LITE", "paper LOC", "paper LITE LOC"],
+    run_fig20,
+    claim="Each application needs only tens of lines of LITE calls out of "
+          "hundreds to thousands of LOC.",
+    checks={
+        "every application has code": lambda t: all(r["LOC"] > 0 for r in t),
+        "LITE lines are a small fraction (< 30%) of each app": lambda t: all(
+            r["LOC using LITE"] < 0.30 * r["LOC"] for r in t),
+        # The paper's graph engine needs ~20 LITE lines.
+        "LITE-Graph stays within the same order (<= 40 LITE lines)":
+            lambda t: t["LITE-Graph"]["LOC using LITE"] <= 40,
+        # Paper: 0; the allowance is for explicit barrier calls.
+        "Graph-DSM barely touches LITE directly (<= 8 LITE lines)":
+            lambda t: t["LITE-Graph-DSM"]["LOC using LITE"] <= 8,
+    },
+)

@@ -13,27 +13,23 @@ cold across client counts, and splits the eager-vs-lazy MR registration
 knob to show where the registration cost lands (attach vs first op).
 """
 
+from statistics import median_high
+
 from repro.cluster import Cluster
 from repro.core import lite_boot
+from repro.sweep import run_sweep
 from repro.workloads.churn import churn_point, run_churn
 
-from .common import print_table, sweep
+from .figures import Figure
 
 CLIENTS = [8, 16, 32]
 SEED = 42
 
 
-def _median(samples):
-    ordered = sorted(samples)
-    if not ordered:
-        return None
-    return ordered[len(ordered) // 2]
-
-
-def test_churn_ttfo_pooled_vs_cold():
+def run_ttfo(jobs):
     points = [(n, pooled, SEED) for n in CLIENTS for pooled in (True, False)]
     results = {(row["clients"], bool(row["pooled"])): row
-               for row in sweep(churn_point, points)}
+               for row in run_sweep(churn_point, points, jobs=jobs)}
     rows = []
     for n in CLIENTS:
         pooled = results[(n, True)]
@@ -50,60 +46,73 @@ def test_churn_ttfo_pooled_vs_cold():
             pooled["ops_per_ms"],
             cold["ops_per_ms"],
         ])
-    print_table(
-        "sec2.4 elastic churn: time-to-first-op, pooled lease vs cold bring-up",
-        ["clients", "pooled TTFO (us)", "cold TTFO (us)", "speedup",
-         "hits", "misses", "pooled ops/ms", "cold ops/ms"],
-        rows,
-        note="median over one seeded arrival schedule; pooled = reserved-QP "
-             "lease grant, cold = create+transition ladder + CM handshake "
-             "per client",
-    )
-    for row in rows:
-        clients, ttfo_pooled, ttfo_cold, speedup = row[0], row[1], row[2], row[3]
-        assert ttfo_pooled is not None and ttfo_cold is not None
-        # The acceptance bar: pooled attach must collapse TTFO by >= 5x.
-        assert speedup >= 5.0, (
-            f"{clients} clients: pooled TTFO {ttfo_pooled:.2f} us is only "
-            f"{speedup:.1f}x below cold {ttfo_cold:.2f} us"
-        )
-        # Pooled leases must also not cost steady-state throughput.
-        # (Near-parity, not a win: the reserve's prebuild happens before
-        # the first arrival and shifts the whole schedule by its cost.)
-        assert row[6] >= row[7] * 0.9
+    return rows
 
 
-def test_churn_eager_vs_lazy_registration():
+SEC24_CHURN_TTFO = Figure(
+    "sec24-churn-ttfo",
+    "sec2.4 elastic churn: time-to-first-op, pooled lease vs cold bring-up",
+    ["clients", "pooled TTFO (us)", "cold TTFO (us)", "speedup", "hits",
+     "misses", "pooled ops/ms", "cold ops/ms"],
+    run_ttfo,
+    note="median over one seeded arrival schedule; pooled = reserved-QP "
+         "lease grant, cold = create+transition ladder + CM handshake "
+         "per client",
+    claim="A new client's connection setup costs milliseconds of QP "
+          "creation, state transitions and handshake; leasing a pre-built "
+          "kernel connection makes its first op data-plane scale.",
+    checks={
+        "every client count has a pooled and a cold TTFO": lambda t: all(
+            r["pooled TTFO (us)"] is not None and r["cold TTFO (us)"] is not None
+            for r in t),
+        "pooled attach collapses TTFO by >= 5x at every client count":
+            lambda t: all(r["speedup"] >= 5.0 for r in t),
+        # Near-parity, not a win: the reserve's prebuild happens before
+        # the first arrival and shifts the whole schedule by its cost.
+        "pooled leases cost no steady-state throughput (>= 0.9x cold)":
+            lambda t: all(r["pooled ops/ms"] >= r["cold ops/ms"] * 0.9
+                          for r in t),
+    },
+)
+
+
+def run_registration(_jobs):
     """The MR knob moves Fig 8's pin cost between attach and first op."""
-
-    def once(eager):
+    rows = []
+    for mode, eager in (("lazy", False), ("eager", True)):
         cluster = Cluster(2)
         kernels = lite_boot(cluster)
         stats = run_churn(
             cluster, kernels, n_clients=16, seed=SEED,
             eager_mr=eager, mean_gap_us=40.0,
         )
-        attach_med = _median(stats.attach_us["hit"])
-        ttfo_med = stats.median_ttfo("hit")
-        return attach_med, ttfo_med, stats
+        attach = median_high(stats.attach_us["hit"])
+        ttfo = stats.median_ttfo("hit")
+        rows.append([mode, attach, ttfo, ttfo - attach])
+    return rows
 
-    lazy_attach, lazy_ttfo, lazy_stats = once(False)
-    eager_attach, eager_ttfo, eager_stats = once(True)
-    print_table(
-        "sec2.4 elastic churn: eager vs lazy MR registration (pool hits)",
-        ["mode", "attach (us)", "TTFO (us)", "first op after attach (us)"],
-        [
-            ["lazy", lazy_attach, lazy_ttfo, lazy_ttfo - lazy_attach],
-            ["eager", eager_attach, eager_ttfo, eager_ttfo - eager_attach],
-        ],
-        note="both pay the same registration cost inside the TTFO window; "
-             "eager moves it into attach so the first op is pure data plane",
-    )
-    assert lazy_stats.hits and eager_stats.hits
-    # Eager attach pays registration up front...
-    assert eager_attach > lazy_attach
-    # ...so the post-attach first op gets cheaper by about that much.
-    assert eager_ttfo - eager_attach < lazy_ttfo - lazy_attach
-    # Either way the total control-plane window stays the same scale
-    # (the knob moves cost, it does not create or destroy it).
-    assert abs(eager_ttfo - lazy_ttfo) < max(eager_ttfo, lazy_ttfo) * 0.5
+
+SEC24_CHURN_MR = Figure(
+    "sec24-churn-mr",
+    "sec2.4 elastic churn: eager vs lazy MR registration (pool hits)",
+    ["mode", "attach (us)", "TTFO (us)", "first op after attach (us)"],
+    run_registration,
+    note="both pay the same registration cost inside the TTFO window; "
+         "eager moves it into attach so the first op is pure data plane",
+    claim="Registering an MR pins its pages (Fig 8); eager registration "
+          "moves that cost from a client's first op into its attach.",
+    checks={
+        "both modes lease from the pool (a hit's attach and TTFO measured)":
+            lambda t: all(r["attach (us)"] is not None
+                          and r["TTFO (us)"] is not None for r in t),
+        "eager attach pays registration up front":
+            lambda t: t["eager"]["attach (us)"] > t["lazy"]["attach (us)"],
+        "so the post-attach first op gets cheaper": lambda t: (
+            t["eager"]["first op after attach (us)"]
+            < t["lazy"]["first op after attach (us)"]),
+        # The knob moves cost, it does not create or destroy it.
+        "the total control-plane window stays the same scale (< 0.5x apart)":
+            lambda t: abs(t["eager"]["TTFO (us)"] - t["lazy"]["TTFO (us)"])
+            < max(t["eager"]["TTFO (us)"], t["lazy"]["TTFO (us)"]) * 0.5,
+    },
+)

@@ -8,13 +8,11 @@ how many applications/threads run, so it never enters this regime.
 
 import random
 
-import pytest
-
-from repro.verbs import Access, Opcode, SendWR, Sge
-
-from .common import latency_of, lite_pair, print_table, verbs_pair
+from .common import latency_of, lite_lmr, verbs_pair, verbs_write_op
+from .figures import Figure, ratio_between
 
 QP_COUNTS = [4, 64, 256, 1024]
+VERBS = "Verbs (per-thread QPs)"
 
 
 def verbs_latency_with_qps(n_qps: int) -> float:
@@ -30,30 +28,14 @@ def verbs_latency_with_qps(n_qps: int) -> float:
     rng = random.Random(24)
 
     def op():
-        qp = qps[rng.randrange(len(qps))]
-        wr = SendWR(
-            Opcode.WRITE,
-            sgl=[Sge(state["mr_a"], 0, 64)],
-            remote_addr=state["mr_b"].base_addr,
-            rkey=state["mr_b"].rkey,
-            signaled=False,
-        )
-        yield qp.post_send(wr)
+        return verbs_write_op(state, 64, qp=qps[rng.randrange(len(qps))])
 
     return latency_of(cluster, op, count=400, warmup=50)
 
 
 def lite_latency_with_many_threads() -> float:
     """LITE: any number of threads share the same K QPs — one number."""
-    cluster, _kernels, contexts = lite_pair()
-    ctx = contexts[0]
-    holder = {}
-
-    def setup():
-        holder["lh"] = yield from ctx.lt_malloc(1 << 16, nodes=2)
-
-    cluster.run_process(setup())
-    lh = holder["lh"]
+    cluster, ctx, lh = lite_lmr(1 << 16)
     payload = b"q" * 64
 
     def op():
@@ -62,7 +44,7 @@ def lite_latency_with_many_threads() -> float:
     return latency_of(cluster, op, count=400, warmup=50)
 
 
-def run_sec24():
+def run_sec24(_jobs):
     lite = lite_latency_with_many_threads()
     rows = []
     for count in QP_COUNTS:
@@ -70,19 +52,18 @@ def run_sec24():
     return rows
 
 
-@pytest.mark.benchmark(group="sec24")
-def test_sec24_qp_count_scaling(benchmark):
-    rows = benchmark.pedantic(run_sec24, rounds=1, iterations=1)
-    print_table(
-        "Sec 2.4: 64B write latency vs active QPs (us)",
-        ["#QPs", "LITE (KxN shared)", "Verbs (per-thread QPs)"],
-        rows,
-        note="QP-state SRAM holds ~256 entries; LITE never exceeds KxN",
-    )
-    by_count = {row[0]: row for row in rows}
-    # Within SRAM reach, Verbs is fine.
-    assert by_count[64][2] < 1.3 * by_count[4][2]
-    # Beyond it, per-QP state thrashes: latency up >= 40%.
-    assert by_count[1024][2] > 1.4 * by_count[4][2]
-    # LITE's shared-QP latency beats Verbs at scale.
-    assert by_count[1024][1] < by_count[1024][2]
+SEC24_QP = Figure(
+    "sec24-qp", "Sec 2.4: 64B write latency vs active QPs (us)",
+    ["#QPs", "LITE (KxN shared)", "Verbs (per-thread QPs)"], run_sec24,
+    note="QP-state SRAM holds ~256 entries; LITE never exceeds KxN",
+    claim="RDMA latency degrades once active QPs overflow the RNIC's "
+          "QP-state SRAM; LITE's KxN shared QPs never reach that regime.",
+    checks={
+        "within SRAM reach Verbs is fine (64 QPs < 1.3x 4 QPs)":
+            ratio_between((64, VERBS), (4, VERBS), hi=1.3),
+        "beyond it per-QP state thrashes: 1024 QPs >= 1.4x 4 QPs":
+            ratio_between((1024, VERBS), (4, VERBS), lo=1.4),
+        "LITE's shared-QP latency beats Verbs at 1024 QPs":
+            lambda t: t[1024]["LITE (KxN shared)"] < t[1024][VERBS],
+    },
+)

@@ -5,12 +5,13 @@ LT_recvRPC/LT_replyRPC kernel stacks 0.3/0.2 µs, and 0.17 µs of
 user-kernel crossings.  We instrument the same stages.
 """
 
-import pytest
-
 from repro.core import LiteContext, rpc_server_loop
 from repro.hw.params import DEFAULT_PARAMS
 
-from .common import lite_pair, print_table
+from .common import latency_of, lite_pair, settle
+from .figures import Figure
+
+TOTAL = "total LT_RPC (8B -> 4KB)"
 
 
 def _rpc_total():
@@ -19,27 +20,15 @@ def _rpc_total():
     client = LiteContext(kernels[0], "cli")
     server = LiteContext(kernels[1], "srv")
     cluster.sim.process(rpc_server_loop(server, 1, lambda _in: b"r" * 4096))
-    sim = cluster.sim
+    settle(cluster)
 
-    def settle():
-        yield sim.timeout(5)
+    def op():
+        yield from client.lt_rpc(2, 1, b"k" * 8, max_reply=4200)
 
-    cluster.run_process(settle())
-    samples = []
-
-    def driver():
-        for _ in range(20):
-            yield from client.lt_rpc(2, 1, b"k" * 8, max_reply=4200)
-        for _ in range(100):
-            start = sim.now
-            yield from client.lt_rpc(2, 1, b"k" * 8, max_reply=4200)
-            samples.append(sim.now - start)
-
-    cluster.run_process(driver())
-    return sum(samples) / len(samples)
+    return latency_of(cluster, op, count=100, warmup=20)
 
 
-def run_sec53():
+def run_sec53(_jobs):
     params = DEFAULT_PARAMS
     total = _rpc_total()
     crossings = params.lite_syscall_enter_us + params.lite_sharedpage_return_us
@@ -48,7 +37,7 @@ def run_sec53():
     reply_stack = params.lite_reply_stack_us
     network = total - crossings - metadata - recv_stack - reply_stack
     return [
-        ("total LT_RPC (8B -> 4KB)", total),
+        (TOTAL, total),
         ("metadata (map+perm check)", metadata),
         ("LT_recvRPC kernel stack", recv_stack),
         ("LT_replyRPC kernel stack", reply_stack),
@@ -57,22 +46,24 @@ def run_sec53():
     ]
 
 
-@pytest.mark.benchmark(group="sec53")
-def test_sec53_rpc_breakdown(benchmark):
-    rows = benchmark.pedantic(run_sec53, rounds=1, iterations=1)
-    print_table(
-        "Sec 5.3: LT_RPC latency breakdown (us)",
-        ["stage", "time"],
-        rows,
-        note="paper: 6.95 total; <0.3 metadata; 0.3/0.2 stacks; 0.17 crossings",
-    )
-    values = dict(rows)
-    total = values["total LT_RPC (8B -> 4KB)"]
-    # The envelope of the paper's 6.95 us measurement.
-    assert 4.0 < total < 9.5
-    assert values["metadata (map+perm check)"] < 0.3
-    assert values["user-kernel crossings"] < 0.25
-    assert values["LT_recvRPC kernel stack"] <= 0.35
-    assert values["LT_replyRPC kernel stack"] <= 0.25
-    # The wire/poll share dominates, as in the paper's accounting.
-    assert values["network + poll + wire"] > 0.5 * total
+SEC53 = Figure(
+    "sec53", "Sec 5.3: LT_RPC latency breakdown (us)",
+    ["stage", "time"], run_sec53,
+    note="paper: 6.95 total; <0.3 metadata; 0.3/0.2 stacks; 0.17 crossings",
+    claim="6.95 us total; metadata < 0.3 us; kernel stacks 0.3/0.2 us; "
+          "crossings 0.17 us.",
+    checks={
+        "the total lands in the 4.0-9.5 us envelope of the paper's 6.95":
+            lambda t: 4.0 < t[TOTAL]["time"] < 9.5,
+        "metadata < 0.3 us":
+            lambda t: t["metadata (map+perm check)"]["time"] < 0.3,
+        "user-kernel crossings < 0.25 us":
+            lambda t: t["user-kernel crossings"]["time"] < 0.25,
+        "LT_recvRPC kernel stack <= 0.35 us":
+            lambda t: t["LT_recvRPC kernel stack"]["time"] <= 0.35,
+        "LT_replyRPC kernel stack <= 0.25 us":
+            lambda t: t["LT_replyRPC kernel stack"]["time"] <= 0.25,
+        "the wire/poll share dominates (> half the total)": lambda t: (
+            t["network + poll + wire"]["time"] > 0.5 * t[TOTAL]["time"]),
+    },
+)

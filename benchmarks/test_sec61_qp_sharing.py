@@ -10,12 +10,11 @@ Verified against the live LITE instances (actual created QPs) plus the
 arithmetic table for the paper's example scales.
 """
 
-import pytest
+from .common import lite_pair
+from .figures import Figure
 
-from .common import lite_pair, print_table
 
-
-def run_sec61():
+def run_sec61(_jobs):
     rows = []
     n_threads = 8
     farm_q = 4
@@ -35,17 +34,17 @@ def run_sec61():
     return rows
 
 
-@pytest.mark.benchmark(group="sec61")
-def test_sec61_qp_sharing(benchmark):
-    rows = benchmark.pedantic(run_sec61, rounds=1, iterations=1)
-    print_table(
-        "Sec 6.1: QPs per node (N nodes, 8 threads, FaRM q=4, LITE K=2)",
-        ["nodes", "Verbs 2NT", "FaRM 2NT/q", "LITE K(N-1) expect",
-         "LITE actual"],
-        rows,
-    )
-    for n_nodes, verbs, farm, lite_expect, lite_actual in rows:
-        assert lite_actual == lite_expect
-        assert lite_actual < farm < verbs
-    # The LITE advantage grows with thread count, not node count.
-    assert rows[-1][1] / rows[-1][4] > 8
+SEC61 = Figure(
+    "sec61", "Sec 6.1: QPs per node (N nodes, 8 threads, FaRM q=4, LITE K=2)",
+    ["nodes", "Verbs 2NT", "FaRM 2NT/q", "LITE K(N-1) expect", "LITE actual"],
+    run_sec61,
+    claim="Verbs needs 2NT QPs per node and FaRM 2NT/q; LITE shares K x N.",
+    checks={
+        "live LITE kernels create exactly K(N-1) QPs": lambda t: all(
+            r["LITE actual"] == r["LITE K(N-1) expect"] for r in t),
+        "LITE < FaRM < Verbs at every node count": lambda t: all(
+            r["LITE actual"] < r["FaRM 2NT/q"] < r["Verbs 2NT"] for r in t),
+        "the LITE advantage grows with threads: > 8x fewer QPs than Verbs "
+        "at 8 nodes": lambda t: t[8]["Verbs 2NT"] / t[8]["LITE actual"] > 8,
+    },
+)

@@ -5,15 +5,28 @@ committing single-entry (16 B) transactions, and that throughput scales
 with node count and transaction size.
 """
 
-import pytest
-
 from repro.apps.litelog import LiteLog, LogWriter
 from repro.core import LiteContext
 
-from .common import lite_pair, print_table
+from .common import lite_pair
+from .figures import Figure
 
 WINDOW_US = 4000.0
 THREADS_PER_NODE = 3
+
+
+def commit_loop(ctx, log_name: str, writer_id: int, window_us: float,
+                entries: list, committed: list):
+    """Open LITE-Log ``log_name`` and commit ``entries`` as one transaction
+    after another for ``window_us``, counting commits in ``committed[0]``."""
+    log = yield from LiteLog.open(ctx, log_name)
+    writer = LogWriter(log, writer_id=writer_id)
+    end = ctx.sim.now + window_us
+    while ctx.sim.now < end:
+        for entry in entries:
+            writer.append(entry)
+        yield from writer.commit()
+        committed[0] += 1
 
 
 def commit_rate(n_writer_nodes: int, entry_bytes: int,
@@ -22,17 +35,12 @@ def commit_rate(n_writer_nodes: int, entry_bytes: int,
     sim = cluster.sim
     home = kernels[-1].lite_id
     committed = [0]
+    entries = [b"e" * entry_bytes] * entries_per_tx
 
-    def writer(node_index, writer_id):
-        ctx = LiteContext(kernels[node_index], f"w{writer_id}")
-        log = yield from LiteLog.open(ctx, "tput")
-        writer_obj = LogWriter(log, writer_id=writer_id)
-        end = sim.now + WINDOW_US
-        while sim.now < end:
-            for _ in range(entries_per_tx):
-                writer_obj.append(b"e" * entry_bytes)
-            yield from writer_obj.commit()
-            committed[0] += 1
+    def writer(node, writer_id):
+        ctx = LiteContext(kernels[node], f"w{writer_id}")
+        return commit_loop(ctx, "tput", writer_id, WINDOW_US, entries,
+                           committed)
 
     def driver():
         creator = LiteContext(kernels[0], "creator")
@@ -48,7 +56,7 @@ def commit_rate(n_writer_nodes: int, entry_bytes: int,
     return committed[0] / (WINDOW_US / 1e6)  # commits per second
 
 
-def run_sec81():
+def run_sec81(_jobs):
     rows = []
     for writers, entry, per_tx in (
         (1, 16, 1),
@@ -64,20 +72,22 @@ def run_sec81():
     return rows
 
 
-@pytest.mark.benchmark(group="sec81")
-def test_sec81_litelog_throughput(benchmark):
-    rows = benchmark.pedantic(run_sec81, rounds=1, iterations=1)
-    print_table(
-        "Sec 8.1: LITE-Log commit throughput (K commits/s)",
-        ["configuration", "K commits/s"],
-        rows,
-    )
-    rates = {label: rate for label, rate in rows}
-    two_node = rates["2 node(s), 1x16B"]
-    # Paper: ~833 K/s for two committing nodes of 16 B transactions.
-    assert 400 < two_node < 1600
-    # Scales with committing nodes.
-    assert rates["2 node(s), 1x16B"] > rates["1 node(s), 1x16B"]
-    assert rates["4 node(s), 1x16B"] > rates["2 node(s), 1x16B"]
-    # Bigger transactions never commit faster (latency-bound regime).
-    assert rates["2 node(s), 1x128B"] <= rates["2 node(s), 1x16B"] * 1.02
+RATE = "K commits/s"
+
+SEC81 = Figure(
+    "sec81", "Sec 8.1: LITE-Log commit throughput (K commits/s)",
+    ["configuration", RATE], run_sec81,
+    claim="~833 K commits/s with 2 committing nodes of 16 B transactions, "
+          "scaling with nodes.",
+    checks={
+        "2 nodes of 16 B transactions commit 400-1600 K/s (paper: ~833 K/s)":
+            lambda t: 400 < t["2 node(s), 1x16B"][RATE] < 1600,
+        "2 committing nodes beat 1":
+            lambda t: t["2 node(s), 1x16B"][RATE] > t["1 node(s), 1x16B"][RATE],
+        "4 committing nodes beat 2":
+            lambda t: t["4 node(s), 1x16B"][RATE] > t["2 node(s), 1x16B"][RATE],
+        "bigger transactions never commit faster (latency-bound regime)":
+            lambda t: (t["2 node(s), 1x128B"][RATE]
+                       <= t["2 node(s), 1x16B"][RATE] * 1.02),
+    },
+)

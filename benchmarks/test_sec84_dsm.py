@@ -7,18 +7,16 @@ same four micro-operations are measured here.
 
 import random
 
-import pytest
-
 from repro.apps.dsm import LiteDsm, PAGE_SIZE
 from repro.core import lite_boot
 from repro.cluster import Cluster
 
-from .common import print_table
+from .figures import Figure, ratio_between
 
 N_PAGES = 256
 
 
-def run_sec84():
+def run_sec84(_jobs):
     cluster = Cluster(4)
     kernels = lite_boot(cluster)
     dsm = LiteDsm(kernels, "bench", N_PAGES * PAGE_SIZE)
@@ -26,7 +24,6 @@ def run_sec84():
     sim = cluster.sim
     node = dsm.nodes[0]
     rng = random.Random(84)
-    out = {}
 
     def seed_data():
         writer = dsm.nodes[1]
@@ -37,30 +34,20 @@ def run_sec84():
 
     cluster.run_process(seed_data())
 
+    def reads(reader, pages):
+        samples = []
+        for page in pages:
+            start = sim.now
+            yield from reader.read(page * PAGE_SIZE, PAGE_SIZE)
+            samples.append(sim.now - start)
+        return sum(samples) / len(samples)
+
     # -- 4 KB random reads (cold pages, remote homes) -------------------
-    def random_reads():
-        samples = []
-        pages = [p for p in range(N_PAGES) if p % 4 != 0]
-        rng.shuffle(pages)
-        for page in pages[:40]:
-            start = sim.now
-            yield from node.read(page * PAGE_SIZE, PAGE_SIZE)
-            samples.append(sim.now - start)
-        out["random 4KB read"] = sum(samples) / len(samples)
-
-    cluster.run_process(random_reads())
-
+    pages = [p for p in range(N_PAGES) if p % 4 != 0]
+    rng.shuffle(pages)
+    random_read = cluster.run_process(reads(node, pages[:40]))
     # -- 4 KB sequential reads (fresh region) ----------------------------
-    def sequential_reads():
-        node2 = dsm.nodes[2]
-        samples = []
-        for page in range(40):
-            start = sim.now
-            yield from node2.read(page * PAGE_SIZE, PAGE_SIZE)
-            samples.append(sim.now - start)
-        out["sequential 4KB read"] = sum(samples) / len(samples)
-
-    cluster.run_process(sequential_reads())
+    sequential_read = cluster.run_process(reads(dsm.nodes[2], range(40)))
 
     # -- sync begin (acquire 10 pages) ------------------------------------
     def sync_begin():
@@ -71,9 +58,7 @@ def run_sec84():
             yield from node.acquire(base, 10 * PAGE_SIZE)
             samples.append(sim.now - start)
             yield from node.release()
-        out["sync begin (10 pages)"] = sum(samples) / len(samples)
-
-    cluster.run_process(sync_begin())
+        return sum(samples) / len(samples)
 
     # -- sync commit with 10 dirty pages -----------------------------------
     def sync_commit():
@@ -86,30 +71,32 @@ def run_sec84():
             start = sim.now
             yield from node.release()
             samples.append(sim.now - start)
-        out["sync commit (10 dirty pages)"] = sum(samples) / len(samples)
+        return sum(samples) / len(samples)
 
-    cluster.run_process(sync_commit())
-    return out
+    return [("random 4KB read", random_read),
+            ("sequential 4KB read", sequential_read),
+            ("sync begin (10 pages)", cluster.run_process(sync_begin())),
+            ("sync commit (10 dirty pages)", cluster.run_process(sync_commit()))]
 
 
-@pytest.mark.benchmark(group="sec84")
-def test_sec84_dsm_latencies(benchmark):
-    out = benchmark.pedantic(run_sec84, rounds=1, iterations=1)
-    rows = [(name, value) for name, value in out.items()]
-    print_table(
-        "Sec 8.4: LITE-DSM latencies, 4 nodes (us)",
-        ["operation", "latency"],
-        rows,
-        note="paper: reads 12.6/17.2; sync begin 9.2; commit 10 pages 74.3",
-    )
-    # Within the envelope of the paper's measurements.
-    assert 8.0 < out["random 4KB read"] < 25.0
-    assert 8.0 < out["sequential 4KB read"] < 25.0
-    assert 4.0 < out["sync begin (10 pages)"] < 20.0
-    assert 15.0 < out["sync commit (10 dirty pages)"] < 120.0
-    # Commit of 10 dirty pages costs several times an acquire (paper:
-    # 9.2 vs 74.3).
-    assert (
-        out["sync commit (10 dirty pages)"]
-        > 2.5 * out["sync begin (10 pages)"]
-    )
+SEC84 = Figure(
+    "sec84", "Sec 8.4: LITE-DSM latencies, 4 nodes (us)",
+    ["operation", "latency"], run_sec84,
+    note="paper: reads 12.6/17.2; sync begin 9.2; commit 10 pages 74.3",
+    claim="4 KB reads take 12.6/17.2 us, sync begin 9.2 us and the commit of "
+          "10 dirty pages 74.3 us.",
+    checks={
+        "random 4 KB read in 8-25 us":
+            lambda t: 8.0 < t["random 4KB read"]["latency"] < 25.0,
+        "sequential 4 KB read in 8-25 us":
+            lambda t: 8.0 < t["sequential 4KB read"]["latency"] < 25.0,
+        "sync begin (10 pages) in 4-20 us":
+            lambda t: 4.0 < t["sync begin (10 pages)"]["latency"] < 20.0,
+        "sync commit (10 dirty pages) in 15-120 us":
+            lambda t: 15.0 < t["sync commit (10 dirty pages)"]["latency"] < 120.0,
+        # Paper: 9.2 vs 74.3.
+        "a 10-page commit costs > 2.5x an acquire": ratio_between(
+            ("sync commit (10 dirty pages)", "latency"),
+            ("sync begin (10 pages)", "latency"), lo=2.5),
+    },
+)

@@ -44,7 +44,7 @@ class SimParams:
     rnic_ud_header_bytes: int = 40               # GRH per UD packet
 
     # ---- RNIC SRAM (the scalability bottleneck, paper §2.4) ---------
-    mr_key_cache_entries: int = 128              # Fig 4: knee ~100 MRs
+    mr_key_cache_entries: int = 128              # Fig 4 misses: first touches
     mr_key_miss_penalty_us: float = 1.3          # fetch MR record via DMA
     pte_cache_entries: int = 1024                # ×4 KB pages = 4 MB reach
     pte_miss_penalty_us: float = 0.9             # Fig 5: knee at 4 MB

@@ -10,8 +10,8 @@ Determinism contract (the whole point of this module):
 - Each point builds its own cluster, whose ids come from its own
   simulator (``sim.ids``), and runs under a per-point ``random`` seed
   derived only from the point's *index*, in the serial and the
-  parallel path alike.  A sweep at ``--jobs 4`` therefore produces **byte-identical**
-  per-point results to the serial run.
+  parallel path alike.  A sweep at ``jobs=4`` therefore produces
+  **byte-identical** per-point results to the serial run.
 - Results are merged in point order (``Pool.map`` order semantics), so
   tables and result files never depend on worker scheduling.
 
@@ -23,44 +23,20 @@ worker propagate to the caller, as they would serially.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 
-__all__ = ["run_sweep", "resolve_jobs", "SWEEP_JOBS_ENV"]
-
-# Environment knob consulted when ``jobs`` is not given explicitly:
-# tools/collect_results.py --jobs and CI export it so pytest-collected
-# figure benchmarks pick the parallel path up without plumbing a flag
-# through pytest.
-SWEEP_JOBS_ENV = "REPRO_BENCH_JOBS"
+__all__ = ["run_sweep", "resolve_jobs"]
 
 # Fixed salt for per-point seeding: the seed depends only on the point
 # *index*, never on worker identity, pid, or wall clock.
 _POINT_SEED_SALT = 0x11E5_0C0F
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count for a sweep: explicit arg > env > serial.
-
-    ``0`` (or ``"auto"``) means one worker per CPU.  Anything that does
-    not parse falls back to serial.
-    """
-    if jobs is None:
-        raw = os.environ.get(SWEEP_JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        if raw.lower() == "auto":
-            return multiprocessing.cpu_count()
-        try:
-            jobs = int(raw)
-        except ValueError:
-            return 1
-    if isinstance(jobs, str):
-        if jobs.lower() == "auto":
-            return multiprocessing.cpu_count()
-        jobs = int(jobs)
+def resolve_jobs(jobs: int) -> int:
+    """Worker count for a sweep: ``0`` means one worker per CPU, and
+    anything below 1 otherwise runs serially."""
     if jobs == 0:
         return multiprocessing.cpu_count()
     return max(1, jobs)
@@ -81,15 +57,14 @@ def _run_point(packed):
 def run_sweep(
     fn: Callable,
     points: Sequence,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> List:
     """Evaluate ``fn(point)`` for every point; results in point order.
 
-    ``jobs=None`` consults the ``REPRO_BENCH_JOBS`` environment
-    variable (see :func:`resolve_jobs`); ``jobs=1`` forces the serial
-    path.  Parallel workers each run in their own process: global
-    counters, caches, and module state never leak across points *or*
-    back into the parent.
+    ``jobs=1`` is the serial path and ``jobs=0`` one worker per CPU
+    (see :func:`resolve_jobs`).  Parallel workers each run in their own
+    process: global counters, caches, and module state never leak
+    across points *or* back into the parent.
     """
     points = list(points)
     jobs = resolve_jobs(jobs)

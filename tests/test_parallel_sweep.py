@@ -7,11 +7,10 @@ per-point isolation of every id — which these tests verify directly by
 returning counter-derived ids from the points.
 """
 
-import io
 import json
-from contextlib import redirect_stdout
+import multiprocessing
 
-from repro.sweep import SWEEP_JOBS_ENV, resolve_jobs, run_sweep
+from repro.sweep import resolve_jobs, run_sweep
 
 JOBS = 4
 
@@ -88,39 +87,28 @@ def test_parallel_run_is_repeatable():
 
 
 def test_results_tables_identical():
-    """The figure-facing wrapper: a table printed from a parallel sweep
-    is character-identical to one printed from a serial sweep."""
-    from benchmarks.common import RESULTS, print_table, sweep
+    """The figure runner's rendering: a table printed from a parallel
+    sweep is character-identical to one printed from a serial sweep."""
+    from benchmarks.figures import render
 
     points = [20, 40, 60]
 
-    def render(parallel):
+    def render_table(jobs):
         rows = [
             (ops, result["sim_us"], result["events"])
-            for ops, result in zip(points, sweep(_point, points,
-                                                 parallel=parallel))
+            for ops, result in zip(points, run_sweep(_point, points,
+                                                     jobs=jobs))
         ]
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            print_table("sweep determinism probe",
-                        ["ops", "sim_us", "events"], rows)
-        return buffer.getvalue()
+        return render("sweep determinism probe", ["ops", "sim_us", "events"],
+                      rows)
 
-    serial_table = render(parallel=1)
-    parallel_table = render(parallel=JOBS)
-    RESULTS.pop("sweep determinism probe", None)
+    serial_table = render_table(1)
+    parallel_table = render_table(JOBS)
     assert serial_table == parallel_table
 
 
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.delenv(SWEEP_JOBS_ENV, raising=False)
-    assert resolve_jobs(None) == 1
+def test_resolve_jobs():
     assert resolve_jobs(3) == 3
     assert resolve_jobs(-2) == 1
-    monkeypatch.setenv(SWEEP_JOBS_ENV, "5")
-    assert resolve_jobs(None) == 5
-    assert resolve_jobs(2) == 2  # explicit arg wins over env
-    monkeypatch.setenv(SWEEP_JOBS_ENV, "not-a-number")
-    assert resolve_jobs(None) == 1
-    monkeypatch.setenv(SWEEP_JOBS_ENV, "auto")
-    assert resolve_jobs(None) >= 1
+    assert resolve_jobs(2) == 2
+    assert resolve_jobs(0) == multiprocessing.cpu_count()

@@ -13,7 +13,9 @@ import ast, glob, json, os, pathlib, runpy, subprocess, sys, tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro") + os.sep
 PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
-SWEEP = [PYTEST, PYTEST + ["--benchmark-only", "benchmarks"],
+# benchmarks/ runs every figure through the runner's pytest entry, which
+# leaves EXPERIMENTS.md alone.
+SWEEP = [PYTEST, PYTEST + ["benchmarks"],
          *([path] for path in sorted(glob.glob(ROOT + "/examples/*.py"))),
          *(["perfbench/run.py", "--workload", name, "--seconds", "0", "--trace", t]
            for t in "01"

@@ -8,11 +8,7 @@ lines in the paper (it sits purely on DSM loads/stores); ours keeps a
 similarly tiny count (barriers only).
 """
 
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from loc import app_effort_table  # noqa: E402
+import importlib.util
 
 from .figures import ROOT, Figure
 
@@ -25,9 +21,19 @@ PAPER = {
 }
 
 
+def _loc_tool():
+    """``tools/loc.py``, loaded by path: ``tools/`` never joins
+    ``sys.path`` and the module never enters ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(
+        "loc", ROOT / "tools" / "loc.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_fig20(_jobs):
     rows = []
-    for name, loc, lite_loc in app_effort_table(ROOT):
+    for name, loc, lite_loc in _loc_tool().app_effort_table(ROOT):
         paper_loc, paper_lite = PAPER[name]
         rows.append((name, loc, lite_loc, paper_loc, paper_lite))
     return rows

@@ -38,6 +38,7 @@ import heapq
 import itertools
 import os
 from collections import deque
+from dataclasses import dataclass, fields
 from sys import getrefcount
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -416,6 +417,44 @@ class Ids:
             setattr(self, kind, count(1))
 
 
+@dataclass
+class FastPathStats:
+    """The fast-path counters of one simulation (host-side only, not
+    sim state): ``verbs/fastpath.py`` counts on ``qp.sim.fastpath``.
+
+    ``attempts``/``commits`` count both entries (LITE's post-time one
+    and the native start-hop one).  Every declined attempt is also
+    counted once, under the first entry condition that failed (the
+    ``rej_*`` counters; INTERNALS §13 lists what each check covers), so
+    attempts = commits + rejects.  ``snapshot(cluster).fastpath`` is a
+    copy, and ``Snapshot.delta`` subtracts it.
+    """
+
+    attempts: int = 0
+    commits: int = 0
+    mismodels: int = 0
+    table_builds: int = 0
+    rej_shape: int = 0
+    rej_qp_state: int = 0
+    rej_pred: int = 0
+    rej_sq: int = 0
+    rej_nowq: int = 0
+    rej_table: int = 0
+    rej_pipeline: int = 0
+    rej_port: int = 0
+    rej_floor: int = 0
+    rej_miss: int = 0
+    rej_target: int = 0
+    rej_recv: int = 0
+    rej_horizon: int = 0
+
+    def delta(self, baseline: "FastPathStats") -> "FastPathStats":
+        """Counts since ``baseline``."""
+        return FastPathStats(*(
+            getattr(self, f.name) - getattr(baseline, f.name)
+            for f in fields(self)))
+
+
 class Simulator:
     """The event loop: owns simulated time and the pending-event queues.
 
@@ -434,7 +473,7 @@ class Simulator:
 
     __slots__ = ("now", "_heap", "_seq", "_timeout_pool", "_event_pool",
                  "tracer", "_nowq", "_ncancelled", "_fpq", "fastpath_enabled",
-                 "ids")
+                 "ids", "fastpath")
 
     def __init__(self):
         self.now: float = 0.0
@@ -464,6 +503,7 @@ class Simulator:
         # construction; tests may also flip the attribute directly.
         self.fastpath_enabled = os.environ.get("REPRO_NO_FASTPATH", "") != "1"
         self.ids = Ids()
+        self.fastpath = FastPathStats()
 
     # -- scheduling -----------------------------------------------------
     def _enqueue(self, delay: float, event: Event) -> None:

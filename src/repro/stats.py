@@ -2,16 +2,19 @@
 
 Benchmarks and applications routinely need "what did the hardware do
 between A and B": RNIC SRAM hit rates, per-tag CPU time, fabric bytes,
-LITE op counts.  :func:`snapshot` captures it all; ``Snapshot.delta``
-subtracts a baseline.
+LITE op counts, the fast path's attempts, commits and rejects.
+:func:`snapshot` captures it all; ``Snapshot.delta`` subtracts a
+baseline.  Every counter belongs to one cluster's simulator, so any
+number of clusters in one process read only their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
 from .obs.metrics import HistogramSnapshot
+from .sim.engine import FastPathStats
 
 __all__ = ["NodeStats", "Snapshot", "snapshot"]
 
@@ -89,6 +92,8 @@ class Snapshot:
     nodes: Dict[int, NodeStats]
     fabric_bytes: int
     fabric_transfers: int
+    # The simulator's fast-path counters (``verbs/fastpath.py``).
+    fastpath: FastPathStats
     # Per-op-type latency histograms (e.g. "op.lt_write"), built from
     # the finished op spans when a tracer is installed; None otherwise.
     op_latency: Optional[Dict[str, HistogramSnapshot]] = None
@@ -104,6 +109,7 @@ class Snapshot:
             },
             fabric_bytes=self.fabric_bytes - baseline.fabric_bytes,
             fabric_transfers=self.fabric_transfers - baseline.fabric_transfers,
+            fastpath=self.fastpath.delta(baseline.fastpath),
             op_latency=_hist_delta(self.op_latency, baseline.op_latency),
         )
 
@@ -180,7 +186,7 @@ def _node_stats(node) -> NodeStats:
 
 
 def snapshot(cluster) -> Snapshot:
-    """Capture every node's counters plus fabric totals."""
+    """Capture every node's counters plus fabric and fast-path totals."""
     tracer = cluster.sim.tracer
     op_latency = None
     if tracer is not None:
@@ -197,5 +203,6 @@ def snapshot(cluster) -> Snapshot:
         nodes={node.node_id: _node_stats(node) for node in cluster.nodes},
         fabric_bytes=cluster.fabric.total_bytes,
         fabric_transfers=cluster.fabric.transfer_count,
+        fastpath=replace(cluster.sim.fastpath),
         op_latency=op_latency,
     )

@@ -52,7 +52,8 @@ instants (a *miss*, which installs and may evict, only from the native
 start hop with no committed op in flight), and byte counters
 (fabric/RNIC/port) are applied at commit.
 Residual mismodels (a resource found full at an acquire instant, an SRQ
-drained by a foreign consumer mid-flight) are counted in ``fp_stats``.
+drained by a foreign consumer mid-flight) are counted in the simulator's
+:class:`FastPathStats` (``sim.fastpath``).
 
 ``Simulator._seq`` is the same-instant tie-break and a count of real
 enqueues: a commit numbers its dispatches ``_seq + 1 …`` and nothing
@@ -64,8 +65,10 @@ are).
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from heapq import heappush
 
+from ..sim.engine import FastPathStats
 from .wr import ACK_BYTES, Access, Opcode, WcStatus, WorkCompletion, wire_bytes
 
 __all__ = ["try_fast_post", "prime_qp", "fp_stats", "FastPathStats"]
@@ -89,28 +92,19 @@ _SUCCESS = WcStatus.SUCCESS
 _MEMO_MAX = 512
 
 
-class FastPathStats:
-    """Module-wide fast-path telemetry (host-side only, not sim state).
-
-    ``attempts``/``commits`` count both entries (LITE's post-time one
-    and the native start-hop one).  Every declined attempt is also
-    counted once, under the first entry condition that failed (the
-    ``rej_*`` counters; INTERNALS §13 lists what each check covers), so
-    attempts = commits + rejects.  All plain ints: consumers snapshot
-    ``__slots__`` and subtract.
+class _ProcessTotals:
+    """Deprecated process-wide sum of every simulation's
+    :class:`FastPathStats`, kept only because ``perfbench/harness.py``
+    and ``perfbench/layers.py`` reset and read it (ROADMAP item 1(g)).
+    Everything else reads its own cluster's ``snapshot(cluster).fastpath``.
 
     ``vec_*``, ``chain_*`` and ``plan_*`` belonged to the removed WR-less
-    entries and always read 0; they stay declared only because
-    ``perfbench/layers.py`` reads them by name.
+    entries and always read 0; ``perfbench/layers.py`` reads them by name.
     """
 
-    __slots__ = ("attempts", "commits", "mismodels", "table_builds",
-                 "vec_attempts", "vec_commits", "plan_builds", "plan_hits",
-                 "chain_attempts", "chain_commits",
-                 "rej_shape", "rej_qp_state", "rej_pred", "rej_sq",
-                 "rej_nowq", "rej_table", "rej_pipeline", "rej_port",
-                 "rej_floor", "rej_miss", "rej_target", "rej_recv",
-                 "rej_horizon")
+    __slots__ = tuple(f.name for f in fields(FastPathStats)) + (
+        "vec_attempts", "vec_commits", "plan_builds", "plan_hits",
+        "chain_attempts", "chain_commits")
 
     def __init__(self):
         self.reset()
@@ -119,16 +113,13 @@ class FastPathStats:
         for name in self.__slots__:
             setattr(self, name, 0)
 
-    def __repr__(self) -> str:
-        return "FastPathStats(%s)" % ", ".join(
-            f"{name}={getattr(self, name)}" for name in self.__slots__)
+
+fp_stats = _ProcessTotals()
 
 
-fp_stats = FastPathStats()
-
-
-def _no(reason: str) -> None:
+def _no(stats: FastPathStats, reason: str) -> None:
     """Count a declined attempt under its first failing condition."""
+    setattr(stats, reason, getattr(stats, reason) + 1)
     setattr(fp_stats, reason, getattr(fp_stats, reason) + 1)
 
 
@@ -238,6 +229,7 @@ class CostTable:
         fp = self._fparams.prices
         self.floor = (lp.doorbell + lp.wqe + fp.ser(_WIRE0) + fp.prop
                       + self._rparams.prices.wqe + fp.prop)
+        qp.sim.fastpath.table_builds += 1
         fp_stats.table_builds += 1
 
     def valid(self) -> bool:
@@ -380,42 +372,43 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     structural checks, and tested against a lower bound on the
     completion time before any resolution or timeline work.
     """
+    sim = qp.sim
+    stats = sim.fastpath
     if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
-        return _no("rej_qp_state")
+        return _no(stats, "rej_qp_state")
     if not prepared:
         pred = qp._last_remote_done
     if pred is not None and pred.callbacks is not None:
-        return _no("rej_pred")
+        return _no(stats, "rej_pred")
     sq = qp._sq_slots
     if sq.in_use >= sq.capacity:
-        return _no("rej_sq")
+        return _no(stats, "rej_sq")
     if window is not None and window.in_use >= window.capacity:
-        return _no("rej_sq")
-    sim = qp.sim
+        return _no(stats, "rej_sq")
     if sim._nowq and not sim.fp_nowq_inert():
-        return _no("rej_nowq")
+        return _no(stats, "rej_nowq")
 
     table = _table_for(qp)
     if table is None:
-        return _no("rej_table")
+        return _no(stats, "rej_table")
     lpipe = table.lpipe
     rpipe = table.rpipe
     if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return _no("rej_pipeline")
+        return _no(stats, "rej_pipeline")
     fabric = table.fabric
     src_port = table.src_port
     dst_port = table.dst_port
     # No fault hook (a commit assumes lossless delivery), both links
     # up, all four port channels idle.
     if not fabric.fp_path_clear(src_port, dst_port):
-        return _no("rej_port")
+        return _no(stats, "rej_port")
     if table.src_node == table.dst_node:
-        return _no("rej_port")  # loopback short-circuits the wire
+        return _no(stats, "rej_port")  # loopback short-circuits the wire
     # A crashed peer: a crash downs its link (caught above), but a link
     # plan may bring the link back up while the node is still failed.
     rdev = table.rdev
     if rdev.node.crashed:
-        return _no("rej_port")
+        return _no(stats, "rej_port")
     dst_qpn = table.dst_qpn
 
     # Nothing ordinary may be scheduled at or before completion: any
@@ -425,7 +418,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     t0 = sim.now
     horizon = sim.fp_horizon()
     if horizon <= t0 + table.floor:
-        return _no("rej_floor")
+        return _no(stats, "rej_floor")
 
     read_op = opcode is _READ
     send_op = opcode is _SEND
@@ -440,7 +433,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
             rqp = rdev.qps.get(dst_qpn)
             table.rqp = rqp
             if rqp is None:
-                return _no("rej_target")
+                return _no(stats, "rej_target")
         srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
         if srq_source is not table.srq_source:
             try:
@@ -453,7 +446,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         srq_items = table.srq_items
         if (len(srq_source) <= srq_source._fp_claims
                 or (send_op and rqp.rnr_retry < 7)):
-            return _no("rej_recv")
+            return _no(stats, "rej_recv")
     if send_op:
         # A SEND's responder resolves the receive buffer's MR the way a
         # WRITE's resolves the rkey (priced and replayed alike); a short
@@ -461,7 +454,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         recv = srq_items[srq_source._fp_claims]
         rmr = recv.mr
         if rmr is None or recv.length < nbytes:
-            return _no("rej_shape")
+            return _no(stats, "rej_shape")
         rkey = rmr.lkey
         pages = rmr.page_ids(recv.offset, nbytes)
     else:
@@ -471,7 +464,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
             _NEED_REMOTE_ATOMIC if atomic
             else _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
         if target is None:
-            return _no("rej_target")
+            return _no(stats, "rej_target")
         pages, backing, reg_off = target
 
     # SRAM lookups (QP, key, PTEs on both RNICs).  Probes are
@@ -488,13 +481,13 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         if sge is not None:
             lmr = sge.mr
             if lmr.region is None or lmr.region.freed:
-                return _no("rej_shape")
+                return _no(stats, "rej_shape")
             lkey = lmr.lkey
             lpages = lmr.page_ids(sge.offset, sge.length)
         cost_l = _lookup_cost(lrnic, qp.qpn, lkey, lpages)
         cost_r = _lookup_cost(rrnic, None if send_op else dst_qpn, rkey, pages)
         if cost_l is None or cost_r is None:
-            return _no("rej_miss")
+            return _no(stats, "rej_miss")
         if send_op and not rrnic.qp_cache.contains(dst_qpn):
             cost_q = table._rparams.qp_miss_penalty_us
     elif (sge is not None
@@ -504,7 +497,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
           or (pages and not rrnic.pte_cache.contains_all(pages))):
         # Post time (the posting handler may still post a same-instant
         # sibling) or committed ops in flight: all-hit, inline only.
-        return _no("rej_miss")
+        return _no(stats, "rej_miss")
     else:
         cost_l = cost_r = 0.0
 
@@ -541,7 +534,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     signaled = wr.signaled
     t_end = t7 + lp.completion if signaled else t7
     if horizon <= t_end:
-        return _no("rej_horizon")
+        return _no(stats, "rej_horizon")
 
     # ---- commit ------------------------------------------------------
     if prepared:
@@ -611,8 +604,10 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         # Responder done: publish RC order, request the return leg.
         done.succeed()
         if dst_tx.in_use >= dst_tx.capacity:
+            stats.mismodels += 1
             fp_stats.mismodels += 1
         if src_rx.in_use >= src_rx.capacity:
+            stats.mismodels += 1
             fp_stats.mismodels += 1
         dst_tx.in_use += 1
         src_rx.in_use += 1
@@ -659,11 +654,13 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
                 box.append(old)
             except ValueError:
                 box.append(b"")
+                stats.mismodels += 1
                 fp_stats.mismodels += 1
             turn_around()
 
         def at_t6():
             if lpipe.in_use >= lpipe.capacity:
+                stats.mismodels += 1
                 fp_stats.mismodels += 1
             lpipe.in_use += 1
 
@@ -690,6 +687,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
             try:
                 backing.write(reg_off, payload)
             except ValueError:
+                stats.mismodels += 1
                 fp_stats.mismodels += 1
             turn_around()
 
@@ -707,6 +705,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
             if srq_items:
                 box.append(srq_items.popleft())
             if not box or (send_op and box[0] is not recv):
+                stats.mismodels += 1
                 fp_stats.mismodels += 1
             srq_source._fp_claims -= 1
 
@@ -715,6 +714,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
             def at_take():
                 rpipe.release()         # first pass done; second begins
                 if rpipe.in_use >= rpipe.capacity:
+                    stats.mismodels += 1
                     fp_stats.mismodels += 1
                 rpipe.in_use += 1
                 take_recv()
@@ -733,6 +733,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
                 try:
                     backing.write(reg_off, payload)
                 except ValueError:
+                    stats.mismodels += 1
                     fp_stats.mismodels += 1
                 take_recv()
 
@@ -785,6 +786,8 @@ def try_fast_post(qp, wr, window=None, pred=None, prepared=False):
     # generator path's span tree).
     if not sim.fastpath_enabled or sim.tracer is not None:
         return None
+    stats = sim.fastpath
+    stats.attempts += 1
     fp_stats.attempts += 1
 
     opcode = wr.opcode
@@ -796,16 +799,17 @@ def try_fast_post(qp, wr, window=None, pred=None, prepared=False):
         else:
             nbytes = sgl[0].length if sgl else 0
     elif payload is not None:
-        return _no("rej_shape")
+        return _no(stats, "rej_shape")
     elif opcode is _READ:
         nbytes = sgl[0].length if sgl else wr.read_length
     elif opcode is _FETCH_ADD or opcode is _CMP_SWAP:
         nbytes = 8
     else:
-        return _no("rej_shape")
+        return _no(stats, "rej_shape")
     if nbytes <= 0 or (sgl and len(sgl) > 1) or wr.delivered is not None:
-        return _no("rej_shape")
+        return _no(stats, "rej_shape")
     handle = _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared)
     if handle is not None:
+        stats.commits += 1
         fp_stats.commits += 1
     return handle

@@ -21,9 +21,10 @@ and every RNIC SRAM cache's contents in LRU order with its counters;
 then the scenario's outcomes.  Deliberately not compared:
 ``Simulator._seq`` (a commit enqueues fewer events),
 ``Snapshot.op_latency`` (derived from spans: ``None`` untraced),
-``run.notes`` (mode-dependent observations a row reads) and the
-``fp_stats`` delta, which is reported in every failure message and
-checked only for its bookkeeping: every attempt is a commit or one
+``run.notes`` (mode-dependent observations a row reads) and
+``Snapshot.fastpath``, the run's clusters' fast-path counters, which are
+summed into ``Record.fp``, reported in every failure message and
+checked only for their bookkeeping: every attempt is a commit or one
 reject, and no mode but ``fast`` attempts.  (``mismodels`` is a row's
 to check: a few residual ones are by design, e.g. in
 ``test_fastpath.py``'s mixed rows.)
@@ -37,7 +38,7 @@ from repro.core import LiteContext, LiteError, lite_boot, rpc_server_loop
 from repro.fault import FaultInjector, FaultPlan
 from repro.obs import install_tracer
 from repro.stats import snapshot
-from repro.verbs.fastpath import fp_stats
+from repro.verbs.fastpath import FastPathStats
 
 __all__ = ["MODES", "Run", "Record", "check", "fp_counts",
            "fp_delta", "mixed_traffic", "rejects", "run", "sram_state"]
@@ -67,17 +68,20 @@ class Run:
 class Record:
     state: list         # per cluster: (sim.now, snapshot, SRAM state)
     outcomes: object
-    fp: dict            # fp_stats delta over the run: reported, not compared
+    fp: dict            # fast-path counters of the run: reported, not compared
     run: Run
 
 
-def fp_counts() -> dict:
-    return {name: getattr(fp_stats, name) for name in fp_stats.__slots__}
+def fp_counts(cluster) -> dict:
+    """``cluster``'s fast-path counters, by name."""
+    return dataclasses.asdict(snapshot(cluster).fastpath)
 
 
-def fp_delta(before: dict) -> dict:
-    return {name: getattr(fp_stats, name) - count
-            for name, count in before.items()}
+def fp_delta(cluster, before: dict) -> dict:
+    """``cluster``'s fast-path counts since ``fp_counts(cluster)``
+    returned ``before``."""
+    return {name: count - before[name]
+            for name, count in fp_counts(cluster).items()}
 
 
 def rejects(delta: dict) -> int:
@@ -98,23 +102,21 @@ def sram_state(cluster) -> list:
     return out
 
 
-def _state(cluster) -> tuple:
-    snap = dataclasses.asdict(snapshot(cluster))
-    del snap["op_latency"]
-    return cluster.sim.now, snap, sram_state(cluster)
-
-
 def run(scenario, mode: str, **params) -> Record:
     """``scenario`` under ``mode``."""
-    before = fp_counts()
     current = Run(mode)
     outcomes = scenario(current, **params)
-    fp = fp_delta(before)
+    state, fp = [], dataclasses.asdict(FastPathStats())
+    for cluster in current.clusters:
+        snap = dataclasses.asdict(snapshot(cluster))
+        del snap["op_latency"]
+        for name, count in snap.pop("fastpath").items():
+            fp[name] += count
+        state.append((cluster.sim.now, snap, sram_state(cluster)))
     assert fp["attempts"] == fp["commits"] + rejects(fp), fp
     if mode != "fast":
         assert fp["attempts"] == 0, f"{mode} run attempted a commit: {fp}"
-    return Record([_state(cluster) for cluster in current.clusters],
-                  outcomes, fp, current)
+    return Record(state, outcomes, fp, current)
 
 
 def _unordered(sram: list) -> list:
@@ -131,7 +133,7 @@ def check(scenario, modes=("fast", "slow"), lru_order=True, **params) -> dict:
     first, want = modes[0], records[modes[0]]
     for mode in modes[1:]:
         got = records[mode]
-        fp = f"fp_stats {first}: {want.fp}; {mode}: {got.fp}"
+        fp = f"fast path {first}: {want.fp}; {mode}: {got.fp}"
         assert len(got.state) == len(want.state), "cluster count diverged"
         for index, (a, b) in enumerate(zip(want.state, got.state)):
             assert a[0] == b[0], f"cluster {index}: sim.now diverged ({fp})"

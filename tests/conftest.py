@@ -1,8 +1,21 @@
-"""Fixtures shared by the Verbs-level test files."""
+"""Fixtures shared by the Verbs-level test files, and the Hypothesis
+profile of each test tier."""
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import Cluster
+
+# Tier 1 (the default ``-m 'not slow'``) replays the same examples on
+# every run, so a pass or a coverage count never depends on the draw.
+# A run that selects the slow tests (``-m slow``, ``-m ""``) keeps
+# random exploration: that tier is where new counterexamples are found.
+settings.register_profile("tier1", derandomize=True)
+
+
+def pytest_configure(config):
+    if "not slow" in config.getoption("markexpr"):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -22,13 +22,15 @@ from repro.core import LiteContext, lite_boot, rpc_server_loop
 from repro.sim import Simulator
 from repro.stats import snapshot
 from repro.workloads import generate_corpus
+from tests import ab
 
 
-def _lite_rpc_workload(seed: int):
+def _lite_rpc_workload(seed: int, mode=None):
     """A booted cluster and its mixed-workload driver, not yet run;
     returns (cluster, driver process, trace).  The trace records the
-    LMR and handle ids the cluster handed out, then (time, reply)."""
-    cluster = Cluster(3)
+    LMR and handle ids the cluster handed out, then (time, reply).
+    ``mode`` is an ``ab.MODES`` entry to set on the simulator."""
+    cluster = ab.Run(mode).cluster(3) if mode else Cluster(3)
     kernels = lite_boot(cluster)
     sim = cluster.sim
     client = LiteContext(kernels[0], "c")
@@ -77,9 +79,10 @@ def test_different_seeds_differ():
 
 
 def test_interleaved_clusters_match_their_solo_runs():
-    """Ids belong to the simulator: two clusters built and advanced in
-    alternating ``sim.run(until=...)`` steps in one process each end
-    exactly as they end alone — instant, snapshot and outcomes."""
+    """Ids and counters belong to the simulator: two clusters built and
+    advanced in alternating ``sim.run(until=...)`` steps in one process
+    each end exactly as they end alone — instant, snapshot (its
+    fast-path attempts, commits and rejects included) and outcomes."""
 
     def result(cluster, trace):
         return (cluster.sim.now, dataclasses.asdict(snapshot(cluster)),
@@ -87,10 +90,12 @@ def test_interleaved_clusters_match_their_solo_runs():
 
     solo = []
     for seed in (7, 8):
-        cluster, driver, trace = _lite_rpc_workload(seed)
+        cluster, driver, trace = _lite_rpc_workload(seed, "fast")
         cluster.run(stop=driver)
         solo.append(result(cluster, trace))
-    runs = [_lite_rpc_workload(seed) for seed in (7, 8)]
+    assert all(snap["fastpath"]["commits"] > 0 for _, snap, _ in solo), (
+        "both runs must exercise the fast path")
+    runs = [_lite_rpc_workload(seed, "fast") for seed in (7, 8)]
     ends = [now for now, _, _ in solo]
     for until in range(5, int(max(ends)), 5):
         for (cluster, _, _), end in zip(runs, ends):

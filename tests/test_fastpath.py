@@ -24,7 +24,9 @@ from repro.core import (
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import DEFAULT_PARAMS, MB, SimParams
 from repro.recovery import RecoveryManager
-from repro.verbs.fastpath import CostTable, fp_stats, prime_qp, try_fast_post
+from repro.stats import snapshot
+from repro.verbs.fastpath import (
+    CostTable, FastPathStats, prime_qp, try_fast_post)
 from repro.verbs.wr import Opcode, SendWR
 
 from tests import ab
@@ -310,8 +312,8 @@ def near_simultaneous_requests(run):
 def one_write(run, caller: str):
     """One 512 B write through the named LITE caller after a warm-up;
     returns its completion instant, the quiescent instant and whether
-    the payload landed.  ``run.notes["committed"]``: the op moved
-    ``fp_stats.commits``."""
+    the payload landed.  ``run.notes["committed"]``: the op moved the
+    cluster's fast-path commit count."""
     cluster = run.cluster(3)
     kernels = lite_boot(cluster)
     sim = cluster.sim
@@ -335,14 +337,15 @@ def one_write(run, caller: str):
                 replicas=1 if caller == "replicated_lt_write" else 0)
             yield from ctx.lt_write(holder["lh"], 0, b"w" * 512)
         yield sim.timeout(50.0)
-        before = fp_stats.commits
+        before = snapshot(cluster)
         if raw:
             kernels[0].onesided.raw_write_async(
                 kernels[1].lite_id, sink.addr, payload)
         else:
             yield from ctx.lt_write(holder["lh"], 1024, payload)
         holder["done_at"] = sim.now
-        run.notes["committed"] = fp_stats.commits > before
+        run.notes["committed"] = (
+            snapshot(cluster).delta(before).fastpath.commits > 0)
 
     cluster.run_process(driver())
     sim.run()
@@ -373,10 +376,10 @@ def test_every_declined_attempt_counts_one_reason():
     reasons = {name for fp in (clean, faulty) for name, count in fp.items()
                if name.startswith("rej_") and count}
     assert clean["commits"] > 0 and len(reasons) >= 3, reasons
-    assert all(type(getattr(fp_stats, slot)) is int
-               for slot in fp_stats.__slots__)
-    assert all(f"{slot}={getattr(fp_stats, slot)}" in repr(fp_stats)
-               for slot in fp_stats.__slots__)
+    assert all(type(count) is int for count in clean.values())
+    stats = FastPathStats(**clean)
+    assert all(f"{name}={count}" in repr(stats)
+               for name, count in clean.items())
 
 
 def test_crash_mid_burst_fastpath_ab_identity():
@@ -452,10 +455,9 @@ def test_kill_switch_disables_commits(monkeypatch):
     cluster = Cluster(2)
     assert cluster.sim.fastpath_enabled is False
     ctx = LiteContext(lite_boot(cluster)[0], "ks", kernel_level=True)
-    before = fp_stats.attempts
     lh = cluster.run_process(ctx.lt_malloc(64 * 1024, nodes=2))
     cluster.run_process(ctx.lt_write(lh, 0, b"x" * 64))
-    assert fp_stats.attempts == before
+    assert snapshot(cluster).fastpath.attempts == 0
 
 
 @pytest.mark.parametrize("caller", [
@@ -481,14 +483,15 @@ def _connected_qp(kernels):
 
 
 def test_cost_table_built_at_connect_and_stable():
-    qp = _connected_qp(lite_boot(Cluster(2)))
+    cluster = Cluster(2)
+    qp = _connected_qp(lite_boot(cluster))
     table = qp._fp_table
     assert isinstance(table, CostTable), "connect() should prime the table"
     assert table.valid()
-    builds = fp_stats.table_builds
+    before = snapshot(cluster)
     prime_qp(qp)  # re-prime: still valid, no rebuild
     assert qp._fp_table is table
-    assert fp_stats.table_builds == builds
+    assert snapshot(cluster).delta(before).fastpath.table_builds == 0
 
 
 def test_simparams_are_frozen():

@@ -18,8 +18,8 @@ from repro.fault import FaultInjector, FaultPlan
 from repro.hw.caches import LruCache
 from repro.hw.params import KB, MB
 from repro.sim import Simulator
+from repro.stats import snapshot
 from repro.verbs import Access, Opcode, RecvWR, SendWR, Sge, WcStatus
-from repro.verbs.fastpath import fp_stats
 
 from tests import ab
 
@@ -307,9 +307,10 @@ def cold_op(run, evict, opcode):
         timing["warm"] = yield from op(opcode)
         for name in evict:
             assert drop[name]()
-        commits = fp_stats.commits
+        before = snapshot(cluster)
         timing["cold"] = yield from op(opcode)
-        run.notes["committed"] = fp_stats.commits - commits
+        run.notes["committed"] = (
+            snapshot(cluster).delta(before).fastpath.commits)
 
     cluster.run_process(driver())
     sim.run()
@@ -748,7 +749,7 @@ def test_inert_now_queue_entry_does_not_veto():
 def former_fences(run):
     """One RC QP pair; a WRITE and a READ after a warm-up and after each
     event that used to fence the cost table.  Returns the per-op log;
-    ``run.notes`` holds each step's ``fp_stats`` delta."""
+    ``run.notes`` holds each step's fast-path counts."""
     world = _build(run, 2, 64 * KB)
     cluster = world["cluster"]
     sim = cluster.sim
@@ -759,7 +760,7 @@ def former_fences(run):
     log = []
 
     def ops(step, mr):
-        before = ab.fp_counts()
+        before = ab.fp_counts(cluster)
         for opcode in (Opcode.WRITE, Opcode.READ):
             if opcode is Opcode.WRITE:
                 wr = SendWR(opcode, inline_data=step.encode() * 16,
@@ -771,7 +772,7 @@ def former_fences(run):
             status = yield qp.post_send(wr)
             log.append((step, opcode, status, sim.now - start,
                         wr.return_data))
-        run.notes[step] = ab.fp_delta(before)
+        run.notes[step] = ab.fp_delta(cluster, before)
 
     def driver():
         yield from ops("warm", target)

@@ -99,11 +99,11 @@ def test_vec_equivalence_randomized(seed, faults):
 
 def _repeat_one_shape(offset: int, size: int):
     """Eight writes of one (offset, size) into a 4-chunk LMR, fast path
-    on.  Returns the mapping plus the ``fp_stats`` delta of the burst."""
+    on.  Returns the mapping plus the fast-path counts of the burst."""
     cluster, _kernels, ctx = _booted(ab.Run("fast"))
     lh = cluster.run_process(ctx.lt_malloc(4 * CHUNK, name="memo",
                                            nodes=[2, 3]))
-    before = ab.fp_counts()
+    before = ab.fp_counts(cluster)
 
     def driver():
         for index in range(8):
@@ -111,7 +111,7 @@ def _repeat_one_shape(offset: int, size: int):
 
     cluster.run_process(driver())
     cluster.sim.run()
-    return lh.require(ctx, Permission.WRITE), ab.fp_delta(before)
+    return lh.require(ctx, Permission.WRITE), ab.fp_delta(cluster, before)
 
 
 @pytest.mark.parametrize("offset", [CHUNK // 2, 3 * CHUNK + 100],
@@ -315,12 +315,12 @@ def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
         new = yield from ctx.lt_malloc(4096, name="new", nodes=2)
         assert new.mapping.chunks[0].addr == old.mapping.chunks[0].addr
         yield from ctx.lt_write(new, 0, b"n" * 4096)
-        out["before"] = ab.fp_counts()
+        out["before"] = ab.fp_counts(cluster)
         # Below the lh check, through the freed LMR's mapping.
         out["data"] = yield from kernels[0].onesided.read(out["mapping"], 0, 4096)
 
     cluster.run_process(driver())
-    delta = ab.fp_delta(out["before"])
+    delta = ab.fp_delta(cluster, out["before"])
     assert delta["attempts"] == 1 and delta["commits"] == 1
     assert delta["mismodels"] == 0
     assert out["data"] == b"n" * 4096
@@ -341,14 +341,14 @@ def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
         yield from ctx.lt_write(lh, 0, b"y" * 4096)
         mapping = lh.mapping
         yield from ctx.lt_free(lh)
-        out["before"] = ab.fp_counts()
+        out["before"] = ab.fp_counts(cluster)
         try:
             yield from kernels[0].onesided.write(mapping, 0, b"z" * 4096)
         except LiteError as exc:
             out["error"] = exc
 
     cluster.run_process(driver())
-    delta = ab.fp_delta(out["before"])
+    delta = ab.fp_delta(cluster, out["before"])
     assert delta["attempts"] == 1 and delta["commits"] == 0
     assert delta["rej_target"] == 1 and delta["mismodels"] == 0
     assert "error" in out
@@ -372,13 +372,13 @@ def test_move_then_realloc_never_commits_a_stale_address():
         squatter = yield from ctx.lt_malloc(4096, name="squatter", nodes=2)
         assert squatter.mapping.chunks[0].addr == vacated
         yield from ctx.lt_write(squatter, 0, b"s" * 4096)
-        out["before"] = ab.fp_counts()
+        out["before"] = ab.fp_counts(cluster)
         yield from ctx.lt_write(moved, 0, b"3" * 4096)
         out["squatter"] = yield from ctx.lt_read(squatter, 0, 4096)
         out["moved"] = yield from ctx.lt_read(moved, 0, 4096)
 
     cluster.run_process(driver())
-    delta = ab.fp_delta(out["before"])
+    delta = ab.fp_delta(cluster, out["before"])
     assert delta["attempts"] == 3 and delta["mismodels"] == 0
     assert out["squatter"] == b"s" * 4096
     assert out["moved"] == b"3" * 4096
@@ -398,13 +398,13 @@ def test_declined_single_piece_op_is_attempted_once(op):
         lh = yield from ctx.lt_malloc(4096, name="once", nodes=2)
         yield from ctx.lt_write(lh, 0, b"w" * 4096)  # warms both RNICs
         mapping = lh.mapping
-        before = ab.fp_counts()
+        before = ab.fp_counts(cluster)
         sim.timeout(0.001)  # nothing waits on it; it bounds the horizon
         if op == "write":
             yield from engine.write(mapping, 0, b"v" * 4096)
         else:
             out["data"] = yield from engine.read(mapping, 0, 4096)
-        out["delta"] = ab.fp_delta(before)
+        out["delta"] = ab.fp_delta(cluster, before)
         if op == "write":
             out["data"] = yield from ctx.lt_read(lh, 0, 4096)
 

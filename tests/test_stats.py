@@ -1,11 +1,15 @@
 """Tests for the instrumentation module and LiteLog.verify."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.apps.litelog import LiteLog, LogCleaner, LogWriter
 from repro.cluster import Cluster
 from repro.core import LiteContext, lite_boot
 from repro.stats import snapshot
+from tests import ab
 
 
 @pytest.fixture
@@ -66,6 +70,32 @@ def test_snapshot_cache_hit_rates_bounded(env):
         assert 0.0 <= node_stats.pte_hit_rate <= 1.0
     # LITE's physical addressing: warm key hit-rate is high.
     assert stats.nodes[1].key_hit_rate > 0.8
+
+
+def test_snapshot_delta_splits_fastpath_setup_from_the_timed_region():
+    """The fast-path counters are the snapshot's ``fastpath`` section: a
+    copy, not the live counters, subtracted field by field by
+    ``Snapshot.delta``, and part of the JSON tree ``asdict`` gives."""
+    cluster = ab.Run("fast").cluster(2)
+    ctx = LiteContext(lite_boot(cluster)[0], "u")
+    lh = cluster.run_process(ctx.lt_malloc(4096, nodes=2))
+    cluster.run_process(ctx.lt_write(lh, 0, b"w"))  # warms both RNICs
+    base = snapshot(cluster)
+    assert base.fastpath.attempts > 0, "set-up posts control messages"
+
+    def proc():
+        for _ in range(5):
+            yield from ctx.lt_write(lh, 0, b"x" * 64)
+
+    cluster.run_process(proc())
+    end = snapshot(cluster)
+    delta = end.delta(base).fastpath
+    assert delta.attempts == 5 and delta.commits > 0
+    assert dataclasses.asdict(delta) == {
+        name: count - dataclasses.asdict(base.fastpath)[name]
+        for name, count in dataclasses.asdict(end.fastpath).items()}
+    tree = dataclasses.asdict(end)
+    assert json.loads(json.dumps(tree))["fastpath"] == tree["fastpath"]
 
 
 def test_snapshot_delta_rejects_mismatched_nodes(env):

@@ -17,7 +17,6 @@ from repro.obs import (
     op_breakdown, to_jsonl, uninstall_tracer, write_jsonl,
 )
 from repro.stats import snapshot
-from repro.verbs.fastpath import fp_stats
 
 from tests import ab
 
@@ -198,15 +197,16 @@ def test_uninstall_tracer_restores_the_fast_path():
     def write():
         yield from ctx.lt_write(lh, 0, b"w" * 64)
 
-    commits = fp_stats.commits
+    before = snapshot(cluster)
     cluster.run_process(write())
-    assert fp_stats.commits == commits, "a traced op committed"
+    assert snapshot(cluster).delta(before).fastpath.commits == 0, (
+        "a traced op committed")
     assert uninstall_tracer(cluster) is tracer
     assert cluster.sim.tracer is None
     assert all(node.memory.tracer is None for node in cluster.nodes)
     spans = len(tracer.spans)
     cluster.run_process(write())
-    assert fp_stats.commits == commits + 1
+    assert snapshot(cluster).delta(before).fastpath.commits == 1
     assert len(tracer.spans) == spans
 
 

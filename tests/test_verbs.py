@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.cluster import Cluster
+from repro.stats import snapshot
 from repro.verbs import (
     Access,
     Opcode,
@@ -478,7 +479,6 @@ def test_explain_sums_to_the_completion_instant(opcode, nbytes, fastpath):
     warm uncontended op of that shape completes — committed by the fast
     path or walked by the generator path."""
     from repro import explain
-    from repro.verbs.fastpath import fp_stats
 
     cluster = ab.Run("fast" if fastpath else "slow").cluster(2)
     a, b = cluster[0], cluster[1]
@@ -519,6 +519,7 @@ def test_explain_sums_to_the_completion_instant(opcode, nbytes, fastpath):
     expect = cluster.sim.now
     for _label, us in stages:
         expect += us
-    commits = fp_stats.commits
+    before = snapshot(cluster)
     assert post() == expect, stages
-    assert fp_stats.commits - commits == (1 if fastpath else 0)
+    assert snapshot(cluster).delta(before).fastpath.commits == (
+        1 if fastpath else 0)

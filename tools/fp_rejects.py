@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Print docs/INTERNALS.md §13's fast-path coverage map.
 
-One pass of each perfbench workload at the frozen seed, read straight
-from ``repro.verbs.fastpath.fp_stats``, set-up and timed region as
-separate rows: attempts and commits, every declined attempt under the
-first entry condition that failed (the ``rej_*`` counters), and — the
-column the next uncovered shape is read off — the work requests that
-ran the generator path without any attempt, by opcode.
+One pass of each perfbench workload at the frozen seed, read from the
+``fastpath`` section of its clusters' snapshots, set-up and timed
+region (``Snapshot.delta``) as separate rows: attempts and commits,
+every declined attempt under the first entry condition that failed
+(the ``rej_*`` counters), and — the column the next uncovered shape is
+read off — the work requests that ran the generator path without any
+attempt, by opcode.
 
     python3 tools/fp_rejects.py [--min-setup-commits N] [workload ...]
 
@@ -15,6 +16,7 @@ makes fewer than N commits.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from collections import Counter
@@ -72,7 +74,14 @@ def main(argv) -> int:
     from harness import prepare_inputs, run_pass
     from workloads import DEFAULT_SEED, WORKLOADS
 
-    from repro.verbs.fastpath import fp_stats
+    from repro.stats import snapshot
+
+    def total(snaps) -> dict:
+        """The fast-path counters of ``snaps``, summed by name."""
+        out = Counter()
+        for snap in snaps:
+            out.update(dataclasses.asdict(snap.fastpath))
+        return out
 
     unattempted = Counter()
     install_probe(unattempted)
@@ -84,17 +93,18 @@ def main(argv) -> int:
     for name in args.workloads or WORKLOADS:
         workload = WORKLOADS[name]
         inputs, _digest = prepare_inputs(workload, DEFAULT_SEED, 1.0)
-        setup, setup_unattempted = {}, Counter()
+        start, setup_unattempted = [], Counter()
 
-        def boundary(_state):
-            setup.update({slot: getattr(fp_stats, slot)
-                          for slot in fp_stats.__slots__})
+        def boundary(state):
+            start.extend(snapshot(cluster) for cluster in state.clusters)
             setup_unattempted.update(unattempted)
 
         unattempted.clear()
-        run_pass(workload, inputs, before=boundary).release()  # resets fp_stats
-        timed = {slot: getattr(fp_stats, slot) - setup[slot]
-                 for slot in fp_stats.__slots__}
+        done = run_pass(workload, inputs, before=boundary)
+        end = [snapshot(cluster) for cluster in done.state.clusters]
+        done.release()
+        setup = total(start)
+        timed = total(snap.delta(base) for snap, base in zip(end, start))
         print(row(name, "set-up", setup, setup_unattempted))
         print(row(name, "timed", timed, unattempted - setup_unattempted))
         if setup["commits"] < args.min_setup_commits:

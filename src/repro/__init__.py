@@ -16,7 +16,7 @@ from .core import (
     rpc_server_loop,
 )
 from .hw import DEFAULT_PARAMS, SimParams
-from .verbs.explain import explain
+from .verbs.timeline import explain
 from .obs import (
     Tracer,
     install_tracer,

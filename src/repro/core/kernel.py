@@ -25,6 +25,7 @@ from ..hw.caches import LruDict
 from ..sim import Event, Resource, Store
 from ..verbs import Access, Opcode, RecvWR, SendWR
 from ..verbs.fastpath import prime_qp, try_fast_post
+from ..verbs.timeline import post_cpu
 from .errors import ENODEV, ETIMEDOUT, LiteError
 from .lmr import ChunkInfo, MasterRecord, MappedLmr, Permission
 from .protocol import MsgType, decode_ctrl, encode_ctrl
@@ -72,6 +73,7 @@ class LiteKernel:
         self.sim = node.sim
         self._token_counter = node.sim.ids.kernel_token
         self.params = node.params
+        self._post_cpu = post_cpu(node.params.prices)
         self.manager = manager
         self.lite_id = manager.join(node)
         node.install_lite(self)
@@ -308,7 +310,7 @@ class LiteKernel:
             # A past outage flushed this shared QP; LITE recycles it
             # transparently instead of flushing new traffic forever.
             qp.reset()
-        self.node.cpu.charge("lite-ctrl", self.params.prices.doorbell)
+        self.node.cpu.charge("lite-ctrl", self._post_cpu)
         # Posted like OneSidedEngine._post: one post-time commit attempt,
         # then the generator path with no second attempt at the start hop.
         wr = SendWR(_SEND, inline_data=payload, signaled=False)

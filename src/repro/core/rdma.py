@@ -18,6 +18,7 @@ from typing import List
 
 from ..verbs import Opcode, SendWR, WcStatus
 from ..verbs.fastpath import try_fast_post
+from ..verbs.timeline import post_cpu
 from .errors import EIO, ENODEV, ETIMEDOUT, LiteError
 from .lmr import MappedLmr
 
@@ -49,6 +50,7 @@ class OneSidedEngine:
         self.kernel = kernel
         self.sim = kernel.sim
         self.params = kernel.params
+        self._post_cpu = post_cpu(kernel.params.prices)
         self.reads = 0
         self.writes = 0
         self.atomics = 0
@@ -71,8 +73,7 @@ class OneSidedEngine:
         handle = try_fast_post(qp, wr, window)
         if handle is not None:
             peer._rr += 1
-            self.kernel.node.cpu.charge("lite-post",
-                                        self.params.prices.doorbell)
+            self.kernel.node.cpu.charge("lite-post", self._post_cpu)
         return handle
 
     def _post(self, peer_id: int, wr: SendWR, priority: int):
@@ -103,7 +104,7 @@ class OneSidedEngine:
             qp, window = kernel.qos.pick_qp(peer, priority)
             yield window.request()
             try:
-                kernel.node.cpu.charge("lite-post", params.prices.doorbell)
+                kernel.node.cpu.charge("lite-post", self._post_cpu)
                 status = yield qp.post_send_generator(wr)
             finally:
                 window.release()

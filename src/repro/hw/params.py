@@ -145,9 +145,9 @@ class SimParams:
 
 class Prices:
     """The §5.3 stage durations of one ``SimParams`` (``params.prices``,
-    fixed at construction).  The generator path, the fast path's commit
-    and ``explain()`` read stage prices here and nowhere else, so they
-    agree by construction."""
+    fixed at construction).  The generator path reads stage prices here
+    as it walks; the fast path's commit and ``explain()`` read them
+    through ``verbs/timeline.py``, so they agree by construction."""
 
     __slots__ = ("doorbell", "wqe", "completion", "ack", "prop",
                  "dma_setup", "ud_header", "ser", "dma", "occupancy",

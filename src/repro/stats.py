@@ -45,6 +45,11 @@ class NodeStats:
     lite_rpcs_sent: int = 0
     lite_rpcs_served: int = 0
     lite_qps: int = 0
+    # The QP lease pools of this node's LITE kernel, summed over peers
+    # (cluster/qp_pool.py).
+    pool_hits: int = 0
+    pool_misses: int = 0
+    pool_expiries: int = 0
 
     @property
     def key_hit_rate(self) -> float:
@@ -182,6 +187,10 @@ def _node_stats(node) -> NodeStats:
         stats.lite_rpcs_sent = lite.rpc.calls_sent
         stats.lite_rpcs_served = lite.rpc.calls_served
         stats.lite_qps = lite.total_qps()
+        for pool in lite.qp_pools.values():
+            stats.pool_hits += pool.hits
+            stats.pool_misses += pool.misses
+            stats.pool_expiries += pool.expiries
     return stats
 
 

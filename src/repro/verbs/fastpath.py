@@ -4,80 +4,67 @@ The generator datapath walks ~10 frames per op (`api` → `kernel` → `qp`
 → `rnic` → `fabric`), each suspension costing a scheduler round trip —
 even when nothing can actually block.  This module detects that
 uncontended case at post time (for a native ``qp.post_send``: at the
-WR's own start hop) and executes the whole op as arithmetic:
-the timeline every layer *would* produce is computed from a per-QP cost
-table, the synchronous state transitions are applied immediately, and
-the handful of transitions that land later (resource releases, the
-responder-order event, CQE delivery) are scheduled as *batch dispatches*
-on the engine's fast-path queue (`Simulator.fp_schedule`) — one callable
-per distinct instant instead of one event per transition.
+WR's own start hop) and executes the whole op as arithmetic: it folds
+the op's ``verbs/timeline.py`` stage list into instants, applies the
+synchronous state transitions at once, and schedules the transitions
+that land later (holder releases and takes, the responder's memory
+effect, RC order, CQEs) as *batch dispatches* on the engine's fast-path
+queue — one callable per boundary instead of one event per transition.
 
-There is exactly one commit (:func:`_commit`): one entry pass, one
-timeline, one state replay, one dispatch set for WRITE / WRITE_IMM /
-READ / SEND (the WRITE_IMM timeline with a two-pass responder) / the
-8-byte atomics (the READ timeline with the read-modify-write at the
-responder).  Every attempt comes with its ``SendWR`` through
-:func:`try_fast_post`, from one of two places: LITE's post time (the
-data plane's pieces, raw writes and atomics in ``core/rdma.py``, the
-control SENDs in ``core/kernel.py``), or the start hop of a WR that a
-native ``qp.post_send`` already prepared (``QueuePair._execute``).  Both
-resolve what is *at* the target through ``CostTable.resolve``.
-
-A committed WRITE_IMM or SEND pushes its real receive CQE at the
-responder's write-back instant, so the receiving poller wakes, charges
-and dispatches exactly as it does on the generator path.
+There is exactly one commit (:func:`_commit`) for WRITE / WRITE_IMM /
+READ / SEND / the 8-byte atomics: one entry pass, one fold of the
+timeline, one state replay, one dispatch per mark of the timeline's
+holders (:class:`_Shape`), plus the opcode's own hooks.  Every attempt
+comes with its ``SendWR`` through :func:`try_fast_post`, from LITE's
+post time (``core/rdma.py``, ``core/kernel.py``) or from the start hop
+of a WR a native ``qp.post_send`` already prepared
+(``QueuePair._execute``).  A committed WRITE_IMM or SEND pushes its
+real receive CQE at the responder's write-back instant, so the
+receiving poller wakes, charges and dispatches exactly as it does on
+the generator path.
 
 Soundness rests on two pillars:
 
-1. **Real holds.**  Every resource the op would occupy (SQ slot, QP
-   window, both RNIC pipelines, the four port channels) is acquired with
-   a real ``in_use`` increment at commit and released by a real
-   ``release()`` at the exact instant the slow path would release it.
-   A concurrent op that falls back to the generator path therefore
-   queues and wakes exactly as it would against a slow holder.
+1. **Real holds.**  Every resource the op occupies (SQ slot, QP window,
+   both RNIC pipelines, the four port channels) is acquired with a real
+   ``in_use`` increment and released by a real ``release()`` at the
+   instant the generator path would release it, so an op on the
+   generator path queues and wakes as it would against a slow holder.
+   A holder the op takes mid-flight and finds busy hands the rest of
+   the op to the generator path (:meth:`CostTable._hand_over`).
 
-2. **The horizon check.**  An op commits only when the now-queue
-   holds nothing that would run code (`Simulator.fp_nowq_inert`) and no
+2. **The horizon check.**  An op commits only when the now-queue holds
+   nothing that would run code (`Simulator.fp_nowq_inert`) and no
    ordinary event is scheduled before the op's completion time
-   (`Simulator.fp_horizon`).  Until the op finishes, the only
-   actors in the simulation are this op's own batch dispatches and those
-   of previously committed fast ops — so no third party can observe the
+   (`Simulator.fp_horizon`), so nothing scheduled can observe the
    (slightly widened) hold windows or the eagerly-applied counters.
 
-What still deviates, by design (counters end-equivalent, LRU order too
-but for a multi-piece read racing its own pieces; none timing-visible
-under the horizon check; see INTERNALS §13):
-cache lookups are replayed at commit time rather than at the lookup
-instants (a *miss*, which installs and may evict, only from the native
-start hop with no committed op in flight), and byte counters
-(fabric/RNIC/port) are applied at commit.
-Residual mismodels (a resource found full at an acquire instant, an SRQ
-drained by a foreign consumer mid-flight) are counted in the simulator's
-:class:`FastPathStats` (``sim.fastpath``).
-
-``Simulator._seq`` is the same-instant tie-break and a count of real
-enqueues: a commit numbers its dispatches ``_seq + 1 …`` and nothing
-else, so a fast run's final ``_seq`` is smaller than a slow run's and
-the two are never compared (simulated time, snapshots and op outcomes
-are).
+Cache lookups and byte counters are replayed at commit rather than at
+their instants (end-state equivalent; INTERNALS §13).  What the commit
+still cannot model (a memory access that faults, a receive drained by a
+foreign consumer) is counted in ``sim.fastpath.mismodels``.
+``Simulator._seq`` numbers a commit's dispatches ``_seq + 1 …`` and
+nothing else, so a fast run's final ``_seq`` is smaller than a slow
+run's and the two are never compared.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import fields
-from heapq import heappush
+from functools import lru_cache, partial
+from heapq import heapify, heappush
+from itertools import accumulate
 
 from ..sim.engine import FastPathStats
-from .wr import ACK_BYTES, Access, Opcode, WcStatus, WorkCompletion, wire_bytes
+from .timeline import FORWARD, LOCAL, REMOTE, RETURN, floor, timeline, wire_legs
+from .wr import Access, Opcode, WcStatus, WorkCompletion
 
 __all__ = ["try_fast_post", "prime_qp", "fp_stats", "FastPathStats"]
 
 _NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
 _NEED_REMOTE_READ = Access.REMOTE_READ.value
 _NEED_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
-_WIRE0 = wire_bytes(0)
-_WIRE_ATOMIC = wire_bytes(16)       # an atomic's operands ride in the header
 _WORD = struct.Struct("<Q")
 # Enum members as module constants: ``Opcode.X`` is a metaclass lookup
 # (~0.1 µs), paid several times per attempt otherwise.
@@ -90,6 +77,14 @@ _SUCCESS = WcStatus.SUCCESS
 # Entries per target memo: a pathological address or size sweep
 # clears and rebuilds rather than growing without bound.
 _MEMO_MAX = 512
+
+# The hooks an opcode runs at a dispatch, by slot (see _Shape); the
+# last slot carries the commit's first seq, durations and shape.
+_BETWEEN, _RESPOND, _TURN, _SCATTER, _END, _FLIGHT = range(6)
+# Every timeline holds these before its turn-around: the commit takes
+# them at t0.
+_TAKEN_AT_COMMIT = frozenset((LOCAL, FORWARD, REMOTE))
+_WIRES = (FORWARD, RETURN)      # port channels, arbitrated per flow
 
 
 class _ProcessTotals:
@@ -117,6 +112,32 @@ class _ProcessTotals:
 fp_stats = _ProcessTotals()
 
 
+def _releaser(rx, tx):
+    # A wire leg frees its ingress channel, then its egress, as
+    # ``Fabric._transfer_impl`` does.
+    def release():
+        rx.release()
+        tx.release()
+    return release
+
+
+class _Runs(dict):
+    """A cost table's dispatch runners per timeline shape, built once."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, shape):
+        # Per mark but the end: (boundary, dispatch, needs the hooks).
+        runs = self[shape] = tuple(
+            (spec[0], self.table._runner(spec), bool(spec[2] or spec[3]))
+            for spec in shape.specs[:-1])
+        return runs
+
+
 def _no(stats: FastPathStats, reason: str) -> None:
     """Count a declined attempt under its first failing condition."""
     setattr(stats, reason, getattr(stats, reason) + 1)
@@ -130,9 +151,8 @@ class CostTable:
     and kept while the QP's peer is unchanged.  All else it holds is
     fixed for the node's lifetime (``SimParams`` is frozen) or checked
     where the commit uses it (INTERNALS §13), so no other module
-    invalidates it.  It holds no prices: the commit reads every
-    stage duration from the same ``params.prices`` lists the generator
-    path reads.
+    invalidates it.  Its one price list is what the commit hands to
+    ``timeline()``.
     """
 
     __slots__ = (
@@ -140,8 +160,8 @@ class CostTable:
         "lrnic", "rrnic", "lpipe", "rpipe", "src_port", "dst_port",
         "src_tx", "src_rx", "dst_tx", "dst_rx",
         "src_node", "dst_node", "dst_qpn", "srq_source", "srq_items",
-        "_lparams", "_rparams", "_fparams", "_spans", "_phys", "_pregions", "_mem",
-        "_rel_t2", "_rel_t3", "_rel_back",
+        "prices", "_spans", "_phys", "_pregions", "_mem",
+        "_held", "_release", "_runs",
     )
 
     def __init__(self, qp):
@@ -177,9 +197,12 @@ class CostTable:
         self.dst_tx = dst_port.tx
         self.dst_rx = dst_port.rx
 
-        self._lparams = device.params
-        self._rparams = rdev.params
-        self._fparams = fabric.params
+        # One price list for the whole op: every node of a cluster and
+        # its fabric share one ``SimParams``.
+        params = device.params
+        if rdev.params != params or fabric.params != params:
+            raise KeyError(dst_node)
+        self.prices = params.prices
         # (rkey, addr, nbytes, need) → (free epoch, resolved target, mr).
         # MR identity, bounds, access bits, and the page list are
         # immutable for a live registration, so a hit checks
@@ -204,33 +227,88 @@ class CostTable:
         # and revalidated by identity per attempt.
         self.srq_source = None
         self.srq_items = None
-        # Shared dispatch callables: the t2/t3/ack-release bodies are
-        # identical for every commit on this table, so one instance
-        # each replaces a per-commit closure build.
-        self._rel_t2 = self.lpipe.release
-
-        def _rel_t3(rx=self.dst_rx.release, tx=self.src_tx.release):
-            rx()
-            tx()
-
-        self._rel_t3 = _rel_t3
-
-        def _rel_back(rx=self.src_rx.release, tx=self.dst_tx.release):
-            rx()
-            tx()
-
-        self._rel_back = _rel_back
+        # What each timeline holder is and how it is released; the
+        # dispatch runners per timeline shape are built from them once.
+        src_tx, src_rx = self.src_tx, self.src_rx
+        dst_tx, dst_rx = self.dst_tx, self.dst_rx
+        self._held = {LOCAL: (self.lpipe,), REMOTE: (self.rpipe,),
+                      FORWARD: (src_tx, dst_rx), RETURN: (dst_tx, src_rx)}
+        self._release = {LOCAL: self.lpipe.release,
+                         REMOTE: self.rpipe.release,
+                         FORWARD: _releaser(dst_rx, src_tx),
+                         RETURN: _releaser(src_rx, dst_tx)}
+        self._runs = _Runs(self)
         # Lower bound on any op's completion delay, for the early
-        # horizon reject: doorbell, a bare WQE at each RNIC, an empty
-        # frame out and both propagations — a strict subset of every
-        # timeline's terms, so rounding never lifts it past one.  Priced
-        # once: the price lists are fixed at construction.
-        lp = self._lparams.prices
-        fp = self._fparams.prices
-        self.floor = (lp.doorbell + lp.wqe + fp.ser(_WIRE0) + fp.prop
-                      + self._rparams.prices.wqe + fp.prop)
+        # horizon reject.  Priced once: the price list is fixed.
+        self.floor = floor(self.prices)
         qp.sim.fastpath.table_builds += 1
         fp_stats.table_builds += 1
+
+    def _runner(self, spec):
+        """One mark's dispatch on this table: release the holder whose
+        stage ends, take the one whose stage begins, run the hooks its
+        slots name.  A mark with neither a take nor a hook is its
+        release alone; one with either is ``run(hooks)``."""
+        index, released, taken, slots = spec
+        release = self._release[released] if released else None
+        if not taken:
+            if not slots:
+                return release
+
+            def run(hooks):
+                if release is not None:
+                    release()
+                for slot in slots:
+                    hooks[slot]()
+            return run
+        held = self._held[taken]
+
+        def run(hooks):
+            if release is not None:
+                release()
+            for resource in held:
+                if resource.in_use >= resource.capacity:
+                    self._hand_over(index, hooks)
+                    break
+            else:
+                for resource in held:
+                    resource.in_use += 1
+            for slot in slots:
+                hooks[slot]()
+        return run
+
+    def _hand_over(self, start, hooks):
+        """A holder the op takes mid-flight at stage ``start`` is busy:
+        an op that started after the commit took it first, and the
+        generator path would queue here.  The op's remaining dispatches
+        give way to :meth:`_walk` from that stage on."""
+        first, durations, shape = hooks[_FLIGHT]
+        sim = self.qp.sim
+        fpq = sim._fpq
+        fpq[:] = [entry for entry in fpq
+                  if not first < entry[1] <= first + shape.count]
+        heapify(fpq)
+        sim.process(self._walk(shape, durations, start, hooks),
+                    name=f"qp{self.qp.qpn}-send")
+
+    def _walk(self, shape, durations, start, hooks):
+        """The rest of a committed op from stage ``start`` on, walked as
+        the generator path walks a timeline (generator): queue for the
+        stage's holder, wait its duration, release, then run the hooks
+        of the boundary it ends at."""
+        sim = self.qp.sim
+        flow = self.qp.qpn      # a port channel arbitrates per flow
+        holders = shape.holders
+        for index in range(start, len(holders)):
+            holder = holders[index]
+            for resource in self._held.get(holder, ()):
+                yield (resource.request(flow) if holder in _WIRES
+                       else resource.request())
+            yield sim.timeout(durations[index])
+            if holder:
+                self._release[holder]()
+            for slot in shape.slots[index + 1]:
+                hooks[slot]()
 
     def valid(self) -> bool:
         """True while the QP's peer is unchanged."""
@@ -346,6 +424,67 @@ def _lookup_cost(rnic, qpn, key, pages):
                 pte += params.pte_miss_penalty_us
             cost += pte
     return cost
+
+
+class _Shape:
+    """Where one timeline's commit dispatches, read off its holders."""
+
+    __slots__ = ("holders", "slots", "specs", "count", "local_passes",
+                 "remote_passes")
+
+    def __init__(self, holders: tuple):
+        # Boundary i is the instant stage i begins; len(holders) is the
+        # op's end.  A boundary gets a dispatch when a holder is released
+        # (its stage ends) or taken (its stage begins — the return wire,
+        # and a pipeline taken again after a release: the commit itself
+        # takes the others at t0).  The opcode's hooks ride the dispatch
+        # of the holder event they follow; the end is its own dispatch.
+        n = len(holders)
+        first = {}
+        for index, holder in enumerate(holders):
+            first.setdefault(holder, index)
+        turn = first.get(RETURN, n)
+        slots_at, specs = [()], []
+        for index in range(1, n + 1):
+            prev = holders[index - 1]
+            nxt = holders[index] if index < n else None
+            taken = nxt
+            if nxt in _TAKEN_AT_COMMIT and first[nxt] == index:
+                taken = None    # held since the commit's own take
+            slots = ()
+            if prev == REMOTE:
+                slots += (_BETWEEN if nxt == REMOTE else _RESPOND,)
+            if nxt == RETURN and prev != RETURN:
+                slots += (_TURN,)
+            if prev == LOCAL and index > turn:
+                slots += (_SCATTER,)
+            if prev or taken or slots:
+                specs.append((index, prev, taken, slots))
+            slots_at.append(slots)
+        specs.append((n, None, None, (_END,)))
+        slots_at[n] += (_END,)
+        self.holders = holders
+        self.slots = tuple(slots_at)
+        self.specs = tuple(specs)
+        self.count = len(specs)
+        self.local_passes = holders.count(LOCAL)
+        self.remote_passes = holders.count(REMOTE)
+
+
+_shape = lru_cache(maxsize=None)(_Shape)
+
+
+@lru_cache(maxsize=1024)
+def _fold(op, nbytes, prices, cost_l, cost_r, cost_q, signaled):
+    """One commit's timeline: its stage durations in add order, its
+    :class:`_Shape` and its wire bytes each way.  Keyed by the
+    opcode's value: an ``Enum`` member hashes in Python."""
+    opcode = Opcode(op)
+    stages = timeline(opcode, nbytes, prices, cost_l, cost_r, cost_q,
+                      signaled)
+    return ((tuple(stage.duration for stage in stages),
+             _shape(tuple(stage.holder for stage in stages)))
+            + wire_legs(opcode, nbytes))
 
 
 def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
@@ -489,7 +628,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         if cost_l is None or cost_r is None:
             return _no(stats, "rej_miss")
         if send_op and not rrnic.qp_cache.contains(dst_qpn):
-            cost_q = table._rparams.qp_miss_penalty_us
+            cost_q = rrnic.params.qp_miss_penalty_us
     elif (sge is not None
           or not lrnic.qp_cache.contains(qp.qpn)
           or not rrnic.qp_cache.contains(dst_qpn)
@@ -501,38 +640,13 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     else:
         cost_l = cost_r = 0.0
 
-    # ---- timeline (the generator path's stages, in its add order) ----
-    lp = table._lparams.prices
-    rp = table._rparams.prices
-    fp = table._fparams.prices
-    wire_n = wire_bytes(nbytes)
-    ser = fp.ser(wire_n)
-    # READ and the atomics send a bare request and scatter a response.
-    resp_op = read_op or atomic
-    t1 = t0 + lp.doorbell               # doorbell MMIO
-    if resp_op:
-        t2 = t1 + lp.occupancy(cost_l, 0)   # request WQE carries no payload
-        t3 = t2 + fp.ser(_WIRE_ATOMIC if atomic else _WIRE0)
-    else:
-        t2 = t1 + lp.occupancy(cost_l, nbytes)  # lookups + payload DMA
-        t3 = t2 + ser                   # serialization out
-    t4 = t3 + fp.prop                   # propagation + switch
-    if send_op:
-        # Two-pass responder: the QP context first, then the receive
-        # buffer's key / PTEs and the payload DMA.
-        t4 = t_take = t4 + rp.occupancy(cost_q, 0)
-    t5 = t4 + rp.occupancy(cost_r, nbytes)  # remote lookups + DMA + memory op
-    if resp_op:
-        back = t5 + ser                 # response serialization
-        t6 = back + fp.prop
-        t7 = t6 + lp.occupancy(0.0, nbytes)  # local scatter pass, all-hit
-    else:
-        # Responder CQE write-back, when a receive completes there.
-        t_rc = t5 + rp.completion if rqp is not None else t5
-        back = t_rc + fp.ser(ACK_BYTES)
-        t7 = (back + fp.prop) + lp.ack
+    # ---- timeline: verbs/timeline.py's stages, folded in add order ----
     signaled = wr.signaled
-    t_end = t7 + lp.completion if signaled else t7
+    durations, shape, out_bytes, back_bytes = _fold(
+        opcode._value_, nbytes, table.prices, cost_l, cost_r, cost_q,
+        signaled)
+    at = [*accumulate(durations, initial=t0)]   # at[i]: stage i begins
+    t_end = at[-1]
     if horizon <= t_end:
         return _no(stats, "rej_horizon")
 
@@ -544,6 +658,7 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         done = sim.event()
         qp._last_remote_done = done
         wr._order_done = done
+    resp_op = read_op or atomic
     if payload is None and not resp_op:
         payload = qp._gather(wr)
 
@@ -556,20 +671,14 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     rrnic.key_cache.access(rkey)
     if pages:
         rrnic.pte_cache.access_many(pages)
+    if read_op:
+        lrnic.qp_cache.access(qp.qpn)   # response scatter pass
 
-    # Counter replay (end-state equivalent; see module docstring).
-    if resp_op:
-        if read_op:
-            lrnic.qp_cache.access(qp.qpn)   # response scatter pass
-        lrnic.wqe_count += 2
-        out_bytes = _WIRE_ATOMIC if atomic else _WIRE0
-        back_bytes = wire_n
-    else:
-        lrnic.wqe_count += 1
-        out_bytes = wire_n
-        back_bytes = ACK_BYTES
+    # Counter replay (end-state equivalent; see module docstring): one
+    # WQE per pipeline pass of the timeline.
+    lrnic.wqe_count += shape.local_passes
     lrnic.bytes_dma += nbytes
-    rrnic.wqe_count += 2 if send_op else 1
+    rrnic.wqe_count += shape.remote_passes
     rrnic.bytes_dma += nbytes
     fabric.total_bytes += out_bytes + back_bytes
     fabric.transfer_count += 2
@@ -578,20 +687,15 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     dst_port.tx_bytes += back_bytes
     src_port.rx_bytes += back_bytes
 
-    # Real holds for the op's first phase (released at exact times by
-    # the dispatches below; the return-leg channels are acquired at the
-    # instant the slow path would request them).
-    src_tx = table.src_tx
-    dst_rx = table.dst_rx
-    dst_tx = table.dst_tx
-    src_rx = table.src_rx
+    # Real holds for what every timeline takes before its turn-around
+    # (released, and the return wire taken, by the dispatches below).
     sq.in_use += 1
     if window is not None:
         window.in_use += 1
     lpipe.in_use += 1
     rpipe.in_use += 1
-    src_tx.in_use += 1
-    dst_rx.in_use += 1
+    table.src_tx.in_use += 1
+    table.dst_rx.in_use += 1
     if srq_source is not None:
         srq_source._fp_claims += 1
 
@@ -599,18 +703,6 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     # SEND); the native entry's WR process always waits on its handle.
     handle = sim.event() if signaled or prepared else None
     box = []
-
-    def turn_around():
-        # Responder done: publish RC order, request the return leg.
-        done.succeed()
-        if dst_tx.in_use >= dst_tx.capacity:
-            stats.mismodels += 1
-            fp_stats.mismodels += 1
-        if src_rx.in_use >= src_rx.capacity:
-            stats.mismodels += 1
-            fp_stats.mismodels += 1
-        dst_tx.in_use += 1
-        src_rx.in_use += 1
 
     def at_end():
         if signaled:
@@ -626,20 +718,17 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
         if handle is not None:
             handle.succeed(_SUCCESS)
 
-    # fp_schedule inlined (this is the hottest dispatch source): each
-    # push takes the next seq, exactly as fp_schedule calls in program
-    # order would.
+    # What a hand-over needs to find this op's dispatches and walk the
+    # rest of its timeline (CostTable._hand_over).
     seq = sim._seq
-    fpq = sim._fpq
-    seq += 1
-    heappush(fpq, (t2, seq, table._rel_t2))
-    seq += 1
-    heappush(fpq, (t3, seq, table._rel_t3))
+    flight = (seq, durations, shape)
 
+    # The opcode's own actions, by hook slot: what the responder does
+    # to memory, where a receive is taken and completed, the scatter.
+    # The turn-around publishes RC order.
     if resp_op:
 
-        def at_mid():
-            rpipe.release()
+        def respond():
             try:
                 old = backing.read(reg_off, nbytes)
                 if atomic:
@@ -656,106 +745,68 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
                 box.append(b"")
                 stats.mismodels += 1
                 fp_stats.mismodels += 1
-            turn_around()
 
-        def at_t6():
-            if lpipe.in_use >= lpipe.capacity:
-                stats.mismodels += 1
-                fp_stats.mismodels += 1
-            lpipe.in_use += 1
-
-        def at_t7():
-            lpipe.release()
+        def scatter():
             if sge is None:
                 wr.return_data = box[0]     # ``qp._scatter``, a call cheaper
             else:
                 qp._scatter(wr, box[0])
 
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (back, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t6, seq, at_t6))
-        seq += 1
-        heappush(fpq, (t7, seq, at_t7))
+        hooks = (None, respond, done.succeed, scatter, at_end, flight)
 
-    elif opcode is _WRITE:
+    else:
+        take_recv = turn = None
+        if rqp is not None:     # WRITE_IMM, SEND: a receive completes
+            src_node = table.src_node
 
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, payload)
-            except ValueError:
-                stats.mismodels += 1
-                fp_stats.mismodels += 1
-            turn_around()
+            def take_recv():
+                # Pop the receive at the generator's instant; a SEND
+                # priced its buffer at commit, so it must be that one.
+                if srq_items:
+                    box.append(srq_items.popleft())
+                if not box or (send_op and box[0] is not recv):
+                    stats.mismodels += 1
+                    fp_stats.mismodels += 1
+                srq_source._fp_claims -= 1
 
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (back, seq, table._rel_back))
-
-    else:  # WRITE_IMM, SEND
-        src_node = table.src_node
-
-        def take_recv():
-            # Pop the receive at the generator's instant; a SEND priced
-            # its buffer at commit, so it must be that very one.
-            if srq_items:
-                box.append(srq_items.popleft())
-            if not box or (send_op and box[0] is not recv):
-                stats.mismodels += 1
-                fp_stats.mismodels += 1
-            srq_source._fp_claims -= 1
+            def turn():
+                if box:
+                    recv_cq = rqp.recv_cq
+                    if recv_cq is not None:
+                        recv_cq.push(WorkCompletion(
+                            wr_id=box[0].wr_id, status=_SUCCESS,
+                            opcode=_RECV if send_op else _RECV_IMM,
+                            byte_len=nbytes, imm=wr.imm, qp_num=dst_qpn,
+                            src_node=src_node, src_qpn=qp.qpn,
+                        ))
+                done.succeed()
 
         if send_op:
 
-            def at_take():
-                rpipe.release()         # first pass done; second begins
-                if rpipe.in_use >= rpipe.capacity:
-                    stats.mismodels += 1
-                    fp_stats.mismodels += 1
-                rpipe.in_use += 1
-                take_recv()
-
-            def at_mid():
-                rpipe.release()
+            def respond():
                 if box:
                     box[0].mr.write(box[0].offset, payload)
-
-            seq += 1
-            heappush(fpq, (t_take, seq, at_take))
         else:
 
-            def at_mid():
-                rpipe.release()
+            def respond():
                 try:
                     backing.write(reg_off, payload)
                 except ValueError:
                     stats.mismodels += 1
                     fp_stats.mismodels += 1
-                take_recv()
+                if take_recv is not None:
+                    take_recv()     # a WRITE_IMM's, once its payload landed
 
-        def at_rc():
-            if box:
-                recv_cq = rqp.recv_cq
-                if recv_cq is not None:
-                    recv_cq.push(WorkCompletion(
-                        wr_id=box[0].wr_id, status=_SUCCESS,
-                        opcode=_RECV if send_op else _RECV_IMM,
-                        byte_len=nbytes, imm=wr.imm,
-                        qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                    ))
-            turn_around()
+        hooks = (take_recv, respond, turn or done.succeed, None, at_end,
+                 flight)
 
+    # One dispatch per mark, at its boundary's instant, numbered
+    # ``_seq + 1 …`` in instant order exactly as fp_schedule calls in
+    # that order would; the end is the op's own ``at_end``.
+    fpq = sim._fpq
+    for index, run, bound in table._runs[shape]:
         seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (t_rc, seq, at_rc))
-        seq += 1
-        heappush(fpq, (back, seq, table._rel_back))
-
+        heappush(fpq, (at[index], seq, partial(run, hooks) if bound else run))
     seq += 1
     heappush(fpq, (t_end, seq, at_end))
     sim._seq = seq

@@ -43,6 +43,12 @@ def _lite_rpc_workload(seed: int, mode=None):
         yield sim.timeout(1)
         lh = yield from client.lt_malloc(4096, nodes=3)
         trace.append((lh.mapping.lmr_id, lh.lh_id))
+        pool = kernels[0].qp_pool(kernels[1].lite_id, lease_ttl_us=20.0)
+        yield from pool.acquire(1)      # nothing parked: a miss
+        pool.release(1)
+        yield from pool.acquire(2)      # the conn session 1 parked: a hit
+        yield sim.timeout(25.0)
+        pool.sweep()                    # session 2's lease ran out
         for index in range(30):
             yield sim.timeout(rng.random() * 10)
             if index % 3 == 0:
@@ -82,7 +88,8 @@ def test_interleaved_clusters_match_their_solo_runs():
     """Ids and counters belong to the simulator: two clusters built and
     advanced in alternating ``sim.run(until=...)`` steps in one process
     each end exactly as they end alone — instant, snapshot (its
-    fast-path attempts, commits and rejects included) and outcomes."""
+    fast-path attempts, commits and rejects and its QP pool hits,
+    misses and expiries included) and outcomes."""
 
     def result(cluster, trace):
         return (cluster.sim.now, dataclasses.asdict(snapshot(cluster)),
@@ -95,6 +102,10 @@ def test_interleaved_clusters_match_their_solo_runs():
         solo.append(result(cluster, trace))
     assert all(snap["fastpath"]["commits"] > 0 for _, snap, _ in solo), (
         "both runs must exercise the fast path")
+    assert all(
+        [snap["nodes"][0][name] for name in ("pool_hits", "pool_misses",
+                                             "pool_expiries")] == [1, 1, 1]
+        for _, snap, _ in solo), "both runs must move the QP pool counters"
     runs = [_lite_rpc_workload(seed, "fast") for seed in (7, 8)]
     ends = [now for now, _, _ in solo]
     for until in range(5, int(max(ends)), 5):
@@ -297,6 +308,51 @@ def test_stage_knobs_are_read_only_by_the_price_list():
     assert not readers, (
         "stage knobs read outside hw/params.py (read params.prices "
         f"instead): {readers}")
+
+
+# The price list's stage members: what a stage of a timeline costs.
+STAGE_PRICES = frozenset({"doorbell", "occupancy", "ser", "prop", "ack",
+                          "completion"})
+# Where they are read: the price list itself, the one timeline, and the
+# generator path, which waits each stage as it walks the hardware (its
+# traced spans are pinned to the timeline by
+# tests/test_verbs.py::test_generator_stage_spans_follow_the_timeline).
+STAGE_PRICE_READERS = frozenset({
+    "hw/params.py", "verbs/timeline.py",
+    "verbs/qp.py", "verbs/device.py", "hw/rnic.py", "hw/fabric.py",
+})
+
+
+def test_stage_order_has_one_source():
+    """One timeline per opcode: the order of an op's stages is written
+    in ``verbs/timeline.py`` alone.  ``explain()`` and the fast path's
+    commit read it and no stage price of their own; nothing but the
+    price list, the timeline and the generator path reads a stage price
+    off ``prices``."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    readers = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in STAGE_PRICE_READERS:
+            continue
+        readers.extend(
+            f"{rel}:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and node.attr in STAGE_PRICES)
+    assert not readers, (
+        "stage prices read outside the timeline (read "
+        f"repro.verbs.timeline.timeline instead): {readers}")
+    assert "verbs/fastpath.py" not in STAGE_PRICE_READERS
+    timeline = ast.parse((root / "verbs/timeline.py").read_text())
+    (explain,) = [node for node in timeline.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "explain"]
+    assert not [node.attr for node in ast.walk(explain)
+                if isinstance(node, ast.Attribute)
+                and node.attr in STAGE_PRICES], "explain() maps timeline()"
 
 
 # ------------------------------------------------ trace determinism --

@@ -115,6 +115,7 @@ def test_release_after_expiry_is_noop_and_sid_reuse_regrants():
 
     def driver():
         yield from pool.prebuild()
+        out["before"] = snapshot(cluster)
         _conn, source = yield from pool.acquire(9)
         out["source"] = source
         yield cluster.sim.timeout(250.0)  # sail past the TTL
@@ -138,6 +139,9 @@ def test_release_after_expiry_is_noop_and_sid_reuse_regrants():
     assert out["source2"] == "hit"
     assert out["release2"] is True
     assert pool.expiries == 1 and pool.parked == 1 and pool.leased == 0
+    # The node's snapshot carries its pools' counters; delta subtracts.
+    node = snapshot(cluster).delta(out["before"]).nodes[0]
+    assert (node.pool_hits, node.pool_misses, node.pool_expiries) == (2, 0, 1)
 
 
 def test_double_lease_same_session_rejected():

@@ -14,6 +14,7 @@ from repro.verbs import (
     Sge,
     WcStatus,
 )
+from repro.verbs.timeline import FORWARD, LOCAL, REMOTE, RETURN, timeline
 
 from tests import ab
 
@@ -523,3 +524,161 @@ def test_explain_sums_to_the_completion_instant(opcode, nbytes, fastpath):
     assert post() == expect, stages
     assert snapshot(cluster).delta(before).fastpath.commits == (
         1 if fastpath else 0)
+
+
+# What each timeline stage's end looks like in a trace: the span that
+# ends there, on the requester (0) or the responder (1).  The ACK
+# turnaround has no span of its own: it ends where the requester's CQE
+# write-back begins.
+_STAGE_SPAN = {
+    LOCAL: ("rnic.proc", 0),
+    REMOTE: ("rnic.proc", 1),
+    FORWARD: ("fabric.serialize", 0),
+    RETURN: ("fabric.serialize", 1),
+    "doorbell": ("qp.doorbell", 0),
+    "completion: responder": ("cq.completion", 1),
+    "transport: ACK turnaround": ("ack", 0),
+    "completion": ("cq.completion", 0),
+}
+_STAGE_SPANS = {"rnic.proc", "fabric.serialize", "fabric.hop",
+                "qp.doorbell", "cq.completion"}
+
+
+def _warm_pair(mode, opcode, nbytes):
+    """A 2-node ``mode`` cluster with one RC QP pair, and ``post()``:
+    one ``opcode`` of ``nbytes`` posted at a quiescent instant and run
+    to completion, returning its post instant."""
+    cluster = ab.Run(mode).cluster(2)
+    a, b = cluster[0], cluster[1]
+    world = {}
+
+    def setup():
+        pd_a, pd_b = a.device.alloc_pd(), b.device.alloc_pd()
+        world["mr"] = yield from b.device.reg_mr(pd_b, 2 << 20)
+        world["qa"] = a.device.create_qp(pd_a, "RC")
+        world["qb"] = b.device.create_qp(pd_b, "RC")
+        a.device.connect(world["qa"], world["qb"])
+
+    cluster.run_process(setup())
+    mr, qa, qb = world["mr"], world["qa"], world["qb"]
+
+    def post():
+        if opcode in (Opcode.SEND, Opcode.WRITE_IMM):
+            qb.post_recv(RecvWR(mr, 0, nbytes))
+        if opcode is Opcode.READ:
+            wr = SendWR(opcode, remote_addr=mr.base_addr, rkey=mr.rkey,
+                        read_length=nbytes)
+        elif opcode in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
+            wr = SendWR(opcode, remote_addr=mr.base_addr, rkey=mr.rkey,
+                        compare_add=1)
+        else:
+            wr = SendWR(opcode, inline_data=b"x" * nbytes, imm=7,
+                        remote_addr=mr.base_addr, rkey=mr.rkey)
+        posted = cluster.sim.now
+        proc = qa.post_send(wr)
+        cluster.run(stop=proc)
+        assert proc.value is WcStatus.SUCCESS
+        cluster.run()
+        return posted
+
+    post()  # warms the QP, key and PTE caches on both RNICs
+    return cluster, post
+
+
+_OPCODES = pytest.mark.parametrize(
+    "opcode", [Opcode.WRITE, Opcode.WRITE_IMM, Opcode.READ, Opcode.SEND,
+               Opcode.FETCH_ADD, Opcode.CMP_SWAP], ids=lambda op: op.name)
+
+
+def _running_sums(t0, stages):
+    ends = []
+    for stage in stages:
+        t0 += stage.duration
+        ends.append(t0)
+    return ends
+
+
+@pytest.mark.parametrize("nbytes", [64, 4096, 1 << 20])
+@_OPCODES
+def test_generator_stage_spans_follow_the_timeline(opcode, nbytes):
+    """Stage for stage, not only the sum: with a tracer on, the
+    generator path's stage spans end at the running sums of
+    ``timeline()``, entry by entry, each on the span its holder names."""
+    cluster, post = _warm_pair("traced", opcode, nbytes)
+    spans = cluster.sim.tracer.spans
+    seen = len(spans)
+    t0 = post()
+    acked = opcode not in (Opcode.READ, Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+    observed = []
+    for span in spans[seen:]:
+        if span.name in _STAGE_SPANS:
+            observed.append((span.end, span.name, span.node))
+            if acked and span.name == "cq.completion" and span.node == 0:
+                observed.append((span.start, "ack", 0))
+    observed.sort()
+
+    stages = timeline(opcode, nbytes, cluster.params.prices)
+    expected, sender = [], 0
+    for stage, end in zip(stages, _running_sums(t0, stages)):
+        if stage.label == "propagation + switch":
+            expected.append((end, "fabric.hop", sender))
+            continue
+        name, node = _STAGE_SPAN.get(stage.holder) or _STAGE_SPAN[stage.label]
+        if stage.holder in (FORWARD, RETURN):
+            sender = node
+        expected.append((end, name, node))
+    assert observed == expected
+
+
+@pytest.mark.parametrize("nbytes", [64, 4096, 1 << 20])
+@_OPCODES
+def test_fastpath_dispatches_land_on_the_timeline(opcode, nbytes,
+                                                  monkeypatch):
+    """A committed op's dispatch instants are the same running sums:
+    one at the end of every stage that holds something, none off a
+    stage boundary, and the last at the completion instant."""
+    from repro.verbs import fastpath
+
+    cluster, post = _warm_pair("fast", opcode, nbytes)
+    pushed = []
+
+    def heappush(queue, entry):
+        pushed.append(entry[0])
+        real_heappush(queue, entry)
+
+    real_heappush = fastpath.heappush
+    monkeypatch.setattr(fastpath, "heappush", heappush)
+    before = snapshot(cluster)
+    t0 = post()
+    assert snapshot(cluster).delta(before).fastpath.commits == 1
+
+    stages = timeline(opcode, nbytes, cluster.params.prices)
+    ends = _running_sums(t0, stages)
+    assert pushed == sorted(pushed) and pushed[-1] == ends[-1]
+    assert set(pushed) <= set(ends)
+    assert {end for stage, end in zip(stages, ends) if stage.holder} <= (
+        set(pushed))
+
+
+def test_timeline_prices_send_queue_opcodes_only():
+    """A receive-queue opcode has no send-queue timeline to explain."""
+    from repro import explain
+
+    with pytest.raises(ValueError):
+        explain(Opcode.RECV, 64)
+
+
+def test_a_commit_needs_one_price_list_on_both_ends():
+    """The commit folds one price list for the whole op: a responder
+    device on other ``SimParams`` declines the cost table, and the op
+    completes on the generator path."""
+    from repro.hw.params import SimParams
+
+    cluster, post = _warm_pair("fast", Opcode.WRITE, 64)
+    cluster[1].device.params = SimParams(rnic_wqe_process_us=0.2)
+    for qp in cluster[0].device.qps.values():
+        qp._fp_table = None
+    before = snapshot(cluster)
+    post()
+    fastpath = snapshot(cluster).delta(before).fastpath
+    assert (fastpath.commits, fastpath.rej_table) == (0, 1)

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..obs.trace import traced_op
 from ..verbs import Access, Opcode, SendWR, Sge
+from ..verbs.wr import WORD_MASK
 from .errors import ECONNRESET
 from .kernel import LiteError, LiteKernel
 from .lmr import ChunkInfo, LmrHandle, MappedLmr, MasterRecord, Permission
@@ -648,7 +649,7 @@ class LiteContext:
         mapping = lock.handle.require(self, Permission.WRITE)
         yield from self._enter()
         old = yield from self.kernel.onesided.fetch_add(
-            mapping, 0, (1 << 64) - 1, self.priority
+            mapping, 0, WORD_MASK, self.priority
         )
         if old == 0:
             raise LiteError(f"unlock of unheld lock {lock.name!r}")
@@ -684,7 +685,7 @@ class LiteContext:
         mapping = lh.require(self, Permission.WRITE)
         yield from self._enter()
         old = yield from self.kernel.onesided.fetch_add(
-            mapping, offset, delta % (1 << 64), self.priority
+            mapping, offset, delta & WORD_MASK, self.priority
         )
         yield from self._exit()
         return old

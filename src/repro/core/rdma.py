@@ -19,6 +19,7 @@ from typing import List
 from ..verbs import Opcode, SendWR, WcStatus
 from ..verbs.fastpath import try_fast_post
 from ..verbs.timeline import post_cpu
+from ..verbs.wr import atomic_word
 from .errors import EIO, ENODEV, ETIMEDOUT, LiteError
 from .lmr import MappedLmr
 
@@ -333,14 +334,10 @@ class OneSidedEngine:
             # Local word: the RNIC still arbitrates atomics, loop back.
             yield self.sim.timeout(self.params.prices.dma_setup)
             region, base = kernel.node.memory.resolve(chunk.addr + chunk_off, 8)
-            old = struct.unpack("<Q", region.read(base, 8))[0]
-            if opcode is Opcode.FETCH_ADD:
-                new = (old + compare_add) % (1 << 64)
-            else:
-                new = swap if old == compare_add else old
-            region.write(base, struct.pack("<Q", new))
+            old = region.read(base, 8)
+            region.write(base, atomic_word(opcode, old, compare_add, swap))
             self.atomics += 1
-            return old
+            return struct.unpack("<Q", old)[0]
         peer = kernel.peer(chunk.node_id)
         remote_addr, rkey = chunk.target(chunk_off, peer.global_rkey)
         wr = SendWR(

@@ -338,11 +338,6 @@ class HostMemory:
         # Live regions indexed by base address (for physical-address DMA).
         self._live: dict = {}
         self._live_addrs: List[int] = []
-        # Free epoch: bumped on every free() so cached resolve() results
-        # (the fast path's span memo) can be revalidated with one compare.
-        # Allocation cannot invalidate an existing resolution, so alloc()
-        # leaves it alone.
-        self.version = 0
 
     def alloc(self, size: int) -> PhysRegion:
         """First-fit allocate a physically-contiguous extent."""
@@ -377,7 +372,6 @@ class HostMemory:
         if region.node_id != self.node_id:
             raise ValueError("region belongs to a different node")
         region.freed = True
-        self.version += 1
         self.allocated_bytes -= region.size
         del self._live[region.addr]
         index = bisect.bisect_left(self._live_addrs, region.addr)

@@ -9,14 +9,14 @@ SRAM-cache accounting on the responder RNIC.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Optional, Tuple
 
 from ..hw.memory import PhysRegion
 from .cq import CompletionQueue
 from .mr import MemoryRegion
 from .qp import _ATOMICS, QueuePair, SharedReceiveQueue
-from .wr import Access, Opcode, RecvWR, WcStatus, WorkCompletion
+from .wr import (_NEED_REMOTE_ATOMIC, _NEED_REMOTE_READ, _NEED_REMOTE_WRITE,
+                 Access, Opcode, RecvWR, WcStatus, WorkCompletion, atomic_word)
 
 __all__ = ["Device", "ProtectionDomain"]
 
@@ -24,11 +24,6 @@ __all__ = ["Device", "ProtectionDomain"]
 # addresses used by kernel (physical) MRs.
 _VA_BASE = 1 << 44
 
-# Raw permission bits (see MemoryRegion._access_bits): the responder
-# check is a plain int ``&`` instead of enum.Flag.__and__ per packet.
-_NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
-_NEED_REMOTE_READ = Access.REMOTE_READ.value
-_NEED_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
 _WRITES = (Opcode.WRITE, Opcode.WRITE_IMM)
 
 
@@ -269,13 +264,9 @@ class Device:
             if opcode in _ATOMICS:
                 # Read-modify-write with no intervening yield: atomic in
                 # the event loop, like the RNIC's atomic execution unit.
-                old = struct.unpack("<Q", mr.read(offset, 8))[0]
-                if opcode is Opcode.FETCH_ADD:
-                    new = (old + compare_add) % (1 << 64)
-                else:
-                    new = swap if old == compare_add else old
-                mr.write(offset, struct.pack("<Q", new))
-                return WcStatus.SUCCESS, 8, struct.pack("<Q", old)
+                old = mr.read(offset, 8)
+                mr.write(offset, atomic_word(opcode, old, compare_add, swap))
+                return WcStatus.SUCCESS, 8, old
             mr.write(offset, payload)
         except ValueError:
             # Physical-MR access to memory that is no longer a live
@@ -311,7 +302,7 @@ class Device:
             # (7) is the IB "retry forever" sentinel, which keeps the
             # seed's block-until-posted behavior.
             tries = 0
-            while qp._rq_len() == 0:
+            while len(qp.rq) == 0:
                 tries += 1
                 if tries > qp.rnr_retry:
                     qp.rnr_stalls += 1

@@ -14,10 +14,12 @@ queue — one callable per boundary instead of one event per transition.
 There is exactly one commit (:func:`_commit`) for WRITE / WRITE_IMM /
 READ / SEND / the 8-byte atomics: one entry pass, one fold of the
 timeline, one state replay, one dispatch per mark of the timeline's
-holders (:class:`_Shape`), plus the opcode's own hooks.  Every attempt
-comes with its ``SendWR`` through :func:`try_fast_post`, from LITE's
-post time (``core/rdma.py``, ``core/kernel.py``) or from the start hop
-of a WR a native ``qp.post_send`` already prepared
+holders (:class:`_Shape`), plus the opcode's own hooks.  What the
+responder does is the device's own code, called per attempt: its
+target check, its QP's receive queue and :func:`atomic_word`.  Every
+attempt comes with its ``SendWR`` through :func:`try_fast_post`, from
+LITE's post time (``core/rdma.py``, ``core/kernel.py``) or from the
+start hop of a WR a native ``qp.post_send`` already prepared
 (``QueuePair._execute``).  A committed WRITE_IMM or SEND pushes its
 real receive CQE at the responder's write-back instant, so the
 receiving poller wakes, charges and dispatches exactly as it does on
@@ -36,8 +38,11 @@ Soundness rests on two pillars:
 2. **The horizon check.**  An op commits only when the now-queue holds
    nothing that would run code (`Simulator.fp_nowq_inert`) and no
    ordinary event is scheduled before the op's completion time
-   (`Simulator.fp_horizon`), so nothing scheduled can observe the
-   (slightly widened) hold windows or the eagerly-applied counters.
+   (`Simulator.fp_horizon`), so nothing already scheduled can observe
+   the eagerly-applied counters.  An op its poster starts later can
+   observe the widened holds: the commit takes the forward wire and
+   remote pipeline at t0, so such an op can queue behind it where the
+   generator path would not yet hold them (INTERNALS §9).
 
 Cache lookups and byte counters are replayed at commit rather than at
 their instants (end-state equivalent; INTERNALS §13).  What the commit
@@ -50,7 +55,6 @@ run's and the two are never compared.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import fields
 from functools import lru_cache, partial
 from heapq import heapify, heappush
@@ -58,14 +62,11 @@ from itertools import accumulate
 
 from ..sim.engine import FastPathStats
 from .timeline import FORWARD, LOCAL, REMOTE, RETURN, floor, timeline, wire_legs
-from .wr import Access, Opcode, WcStatus, WorkCompletion
+from .wr import (_NEED_REMOTE_ATOMIC, _NEED_REMOTE_READ, _NEED_REMOTE_WRITE,
+                 Opcode, WcStatus, WorkCompletion, atomic_word)
 
 __all__ = ["try_fast_post", "prime_qp", "fp_stats", "FastPathStats"]
 
-_NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
-_NEED_REMOTE_READ = Access.REMOTE_READ.value
-_NEED_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
-_WORD = struct.Struct("<Q")
 # Enum members as module constants: ``Opcode.X`` is a metaclass lookup
 # (~0.1 µs), paid several times per attempt otherwise.
 _WRITE, _WRITE_IMM, _READ, _SEND = (Opcode.WRITE, Opcode.WRITE_IMM,
@@ -73,10 +74,6 @@ _WRITE, _WRITE_IMM, _READ, _SEND = (Opcode.WRITE, Opcode.WRITE_IMM,
 _FETCH_ADD, _CMP_SWAP = Opcode.FETCH_ADD, Opcode.CMP_SWAP
 _RECV, _RECV_IMM = Opcode.RECV, Opcode.RECV_IMM
 _SUCCESS = WcStatus.SUCCESS
-
-# Entries per target memo: a pathological address or size sweep
-# clears and rebuilds rather than growing without bound.
-_MEMO_MAX = 512
 
 # The hooks an opcode runs at a dispatch, by slot (see _Shape); the
 # last slot carries the commit's first seq, durations and shape.
@@ -145,22 +142,23 @@ def _no(stats: FastPathStats, reason: str) -> None:
 
 
 class CostTable:
-    """Per-QP state of the commit: resources, ports, target memos.
+    """Per-QP references of the commit: resources, ports, the price
+    list, and the dispatch runners built from them.
 
     Built lazily at first fast post (or eagerly via :func:`prime_qp`)
-    and kept while the QP's peer is unchanged.  All else it holds is
-    fixed for the node's lifetime (``SimParams`` is frozen) or checked
-    where the commit uses it (INTERNALS §13), so no other module
-    invalidates it.  Its one price list is what the commit hands to
-    ``timeline()``.
+    and kept while the QP's peer is unchanged.  Everything it refers to
+    is fixed for the node's lifetime (``SimParams`` is frozen); what
+    changes — the target MR, the responder's receive queue — the commit
+    reads from the responder device on every attempt, so no other module
+    invalidates a table or keeps state for it.  Its one price list is
+    what the commit hands to ``timeline()``.
     """
 
     __slots__ = (
-        "qp", "remote", "floor", "fabric", "rdev", "rqp",
+        "qp", "remote", "floor", "fabric", "rdev",
         "lrnic", "rrnic", "lpipe", "rpipe", "src_port", "dst_port",
         "src_tx", "src_rx", "dst_tx", "dst_rx",
-        "src_node", "dst_node", "dst_qpn", "srq_source", "srq_items",
-        "prices", "_spans", "_phys", "_pregions", "_mem",
+        "src_node", "dst_node", "dst_qpn", "prices",
         "_held", "_release", "_runs",
     )
 
@@ -178,7 +176,6 @@ class CostTable:
         self.remote = qp.remote
         self.fabric = fabric
         self.rdev = rdev
-        self.rqp = rdev.qps.get(dst_qpn)
         self.lrnic = lrnic = device.rnic
         self.rrnic = rrnic = rdev.rnic
         self.lpipe = lrnic._pipeline
@@ -203,30 +200,6 @@ class CostTable:
         if rdev.params != params or fabric.params != params:
             raise KeyError(dst_node)
         self.prices = params.prices
-        # (rkey, addr, nbytes, need) → (free epoch, resolved target, mr).
-        # MR identity, bounds, access bits, and the page list are
-        # immutable for a live registration, so a hit checks
-        # ``mr.deregistered`` plus the host allocator's free epoch.
-        self._spans = {}
-        # rkey → (mr, base_addr, end_addr) for *physical* MRs (the LITE
-        # global MR): identity and bounds are immutable for a live
-        # registration and every address is in-reach, so a hit checks
-        # ``mr.deregistered`` and runs only the backing resolution
-        # (allocator-epoch dependent).
-        self._phys = {}
-        # rkey → (region, lo, hi): last backing region hit for a
-        # *physical* MR.  The global MR spans the whole remote heap, so
-        # ``mr._backing`` bisects the allocator's live list per attempt;
-        # ring/head slots hit the same region every op, so one cached
-        # (region, bounds) triple — validated by ``region.freed`` plus
-        # containment — replaces the bisect.  A freed-then-reused range
-        # can never serve stale: free() flips the flag on the old object.
-        self._pregions = {}
-        self._mem = rnode.memory
-        # Receive-queue source for inbound WRITE_IMM, resolved lazily
-        # and revalidated by identity per attempt.
-        self.srq_source = None
-        self.srq_items = None
         # What each timeline holder is and how it is released; the
         # dispatch runners per timeline shape are built from them once.
         src_tx, src_rx = self.src_tx, self.src_rx
@@ -313,64 +286,6 @@ class CostTable:
     def valid(self) -> bool:
         """True while the QP's peer is unchanged."""
         return self.remote == self.qp.remote
-
-    def resolve(self, rkey: int, addr: int, nbytes: int, need: int):
-        """Resolve a remote span to ``(pages, backing, reg_off)``, or None.
-
-        Memoised replay of ``rdev._resolve_remote``.  Physical MRs (the
-        LITE global MR — every RPC/ring address) see a fresh address on
-        most posts, so the per-span memo would miss and churn; their
-        immutable identity/bounds are cached per rkey instead and only
-        the backing resolution (allocator-epoch dependent) runs per
-        attempt.
-        """
-        phys = self._phys.get(rkey)
-        if phys is not None:
-            mr, base, end = phys
-            if mr.deregistered:
-                return None
-            if not (base <= addr and addr + nbytes <= end):
-                return None
-            if not (mr._access_bits & need):
-                return None
-            preg = self._pregions.get(rkey)
-            if (preg is not None and not preg[0].freed
-                    and preg[1] <= addr and addr + nbytes <= preg[2]):
-                return (), preg[0], addr - preg[1]
-            try:
-                backing, reg_off = mr._backing(addr - base, nbytes)
-            except ValueError:
-                return None
-            self._pregions[rkey] = (
-                backing, backing.addr, backing.addr + backing.size)
-            return (), backing, reg_off
-        key = (rkey, addr, nbytes, need)
-        span = self._spans.get(key)
-        if (span is not None and span[0] == self._mem.version
-                and not span[2].deregistered):
-            return span[1]
-        mr = self.rdev.mrs_by_rkey.get(rkey)
-        if mr is None or mr.deregistered:
-            return None
-        base = mr.base_addr
-        if not (base <= addr and addr + nbytes <= base + mr.size):
-            return None
-        if not (mr._access_bits & need):
-            return None
-        offset = addr - base
-        try:
-            backing, reg_off = mr._backing(offset, nbytes)
-        except ValueError:
-            return None
-        if mr.physical:
-            self._phys[rkey] = (mr, base, base + mr.size)
-            return (), backing, reg_off
-        target = (tuple(mr.page_ids(offset, nbytes)), backing, reg_off)
-        spans = self._spans
-        if len(spans) >= _MEMO_MAX:
-            spans.clear()
-        spans[key] = (self._mem.version, target, mr)
-        return target
 
 
 def _table_for(qp):
@@ -562,49 +477,46 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     read_op = opcode is _READ
     send_op = opcode is _SEND
     atomic = opcode is _FETCH_ADD or opcode is _CMP_SWAP
-    rqp = srq_source = srq_items = recv = None
+    rq = recv = None
     if send_op or opcode is _WRITE_IMM:
         # The landing receive: the next posted one no committed op has
-        # claimed, from the responder QP's own RQ or its SRQ.  (A SEND
-        # under a bounded RNR policy is the generator's to play out.)
-        rqp = table.rqp
-        if rqp is None or rqp is not rdev.qps.get(dst_qpn):
-            rqp = rdev.qps.get(dst_qpn)
-            table.rqp = rqp
-            if rqp is None:
-                return _no(stats, "rej_target")
-        srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
-        if srq_source is not table.srq_source:
-            try:
-                srq_source._fp_claims
-            except AttributeError:
-                srq_source._fp_claims = 0
-            table.srq_source = srq_source
-            store = getattr(srq_source, "_store", srq_source)
-            table.srq_items = store.items
-        srq_items = table.srq_items
-        if (len(srq_source) <= srq_source._fp_claims
-                or (send_op and rqp.rnr_retry < 7)):
+        # claimed, from the responder QP's receive queue (its own or its
+        # SRQ).  (A SEND under a bounded RNR policy is the generator's to
+        # play out.)
+        rqp = rdev.qps.get(dst_qpn)
+        if rqp is None:
+            return _no(stats, "rej_target")
+        rq = rqp.rq
+        items = rq._store.items
+        if len(items) <= rq._fp_claims or (send_op and rqp.rnr_retry < 7):
             return _no(stats, "rej_recv")
     if send_op:
         # A SEND's responder resolves the receive buffer's MR the way a
         # WRITE's resolves the rkey (priced and replayed alike); a short
         # buffer is the generator's LOC_LEN_ERR.
-        recv = srq_items[srq_source._fp_claims]
+        recv = items[rq._fp_claims]
         rmr = recv.mr
         if rmr is None or recv.length < nbytes:
             return _no(stats, "rej_shape")
         rkey = rmr.lkey
         pages = rmr.page_ids(recv.offset, nbytes)
     else:
+        # The responder's own target check (``Device.inbound``): the
+        # rkey's live MR, bounds and access, then the backing memory.
         rkey = wr.rkey
-        target = table.resolve(
+        mr = rdev._resolve_remote(
             rkey, wr.remote_addr, nbytes,
             _NEED_REMOTE_ATOMIC if atomic
-            else _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)
-        if target is None:
+            else _NEED_REMOTE_READ if read_op else _NEED_REMOTE_WRITE)[0]
+        if mr is None:
             return _no(stats, "rej_target")
-        pages, backing, reg_off = target
+        offset = wr.remote_addr - mr.base_addr
+        try:
+            backing, reg_off = mr._backing(offset, nbytes)
+        except ValueError:
+            return _no(stats, "rej_target")
+        # Physical MRs (the LITE global MR) have no PTEs to look up.
+        pages = () if mr.physical else mr.page_ids(offset, nbytes)
 
     # SRAM lookups (QP, key, PTEs on both RNICs).  Probes are
     # non-mutating; every lookup is replayed with the real access() at
@@ -696,8 +608,8 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
     rpipe.in_use += 1
     table.src_tx.in_use += 1
     table.dst_rx.in_use += 1
-    if srq_source is not None:
-        srq_source._fp_claims += 1
+    if rq is not None:
+        rq._fp_claims += 1
 
     # Nothing awaits an unsignaled LITE post (a raw write, a control
     # SEND); the native entry's WR process always waits on its handle.
@@ -734,12 +646,8 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
                 if atomic:
                     # Read-modify-write inside one dispatch: atomic in
                     # the event loop, as in ``Device.inbound``.
-                    word = _WORD.unpack(old)[0]
-                    if opcode is _FETCH_ADD:
-                        word = (word + wr.compare_add) % (1 << 64)
-                    elif word == wr.compare_add:
-                        word = wr.swap
-                    backing.write(reg_off, _WORD.pack(word))
+                    backing.write(reg_off, atomic_word(
+                        opcode, old, wr.compare_add, wr.swap))
                 box.append(old)
             except ValueError:
                 box.append(b"")
@@ -756,18 +664,18 @@ def _commit(qp, window, wr, opcode, payload, nbytes, pred, prepared):
 
     else:
         take_recv = turn = None
-        if rqp is not None:     # WRITE_IMM, SEND: a receive completes
+        if rq is not None:      # WRITE_IMM, SEND: a receive completes
             src_node = table.src_node
 
             def take_recv():
                 # Pop the receive at the generator's instant; a SEND
                 # priced its buffer at commit, so it must be that one.
-                if srq_items:
-                    box.append(srq_items.popleft())
+                if items:
+                    box.append(items.popleft())
                 if not box or (send_op and box[0] is not recv):
                     stats.mismodels += 1
                     fp_stats.mismodels += 1
-                srq_source._fp_claims -= 1
+                rq._fp_claims -= 1
 
             def turn():
                 if box:

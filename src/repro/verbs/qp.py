@@ -39,7 +39,11 @@ _PAYLOAD_OPS = (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND)
 
 
 class SharedReceiveQueue:
-    """An SRQ: one recv-buffer pool shared by many QPs (Verbs SRQ)."""
+    """An SRQ: one recv-buffer pool shared by many QPs (Verbs SRQ); a
+    QP without one receives from a private one of its own."""
+
+    # Receives that committed fast-path ops have claimed, not yet taken.
+    _fp_claims = 0
 
     def __init__(self, sim: Simulator):
         self._store = Store(sim)
@@ -83,7 +87,8 @@ class QueuePair:
         self.send_cq = send_cq
         self.recv_cq = recv_cq
         self.srq = srq
-        self._own_rq: Store = Store(self.sim)
+        # Where this QP's receives are posted and taken.
+        self.rq = srq if srq is not None else SharedReceiveQueue(self.sim)
         self._sq_slots = Resource(self.sim, capacity=max_send_wr)
         # RC/UC responder ordering: operations of one QP execute at the
         # remote node in *posting order* (the transport guarantee LITE's
@@ -157,19 +162,13 @@ class QueuePair:
     def post_recv(self, wr: RecvWR) -> None:
         """Post a receive buffer (to the SRQ when attached)."""
         self.posted_recvs += 1
-        if self.srq is not None:
-            self.srq.post_recv(wr)
-        else:
-            self._own_rq.put(wr)
+        self.rq.post_recv(wr)
 
     def _rq_get(self):
-        source = self.srq if self.srq is not None else self._own_rq
-        if len(source) == 0:
+        rq = self.rq
+        if len(rq) == 0:
             self.rnr_stalls += 1
-        return source.get()
-
-    def _rq_len(self) -> int:
-        return len(self.srq if self.srq is not None else self._own_rq)
+        return rq.get()
 
     # -- send side ---------------------------------------------------------
     def _prepare(self, wr: SendWR, dst: Optional[Tuple[int, int]]):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import struct
 from typing import List, Optional
 
 __all__ = [
@@ -17,6 +18,8 @@ __all__ = [
     "ACK_BYTES",
     "RC_MTU",
     "UD_MTU",
+    "WORD_MASK",
+    "atomic_word",
 ]
 
 # IB transport header budget per packet (LRH+BTH+RETH-ish) and RC ACK size.
@@ -42,6 +45,22 @@ class Opcode(enum.Enum):
 # Hoisted: ``Opcode.X`` is an enum class-attribute lookup, paid per WR.
 _WRITE_IMM = Opcode.WRITE_IMM
 _ATOMICS = (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+# An atomic's operand: one little-endian 64-bit word.
+WORD_MASK = (1 << 64) - 1
+_WORD = struct.Struct("<Q")
+
+
+def atomic_word(opcode: Opcode, old: bytes, compare_add: int,
+                swap: int) -> bytes:
+    """The word an 8-byte atomic leaves behind, given the ``old`` one it
+    read: FETCH_ADD adds ``compare_add`` modulo 2**64; CMP_SWAP stores
+    ``swap`` when the old word equals ``compare_add``, else keeps it."""
+    word = _WORD.unpack(old)[0]
+    if opcode is Opcode.FETCH_ADD:
+        word = (word + compare_add) & WORD_MASK
+    elif word == compare_add:
+        word = swap
+    return _WORD.pack(word)
 
 
 class WcStatus(enum.Enum):
@@ -65,6 +84,13 @@ class Access(enum.Flag):
     REMOTE_WRITE = enum.auto()
     REMOTE_ATOMIC = enum.auto()
     ALL = LOCAL_WRITE | REMOTE_READ | REMOTE_WRITE | REMOTE_ATOMIC
+
+
+# Raw permission bits (see MemoryRegion._access_bits): the responder
+# check is a plain int ``&`` instead of enum.Flag.__and__ per packet.
+_NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
+_NEED_REMOTE_READ = Access.REMOTE_READ.value
+_NEED_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
 
 
 class Sge:

@@ -357,6 +357,37 @@ def one_write(run, caller: str):
     return holder["done_at"], quiet_at, landed == payload
 
 
+def read_behind_a_held_wire(run, delay: float):
+    """An unsignaled 1 MB raw write commits at post time; ``delay`` µs
+    later a 64 B ``lt_read`` of a warm LMR on the same peer is posted.
+    Returns the read's completion, measured from the write's post, and
+    whether it read the warm-up's bytes."""
+    cluster = run.cluster(2)
+    kernels = lite_boot(cluster)
+    sim = cluster.sim
+    ctx = LiteContext(kernels[0], "held", kernel_level=True)
+    peer = kernels[1].lite_id
+    sink = kernels[1].node.memory.alloc(1 * MB)
+    outcomes = {}
+
+    def driver():
+        lh = yield from ctx.lt_malloc(4096, nodes=peer)
+        yield from ctx.lt_write(lh, 0, b"w" * 64)
+        yield from ctx.lt_read(lh, 0, 64)
+        yield sim.timeout(50.0)
+        start = sim.now
+        kernels[0].onesided.raw_write_async(peer, sink.addr, b"x" * MB)
+        if delay:
+            yield sim.timeout(delay)
+        data = yield from ctx.lt_read(lh, 0, 64)
+        outcomes["read_done_us"] = round(sim.now - start, 6)
+        outcomes["read_ok"] = data == b"w" * 64
+
+    cluster.run_process(driver())
+    sim.run()
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # Rows
 # ---------------------------------------------------------------------------
@@ -479,6 +510,21 @@ def test_three_callers_one_timeline(caller):
     records = ab.check(one_write, caller=caller)
     assert records["fast"].run.notes["committed"], "the op must commit"
     assert records["fast"].outcomes[2], "the payload must land"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "widened holds: a post-time commit takes its forward wire at t0, "
+    "so a read posted while the write's 1 MB DMA runs declines at "
+    "rej_port and queues behind the whole write (317.5964 us) where "
+    "the generator path completes it in 1.5876 + delay us "
+    "(docs/INTERNALS.md section 9)"))
+@pytest.mark.parametrize("delay", [0.0, 1.0, 10.0])
+def test_read_behind_a_committed_write_is_not_delayed(delay):
+    """A commit's early hold on the forward wire is observable: an op
+    posted after it, while the generator path would not yet hold the
+    wire, queues behind the committed op.  Final ``sim.now`` agrees;
+    the read's completion does not, nor the SRAM LRU order."""
+    ab.check(read_behind_a_held_wire, lru_order=False, delay=delay)
 
 
 # ---------------------------------------------------------------------------

@@ -509,8 +509,7 @@ def two_sided_ops(run, seed, shared_srq, faults, n_mrs, region_bytes,
     cluster.run_process(closed_loop())
     sim.run()
     _harvest(world, log)
-    depths = [len(rqp.srq if rqp.srq is not None else rqp._own_rq)
-              for rqp in world["rqps"].values()]
+    depths = [len(rqp.rq) for rqp in world["rqps"].values()]
     return log, _memory_hash(world), [qp.posted_sends for qp in qps], depths
 
 
@@ -608,7 +607,7 @@ def interleaved_claims(run):
         yield send(qp_a, b"w")
         yield send(qp_b, b"w")
         yield send(qp_a, b"A")
-        run.notes["claims"] = getattr(rqp.srq, "_fp_claims", 0)
+        run.notes["claims"] = rqp.srq._fp_claims
         yield send(qp_a, b"a")
 
     sim.process(receiver())
@@ -807,8 +806,9 @@ def test_one_table_across_every_former_fence():
     """MR deregistration (backing kept or freed), an SRAM resize, a QP
     error + reset, a link flap and a crash + restart: the fast run
     matches the slow one, builds its cost table once, and declines only
-    the ops aimed at the deregistered MR — its span memo entry checks
-    ``mr.deregistered`` at use."""
+    the ops aimed at the deregistered MR — the commit runs the
+    responder's own target check, which reads ``mr.deregistered``, on
+    every attempt."""
     fast = ab.check(former_fences, modes=ab.MODES)["fast"]
     steps, log = fast.run.notes, fast.outcomes
     assert fast.fp["mismodels"] == 0

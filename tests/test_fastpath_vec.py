@@ -289,7 +289,8 @@ def test_atomics_on_per_mr_chunk(node):
 
 # ---------------------------------------------------------------------------
 # A single-piece op takes only an address from the live chunk list; peer
-# liveness is read per op, CostTable.resolve answers for the rest
+# liveness is read per op, the responder's own target check answers for
+# the rest
 # ---------------------------------------------------------------------------
 def _memo_cluster(per_mr: bool = False):
     """A 3-node cluster, fast path on, and a context on LITE 1."""
@@ -330,8 +331,9 @@ def test_memoised_plan_after_free_and_realloc_reads_new_bytes():
 def test_memoised_plan_declines_once_its_target_is_gone(per_mr):
     """No live allocation (global MR) or a deregistered MR (per-MR mode,
     whose ``lt_free`` is a ``dereg_mr``) behind a freed mapping's
-    address: the attempt declines under ``rej_target`` and the generator
-    path surfaces the error."""
+    address: nothing remembers the old target, the commit's per-attempt
+    target check declines under ``rej_target`` and the generator path
+    surfaces the error."""
     cluster, kernels, ctx = _memo_cluster(per_mr)
     out = {}
 

@@ -24,6 +24,7 @@ from repro.core import (
     lite_boot,
     rpc_server_loop,
 )
+from repro.core.protocol import MsgType
 from repro.fault import FaultInjector, FaultPlan, PacketLoss
 from repro.hw import FabricError, SimParams
 from repro.verbs import Opcode, SendWR, Sge, WcStatus
@@ -427,6 +428,51 @@ def test_rpc_retry_with_duplicate_suppression():
     assert cluster.run_process(proc()) == b"ok:retry-me"
     assert calls.count(b"retry-me") == 1  # duplicates never reach the handler
     assert kernels[0].rpc.calls_retried >= 1
+
+
+def test_ctrl_retry_answered_from_reply_cache():
+    """A lost control reply: ``ctrl_request`` resends the same token and
+    the server answers from its reply cache, so ``lt_malloc`` allocates
+    on the remote node once, not twice; resends of a request still being
+    served are dropped."""
+    params = _fast_fail_params()
+    cluster = Cluster(2, params=params)
+    kernels = lite_boot(cluster)
+    for kernel in kernels:
+        kernel.enable_fault_tolerance()
+    client = LiteContext(kernels[0], "c")
+    server_memory = cluster.nodes[1].memory
+    # Drop everything server->client until after the first reply left.
+    FaultInjector(
+        cluster,
+        FaultPlan().packet_loss(1.0, start_us=0.0, end_us=100.0,
+                                src=cluster.nodes[1].node_id),
+        seed=5,
+    ).install()
+    before = server_memory.allocated_bytes
+
+    def proc():
+        yield cluster.sim.timeout(10.0)
+        lh = yield from client.lt_malloc(64 * 1024,
+                                         nodes=kernels[1].lite_id)
+        return lh
+
+    lh = cluster.run_process(proc())
+    # The first attempt's window had to expire: the reply came from the
+    # resend, and the handler ran once.
+    assert cluster.sim.now > params.lite_ctrl_timeout_us
+    assert server_memory.allocated_bytes - before == 64 * 1024
+    cluster.run_process(client.lt_write(lh, 0, b"abc"))
+    assert cluster.run_process(client.lt_read(lh, 0, 3)) == b"abc"
+
+    # Resends that arrive while the first copy's handler still runs are
+    # dropped, and its one reply serves them all.
+    before = server_memory.allocated_bytes
+    reply = cluster.run_process(kernels[0].ctrl_request(
+        kernels[1].lite_id, {"type": MsgType.ALLOC, "size": 4096},
+        timeout=1.0, retries=4))
+    assert len(reply["chunks"]) == 1
+    assert server_memory.allocated_bytes - before == 4096
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,9 @@ def test_churn_sweep_serial_parallel_identical():
 # Fencing: mid-churn peer crash under an armed RecoveryManager
 # ---------------------------------------------------------------------------
 def crash_churn(run):
-    """Serial churn across a peer crash+restart: (grants, outcomes, pool
-    hits, misses, fenced discards, promotions)."""
+    """Serial churn across a peer crash+restart, each client writing
+    twice and reading once: (grants, outcomes, pool hits, misses, fenced
+    discards, promotions)."""
     cluster = run.cluster(3)
     kernels = lite_boot(cluster)
     sim = cluster.sim
@@ -244,8 +245,9 @@ def crash_churn(run):
                                 session_id=index + 1, buffer_bytes=256)
         try:
             yield from session.attach()
-            for _ in range(2):
-                status = yield from session.write(b"y" * 256)
+            for op in (session.write(b"y" * 256), session.write(b"y" * 256),
+                       session.read(256)):
+                status = yield from op
                 outcomes.append((index, getattr(status, "name", str(status))))
             yield from session.detach()
         except (LiteError, TransferDropped, FabricError) as exc:
@@ -283,7 +285,7 @@ def test_crash_fences_pool_and_never_regrants_dead_conns():
     # client's ops completed cleanly.
     last_index = max(index for (index, _) in outcomes)
     assert [name for (index, name) in outcomes
-            if index == last_index] == ["SUCCESS", "SUCCESS"]
+            if index == last_index] == ["SUCCESS", "SUCCESS", "SUCCESS"]
 
 
 def test_crash_churn_fastpath_ab_identical():
